@@ -152,7 +152,7 @@ def _load_star(path: str) -> StarProduct:
         return StarProduct.from_json(data)
     except FileNotFoundError:
         raise ConfigError(f"no such file: {path}")
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"cannot load star product from {path}: {exc}")
 
 

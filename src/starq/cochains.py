@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .jets import JetPolynomial
 from .multiindex import MultiIndex, binary_splits, merge, splits
-from .polynomials import XPoly
+from .polynomials import XPoly, add_into
 
 Slots = tuple[MultiIndex, ...]
 
@@ -281,15 +281,15 @@ class Cochain:
             raise ValueError("eval_args applies to x-ring cochains")
         if len(args) != self.arity:
             raise ValueError("argument count does not match arity")
-        total = XPoly.zero()
+        total: dict = {}
         for slots, c in self.terms.items():
             value = c
             for s, f in zip(slots, args):
                 if value.is_zero:
                     break
                 value = value * f.derivative(s)
-            total = total + value
-        return total
+            add_into(total, value)
+        return XPoly(total)
 
     # -- serialization ----------------------------------------------------------
 
@@ -309,6 +309,8 @@ class Cochain:
         out = Cochain(data["arity"], data["ring"])
         for item in data["terms"]:
             slots = tuple(tuple(v) for v in item["slots"])
+            if any(d not in (1, 2, 3) for s in slots for d in s):
+                raise ValueError(f"slot labels must be 1, 2 or 3, got {item['slots']!r}")
             out.add_term(slots, cls.from_json(item["coeff"]))
         return out
 

@@ -16,6 +16,7 @@ from typing import Iterable, Iterator
 Exponent = tuple[int, int, int]
 
 _ZERO_EXP: Exponent = (0, 0, 0)
+_ZERO = Fraction(0)
 
 
 class XPoly:
@@ -64,16 +65,13 @@ class XPoly:
 
     def __add__(self, other: "XPoly") -> "XPoly":
         out = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = out.get(exp, Fraction(0)) + c
-            if s:
-                out[exp] = s
-            else:
-                out.pop(exp, None)
+        add_into(out, other)
         return XPoly(out)
 
     def __sub__(self, other: "XPoly") -> "XPoly":
-        return self + (-other)
+        out = dict(self.terms)
+        add_into(out, other, subtract=True)
+        return XPoly(out)
 
     def __neg__(self) -> "XPoly":
         return XPoly({e: -c for e, c in self.terms.items()})
@@ -85,7 +83,7 @@ class XPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exp = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-                s = out.get(exp, Fraction(0)) + c1 * c2
+                s = out.get(exp, _ZERO) + c1 * c2
                 if s:
                     out[exp] = s
                 else:
@@ -116,7 +114,7 @@ class XPoly:
             new = list(exp)
             new[i] -= 1
             key = tuple(new)
-            s = out.get(key, Fraction(0)) + c * exp[i]
+            s = out.get(key, _ZERO) + c * exp[i]
             if s:
                 out[key] = s
             else:
@@ -185,6 +183,17 @@ class XPoly:
                 exp[int(name[1]) - 1] += 1
             total = total + XPoly.monomial(tuple(exp), Fraction(item["coeff"]))
         return total
+
+
+def add_into(out: dict[Exponent, Fraction], poly: XPoly, subtract: bool = False) -> None:
+    """Add (or subtract) poly to the term dict ``out`` in place, dropping
+    cancelled terms, so ``XPoly(out)`` is the sum without copying ``out``."""
+    for exp, c in poly.terms.items():
+        s = out.get(exp, _ZERO) - c if subtract else out.get(exp, _ZERO) + c
+        if s:
+            out[exp] = s
+        else:
+            out.pop(exp, None)
 
 
 def monomials_up_to(total_degree: int) -> list[XPoly]:

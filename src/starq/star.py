@@ -39,7 +39,7 @@ from .jets import (
 from .linsolve import ColumnReducer
 from .multiindex import MultiIndex, all_indices
 from .opo import concretize, enumerate_terms
-from .polynomials import XPoly
+from .polynomials import XPoly, parse_poly
 
 
 class GradingError(Exception):
@@ -494,7 +494,25 @@ class StarProduct:
 
     @staticmethod
     def from_json(data: dict) -> "StarProduct":
-        levels = [Cochain.from_json(item) for item in data["levels"]]
+        """Parse a stored product; raises ValueError (or KeyError, TypeError)
+        on one that is not well formed, so a verifier never meets it."""
+        mode, ring, order = data["mode"], data["ring"], data["order"]
+        if mode not in (NABLA_PHI, PSI_NABLA_PHI):
+            raise ValueError(f"unknown mode {mode!r}")
+        ring_class(ring)
+        levels = []
+        for k, item in enumerate(data["levels"]):
+            level = Cochain.from_json(item)
+            if level.arity != 2 or level.ring != ring:
+                raise ValueError(f"level {k} is not a bilinear operator in the {ring!r} ring")
+            levels.append(level)
+        if not isinstance(order, int) or order < 1 or order != len(levels) - 1:
+            raise ValueError(f"order {order!r} does not match {len(levels)} stored levels")
+        phi, psi = data.get("phi", "sym"), data.get("psi")
+        if phi != "sym":
+            parse_poly(phi)
+        if psi not in (None, "sym"):
+            parse_poly(psi)
         reports = []
         for item in data.get("obstructionReports", []):
             alternating = Cochain.from_json(item["alternating"])
@@ -508,9 +526,9 @@ class StarProduct:
                 parity_path=item["parityPath"], shortcut_witness=shortcut,
                 shortcut_agrees=item.get("shortcutAgrees")))
         return StarProduct(
-            mode=data["mode"], ring=data["ring"], order=data["order"],
+            mode=mode, ring=ring, order=order,
             levels=levels, obstruction_reports=reports,
-            phi_source=data.get("phi", "sym"), psi_source=data.get("psi"),
+            phi_source=phi, psi_source=psi,
             gauges={int(k): g for k, g in data.get("gauges", {}).items()})
 
 

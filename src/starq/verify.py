@@ -19,7 +19,7 @@ from itertools import product as iproduct
 from .cochains import Cochain, X_RING
 from .jets import NABLA_PHI, JetPolynomial, substitute_factor
 from .multiindex import MultiIndex, multiplicities
-from .polynomials import XPoly, monomials_up_to, parse_poly
+from .polynomials import XPoly, add_into, monomials_up_to, parse_poly
 from .star import StarProduct
 
 
@@ -112,28 +112,105 @@ def _levels_of(star) -> list[Cochain]:
     return star.levels if hasattr(star, "levels") else list(star)
 
 
+class _Evaluator:
+    """The levels of one product applied to explicit arguments.
+
+    Arguments are registered under hashable keys.  Each slot derivative of
+    an argument is taken once, and each coefficient f *_b g of two registered
+    arguments is evaluated once and registered in turn under the key
+    (f key, g key, b), so every associator containing the pair on either side
+    shares it.  The memos grow with the arguments seen, so an evaluator
+    lives for one top-level call.
+    """
+
+    def __init__(self, levels: list[Cochain], args):
+        for level in levels:
+            if level.ring != X_RING or level.arity != 2:
+                raise ValueError("series evaluation needs bilinear x-ring levels")
+        self.terms = [list(level.terms.items()) for level in levels]
+        self.args = dict(args)
+        self._derivatives: dict = {}
+
+    def _derivative(self, key, slot) -> XPoly:
+        memo = self._derivatives
+        if (key, slot) not in memo:
+            memo[key, slot] = self.args[key].derivative(slot)
+        return memo[key, slot]
+
+    def _add_level(self, out: dict, b: int, left, right, subtract: bool = False) -> None:
+        """out += M_b(left, right), or out -= it, in place."""
+        for (s, t), c in self.terms[b]:
+            dl = self._derivative(left, s)
+            if dl.is_zero:
+                continue
+            dr = self._derivative(right, t)
+            if not dr.is_zero:
+                add_into(out, c * dl * dr, subtract)
+
+    def level(self, b: int, left, right) -> XPoly:
+        out: dict = {}
+        self._add_level(out, b, left, right)
+        return XPoly(out)
+
+    def pair(self, left, right, b: int):
+        """The key of left *_b right, evaluated on first use."""
+        key = (left, right, b)
+        if key not in self.args:
+            self.args[key] = self.level(b, left, right)
+        return key
+
+    def associator(self, f, g, h, j: int) -> XPoly:
+        """Coefficient j of (f*g)*h - f*(g*h)."""
+        out: dict = {}
+        for a in range(j + 1):
+            b = j - a
+            self._add_level(out, a, self.pair(f, g, b), h)
+            self._add_level(out, a, f, self.pair(g, h, b), subtract=True)
+        return XPoly(out)
+
+
+def _top_order(levels: list[Cochain], order: int | None) -> int:
+    top = len(levels) - 1 if order is None else order
+    if top > len(levels) - 1:
+        raise ValueError("asking beyond the constructed order")
+    return top
+
+
 def star_series(star, f: XPoly, g: XPoly) -> list[XPoly]:
     """Coefficients of the deformation parameter in f * g, one per level."""
-    return [level.eval_args((f, g)) for level in _levels_of(star)]
+    levels = _levels_of(star)
+    series = _Evaluator(levels, {"f": f, "g": g})
+    return [series.level(b, "f", "g") for b in range(len(levels))]
 
 
 def associator(star, f: XPoly, g: XPoly, h: XPoly,
                order: int | None = None) -> list[XPoly]:
     """Coefficients of (f*g)*h - f*(g*h) through the requested order."""
     levels = _levels_of(star)
-    top = len(levels) - 1 if order is None else order
-    if top > len(levels) - 1:
-        raise ValueError("asking beyond the constructed order")
-    out = []
-    for j in range(top + 1):
-        total = XPoly.zero()
-        for a in range(j + 1):
-            b = j - a
-            left = levels[a].eval_args((levels[b].eval_args((f, g)), h))
-            right = levels[a].eval_args((f, levels[b].eval_args((g, h))))
-            total = total + left - right
-        out.append(total)
-    return out
+    top = _top_order(levels, order)
+    series = _Evaluator(levels, {"f": f, "g": g, "h": h})
+    return [series.associator("f", "g", "h", j) for j in range(top + 1)]
+
+
+def associator_scan(star, bound: int, order: int | None = None):
+    """The first nonzero associator coefficient over every monomial triple
+    with total degree at most the bound, as (f, g, h, j, coefficient), or
+    None when every coefficient through the order vanishes.
+
+    Triples come in the order of ``_monomial_triples`` and, within a triple,
+    coefficients in increasing j; nothing past the first nonzero one is
+    computed.
+    """
+    levels = _levels_of(star)
+    top = _top_order(levels, order)
+    monos = monomials_up_to(bound)
+    series = _Evaluator(levels, enumerate(monos))
+    for f, g, h in _monomial_triples(monos, bound):
+        for j in range(top + 1):
+            c = series.associator(f, g, h, j)
+            if not c.is_zero:
+                return monos[f], monos[g], monos[h], j, c
+    return None
 
 
 def commutator_probe(star, f: XPoly, g: XPoly) -> list[XPoly]:
@@ -234,15 +311,7 @@ def verify_star(star: StarProduct, degree: int | None = None,
 
     if star.ring == X_RING:
         bound = order if degree is None else degree
-        failed = None
-        for f, g, h in _monomial_triples(bound):
-            coeffs = associator(star, f, g, h, order)
-            for j, c in enumerate(coeffs):
-                if not c.is_zero:
-                    failed = (f, g, h, j, c)
-                    break
-            if failed:
-                break
+        failed = associator_scan(star, bound, order)
         if failed:
             f, g, h, j, c = failed
             check("associator", False, residual=c, witness=[str(f), str(g), str(h)])
@@ -259,17 +328,16 @@ def verify_star(star: StarProduct, degree: int | None = None,
     return report
 
 
-def _monomial_triples(bound: int):
-    """Every monomial triple with total degree at most the bound."""
-    monos = monomials_up_to(bound)
-    for f in monos:
-        df = f.total_degree()
-        for g in monos:
-            dg = df + g.total_degree()
-            if dg > bound:
+def _monomial_triples(monos: list[XPoly], bound: int):
+    """Index triples into monos whose total degree is at most the bound."""
+    degrees = [m.total_degree() for m in monos]
+    for f, df in enumerate(degrees):
+        for g, dg in enumerate(degrees):
+            dfg = df + dg
+            if dfg > bound:
                 continue
-            for h in monos:
-                if dg + h.total_degree() <= bound:
+            for h, dh in enumerate(degrees):
+                if dfg + dh <= bound:
                     yield f, g, h
 
 

@@ -1,11 +1,12 @@
 """Shared generators for randomized tests."""
 
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 from starq.cochains import Cochain, JET_RING, X_RING
 from starq.jets import JetPolynomial, phi_jet, psi_jet
-from starq.polynomials import XPoly
+from starq.polynomials import XPoly, monomials_up_to
 
 _DIRS = (1, 2, 3)
 
@@ -54,3 +55,33 @@ def random_cochain(rng: Random, arity: int, ring: str = JET_RING,
         else:
             out.add_term(slots, random_x_coeff(rng))
     return out
+
+
+# -- reference associator scan ------------------------------------------------------
+
+def reference_associator(levels, f: XPoly, g: XPoly, h: XPoly) -> list[XPoly]:
+    """Coefficients of (f*g)*h - f*(g*h), every inner product re-evaluated
+    through Cochain.eval_args for every term: the unmemoized formula."""
+    out = []
+    for j in range(len(levels)):
+        total = XPoly.zero()
+        for a in range(j + 1):
+            b = j - a
+            left = levels[a].eval_args((levels[b].eval_args((f, g)), h))
+            right = levels[a].eval_args((f, levels[b].eval_args((g, h))))
+            total = total + left - right
+        out.append(total)
+    return out
+
+
+def reference_scan(levels, bound: int):
+    """First (f, g, h, j, coefficient) with a nonzero associator coefficient
+    over monomial triples of total degree at most bound, or None."""
+    monos = monomials_up_to(bound)
+    for f, g, h in product(monos, repeat=3):
+        if f.total_degree() + g.total_degree() + h.total_degree() > bound:
+            continue
+        for j, c in enumerate(reference_associator(levels, f, g, h)):
+            if not c.is_zero:
+                return f, g, h, j, c
+    return None

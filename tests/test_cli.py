@@ -143,3 +143,47 @@ def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def _truncate(text: str) -> str:
+    return text[:200]
+
+
+def _edit(fn):
+    def apply(text: str) -> str:
+        data = json.loads(text)
+        fn(data)
+        return json.dumps(data)
+    return apply
+
+
+def _first_coeff(data) -> dict:
+    return data["levels"][1]["terms"][0]["coeff"][0]
+
+
+MALFORMED = {
+    "empty-levels": _edit(lambda d: d.update(levels=[])),
+    "slot-label-7": _edit(lambda d: d["levels"][1]["terms"][0].update(slots=[[7], [2]])),
+    "order-beyond-levels": _edit(lambda d: d.update(order=5)),
+    "unparsable-phi": _edit(lambda d: d.update(phi="x1+*")),
+    "zero-denominator": _edit(lambda d: _first_coeff(d).update(coeff="1/0")),
+    "mixed-ring": _edit(lambda d: d["levels"][2].update(ring="jet")),
+    "invalid-json": _truncate,
+    "missing-mode": _edit(lambda d: d.pop("mode")),
+    "factor-x9": _edit(lambda d: _first_coeff(d).update(factors=["x9"])),
+}
+
+
+@pytest.fixture(scope="module")
+def weyl_text(tmp_path_factory):
+    out = tmp_path_factory.mktemp("weyl") / "star.json"
+    assert main(["construct", "--phi", "x3", "--order", "2", "--out", str(out)]) == 0
+    return out.read_text()
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_verify_rejects_malformed_star_files(name, weyl_text, tmp_path, capsys):
+    bad = tmp_path / f"{name}.json"
+    bad.write_text(MALFORMED[name](weyl_text))
+    assert main(["verify", str(bad)]) == 2
+    assert "cannot load star product" in capsys.readouterr().err

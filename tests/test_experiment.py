@@ -1,9 +1,10 @@
 import json
 
+from starq.cochains import Cochain, JET_RING
 from starq.experiment import (NO_LIFT, NON_OPO_LIFT, OPO_LIFT, SKIPPED,
-                              AuditReport, opo_audit)
-from starq.jets import NABLA_PHI
-from starq.star import build_star
+                              AuditReport, _solvable, opo_audit)
+from starq.jets import NABLA_PHI, PSI_NABLA_PHI
+from starq.star import InfeasibleError, build_star
 
 
 def test_audit_of_orderable_gauge_star(sym_star3):
@@ -40,3 +41,19 @@ def test_audit_report_serializes(sym_star3):
     assert data["allOrderable"] is True
     assert len(data["levels"]) == 4
     assert blob  # fully JSON-serializable
+
+
+class _StubSolver:
+    def __init__(self, feasible: bool):
+        self.feasible = feasible
+
+    def solve(self, rhs, k, mode=None, jet_cap=None):
+        if not self.feasible:
+            raise InfeasibleError(f"level {k}: no ansatz combination")
+        return Cochain(2, JET_RING)
+
+
+def test_infeasible_unrestricted_solve_is_recorded_not_raised():
+    rhs = Cochain(3, JET_RING)
+    assert _solvable(_StubSolver(True), rhs, 3, PSI_NABLA_PHI, 5) is True
+    assert _solvable(_StubSolver(False), rhs, 3, PSI_NABLA_PHI, 5) is False

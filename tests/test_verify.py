@@ -2,14 +2,19 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from starq.cochains import Cochain, X_RING
 from starq.jets import NABLA_PHI, PSI_NABLA_PHI
 from starq.polynomials import XPoly, parse_poly
 from starq.star import StarProduct, build_star
-from starq.verify import (PoissonVector, associator, commutator_probe,
-                          gradient_jacobi_residual, jacobi_residual,
-                          moyal_level, moyal_levels, star_series, verify_star)
+from starq.verify import (PoissonVector, associator, associator_scan,
+                          commutator_probe, gradient_jacobi_residual,
+                          jacobi_residual, moyal_level, moyal_levels,
+                          star_series, verify_star)
+
+from helpers import (random_cochain, random_x_coeff, reference_associator,
+                     reference_scan)
 
 
 def test_jacobi_residual_reference_values():
@@ -144,3 +149,37 @@ def test_report_shape(cubic_star):
         assert set(check) == {"name", "inputsDigest", "residual", "pass",
                               "witness"}
         assert check["inputsDigest"] == report["inputsDigest"]
+
+
+def _random_levels(rng: Random) -> list[Cochain]:
+    levels = []
+    for k in range(rng.randint(2, 4)):
+        if k == 0 and rng.random() < 0.7:
+            levels.append(Cochain.multiplication(X_RING))
+        else:
+            levels.append(random_cochain(rng, 2, ring=X_RING,
+                                         max_slot_degree=rng.randint(1, 3),
+                                         terms=rng.randint(1, 3)))
+    return levels
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_scan_matches_reference_on_random_levels(seed):
+    rng = Random(seed)
+    levels = _random_levels(rng)
+    bound = rng.randint(1, 3)
+    assert associator_scan(levels, bound) == reference_scan(levels, bound)
+    f, g, h = (random_x_coeff(rng) for _ in range(3))
+    assert associator(levels, f, g, h) == reference_associator(levels, f, g, h)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_scan_matches_reference_on_cubic_mutants(cubic_star, seed):
+    rng = Random(seed)
+    levels = [Cochain(2, X_RING, dict(level.terms)) for level in cubic_star.levels]
+    k = rng.randrange(len(levels))
+    levels[k].add_term(rng.choice(sorted(levels[k].terms)), random_x_coeff(rng))
+    bound = rng.randint(2, 3)
+    assert associator_scan(levels, bound) == reference_scan(levels, bound)
