@@ -47,7 +47,6 @@ class JobConfig:
     degree: int | None = None
     out: str | None = None
     emit: str = "text"
-    seed: int = 0
     opo_restrict: bool = False
     threads: int = 1
 
@@ -273,8 +272,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None)
         p.add_argument("--emit", choices=("text", "json", "latex"),
                        default="text")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized probes (reserved)")
         if order:
             p.add_argument("--order", type=int, required=True)
 
@@ -289,7 +286,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="associator scan degree bound")
     v.add_argument("--out", default=None)
     v.add_argument("--emit", choices=("text", "json"), default="text")
-    v.add_argument("--seed", type=int, default=0)
 
     j = sub.add_parser("jacobi", help="integrability residual of a vector")
     j.add_argument("--P", dest="vector", default=None,
@@ -325,7 +321,6 @@ def main(argv: list[str] | None = None) -> int:
             degree=getattr(args, "degree", None),
             out=getattr(args, "out", None),
             emit=getattr(args, "emit", "text"),
-            seed=getattr(args, "seed", 0),
             opo_restrict=getattr(args, "opo_restrict", False),
             threads=threads,
         )

@@ -64,23 +64,28 @@ def coeff_derivative(coeff, index: MultiIndex):
     return coeff
 
 
+def _lengths(slots: Slots) -> tuple[int, ...]:
+    return tuple(len(s) for s in slots)
+
+
 def slot_total(slots: Slots) -> int:
     return sum(len(s) for s in slots)
 
 
-def delta_terms(slots: Slots) -> Iterator[tuple[Slots, Fraction]]:
-    """Slot expansion of the Hochschild coboundary for one input term.
+def delta_terms(slots: Slots) -> Iterator[tuple[Slots, int]]:
+    """Slot expansion of the Hochschild coboundary for one input term, with
+    signed integer multiplicities.
 
     Coefficients are untouched by the coboundary, so the expansion depends
     on the slots alone; the solver reuses this to build shape systems.
     """
     n = len(slots)
-    yield ((),) + slots, Fraction(1)
+    yield ((),) + slots, 1
     for i in range(n):
-        sign = -Fraction((-1) ** i)
+        sign = -(-1) ** i
         for left, right, count in binary_splits(slots[i]):
             yield slots[:i] + (left, right) + slots[i + 1:], sign * count
-    yield slots + ((),), Fraction((-1) ** (n - 1))
+    yield slots + ((),), (-1) ** (n - 1)
 
 
 class Cochain:
@@ -112,6 +117,13 @@ class Cochain:
     def multiplication(ring: str) -> "Cochain":
         """The pointwise product as a bilinear operator."""
         return Cochain(2, ring, {((), ()): ring_class(ring).one()})
+
+    @staticmethod
+    def _from_sums(arity: int, ring: str, sums: dict[Slots, dict]) -> "Cochain":
+        """Cochain from per-slot monomial sums (sorted slot keys), each ring
+        element built once; slots whose sum cancelled are dropped."""
+        cls = ring_class(ring)
+        return Cochain(arity, ring, {slots: cls(terms) for slots, terms in sums.items() if terms})
 
     def add_term(self, slots: Slots, coeff) -> None:
         if len(slots) != self.arity:
@@ -211,46 +223,71 @@ class Cochain:
 
     def hochschild_delta(self) -> "Cochain":
         """Hochschild coboundary; raises arity by one, never touches coefficients."""
-        out = Cochain(self.arity + 1, self.ring)
+        sums: dict[Slots, dict] = {}
         for slots, c in self.terms.items():
             for new_slots, q in delta_terms(slots):
-                out.add_term(new_slots, c.scale(q))
-        return out
+                add_into(sums.setdefault(new_slots, {}), c, q)
+        return Cochain._from_sums(self.arity + 1, self.ring, sums)
 
-    def insert(self, other: "Cochain") -> "Cochain":
+    def insert(self, other: "Cochain", degrees: tuple[int, ...] | None = None) -> "Cochain":
         """Gerstenhaber insertion product: sum over compositions of self with
         other placed into one argument, with alternating degree signs.
 
         Distributing a slot of self over the composite argument hits both
         the inner coefficient (total x-derivative) and the inner slots, with
-        multinomial multiplicities.
+        multinomial multiplicities.  With target slot lengths ``degrees`` the
+        result is ``insert(other).degree_part(degrees)``: outer terms, splits
+        and inner terms whose slot lengths cannot land there are skipped.
         """
         if self.ring != other.ring:
             raise ValueError("cochain ring mismatch")
         p, q = self.arity, other.arity
-        inner_degree = q - 1
-        out = Cochain(p + q - 1, self.ring)
+        if degrees is not None:
+            degrees = tuple(degrees)
+            if len(degrees) != p + q - 1:
+                raise ValueError("degree tuple does not match arity")
+            by_shape: dict[tuple[int, ...], list] = {}
+            for slots_n, c_n in other.terms.items():
+                by_shape.setdefault(_lengths(slots_n), []).append((slots_n, c_n))
+        sums: dict[Slots, dict] = {}
+        derivatives: dict = {}  # (inner slots, index) -> derivative of that coefficient
         for i in range(p):
-            sign = Fraction((-1) ** (i * inner_degree))
+            sign = (-1) ** (i * (q - 1))
             for slots_m, c_m in self.terms.items():
+                if degrees is not None:
+                    if (_lengths(slots_m[:i]) != degrees[:i]
+                            or _lengths(slots_m[i + 1:]) != degrees[i + q:]):
+                        continue
+                    inner_degrees = degrees[i:i + q]
                 for pieces, count in splits(slots_m[i], q + 1):
-                    weight = sign * count
                     on_coeff, on_slots = pieces[0], pieces[1:]
-                    for slots_n, c_n in other.terms.items():
-                        inner = coeff_derivative(c_n, on_coeff)
+                    if degrees is None:
+                        inner_terms = other.terms.items()
+                    else:
+                        shape = tuple(d - len(s) for d, s in zip(inner_degrees, on_slots))
+                        inner_terms = by_shape.get(shape, ())
+                    for slots_n, c_n in inner_terms:
+                        if on_coeff:
+                            key = (slots_n, on_coeff)
+                            inner = derivatives.get(key)
+                            if inner is None:
+                                inner = derivatives[key] = coeff_derivative(c_n, on_coeff)
+                        else:
+                            inner = c_n
                         if inner.is_zero:
                             continue
                         new_slots = (slots_m[:i]
                                      + tuple(merge(t, d) for t, d in zip(slots_n, on_slots))
                                      + slots_m[i + 1:])
-                        out.add_term(new_slots, (c_m * inner).scale(weight))
-        return out
+                        add_into(sums.setdefault(new_slots, {}), c_m * inner, sign * count)
+        return Cochain._from_sums(p + q - 1, self.ring, sums)
 
-    def bracket(self, other: "Cochain") -> "Cochain":
-        """Gerstenhaber bracket on shifted degrees (arity minus one)."""
+    def bracket(self, other: "Cochain", degrees: tuple[int, ...] | None = None) -> "Cochain":
+        """Gerstenhaber bracket on shifted degrees (arity minus one); with
+        ``degrees``, only its part with those slot lengths."""
         m, n = self.arity - 1, other.arity - 1
-        result = self.insert(other)
-        swap = other.insert(self).scale((-1) ** (m * n))
+        result = self.insert(other, degrees)
+        swap = other.insert(self, degrees).scale((-1) ** (m * n))
         return result - swap
 
     # -- trilinear alternation ------------------------------------------------
@@ -259,13 +296,12 @@ class Cochain:
         """Signed average over all orderings of the three arguments."""
         if self.arity != 3:
             raise ValueError("alternation is defined for trilinear operators")
-        out = Cochain(3, self.ring)
-        sixth = Fraction(1, 6)
+        sums: dict[Slots, dict] = {}
         for slots, c in self.terms.items():
             for perm in _S3:
                 permuted = tuple(slots[p] for p in perm)
-                out.add_term(permuted, c.scale(sixth * _perm_sign(perm)))
-        return out
+                add_into(sums.setdefault(permuted, {}), c, Fraction(_perm_sign(perm), 6))
+        return Cochain._from_sums(3, self.ring, sums)
 
     # -- evaluation -----------------------------------------------------------
 
@@ -324,6 +360,16 @@ class Cochain:
         return "  +  ".join(parts)
 
     __repr__ = __str__
+
+
+def linear_combination(arity: int, ring: str,
+                       pairs: Iterable[tuple[Fraction, "Cochain"]]) -> "Cochain":
+    """Sum of q * cochain over (q, cochain) pairs, accumulated in place."""
+    sums: dict[Slots, dict] = {}
+    for q, cochain in pairs:
+        for slots, c in cochain.terms.items():
+            add_into(sums.setdefault(slots, {}), c, q)
+    return Cochain._from_sums(arity, ring, sums)
 
 
 def epsilon_cochain(ring: str) -> "Cochain":

@@ -16,13 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cochains import Cochain, JET_RING, epsilon_cochain
+from .cochains import Cochain, JET_RING, linear_combination
 from .jets import PSI_NABLA_PHI, JetPolynomial
 from .linsolve import ColumnReducer
 from .opo import AbstractTerm, concretize, enumerate_terms, is_opo, term_to_text
 from .star import (
-    COORDINATE_SLOTS, DeltaSolver, InfeasibleError, StarProduct, _flatten,
-    assemble_rhs, build_star, check_grading, parity_sign,
+    DeltaSolver, InfeasibleError, StarProduct, _flatten, assemble_rhs, build_star,
+    check_grading, determinant_witness, opo_projections,
 )
 
 OPO_LIFT = "opo-lift"
@@ -169,13 +169,6 @@ class ExperimentRecord:
         }
 
 
-def _obstruction_row(alternating: Cochain) -> JetPolynomial:
-    witness = alternating.coefficient(COORDINATE_SLOTS)
-    if alternating != epsilon_cochain(alternating.ring).ring_scale(witness):
-        raise AssertionError("alternating part is not a multiple of the determinant operator")
-    return witness
-
-
 def _solvable(solver: DeltaSolver, rhs: Cochain, k: int, mode: str,
               jet_cap: int | None) -> bool:
     """Whether the shape ansatz cobounds rhs at level k."""
@@ -207,18 +200,11 @@ def psi_opo_experiment(jet_cap: int = 5,
     r3 = assemble_rhs(levels, 3, check_closed=True)
     check_grading(r3, 3, mode, jet_cap)
 
-    parity = Fraction(parity_sign(3))
-    half = Fraction(1, 2)
-    columns: dict[int, Cochain] = {}
-    for idx, term in enumerate(enumerate_terms(3, require_opo=True)):
-        c = concretize([term], mode)
-        proj = (c + c.reverse_args().ring_scale(parity)).ring_scale(half)
-        if not proj.is_zero:
-            columns[idx] = proj
+    columns = dict(opo_projections(3, mode))
 
     # constant part of the level-4 obstruction: half the self-bracket of level 2
-    base_alt = m2.bracket(m2).scale(half).degree_part((1, 1, 1)).antisymmetrize()
-    base_witness = _obstruction_row(base_alt)
+    base_alt = m2.bracket(m2, (1, 1, 1)).scale(Fraction(1, 2)).antisymmetrize()
+    base_witness = determinant_witness(base_alt)
 
     delta_only = ColumnReducer()
     combined = ColumnReducer()
@@ -228,8 +214,8 @@ def psi_opo_experiment(jet_cap: int = 5,
         dvec = {("delta",) + row: q for row, q in _flatten(proj.hochschild_delta()).items()}
         delta_rows.update(dvec)
         delta_only.add_column(idx, dict(dvec))
-        alt = m1.bracket(proj).degree_part((1, 1, 1)).antisymmetrize()
-        for mono, q in _obstruction_row(alt).monomials():
+        alt = m1.bracket(proj, (1, 1, 1)).antisymmetrize()
+        for mono, q in determinant_witness(alt).monomials():
             dvec[("ar", mono)] = q
             obstruction_rows.add(("ar", mono))
         combined.add_column(idx, dvec)
@@ -247,10 +233,8 @@ def psi_opo_experiment(jet_cap: int = 5,
     def assemble(solution: dict[int, Fraction] | None) -> Cochain | None:
         if solution is None:
             return None
-        out = Cochain(2, JET_RING)
-        for idx, q in sorted(solution.items()):
-            out = out + columns[idx].ring_scale(q)
-        return out
+        return linear_combination(2, JET_RING,
+                                  ((q, columns[idx]) for idx, q in sorted(solution.items())))
 
     orderable_m3 = assemble(delta_solution)
     witness_m3 = assemble(combined_solution)
@@ -260,8 +244,8 @@ def psi_opo_experiment(jet_cap: int = 5,
         if not (orderable_m3.hochschild_delta() - r3).is_zero:
             raise AssertionError("diagram-span level-3 solution fails its equation")
         # degree_part and antisymmetrize are linear, so the constant part is reused
-        alt = m1.bracket(orderable_m3).degree_part((1, 1, 1)).antisymmetrize() + base_alt
-        obstruction_witness = _obstruction_row(alt)
+        alt = m1.bracket(orderable_m3, (1, 1, 1)).antisymmetrize() + base_alt
+        obstruction_witness = determinant_witness(alt)
     if witness_m3 is not None and not (witness_m3.hochschild_delta() - r3).is_zero:
         raise AssertionError("combined solution fails the level equation")
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .multiindex import MultiIndex, binary_splits, format_index, merge, parse_index
-from .polynomials import XPoly
+from .polynomials import XPoly, add_into
 
 PHI = "phi"
 PSI = "psi"
@@ -37,6 +37,7 @@ JetVar = tuple[str, MultiIndex]
 Monomial = tuple[JetVar, ...]
 
 _CONST: Monomial = ()
+_ZERO = Fraction(0)
 
 
 def jet_var(tag: str, index: MultiIndex) -> JetVar:
@@ -120,7 +121,7 @@ class JetPolynomial:
     def __add__(self, other: "JetPolynomial") -> "JetPolynomial":
         out = dict(self.terms)
         for mono, c in other.terms.items():
-            s = out.get(mono, Fraction(0)) + c
+            s = out.get(mono, _ZERO) + c
             if s:
                 out[mono] = s
             else:
@@ -140,7 +141,7 @@ class JetPolynomial:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 key = monomial_key(m1 + m2)
-                s = out.get(key, Fraction(0)) + c1 * c2
+                s = out.get(key, _ZERO) + c1 * c2
                 if s:
                     out[key] = s
                 else:
@@ -168,7 +169,7 @@ class JetPolynomial:
             for pos, (tag, index) in enumerate(mono):
                 lifted = (tag, merge(index, (direction,)))
                 key = monomial_key(mono[:pos] + (lifted,) + mono[pos + 1:])
-                s = out.get(key, Fraction(0)) + c
+                s = out.get(key, _ZERO) + c
                 if s:
                     out[key] = s
                 else:
@@ -182,7 +183,7 @@ class JetPolynomial:
         derivative of the given polynomial; the substitution is a ring
         homomorphism.
         """
-        total = XPoly.zero()
+        total: dict = {}
         for mono, c in self.terms.items():
             value = XPoly.const(c)
             for tag, index in mono:
@@ -196,8 +197,8 @@ class JetPolynomial:
                     if psi is None:
                         raise ValueError("psi jets present but no psi given")
                     value = value * psi.derivative(index)
-            total = total + value
-        return total
+            add_into(total, value)
+        return XPoly(total)
 
     def monomials(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in canonical order (factor count, then factor keys)."""

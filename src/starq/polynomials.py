@@ -70,7 +70,7 @@ class XPoly:
 
     def __sub__(self, other: "XPoly") -> "XPoly":
         out = dict(self.terms)
-        add_into(out, other, subtract=True)
+        add_into(out, other, -1)
         return XPoly(out)
 
     def __neg__(self) -> "XPoly":
@@ -185,15 +185,29 @@ class XPoly:
         return total
 
 
-def add_into(out: dict[Exponent, Fraction], poly: XPoly, subtract: bool = False) -> None:
-    """Add (or subtract) poly to the term dict ``out`` in place, dropping
-    cancelled terms, so ``XPoly(out)`` is the sum without copying ``out``."""
-    for exp, c in poly.terms.items():
-        s = out.get(exp, _ZERO) - c if subtract else out.get(exp, _ZERO) + c
-        if s:
-            out[exp] = s
-        else:
-            out.pop(exp, None)
+def add_into(out: dict, poly, scale: Fraction | int = 1) -> None:
+    """Add ``scale * poly`` to the term dict ``out`` in place, dropping
+    cancelled terms, so ``XPoly(out)`` is the sum without copying ``out``.
+
+    Only the term dict of ``poly`` is read, so the jet ring's polynomials
+    accumulate the same way into ``JetPolynomial(out)``.
+    """
+    get = out.get
+    if scale == 1 or scale == -1:
+        subtract = scale == -1
+        for mono, c in poly.terms.items():
+            s = get(mono, _ZERO) - c if subtract else get(mono, _ZERO) + c
+            if s:
+                out[mono] = s
+            else:
+                out.pop(mono, None)
+    else:
+        for mono, c in poly.terms.items():
+            s = get(mono, _ZERO) + c * scale
+            if s:
+                out[mono] = s
+            else:
+                out.pop(mono, None)
 
 
 def monomials_up_to(total_degree: int) -> list[XPoly]:
@@ -206,6 +220,10 @@ def monomials_up_to(total_degree: int) -> list[XPoly]:
     return sorted(out, key=lambda p: next(iter(p.terms)))
 
 
+# Largest total degree (and exponent) a parsed expression may reach; a power
+# or product beyond it is rejected before it is expanded.
+MAX_PARSE_DEGREE = 64
+
 _TOKEN = re.compile(r"\s*(?:(\d+(?:/\d+)?)|(x[123])|(\*\*|[-+*^()]))")
 
 
@@ -214,6 +232,8 @@ class _Parser:
 
     Grammar: rational coefficients, the variables x1 x2 x3, the operators
     + - * ^ and parentheses.  '**' is accepted as a synonym for '^'.
+    Exponents and the total degree of every power and product are bounded
+    by MAX_PARSE_DEGREE, so the work a string can ask for is bounded too.
     """
 
     def __init__(self, text: str):
@@ -264,12 +284,12 @@ class _Parser:
             tok = self._peek()
             if tok == "*":
                 self._next()
-                value = value * self._power()
-            elif tok is not None and (tok.startswith("x") or tok[0].isdigit() or tok == "("):
-                # implicit multiplication, e.g. "2x1" or "x1(x2+1)"
-                value = value * self._power()
-            else:
+            elif tok is None or not (tok.startswith("x") or tok[0].isdigit() or tok == "("):
                 return value
+            # "*", or implicit multiplication, e.g. "2x1" or "x1(x2+1)"
+            factor = self._power()
+            _check_degree(value.total_degree() + factor.total_degree())
+            value = value * factor
 
     def _power(self) -> XPoly:
         base = self._atom()
@@ -279,6 +299,7 @@ class _Parser:
             if not exponent_tok.isdigit():
                 raise ValueError(f"exponent must be a nonnegative integer, got {exponent_tok!r}")
             n = int(exponent_tok)
+            _check_degree(max(n, base.total_degree() * n))
             out = XPoly.one()
             for _ in range(n):
                 out = out * base
@@ -301,6 +322,11 @@ class _Parser:
         if tok[0].isdigit():
             return XPoly.const(Fraction(tok))
         raise ValueError(f"unexpected token {tok!r}")
+
+
+def _check_degree(degree: int) -> None:
+    if degree > MAX_PARSE_DEGREE:
+        raise ValueError(f"exponent or total degree above {MAX_PARSE_DEGREE}")
 
 
 def parse_poly(text: str) -> XPoly:

@@ -31,10 +31,11 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .cochains import (
-    Cochain, JET_RING, X_RING, delta_terms, epsilon_cochain, ring_class, slot_total,
+    Cochain, JET_RING, X_RING, delta_terms, epsilon_cochain, linear_combination, ring_class,
+    slot_total,
 )
 from .jets import (
-    NABLA_PHI, PSI_NABLA_PHI, PHI, JetPolynomial, substitute_factor,
+    NABLA_PHI, PSI_NABLA_PHI, PHI, substitute_factor,
 )
 from .linsolve import ColumnReducer
 from .multiindex import MultiIndex, all_indices
@@ -98,21 +99,23 @@ def base_levels(mode: str, ring: str, phi: XPoly | None = None,
 # -- right-hand side ------------------------------------------------------------
 
 def assemble_rhs(levels: Sequence[Cochain], k: int, check_closed: bool = True) -> Cochain:
-    """R_k = (1/2) sum over l of [M_l, M_{k-l}], the source M_k must cobound.
+    """R_k = sum over l of M_l o M_{k-l}, the source M_k must cobound.
 
     Levels are indexed by their order, levels[0] being the multiplication.
-    The result is closed when the lower levels solve their own equations;
-    that is verified here rather than assumed.
+    For bilinear levels the Gerstenhaber bracket is [a, b] = a o b + b o a,
+    so this one-sided sum equals (1/2) sum over l of [M_l, M_{k-l}] with half
+    the insertions.  The result is closed when the lower levels solve their
+    own equations; that is verified here rather than assumed.
     """
     if k < 2:
         raise ValueError("right-hand sides start at level 2")
     if len(levels) <= k - 1:
         raise ValueError(f"level {k} needs all lower levels, have {len(levels) - 1}")
-    ring = levels[1].ring
-    total = Cochain(3, ring)
+    if any(levels[l].arity != 2 for l in range(1, k)):
+        raise ValueError("right-hand sides are assembled from bilinear levels")
+    total = Cochain(3, levels[1].ring)
     for l in range(1, k):
-        total = total + levels[l].bracket(levels[k - l])
-    total = total.scale(Fraction(1, 2))
+        total = total + levels[l].insert(levels[k - l])
     if check_closed and not total.hochschild_delta().is_zero:
         raise ClosureError(f"delta(R_{k}) is nonzero; lower levels are inconsistent")
     return total
@@ -158,6 +161,18 @@ def proportional(a, b) -> bool:
     return b == a.scale(cb / ca)
 
 
+def determinant_witness(alternating: Cochain):
+    """The ring element w with alternating = w * (determinant operator).
+
+    An alternating first-order trilinear operator in three dimensions is
+    always such a multiple; that is checked, not assumed.
+    """
+    witness = alternating.coefficient(COORDINATE_SLOTS)
+    if alternating != epsilon_cochain(alternating.ring).ring_scale(witness):
+        raise AssertionError("alternating part is not a multiple of the determinant operator")
+    return witness
+
+
 def obstruction(rhs: Cochain, k: int, levels: Sequence[Cochain] | None = None,
                 assume_closed: bool = False) -> ObstructionReport:
     """Alternating first-order part of R_k, with its coordinate witness.
@@ -174,9 +189,7 @@ def obstruction(rhs: Cochain, k: int, levels: Sequence[Cochain] | None = None,
     if not assume_closed and not rhs.hochschild_delta().is_zero:
         raise ClosureError(f"delta(R_{k}) is nonzero; lower levels are inconsistent")
     alternating = rhs.degree_part((1, 1, 1)).antisymmetrize()
-    witness = alternating.coefficient(COORDINATE_SLOTS)
-    if alternating != epsilon_cochain(rhs.ring).ring_scale(witness):
-        raise AssertionError("alternating part is not a multiple of the determinant operator")
+    witness = determinant_witness(alternating)
     parity_path = (k % 2 == 1) and rhs.reverse_args() == rhs
     report = ObstructionReport(
         level=k,
@@ -186,7 +199,7 @@ def obstruction(rhs: Cochain, k: int, levels: Sequence[Cochain] | None = None,
         parity_path=parity_path,
     )
     if levels is not None and len(levels) > k - 1 and k >= 2:
-        shortcut = levels[k - 1].insert(levels[1]).degree_part((1, 1, 1)).antisymmetrize()
+        shortcut = levels[k - 1].insert(levels[1], (1, 1, 1)).antisymmetrize()
         report.shortcut_witness = shortcut.coefficient(COORDINATE_SLOTS)
         report.shortcut_agrees = proportional(witness, report.shortcut_witness)
     return report
@@ -253,89 +266,6 @@ def shape_pairs(total: int, parity: int) -> list[tuple[MultiIndex, MultiIndex]]:
                 out.append((a, b))
     out.sort(key=lambda p: (_graded(p[0]), _graded(p[1])))
     return out
-
-
-def ansatz_basis(k: int, mode: str = NABLA_PHI) -> list[Cochain]:
-    """Every canonical level-k bilinear jet-ring term with the right parity.
-
-    Enumerates jet monomials with exactly k gradient jets (and k conformal
-    jets in the conformal family) against all slot shapes obeying the 3k
-    derivative balance, slot totals at least 3.  The solver works block by
-    block in an equivalent span; this enumeration is the reference surface.
-    """
-    if k < 2:
-        raise ValueError("the ansatz starts at level 2")
-    parity = parity_sign(k)
-    out: list[Cochain] = []
-    for total in range(3, 2 * k + 1):
-        jet_budget = 3 * k - total
-        for mono in _jet_monomials(k, jet_budget, mode):
-            coeff = JetPolynomial.from_monomial(mono, Fraction(1))
-            for a, b in shape_pairs(total, parity):
-                c = Cochain(2, JET_RING)
-                c.add_term((a, b), coeff)
-                if a != b:
-                    c.add_term((b, a), coeff.scale(parity))
-                out.append(c)
-    return out
-
-
-def _jet_monomials(k: int, jet_budget: int, mode: str):
-    """Sorted jet monomials: k gradient jets (orders >= 1), plus k conformal
-    jets (orders >= 0) in the conformal family, with total jet order equal
-    to jet_budget."""
-    from .jets import jet_var, monomial_key
-
-    def gradient_parts(count: int, budget: int, minimum: int):
-        if count == 0:
-            if budget == 0:
-                yield ()
-            return
-        for first in range(minimum, budget - (count - 1) * 1 + 1):
-            for rest in gradient_parts(count - 1, budget - first, first):
-                yield (first,) + rest
-
-    results = set()
-    if mode == NABLA_PHI:
-        for orders in gradient_parts(k, jet_budget, 1):
-            for combo in _index_combos(orders):
-                results.add(monomial_key(jet_var(PHI, idx) for idx in combo))
-    else:
-        for phi_total in range(k, jet_budget - 0 + 1):
-            psi_total = jet_budget - phi_total
-            if psi_total < 0:
-                continue
-            for phi_orders in gradient_parts(k, phi_total, 1):
-                for psi_orders in _psi_parts(k, psi_total):
-                    for phi_combo in _index_combos(phi_orders):
-                        for psi_combo in _index_combos(psi_orders):
-                            mono = monomial_key(
-                                [jet_var(PHI, idx) for idx in phi_combo]
-                                + [jet_var("psi", idx) for idx in psi_combo])
-                            results.add(mono)
-    return sorted(results)
-
-
-def _psi_parts(count: int, budget: int):
-    if count == 0:
-        if budget == 0:
-            yield ()
-        return
-    for first in range(0, budget + 1):
-        for rest in _psi_parts(count - 1, budget - first):
-            if not rest or first <= rest[0]:
-                yield (first,) + rest
-
-
-def _index_combos(orders: tuple[int, ...]):
-    """All assignments of sorted multi-indices with the given orders."""
-    if not orders:
-        yield ()
-        return
-    from itertools import product as iproduct
-    pools = [all_indices(o) for o in orders]
-    for combo in iproduct(*pools):
-        yield combo
 
 
 class DeltaSolver:
@@ -456,9 +386,7 @@ def solve_opo(rhs: Cochain, k: int, mode: str) -> Cochain | None:
     combo = reducer.solve(_flatten(rhs))
     if combo is None:
         return None
-    out = Cochain(2, JET_RING)
-    for idx, q in sorted(combo.items()):
-        out = out + columns[idx].ring_scale(q)
+    out = linear_combination(2, JET_RING, ((q, columns[idx]) for idx, q in sorted(combo.items())))
     if not (out.hochschild_delta() - rhs).is_zero:
         raise AssertionError("diagram-span solver produced a wrong coboundary")
     return out

@@ -137,15 +137,15 @@ class _Evaluator:
             memo[key, slot] = self.args[key].derivative(slot)
         return memo[key, slot]
 
-    def _add_level(self, out: dict, b: int, left, right, subtract: bool = False) -> None:
-        """out += M_b(left, right), or out -= it, in place."""
+    def _add_level(self, out: dict, b: int, left, right, sign: int = 1) -> None:
+        """out += sign * M_b(left, right), in place."""
         for (s, t), c in self.terms[b]:
             dl = self._derivative(left, s)
             if dl.is_zero:
                 continue
             dr = self._derivative(right, t)
             if not dr.is_zero:
-                add_into(out, c * dl * dr, subtract)
+                add_into(out, c * dl * dr, sign)
 
     def level(self, b: int, left, right) -> XPoly:
         out: dict = {}
@@ -165,7 +165,7 @@ class _Evaluator:
         for a in range(j + 1):
             b = j - a
             self._add_level(out, a, self.pair(f, g, b), h)
-            self._add_level(out, a, f, self.pair(g, h, b), subtract=True)
+            self._add_level(out, a, f, self.pair(g, h, b), -1)
         return XPoly(out)
 
 

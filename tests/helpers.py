@@ -1,11 +1,12 @@
 """Shared generators for randomized tests."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from random import Random
 
-from starq.cochains import Cochain, JET_RING, X_RING
+from starq.cochains import Cochain, JET_RING, coeff_derivative
 from starq.jets import JetPolynomial, phi_jet, psi_jet
+from starq.multiindex import binary_splits, merge, splits
 from starq.polynomials import XPoly, monomials_up_to
 
 _DIRS = (1, 2, 3)
@@ -54,6 +55,51 @@ def random_cochain(rng: Random, arity: int, ring: str = JET_RING,
             out.add_term(slots, random_jet_coeff(rng))
         else:
             out.add_term(slots, random_x_coeff(rng))
+    return out
+
+
+# -- reference cochain kernels --------------------------------------------------------
+# Each contribution is a scaled copy added term by term through add_term: the
+# formulas the accumulating kernels in starq.cochains replace.
+
+def reference_hochschild_delta(c: Cochain) -> Cochain:
+    out = Cochain(c.arity + 1, c.ring)
+    n = c.arity
+    for slots, coeff in c.terms.items():
+        out.add_term(((),) + slots, coeff)
+        for i in range(n):
+            for left, right, count in binary_splits(slots[i]):
+                out.add_term(slots[:i] + (left, right) + slots[i + 1:],
+                             coeff.scale(-Fraction((-1) ** i) * count))
+        out.add_term(slots + ((),), coeff.scale((-1) ** (n - 1)))
+    return out
+
+
+def reference_insert(a: Cochain, b: Cochain) -> Cochain:
+    p, q = a.arity, b.arity
+    out = Cochain(p + q - 1, a.ring)
+    for i in range(p):
+        sign = Fraction((-1) ** (i * (q - 1)))
+        for slots_m, c_m in a.terms.items():
+            for pieces, count in splits(slots_m[i], q + 1):
+                on_coeff, on_slots = pieces[0], pieces[1:]
+                for slots_n, c_n in b.terms.items():
+                    inner = coeff_derivative(c_n, on_coeff)
+                    if inner.is_zero:
+                        continue
+                    new_slots = (slots_m[:i]
+                                 + tuple(merge(t, d) for t, d in zip(slots_n, on_slots))
+                                 + slots_m[i + 1:])
+                    out.add_term(new_slots, (c_m * inner).scale(sign * count))
+    return out
+
+
+def reference_antisymmetrize(c: Cochain) -> Cochain:
+    out = Cochain(3, c.ring)
+    for slots, coeff in c.terms.items():
+        for perm in permutations(range(3)):
+            sign = 1 if perm in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) else -1
+            out.add_term(tuple(slots[p] for p in perm), coeff.scale(Fraction(sign, 6)))
     return out
 
 

@@ -182,7 +182,7 @@ def test_criterion_9_conformal_family_experiment(tmp_path):
               and record.obstruction_witness is not None
               and not record.obstruction_witness.is_zero)
     _report(9, "conformal family: orderable level 3 obstructed at level 4",
-            ok, elapsed, budget=1800.0)
+            ok, elapsed, budget=60.0)
 
 
 def test_criterion_10_mutation_sensitivity(cubic_star, tmp_path, capsys):

@@ -31,6 +31,11 @@ def test_construct_rejects_bad_expression(capsys):
     assert main(["construct", "--phi", "x9+", "--order", "2"]) == 2
 
 
+def test_construct_rejects_huge_exponent_at_once(capsys):
+    assert main(["construct", "--phi", "(x1+x2+x3)^500", "--order", "2"]) == 2
+    assert "degree" in capsys.readouterr().err
+
+
 def test_construct_psi_requires_conformal_mode(capsys):
     assert main(["construct", "--phi", "x3", "--psi", "x1", "--order", "2"]) == 2
 

@@ -2,12 +2,14 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from starq.cochains import (Cochain, JET_RING, X_RING, delta_terms,
-                            epsilon_cochain, slot_total)
+                            epsilon_cochain, linear_combination, slot_total)
 from starq.polynomials import XPoly, parse_poly
 
-from helpers import random_cochain
+from helpers import (random_cochain, reference_antisymmetrize,
+                     reference_hochschild_delta, reference_insert)
 
 
 def test_delta_terms_preserve_slot_totals():
@@ -115,3 +117,60 @@ def test_arity_mismatch_rejected():
         _ = a + b
     with pytest.raises(ValueError):
         a.eval_args((XPoly.one(),))
+
+
+# -- accumulating kernels against the add_term formulas they replace ---------------
+
+RINGS = st.sampled_from((JET_RING, X_RING))
+
+
+def _operand(rng: Random, arity: int, ring: str) -> Cochain:
+    """Random cochain with empty slots allowed, so it is often not
+    normalized; now and then the bare multiplication."""
+    if arity == 2 and rng.random() < 0.1:
+        return Cochain.multiplication(ring)
+    return random_cochain(rng, arity, ring, max_slot_degree=rng.randint(1, 3),
+                          terms=rng.randint(1, 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), RINGS, st.sampled_from((2, 3)), st.sampled_from((2, 3)))
+def test_insert_matches_reference(seed, ring, p, q):
+    rng = Random(seed)
+    a, b = _operand(rng, p, ring), _operand(rng, q, ring)
+    full = reference_insert(a, b)
+    assert a.insert(b) == full
+    # every shape of the full product, plus one that never occurs in it
+    shapes = {tuple(len(s) for s in slots) for slots in full.terms}
+    shapes.add((9,) * (p + q - 1))
+    for degrees in shapes:
+        assert a.insert(b, degrees) == full.degree_part(degrees)
+    if p == q == 2:
+        assert a.bracket(b, (1, 1, 1)) == a.bracket(b).degree_part((1, 1, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), RINGS, st.sampled_from((1, 2, 3)))
+def test_hochschild_delta_matches_reference(seed, ring, arity):
+    c = _operand(Random(seed), arity, ring)
+    assert c.hochschild_delta() == reference_hochschild_delta(c)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32), RINGS)
+def test_antisymmetrize_and_combination_match_reference(seed, ring):
+    rng = Random(seed)
+    c = _operand(rng, 3, ring)
+    assert c.antisymmetrize() == reference_antisymmetrize(c)
+    pairs = [(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), _operand(rng, 2, ring))
+             for _ in range(rng.randint(0, 3))]
+    folded = Cochain(2, ring)
+    for q, term in pairs:
+        folded = folded + term.scale(q)
+    assert linear_combination(2, ring, pairs) == folded
+
+
+def test_insert_rejects_degree_tuple_of_wrong_length():
+    a = Cochain.multiplication(X_RING)
+    with pytest.raises(ValueError):
+        a.insert(a, (1, 1))

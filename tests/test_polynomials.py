@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from starq.polynomials import XPoly, monomials_up_to, parse_poly
+from starq.polynomials import MAX_PARSE_DEGREE, XPoly, monomials_up_to, parse_poly
 
 
 def small_polys():
@@ -64,3 +64,12 @@ def test_iterated_derivative_matches_singles():
 def test_json_roundtrip():
     p = parse_poly("1/3*x1*x3 - 2*x2^4")
     assert XPoly.from_json(p.to_json()) == p
+
+
+def test_parser_rejects_degrees_beyond_the_cap():
+    # only the rejection is exercised: it happens before any expansion
+    assert parse_poly(f"x1^{MAX_PARSE_DEGREE}").total_degree() == MAX_PARSE_DEGREE
+    for text in ("(x1+x2+x3)^500", f"x1^{MAX_PARSE_DEGREE + 1}", "2^100000000",
+                 "(x1^8)^9", f"x1^{MAX_PARSE_DEGREE} * x2", f"x1^{MAX_PARSE_DEGREE}(x2+1)"):
+        with pytest.raises(ValueError):
+            parse_poly(text)

@@ -2,6 +2,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from starq.cochains import Cochain, JET_RING, X_RING
 from starq.jets import (NABLA_PHI, PSI_NABLA_PHI, JetPolynomial, phi_jet)
@@ -9,7 +10,7 @@ from starq.polynomials import XPoly, parse_poly
 from starq.star import (GradingError, ObstructionReport, StarProduct,
                         assemble_rhs, base_levels, build_star, check_grading,
                         jet_cap_default, obstruction, parity_sign, solve_delta)
-from starq.verify import moyal_levels, PoissonVector
+from starq.verify import _rhs, moyal_levels, PoissonVector
 
 from helpers import random_cochain
 
@@ -33,6 +34,22 @@ def test_symbolic_construction_shape(sym_star3):
 def test_levels_satisfy_parity(sym_star3):
     for k, level in enumerate(sym_star3.levels):
         assert level.reverse_args() == level.scale(parity_sign(k))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from((JET_RING, X_RING)))
+def test_one_sided_rhs_equals_symmetric_bracket_form(seed, ring):
+    rng = Random(seed)
+    levels = [Cochain.multiplication(ring)] + [
+        random_cochain(rng, 2, ring, max_slot_degree=rng.randint(1, 3), terms=rng.randint(1, 3))
+        for _ in range(rng.randint(2, 4))]
+    for k in range(2, len(levels) + 1):
+        assert assemble_rhs(levels, k, check_closed=False) == _rhs(levels, k)
+
+
+def test_one_sided_rhs_on_symbolic_levels(sym_star3):
+    for k in (2, 3, 4):
+        assert assemble_rhs(sym_star3.levels, k, check_closed=False) == _rhs(sym_star3.levels, k)
 
 
 def test_levels_satisfy_recursion(sym_star3):
