@@ -48,7 +48,7 @@ class JobConfig:
     out: str | None = None
     emit: str = "text"
     opo_restrict: bool = False
-    threads: int = 1
+    star: str | None = None  # stored product read by verify and export-latex
 
     def validate(self) -> None:
         if self.command in ("construct",) and self.order < 1:
@@ -151,12 +151,13 @@ def _load_star(path: str) -> StarProduct:
         return StarProduct.from_json(data)
     except FileNotFoundError:
         raise ConfigError(f"no such file: {path}")
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (json.JSONDecodeError, KeyError, RecursionError, TypeError, ValueError,
+            ZeroDivisionError) as exc:
         raise ConfigError(f"cannot load star product from {path}: {exc}")
 
 
 def cmd_verify(cfg: JobConfig) -> int:
-    star = _load_star(cfg.phi)  # positional path stored in the phi slot
+    star = _load_star(cfg.star)
     report = verify_star(star, degree=cfg.degree)
     text = json.dumps(report, indent=2)
     if cfg.out:
@@ -244,7 +245,7 @@ def cmd_opo_check(cfg: JobConfig, term_text: str) -> int:
 
 
 def cmd_export_latex(cfg: JobConfig) -> int:
-    star = _load_star(cfg.phi)
+    star = _load_star(cfg.star)
     text = star_latex(star)
     if cfg.out:
         _atomic_write(cfg.out, text)
@@ -310,7 +311,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        threads = _threads_from_env()
+        _threads_from_env()
         cfg = JobConfig(
             command=args.command,
             mode=getattr(args, "mode", NABLA_PHI),
@@ -322,10 +323,8 @@ def main(argv: list[str] | None = None) -> int:
             out=getattr(args, "out", None),
             emit=getattr(args, "emit", "text"),
             opo_restrict=getattr(args, "opo_restrict", False),
-            threads=threads,
+            star=getattr(args, "star", None),
         )
-        if args.command in ("verify", "export-latex"):
-            cfg.phi = args.star
         cfg.validate()
         if args.command == "construct":
             return cmd_construct(cfg)

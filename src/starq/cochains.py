@@ -210,9 +210,6 @@ class Cochain:
                   if tuple(len(s) for s in slots) == degrees}
         return Cochain(self.arity, self.ring, picked)
 
-    def max_slot_degree(self) -> int:
-        return max((len(s) for slots in self.terms for s in slots), default=0)
-
     def reverse_args(self) -> "Cochain":
         out = Cochain(self.arity, self.ring)
         for slots, c in self.terms.items():
@@ -233,62 +230,18 @@ class Cochain:
         """Gerstenhaber insertion product: sum over compositions of self with
         other placed into one argument, with alternating degree signs.
 
-        Distributing a slot of self over the composite argument hits both
-        the inner coefficient (total x-derivative) and the inner slots, with
-        multinomial multiplicities.  With target slot lengths ``degrees`` the
-        result is ``insert(other).degree_part(degrees)``: outer terms, splits
-        and inner terms whose slot lengths cannot land there are skipped.
+        With target slot lengths ``degrees`` the result is
+        ``insert(other).degree_part(degrees)``; see ``insertion_sum``.
         """
-        if self.ring != other.ring:
-            raise ValueError("cochain ring mismatch")
-        p, q = self.arity, other.arity
-        if degrees is not None:
-            degrees = tuple(degrees)
-            if len(degrees) != p + q - 1:
-                raise ValueError("degree tuple does not match arity")
-            by_shape: dict[tuple[int, ...], list] = {}
-            for slots_n, c_n in other.terms.items():
-                by_shape.setdefault(_lengths(slots_n), []).append((slots_n, c_n))
-        sums: dict[Slots, dict] = {}
-        derivatives: dict = {}  # (inner slots, index) -> derivative of that coefficient
-        for i in range(p):
-            sign = (-1) ** (i * (q - 1))
-            for slots_m, c_m in self.terms.items():
-                if degrees is not None:
-                    if (_lengths(slots_m[:i]) != degrees[:i]
-                            or _lengths(slots_m[i + 1:]) != degrees[i + q:]):
-                        continue
-                    inner_degrees = degrees[i:i + q]
-                for pieces, count in splits(slots_m[i], q + 1):
-                    on_coeff, on_slots = pieces[0], pieces[1:]
-                    if degrees is None:
-                        inner_terms = other.terms.items()
-                    else:
-                        shape = tuple(d - len(s) for d, s in zip(inner_degrees, on_slots))
-                        inner_terms = by_shape.get(shape, ())
-                    for slots_n, c_n in inner_terms:
-                        if on_coeff:
-                            key = (slots_n, on_coeff)
-                            inner = derivatives.get(key)
-                            if inner is None:
-                                inner = derivatives[key] = coeff_derivative(c_n, on_coeff)
-                        else:
-                            inner = c_n
-                        if inner.is_zero:
-                            continue
-                        new_slots = (slots_m[:i]
-                                     + tuple(merge(t, d) for t, d in zip(slots_n, on_slots))
-                                     + slots_m[i + 1:])
-                        add_into(sums.setdefault(new_slots, {}), c_m * inner, sign * count)
-        return Cochain._from_sums(p + q - 1, self.ring, sums)
+        return insertion_sum(self.arity + other.arity - 1, self.ring,
+                             [(1, self, other)], degrees)
 
     def bracket(self, other: "Cochain", degrees: tuple[int, ...] | None = None) -> "Cochain":
         """Gerstenhaber bracket on shifted degrees (arity minus one); with
         ``degrees``, only its part with those slot lengths."""
-        m, n = self.arity - 1, other.arity - 1
-        result = self.insert(other, degrees)
-        swap = other.insert(self, degrees).scale((-1) ** (m * n))
-        return result - swap
+        sign = (-1) ** ((self.arity - 1) * (other.arity - 1))
+        return insertion_sum(self.arity + other.arity - 1, self.ring,
+                             [(1, self, other), (-sign, other, self)], degrees)
 
     # -- trilinear alternation ------------------------------------------------
 
@@ -342,10 +295,12 @@ class Cochain:
     @staticmethod
     def from_json(data: dict) -> "Cochain":
         cls = ring_class(data["ring"])
+        if type(data["arity"]) is not int:
+            raise ValueError(f"arity must be an integer, got {data['arity']!r}")
         out = Cochain(data["arity"], data["ring"])
         for item in data["terms"]:
             slots = tuple(tuple(v) for v in item["slots"])
-            if any(d not in (1, 2, 3) for s in slots for d in s):
+            if any(type(d) is not int or d not in (1, 2, 3) for s in slots for d in s):
                 raise ValueError(f"slot labels must be 1, 2 or 3, got {item['slots']!r}")
             out.add_term(slots, cls.from_json(item["coeff"]))
         return out
@@ -369,6 +324,75 @@ def linear_combination(arity: int, ring: str,
     for q, cochain in pairs:
         for slots, c in cochain.terms.items():
             add_into(sums.setdefault(slots, {}), c, q)
+    return Cochain._from_sums(arity, ring, sums)
+
+
+def insertion_sum(arity: int, ring: str, insertions: Iterable[tuple],
+                  degrees: tuple[int, ...] | None = None) -> "Cochain":
+    """Sum of weight * outer.insert(inner) over (weight, outer, inner)
+    triples, accumulated in place into one monomial dict per output slot.
+
+    A slot of the outer operator distributes over the composite argument:
+    one piece differentiates the inner coefficient, the others land on the
+    inner slots, with multinomial multiplicities.  Splits are grouped by
+    that first piece, so each product c_outer * d(c_inner) is formed once
+    per (outer term, piece, inner term).  With target slot lengths
+    ``degrees`` the result is the sum's ``degree_part(degrees)``, and outer
+    terms and inner slot shapes that cannot land there are never visited.
+    """
+    if degrees is not None:
+        degrees = tuple(degrees)
+        if len(degrees) != arity:
+            raise ValueError("degree tuple does not match arity")
+    sums: dict[Slots, dict] = {}
+    groups: dict = {}  # (outer slot, parts) -> its splits grouped by the first piece
+    for weight, outer, inner in insertions:
+        if outer.ring != ring or inner.ring != ring:
+            raise ValueError("cochain ring mismatch")
+        p, q = outer.arity, inner.arity
+        if p + q - 1 != arity:
+            raise ValueError("insertion arity does not match")
+        if degrees is not None:
+            by_shape: dict[tuple[int, ...], list] = {}
+            for slots_n, c_n in inner.terms.items():
+                by_shape.setdefault(_lengths(slots_n), []).append((slots_n, c_n))
+        derivatives: dict = {}  # (inner slots, piece) -> derivative of that coefficient
+        for slots_m, c_m in outer.terms.items():
+            products: dict = {}  # (piece, inner slots) -> c_m * derivative
+            for i in range(p):
+                head, tail = slots_m[:i], slots_m[i + 1:]
+                if degrees is not None:
+                    if _lengths(head) != degrees[:i] or _lengths(tail) != degrees[i + q:]:
+                        continue
+                    inner_degrees = degrees[i:i + q]
+                scale = weight * (-1) ** (i * (q - 1))
+                key = (slots_m[i], q + 1)
+                grouped = groups.get(key)
+                if grouped is None:
+                    grouped = groups[key] = {}
+                    for pieces, count in splits(slots_m[i], q + 1):
+                        grouped.setdefault(pieces[0], []).append((pieces[1:], count))
+                for on_coeff, spread in grouped.items():
+                    for on_slots, count in spread:
+                        if degrees is None:
+                            inner_terms = inner.terms.items()
+                        else:
+                            shape = tuple(d - len(s) for d, s in zip(inner_degrees, on_slots))
+                            inner_terms = by_shape.get(shape, ())
+                        for slots_n, c_n in inner_terms:
+                            product = products.get((on_coeff, slots_n))
+                            if product is None:
+                                d_key = (slots_n, on_coeff)
+                                d_n = derivatives.get(d_key)
+                                if d_n is None:
+                                    d_n = derivatives[d_key] = coeff_derivative(c_n, on_coeff)
+                                product = products[on_coeff, slots_n] = c_m * d_n
+                            if product.is_zero:
+                                continue
+                            new_slots = (head
+                                         + tuple(merge(t, d) for t, d in zip(slots_n, on_slots))
+                                         + tail)
+                            add_into(sums.setdefault(new_slots, {}), product, scale * count)
     return Cochain._from_sums(arity, ring, sums)
 
 

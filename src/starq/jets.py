@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .multiindex import MultiIndex, binary_splits, format_index, merge, parse_index
-from .polynomials import XPoly, add_into
+from .polynomials import XPoly, add_into, json_coefficient
 
 PHI = "phi"
 PSI = "psi"
@@ -78,6 +78,8 @@ def format_var(v: JetVar) -> str:
 
 
 def parse_var(text: str) -> JetVar:
+    if not isinstance(text, str):
+        raise ValueError(f"malformed jet variable {text!r}")
     tag, sep, digits = text.partition("_")
     if not sep:
         raise ValueError(f"malformed jet variable {text!r}")
@@ -245,16 +247,11 @@ class JetPolynomial:
 
     @staticmethod
     def from_json(data: list[dict]) -> "JetPolynomial":
-        total = JetPolynomial.zero()
+        total: dict = {}
         for item in data:
             key = monomial_key(parse_var(name) for name in item["factors"])
-            total = total + JetPolynomial.from_monomial(key, Fraction(item["coeff"]))
-        return total
-
-
-def canonicalize(factors: Iterable[JetVar], coeff: Fraction | int = 1) -> JetPolynomial:
-    """Canonical single-monomial polynomial from an unsorted factor list."""
-    return JetPolynomial.from_monomial(monomial_key(jet_var(t, i) for t, i in factors), Fraction(coeff))
+            add_into(total, JetPolynomial.from_monomial(key, json_coefficient(item["coeff"])))
+        return JetPolynomial(total)
 
 
 # A formal product of derivatives of Poisson components: each factor is
@@ -300,12 +297,12 @@ def substitute_factor(index: MultiIndex, i: int, j: int, mode: str) -> JetPolyno
 
 def substitute_p(terms: Iterable[PTerm], mode: str = NABLA_PHI) -> JetPolynomial:
     """Rewrite a formal polynomial in Poisson-component derivatives into jets."""
-    total = JetPolynomial.zero()
+    total: dict = {}
     for coeff, factors in terms:
         value = JetPolynomial.const(coeff)
         for index, i, j in factors:
             if value.is_zero:
                 break
             value = value * substitute_factor(index, i, j, mode)
-        total = total + value
-    return total
+        add_into(total, value)
+    return JetPolynomial(total)

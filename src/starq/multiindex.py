@@ -28,10 +28,6 @@ def mi(*indices: int) -> MultiIndex:
     return tuple(sorted(indices))
 
 
-def is_valid(index: MultiIndex) -> bool:
-    return all(a in DIRECTIONS for a in index) and tuple(sorted(index)) == index
-
-
 def merge(left: MultiIndex, right: MultiIndex) -> MultiIndex:
     """Multiset union of two multi-indices."""
     return tuple(sorted(left + right))

@@ -174,15 +174,15 @@ class XPoly:
 
     @staticmethod
     def from_json(data: list[dict]) -> "XPoly":
-        total = XPoly.zero()
+        total: dict = {}
         for item in data:
             exp = [0, 0, 0]
             for name in item["factors"]:
                 if not re.fullmatch(r"x[123]", name):
                     raise ValueError(f"unknown coordinate factor {name!r}")
                 exp[int(name[1]) - 1] += 1
-            total = total + XPoly.monomial(tuple(exp), Fraction(item["coeff"]))
-        return total
+            add_into(total, XPoly.monomial(tuple(exp), json_coefficient(item["coeff"])))
+        return XPoly(total)
 
 
 def add_into(out: dict, poly, scale: Fraction | int = 1) -> None:
@@ -210,6 +210,14 @@ def add_into(out: dict, poly, scale: Fraction | int = 1) -> None:
                 out.pop(mono, None)
 
 
+def json_coefficient(text) -> Fraction:
+    """A stored rational coefficient; only a string such as "-3/4" is exact,
+    so a JSON number is rejected rather than converted."""
+    if not isinstance(text, str):
+        raise ValueError(f"coefficients are stored as strings, got {text!r}")
+    return Fraction(text)
+
+
 def monomials_up_to(total_degree: int) -> list[XPoly]:
     """All monic monomials of total degree <= total_degree, constants first."""
     out = []
@@ -231,7 +239,8 @@ class _Parser:
     """Recursive-descent parser for polynomial expressions.
 
     Grammar: rational coefficients, the variables x1 x2 x3, the operators
-    + - * ^ and parentheses.  '**' is accepted as a synonym for '^'.
+    + - * ^ and parentheses.  '**' is accepted as a synonym for '^'.  '^'
+    binds tighter than a prefix sign, so -x1^2 is -(x1^2).
     Exponents and the total degree of every power and product are bounded
     by MAX_PARSE_DEGREE, so the work a string can ask for is bounded too.
     """
@@ -279,7 +288,7 @@ class _Parser:
         return value
 
     def _product(self) -> XPoly:
-        value = self._power()
+        value = self._signed()
         while True:
             tok = self._peek()
             if tok == "*":
@@ -287,9 +296,19 @@ class _Parser:
             elif tok is None or not (tok.startswith("x") or tok[0].isdigit() or tok == "("):
                 return value
             # "*", or implicit multiplication, e.g. "2x1" or "x1(x2+1)"
-            factor = self._power()
+            factor = self._signed()
             _check_degree(value.total_degree() + factor.total_degree())
             value = value * factor
+
+    def _signed(self) -> XPoly:
+        """A prefix sign applies to the whole power: -x1^2 is -(x1^2)."""
+        if self._peek() == "-":
+            self._next()
+            return -self._signed()
+        if self._peek() == "+":
+            self._next()
+            return self._signed()
+        return self._power()
 
     def _power(self) -> XPoly:
         base = self._atom()
@@ -308,10 +327,6 @@ class _Parser:
 
     def _atom(self) -> XPoly:
         tok = self._next()
-        if tok == "-":
-            return -self._atom()
-        if tok == "+":
-            return self._atom()
         if tok == "(":
             inner = self._sum()
             if self._next() != ")":

@@ -31,8 +31,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .cochains import (
-    Cochain, JET_RING, X_RING, delta_terms, epsilon_cochain, linear_combination, ring_class,
-    slot_total,
+    Cochain, JET_RING, X_RING, delta_terms, epsilon_cochain, insertion_sum, linear_combination,
+    ring_class, slot_total,
 )
 from .jets import (
     NABLA_PHI, PSI_NABLA_PHI, PHI, substitute_factor,
@@ -113,9 +113,8 @@ def assemble_rhs(levels: Sequence[Cochain], k: int, check_closed: bool = True) -
         raise ValueError(f"level {k} needs all lower levels, have {len(levels) - 1}")
     if any(levels[l].arity != 2 for l in range(1, k)):
         raise ValueError("right-hand sides are assembled from bilinear levels")
-    total = Cochain(3, levels[1].ring)
-    for l in range(1, k):
-        total = total + levels[l].insert(levels[k - l])
+    total = insertion_sum(3, levels[1].ring,
+                          ((1, levels[l], levels[k - l]) for l in range(1, k)))
     if check_closed and not total.hochschild_delta().is_zero:
         raise ClosureError(f"delta(R_{k}) is nonzero; lower levels are inconsistent")
     return total
@@ -434,13 +433,18 @@ class StarProduct:
             if level.arity != 2 or level.ring != ring:
                 raise ValueError(f"level {k} is not a bilinear operator in the {ring!r} ring")
             levels.append(level)
-        if not isinstance(order, int) or order < 1 or order != len(levels) - 1:
+        if type(order) is not int or order < 1 or order != len(levels) - 1:
             raise ValueError(f"order {order!r} does not match {len(levels)} stored levels")
         phi, psi = data.get("phi", "sym"), data.get("psi")
+        if not isinstance(phi, str) or not isinstance(psi, (str, type(None))):
+            raise ValueError("phi and psi must be expression strings")
         if phi != "sym":
             parse_poly(phi)
         if psi not in (None, "sym"):
             parse_poly(psi)
+        gauges = data.get("gauges", {})
+        if not isinstance(gauges, dict) or not all(isinstance(g, str) for g in gauges.values()):
+            raise ValueError(f"gauges must map levels to gauge names, got {gauges!r}")
         reports = []
         for item in data.get("obstructionReports", []):
             alternating = Cochain.from_json(item["alternating"])
@@ -457,7 +461,7 @@ class StarProduct:
             mode=mode, ring=ring, order=order,
             levels=levels, obstruction_reports=reports,
             phi_source=phi, psi_source=psi,
-            gauges={int(k): g for k, g in data.get("gauges", {}).items()})
+            gauges={int(k): g for k, g in gauges.items()})
 
 
 def build_star(mode: str, order: int, phi: XPoly | str = "sym",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .cochains import Cochain, X_RING
+from .cochains import Cochain, X_RING, linear_combination
 from .jets import NABLA_PHI, JetPolynomial, substitute_factor
 from .multiindex import MultiIndex, multiplicities
 from .polynomials import XPoly, add_into, monomials_up_to, parse_poly
@@ -259,10 +259,15 @@ class CheckResult:
 
 
 def _rhs(levels: list[Cochain], k: int) -> Cochain:
-    total = Cochain(3, levels[1].ring)
-    for l in range(1, k):
-        total = total + levels[l].bracket(levels[k - l])
-    return total.scale(Fraction(1, 2))
+    """(1/2) sum over l of [M_l, M_{k-l}], the symmetric bracket form.
+
+    Every bracket inserts both orders of its pair, so this re-derives R_k by
+    another formula than the constructor's one-sided sum; half of each
+    bracket is added into one accumulator.
+    """
+    half = Fraction(1, 2)
+    return linear_combination(3, levels[1].ring,
+                              ((half, levels[l].bracket(levels[k - l])) for l in range(1, k)))
 
 
 def verify_star(star: StarProduct, degree: int | None = None,

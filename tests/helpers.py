@@ -94,6 +94,16 @@ def reference_insert(a: Cochain, b: Cochain) -> Cochain:
     return out
 
 
+def reference_rhs(levels, k: int) -> Cochain:
+    """(1/2) sum over l of [M_l, M_{k-l}], each bracket a whole cochain and
+    the sum folded copy by copy: the verifier's formula before it
+    accumulated its insertions in one pass."""
+    total = Cochain(3, levels[1].ring)
+    for l in range(1, k):
+        total = total + levels[l].bracket(levels[k - l])
+    return total.scale(Fraction(1, 2))
+
+
 def reference_antisymmetrize(c: Cochain) -> Cochain:
     out = Cochain(3, c.ring)
     for slots, coeff in c.terms.items():

@@ -2,6 +2,7 @@ import json
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from starq.cli import main
 from starq.polynomials import parse_poly
@@ -176,6 +177,10 @@ MALFORMED = {
     "invalid-json": _truncate,
     "missing-mode": _edit(lambda d: d.pop("mode")),
     "factor-x9": _edit(lambda d: _first_coeff(d).update(factors=["x9"])),
+    "deeply-nested": lambda text: "[" * 100000 + "]" * 100000,
+    "float-arity": _edit(lambda d: d["levels"][1].update(arity=2.0)),
+    "gauges-list": _edit(lambda d: d.update(gauges=[1])),
+    "number-coefficient": _edit(lambda d: _first_coeff(d).update(coeff=0.5)),
 }
 
 
@@ -192,3 +197,46 @@ def test_verify_rejects_malformed_star_files(name, weyl_text, tmp_path, capsys):
     bad.write_text(MALFORMED[name](weyl_text))
     assert main(["verify", str(bad)]) == 2
     assert "cannot load star product" in capsys.readouterr().err
+
+
+def _json_paths(node, path=()):
+    """Key paths from the root to every value of a JSON tree, the root first."""
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _json_paths(child, path + (key,))
+
+
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 9), st.floats(-2, 2),
+    st.sampled_from(["", "1/2", "x1", "phi_3", "sym", "jet"]),
+    st.lists(st.integers(0, 3), max_size=2), st.just({}))
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_verify_survives_structural_mutations(data, weyl_text, tmp_path):
+    """Dropped keys, values of another type and values nested in a list
+    end in a documented exit status, never in a traceback."""
+    star = json.loads(weyl_text)
+    for _ in range(data.draw(st.integers(1, 3))):
+        *head, key = data.draw(st.sampled_from(list(_json_paths(star))[1:]))
+        parent = star
+        for step in head:
+            parent = parent[step]
+        op = data.draw(st.sampled_from(("drop", "swap", "nest")))
+        if op == "drop":
+            del parent[key]
+        elif op == "swap":
+            parent[key] = data.draw(_JSON_VALUES)
+        else:
+            parent[key] = [parent[key]]
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(star))
+    assert main(["verify", str(path)]) in (0, 2, 3)

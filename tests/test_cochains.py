@@ -4,8 +4,8 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from starq.cochains import (Cochain, JET_RING, X_RING, delta_terms,
-                            epsilon_cochain, linear_combination, slot_total)
+from starq.cochains import (Cochain, JET_RING, X_RING, delta_terms, epsilon_cochain,
+                            insertion_sum, linear_combination, slot_total)
 from starq.polynomials import XPoly, parse_poly
 
 from helpers import (random_cochain, reference_antisymmetrize,
@@ -147,6 +147,25 @@ def test_insert_matches_reference(seed, ring, p, q):
         assert a.insert(b, degrees) == full.degree_part(degrees)
     if p == q == 2:
         assert a.bracket(b, (1, 1, 1)) == a.bracket(b).degree_part((1, 1, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), RINGS, st.sampled_from((2, 3)), st.sampled_from((2, 3)))
+def test_bracket_and_insertion_sum_match_reference(seed, ring, p, q):
+    rng = Random(seed)
+    a, b = _operand(rng, p, ring), _operand(rng, q, ring)
+    sign = (-1) ** ((p - 1) * (q - 1))
+    assert a.bracket(b) == reference_insert(a, b) - reference_insert(b, a).scale(sign)
+    # weighted insertions of several pairs, against copies folded one by one
+    triples = [(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                _operand(rng, p, ring), _operand(rng, q, ring))
+               for _ in range(rng.randint(0, 3))]
+    folded = Cochain(p + q - 1, ring)
+    for weight, outer, inner in triples:
+        folded = folded + reference_insert(outer, inner).scale(weight)
+    assert insertion_sum(p + q - 1, ring, triples) == folded
+    for degrees in {tuple(len(s) for s in slots) for slots in folded.terms}:
+        assert insertion_sum(p + q - 1, ring, triples, degrees) == folded.degree_part(degrees)
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from starq.jets import (NABLA_PHI, PSI_NABLA_PHI, JetPolynomial, jet_var,
-                        phi_jet, psi_jet, substitute_factor)
+                        phi_jet, psi_jet, substitute_factor, substitute_p)
 from starq.polynomials import XPoly, parse_poly
 
 
@@ -70,3 +70,20 @@ def test_json_roundtrip():
     p = (JetPolynomial.variable(phi_jet(1, 1)).scale(Fraction(2, 3))
          - JetPolynomial.variable(psi_jet(2)))
     assert JetPolynomial.from_json(p.to_json()) == p
+
+
+def test_from_json_sums_duplicates_and_drops_zeros():
+    data = [{"coeff": "1/2", "factors": ["phi_3"]}, {"coeff": "1/2", "factors": ["phi_3"]},
+            {"coeff": "1", "factors": ["psi_"]}, {"coeff": "-1", "factors": ["psi_"]},
+            {"coeff": "0", "factors": ["phi_1"]}]
+    assert JetPolynomial.from_json(data) == JetPolynomial.variable(phi_jet(3))
+    with pytest.raises(ValueError):
+        JetPolynomial.from_json([{"coeff": 1, "factors": []}])
+
+
+def test_substitute_p_sums_terms_in_place():
+    d1_p12 = ((1,), 1, 2)
+    assert substitute_p([(Fraction(1), (d1_p12,)), (Fraction(-1), (d1_p12,))]).is_zero
+    half = Fraction(1, 2)
+    assert (substitute_p([(half, (d1_p12,)), (half, (d1_p12,))])
+            == substitute_factor((1,), 1, 2, NABLA_PHI))

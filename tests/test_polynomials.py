@@ -21,6 +21,14 @@ def test_parse_examples():
     assert parse_poly("2 - 3*x2") == XPoly.const(2) - XPoly.var(2).scale(3)
 
 
+def test_prefix_sign_binds_looser_than_power():
+    assert parse_poly("-x1^2") == -parse_poly("x1^2")
+    assert parse_poly("-(x1+x2)^2") == -parse_poly("(x1+x2)^2")
+    assert parse_poly("2*-x1^2") == parse_poly("-2*x1^2") == XPoly.monomial((2, 0, 0), -2)
+    assert parse_poly("x2 - x1^2") == XPoly.var(2) - XPoly.monomial((2, 0, 0))
+    assert parse_poly("-x1*x2") == XPoly.monomial((1, 1, 0), -1)
+
+
 def test_parse_rejects_garbage():
     for bad in ("x4", "x1/x2", "1 +", "(x1", "x1 x2 ***"):
         with pytest.raises(ValueError):
@@ -64,6 +72,15 @@ def test_iterated_derivative_matches_singles():
 def test_json_roundtrip():
     p = parse_poly("1/3*x1*x3 - 2*x2^4")
     assert XPoly.from_json(p.to_json()) == p
+
+
+def test_from_json_sums_duplicates_and_drops_zeros():
+    data = [{"coeff": "1/2", "factors": ["x1"]}, {"coeff": "3/2", "factors": ["x1"]},
+            {"coeff": "2", "factors": ["x2"]}, {"coeff": "-2", "factors": ["x2"]},
+            {"coeff": "0", "factors": ["x3"]}]
+    assert XPoly.from_json(data).terms == {(1, 0, 0): Fraction(2)}
+    with pytest.raises(ValueError):
+        XPoly.from_json([{"coeff": 0.5, "factors": []}])
 
 
 def test_parser_rejects_degrees_beyond_the_cap():

@@ -12,7 +12,7 @@ from starq.star import (GradingError, ObstructionReport, StarProduct,
                         jet_cap_default, obstruction, parity_sign, solve_delta)
 from starq.verify import _rhs, moyal_levels, PoissonVector
 
-from helpers import random_cochain
+from helpers import random_cochain, reference_rhs
 
 
 def test_base_levels_are_multiplication_and_half_bracket():
@@ -50,6 +50,22 @@ def test_one_sided_rhs_equals_symmetric_bracket_form(seed, ring):
 def test_one_sided_rhs_on_symbolic_levels(sym_star3):
     for k in (2, 3, 4):
         assert assemble_rhs(sym_star3.levels, k, check_closed=False) == _rhs(sym_star3.levels, k)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from((JET_RING, X_RING)))
+def test_verifier_rhs_matches_copy_based_form(seed, ring):
+    rng = Random(seed)
+    levels = [Cochain.multiplication(ring)] + [
+        random_cochain(rng, 2, ring, max_slot_degree=rng.randint(1, 3), terms=rng.randint(1, 3))
+        for _ in range(rng.randint(2, 4))]
+    for k in range(2, len(levels) + 1):
+        assert _rhs(levels, k) == reference_rhs(levels, k)
+
+
+def test_verifier_rhs_on_symbolic_levels(sym_star3):
+    for k in (2, 3, 4):
+        assert _rhs(sym_star3.levels, k) == reference_rhs(sym_star3.levels, k)
 
 
 def test_levels_satisfy_recursion(sym_star3):
