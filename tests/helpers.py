@@ -95,9 +95,9 @@ def reference_insert(a: Cochain, b: Cochain) -> Cochain:
 
 
 def reference_rhs(levels, k: int) -> Cochain:
-    """(1/2) sum over l of [M_l, M_{k-l}], each bracket a whole cochain and
-    the sum folded copy by copy: the verifier's formula before it
-    accumulated its insertions in one pass."""
+    """(1/2) sum over l of [M_l, M_{k-l}], the sum folded copy by copy and
+    halved at the end: the verifier's formula before it added half of every
+    bracket into one accumulator."""
     total = Cochain(3, levels[1].ring)
     for l in range(1, k):
         total = total + levels[l].bracket(levels[k - l])
