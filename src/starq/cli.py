@@ -61,19 +61,6 @@ class JobConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
 
 
-def _threads_from_env() -> int:
-    raw = os.environ.get("STARQ_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"STARQ_THREADS must be an integer, got {raw!r}")
-    if value < 1:
-        raise ConfigError("STARQ_THREADS must be positive")
-    return value
-
-
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".starq-")
@@ -311,7 +298,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _threads_from_env()
         cfg = JobConfig(
             command=args.command,
             mode=getattr(args, "mode", NABLA_PHI),

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from .jets import JetPolynomial
 from .multiindex import MultiIndex, binary_splits, merge, splits
@@ -55,13 +55,6 @@ def ring_class(ring: str):
         return _RINGS[ring]
     except KeyError:
         raise ValueError(f"unknown coefficient ring {ring!r}") from None
-
-
-def coeff_derivative(coeff, index: MultiIndex):
-    """Iterated total x-derivative of a ring element."""
-    for direction in index:
-        coeff = coeff.x_derivative(direction)
-    return coeff
 
 
 def _lengths(slots: Slots) -> tuple[int, ...]:
@@ -264,22 +257,6 @@ class Cochain:
             raise ValueError("specialize applies to jet-ring cochains")
         return self.map_coefficients(lambda c: c.eval_jets(phi, psi), ring=X_RING)
 
-    def eval_args(self, args: Sequence[XPoly]) -> XPoly:
-        """Apply the operator to explicit polynomial arguments."""
-        if self.ring != X_RING:
-            raise ValueError("eval_args applies to x-ring cochains")
-        if len(args) != self.arity:
-            raise ValueError("argument count does not match arity")
-        total: dict = {}
-        for slots, c in self.terms.items():
-            value = c
-            for s, f in zip(slots, args):
-                if value.is_zero:
-                    break
-                value = value * f.derivative(s)
-            add_into(total, value)
-        return XPoly(total)
-
     # -- serialization ----------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -385,7 +362,7 @@ def insertion_sum(arity: int, ring: str, insertions: Iterable[tuple],
                                 d_key = (slots_n, on_coeff)
                                 d_n = derivatives.get(d_key)
                                 if d_n is None:
-                                    d_n = derivatives[d_key] = coeff_derivative(c_n, on_coeff)
+                                    d_n = derivatives[d_key] = c_n.derivative(on_coeff)
                                 product = products[on_coeff, slots_n] = c_m * d_n
                             if product.is_zero:
                                 continue

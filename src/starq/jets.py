@@ -7,10 +7,11 @@ undifferentiated factor occurs in products).  Distinct jet variables are
 algebraically independent; the only relation built into the representation
 is the symmetry of mixed partials, enforced by keeping multi-indices sorted.
 
-A JetPolynomial is a sparse rational polynomial in jet variables.  Its
-monomial keys are sorted tuples of jet variables, so structural equality is
-dict equality.  The total x-derivative acts by prolongation,
-d/dx_a phi_I = phi_{I+a}, extended as a derivation to products.
+A JetPolynomial is a sparse rational polynomial in jet variables, a ring
+class on the sparse core of ``starq.polynomials``.  Its monomial keys are
+sorted tuples of jet variables, so structural equality is dict equality.
+The total x-derivative acts by prolongation, d/dx_a phi_I = phi_{I+a},
+extended as a derivation to products.
 
 Poisson structure components enter through ``substitute_p``: a formal
 product of derivatives of components ``d_I P^{ij}`` is rewritten into jet
@@ -21,10 +22,10 @@ conformal family P_vec = psi * grad phi.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .multiindex import MultiIndex, binary_splits, format_index, merge, parse_index
-from .polynomials import XPoly, add_into, json_coefficient
+from .polynomials import SparsePoly, XPoly, add_into
 
 PHI = "phi"
 PSI = "psi"
@@ -36,7 +37,6 @@ PSI_NABLA_PHI = "psi-nabla-phi"
 JetVar = tuple[str, MultiIndex]
 Monomial = tuple[JetVar, ...]
 
-_CONST: Monomial = ()
 _ZERO = Fraction(0)
 
 
@@ -86,83 +86,35 @@ def parse_var(text: str) -> JetVar:
     return jet_var(tag, parse_index(digits))
 
 
-class JetPolynomial:
-    """Sparse rational polynomial in jet variables."""
+class JetPolynomial(SparsePoly):
+    """Sparse rational polynomial in jet variables; a monomial is a sorted
+    tuple of jet variables."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: dict[Monomial, Fraction] | None = None):
-        self.terms: dict[Monomial, Fraction] = terms or {}
-
-    @staticmethod
-    def zero() -> "JetPolynomial":
-        return JetPolynomial()
+    _unit: Monomial = ()
 
     @staticmethod
-    def one() -> "JetPolynomial":
-        return JetPolynomial({_CONST: Fraction(1)})
+    def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
+        return tuple(sorted(m1 + m2, key=_var_key))
 
     @staticmethod
-    def const(value: Fraction | int) -> "JetPolynomial":
-        q = Fraction(value)
-        return JetPolynomial({_CONST: q}) if q else JetPolynomial()
+    def _term_key(mono: Monomial):
+        return (len(mono), mono)  # factor count, then factor keys
+
+    _text_key = _term_key
+
+    @staticmethod
+    def _factors(mono: Monomial) -> list[str]:
+        return [format_var(v) for v in mono]
+
+    @staticmethod
+    def _parse_factors(names) -> Monomial:
+        return monomial_key(parse_var(name) for name in names)
 
     @staticmethod
     def variable(v: JetVar) -> "JetPolynomial":
         return JetPolynomial({(v,): Fraction(1)})
-
-    @staticmethod
-    def from_monomial(key: Monomial, coeff: Fraction) -> "JetPolynomial":
-        q = Fraction(coeff)
-        return JetPolynomial({key: q}) if q else JetPolynomial()
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "JetPolynomial") -> "JetPolynomial":
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = out.get(mono, _ZERO) + c
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        return JetPolynomial(out)
-
-    def __sub__(self, other: "JetPolynomial") -> "JetPolynomial":
-        return self + (-other)
-
-    def __neg__(self) -> "JetPolynomial":
-        return JetPolynomial({m: -c for m, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                key = monomial_key(m1 + m2)
-                s = out.get(key, _ZERO) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return JetPolynomial(out)
-
-    __rmul__ = __mul__
-
-    def scale(self, q: Fraction | int) -> "JetPolynomial":
-        q = Fraction(q)
-        if not q:
-            return JetPolynomial()
-        return JetPolynomial({m: c * q for m, c in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, JetPolynomial) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def x_derivative(self, direction: int) -> "JetPolynomial":
         """Total derivative: prolongation on each factor, Leibniz over products."""
@@ -202,10 +154,6 @@ class JetPolynomial:
             add_into(total, value)
         return XPoly(total)
 
-    def monomials(self) -> list[tuple[Monomial, Fraction]]:
-        """Terms in canonical order (factor count, then factor keys)."""
-        return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
-
     def factor_counts(self, mono: Monomial | None = None) -> tuple[int, int]:
         """(phi factors, psi factors) of a monomial; requires a single monomial
         when called without an argument."""
@@ -220,38 +168,6 @@ class JetPolynomial:
         """Largest derivative order among all jet factors; 0 if constant."""
         orders = [len(index) for mono in self.terms for _, index in mono]
         return max(orders, default=0)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono, c in self.monomials():
-            body = "*".join(format_var(v) for v in mono)
-            if not body:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(body)
-            elif c == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{c}*{body}")
-        return " + ".join(parts).replace("+ -", "- ")
-
-    __repr__ = __str__
-
-    def to_json(self) -> list[dict]:
-        return [
-            {"coeff": str(c), "factors": [format_var(v) for v in mono]}
-            for mono, c in self.monomials()
-        ]
-
-    @staticmethod
-    def from_json(data: list[dict]) -> "JetPolynomial":
-        total: dict = {}
-        for item in data:
-            key = monomial_key(parse_var(name) for name in item["factors"])
-            add_into(total, JetPolynomial.from_monomial(key, json_coefficient(item["coeff"])))
-        return JetPolynomial(total)
 
 
 # A formal product of derivatives of Poisson components: each factor is

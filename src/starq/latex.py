@@ -6,9 +6,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cochains import Cochain
-from .jets import JetPolynomial
-from .polynomials import XPoly
+from .cochains import JET_RING, X_RING, Cochain
 from .star import StarProduct
 
 
@@ -30,49 +28,31 @@ def _join(sign: str, body: str, symbols: str) -> str:
     return f"{sign}{body}{symbols}"
 
 
-def poly_latex(p: XPoly) -> str:
-    if p.is_zero:
-        return "0"
-    parts = []
-    for exp, coeff in p.monomials():
-        symbols = ""
-        for i, e in enumerate(exp, start=1):
-            if e == 1:
-                symbols += f"x_{i}"
-            elif e > 1:
-                symbols += f"x_{i}^{{{e}}}"
-        sign, body = _frac_latex(coeff, lead=not parts)
-        parts.append(_join(sign, body, symbols))
-    return " ".join(parts)
+def _x_symbols(exp: tuple[int, int, int]) -> str:
+    return "".join(f"x_{i}" if e == 1 else f"x_{i}^{{{e}}}" for i, e in enumerate(exp, 1) if e)
 
 
-def _jet_var_latex(tag: str, index: tuple[int, ...]) -> str:
-    name = rf"\{tag}"
-    if index:
-        return f"{name}_{{{''.join(map(str, index))}}}"
-    return name
+def _jet_symbols(mono) -> str:
+    symbols = ""
+    for tag, index in dict.fromkeys(mono):
+        rendered = rf"\{tag}_{{{''.join(map(str, index))}}}" if index else rf"\{tag}"
+        power = mono.count((tag, index))
+        symbols += rendered if power == 1 else f"{rendered}^{{{power}}}"
+    return symbols
 
 
-def jet_latex(p: JetPolynomial) -> str:
+_SYMBOLS = {X_RING: _x_symbols, JET_RING: _jet_symbols}
+
+
+def ring_latex(p, symbols) -> str:
+    """A ring element in LaTeX; ``symbols`` renders one monomial of its ring."""
     if p.is_zero:
         return "0"
     parts = []
     for mono, coeff in p.monomials():
-        symbols = ""
-        for var in dict.fromkeys(mono):
-            power = mono.count(var)
-            rendered = _jet_var_latex(*var)
-            symbols += rendered if power == 1 else f"{rendered}^{{{power}}}"
         sign, body = _frac_latex(coeff, lead=not parts)
-        parts.append(_join(sign, body, symbols))
+        parts.append(_join(sign, body, symbols(mono)))
     return " ".join(parts)
-
-
-def _coeff_latex(coeff) -> str:
-    text = poly_latex(coeff) if isinstance(coeff, XPoly) else jet_latex(coeff)
-    if " " in text:  # more than one monomial needs grouping
-        return rf"\bigl({text}\bigr)"
-    return text
 
 
 def _slot_latex(s: tuple[int, ...]) -> str:
@@ -85,10 +65,13 @@ def _slot_latex(s: tuple[int, ...]) -> str:
 def cochain_latex(c: Cochain) -> str:
     if c.is_zero:
         return "0"
+    symbols = _SYMBOLS[c.ring]
     parts = []
     for slots, coeff in c.sorted_terms():
         ops = r" \otimes ".join(_slot_latex(s) for s in slots)
-        body = _coeff_latex(coeff)
+        body = ring_latex(coeff, symbols)
+        if " " in body:  # more than one monomial needs grouping
+            body = rf"\bigl({body}\bigr)"
         if body == "1":
             body = ""
         lead = "" if not parts else "+ "

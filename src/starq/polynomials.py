@@ -1,44 +1,193 @@
-"""Exact polynomials in the coordinates x1, x2, x3 over the rationals.
+"""Exact sparse polynomials over the rationals, and the ring in x1, x2, x3.
 
-The representation is a sparse mapping from exponent triples to nonzero
-Fraction coefficients, so equality of polynomials is equality of dicts and
-no floating point appears anywhere.  These polynomials serve as explicit
-potentials, as evaluation arguments for multidifferential operators, and as
-the coefficient ring of explicitly instantiated cochains.
+``SparsePoly`` is the one sparse core: a mapping from monomial keys to
+nonzero Fraction coefficients, so equality of polynomials is equality of
+dicts and no floating point appears anywhere.  Its ring classes say what a
+monomial is: ``XPoly`` here, with exponent triples, and ``JetPolynomial``
+in ``starq.jets``.  XPoly polynomials serve as explicit potentials, as
+evaluation arguments for multidifferential operators, and as the
+coefficient ring of explicitly instantiated cochains.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 Exponent = tuple[int, int, int]
 
-_ZERO_EXP: Exponent = (0, 0, 0)
 _ZERO = Fraction(0)
 
 
-class XPoly:
-    """Polynomial in x1, x2, x3 with rational coefficients."""
+class SparsePoly:
+    """Sparse polynomial with rational coefficients over the monomials of
+    one ring.
+
+    The term dict maps monomial keys to nonzero Fractions, so equality is
+    dict equality.  Everything here is independent of what a monomial is;
+    each ring subclass supplies ``_unit`` (the monomial of the constants),
+    ``_mono_mul`` (the product of two monomials), ``_term_key`` (the
+    canonical order, used by ``monomials`` and JSON), ``_text_key`` (the
+    order ``str`` prints), ``_factors`` and ``_parse_factors`` (the JSON
+    factor names of a monomial and back), ``_format`` when a monomial does
+    not print as its factor names joined by "*", and ``x_derivative``.
+    """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[Exponent, Fraction] | None = None):
-        self.terms: dict[Exponent, Fraction] = terms or {}
+    def __init__(self, terms: dict | None = None):
+        self.terms: dict = terms or {}
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    @classmethod
+    def one(cls):
+        return cls({cls._unit: Fraction(1)})
+
+    @classmethod
+    def const(cls, value: Fraction | int):
+        return cls.from_monomial(cls._unit, value)
+
+    @classmethod
+    def from_monomial(cls, key, coeff: Fraction | int = 1):
+        q = Fraction(coeff)
+        return cls({key: q}) if q else cls()
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        add_into(out, other)
+        return type(self)(out)
+
+    def __sub__(self, other):
+        out = dict(self.terms)
+        add_into(out, other, -1)
+        return type(self)(out)
+
+    def __neg__(self):
+        return type(self)({m: -c for m, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        mono_mul = self._mono_mul
+        out: dict = {}
+        get = out.get
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                key = mono_mul(m1, m2)
+                s = get(key, _ZERO) + c1 * c2
+                if s:
+                    out[key] = s
+                else:
+                    out.pop(key, None)
+        return type(self)(out)
+
+    __rmul__ = __mul__
+
+    def scale(self, q: Fraction | int):
+        q = Fraction(q)
+        if not q:
+            return type(self)()
+        return type(self)({m: c * q for m, c in self.terms.items()})
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def derivative(self, index: Iterable[int]):
+        """Iterated x-derivative along a multi-index."""
+        p = self
+        for a in index:
+            if not p.terms:
+                break
+            p = p.x_derivative(a)
+        return p
+
+    def _ordered(self, key) -> list:
+        terms = self.terms
+        return [(m, terms[m]) for m in sorted(terms, key=key)]
+
+    def monomials(self) -> list:
+        """Terms in the ring's canonical order."""
+        return self._ordered(self._term_key)
+
+    def _format(self, mono) -> str:
+        return "*".join(self._factors(mono))
+
+    def __str__(self) -> str:
+        if not self.terms:
+            return "0"
+        parts = []
+        for mono, c in self._ordered(self._text_key):
+            body = self._format(mono)
+            if not body:
+                parts.append(str(c))
+            elif c == 1:
+                parts.append(body)
+            elif c == -1:
+                parts.append(f"-{body}")
+            else:
+                parts.append(f"{c}*{body}")
+        return " + ".join(parts).replace("+ -", "- ")
+
+    __repr__ = __str__
+
+    def to_json(self) -> list[dict]:
+        return [{"coeff": str(c), "factors": self._factors(m)} for m, c in self.monomials()]
+
+    @classmethod
+    def from_json(cls, data: list[dict]):
+        total: dict = {}
+        for item in data:
+            key = cls._parse_factors(item["factors"])
+            add_into(total, cls.from_monomial(key, json_coefficient(item["coeff"])))
+        return cls(total)
+
+
+class XPoly(SparsePoly):
+    """Polynomial in x1, x2, x3; a monomial is its exponent triple."""
+
+    __slots__ = ()
+
+    _unit: Exponent = (0, 0, 0)
 
     @staticmethod
-    def zero() -> "XPoly":
-        return XPoly()
+    def _mono_mul(e1: Exponent, e2: Exponent) -> Exponent:
+        return (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
 
     @staticmethod
-    def one() -> "XPoly":
-        return XPoly({_ZERO_EXP: Fraction(1)})
+    def _term_key(exp: Exponent):
+        return (sum(exp), exp)  # graded, then lexicographic
 
     @staticmethod
-    def const(value: Fraction | int) -> "XPoly":
-        q = Fraction(value)
-        return XPoly({_ZERO_EXP: q}) if q else XPoly()
+    def _text_key(exp: Exponent):
+        return (-sum(exp), exp)  # printed from the highest degree down
+
+    @staticmethod
+    def _format(exp: Exponent) -> str:
+        return "*".join(f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(exp, 1) if e)
+
+    @staticmethod
+    def _factors(exp: Exponent) -> list[str]:
+        return [f"x{i}" for i, e in enumerate(exp, 1) for _ in range(e)]
+
+    @staticmethod
+    def _parse_factors(names) -> Exponent:
+        exp = [0, 0, 0]
+        for name in names:
+            if not re.fullmatch(r"x[123]", name):
+                raise ValueError(f"unknown coordinate factor {name!r}")
+            exp[int(name[1]) - 1] += 1
+        return tuple(exp)
 
     @staticmethod
     def var(direction: int) -> "XPoly":
@@ -48,61 +197,11 @@ class XPoly:
         exp[direction - 1] = 1
         return XPoly({tuple(exp): Fraction(1)})
 
-    @staticmethod
-    def monomial(exp: Exponent, coeff: Fraction | int = 1) -> "XPoly":
-        q = Fraction(coeff)
-        return XPoly({exp: q}) if q else XPoly()
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def total_degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
         if not self.terms:
             return -1
         return max(sum(e) for e in self.terms)
-
-    def __add__(self, other: "XPoly") -> "XPoly":
-        out = dict(self.terms)
-        add_into(out, other)
-        return XPoly(out)
-
-    def __sub__(self, other: "XPoly") -> "XPoly":
-        out = dict(self.terms)
-        add_into(out, other, -1)
-        return XPoly(out)
-
-    def __neg__(self) -> "XPoly":
-        return XPoly({e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        out: dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-                s = out.get(exp, _ZERO) + c1 * c2
-                if s:
-                    out[exp] = s
-                else:
-                    out.pop(exp, None)
-        return XPoly(out)
-
-    __rmul__ = __mul__
-
-    def scale(self, q: Fraction | int) -> "XPoly":
-        q = Fraction(q)
-        if not q:
-            return XPoly()
-        return XPoly({e: c * q for e, c in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, XPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def x_derivative(self, direction: int) -> "XPoly":
         """Partial derivative with respect to x_direction."""
@@ -121,76 +220,10 @@ class XPoly:
                 out.pop(key, None)
         return XPoly(out)
 
-    def derivative(self, index: Iterable[int]) -> "XPoly":
-        """Iterated partial derivative along a multi-index."""
-        p = self
-        for a in index:
-            if p.is_zero:
-                break
-            p = p.x_derivative(a)
-        return p
-
-    def monomials(self) -> list[tuple[Exponent, Fraction]]:
-        """Terms in canonical order (graded, then lexicographic)."""
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-
-    @staticmethod
-    def from_monomial(key: Exponent, coeff: Fraction) -> "XPoly":
-        return XPoly.monomial(key, coeff)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for exp, c in sorted(self.terms.items(), key=lambda kv: (-sum(kv[0]), kv[0])):
-            factors = []
-            for i, e in enumerate(exp):
-                if e == 1:
-                    factors.append(f"x{i + 1}")
-                elif e > 1:
-                    factors.append(f"x{i + 1}^{e}")
-            body = "*".join(factors)
-            if not body:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(body)
-            elif c == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{c}*{body}")
-        text = " + ".join(parts)
-        return text.replace("+ -", "- ")
-
-    __repr__ = __str__
-
-    def to_json(self) -> list[dict]:
-        out = []
-        for exp, c in self.monomials():
-            factors = []
-            for i, e in enumerate(exp):
-                factors.extend([f"x{i + 1}"] * e)
-            out.append({"coeff": str(c), "factors": factors})
-        return out
-
-    @staticmethod
-    def from_json(data: list[dict]) -> "XPoly":
-        total: dict = {}
-        for item in data:
-            exp = [0, 0, 0]
-            for name in item["factors"]:
-                if not re.fullmatch(r"x[123]", name):
-                    raise ValueError(f"unknown coordinate factor {name!r}")
-                exp[int(name[1]) - 1] += 1
-            add_into(total, XPoly.monomial(tuple(exp), json_coefficient(item["coeff"])))
-        return XPoly(total)
-
 
 def add_into(out: dict, poly, scale: Fraction | int = 1) -> None:
     """Add ``scale * poly`` to the term dict ``out`` in place, dropping
-    cancelled terms, so ``XPoly(out)`` is the sum without copying ``out``.
-
-    Only the term dict of ``poly`` is read, so the jet ring's polynomials
-    accumulate the same way into ``JetPolynomial(out)``.
+    cancelled terms, so ``type(poly)(out)`` is the sum without copying ``out``.
     """
     get = out.get
     if scale == 1 or scale == -1:
@@ -224,7 +257,7 @@ def monomials_up_to(total_degree: int) -> list[XPoly]:
     for d in range(total_degree + 1):
         for e1 in range(d + 1):
             for e2 in range(d - e1 + 1):
-                out.append(XPoly.monomial((e1, e2, d - e1 - e2)))
+                out.append(XPoly.from_monomial((e1, e2, d - e1 - e2)))
     return sorted(out, key=lambda p: next(iter(p.terms)))
 
 

@@ -426,7 +426,7 @@ class StarProduct:
         mode, ring, order = data["mode"], data["ring"], data["order"]
         if mode not in (NABLA_PHI, PSI_NABLA_PHI):
             raise ValueError(f"unknown mode {mode!r}")
-        ring_class(ring)
+        cls = ring_class(ring)
         levels = []
         for k, item in enumerate(data["levels"]):
             level = Cochain.from_json(item)
@@ -446,14 +446,23 @@ class StarProduct:
         if not isinstance(gauges, dict) or not all(isinstance(g, str) for g in gauges.values()):
             raise ValueError(f"gauges must map levels to gauge names, got {gauges!r}")
         reports = []
-        for item in data.get("obstructionReports", []):
+        stored_reports = data.get("obstructionReports", [])
+        if not isinstance(stored_reports, list):
+            raise ValueError("obstructionReports must be a list")
+        for item in stored_reports:
+            level = item["level"]
+            if type(level) is not int or not 2 <= level <= order:
+                raise ValueError(f"obstruction report level {level!r} is not in 2..{order}")
             alternating = Cochain.from_json(item["alternating"])
-            cls = ring_class(alternating.ring)
+            if alternating.arity != 3 or alternating.ring != ring:
+                raise ValueError(f"level {level} obstruction is not trilinear in the {ring!r} ring")
+            if not isinstance(item["isZero"], bool) or not isinstance(item["parityPath"], bool):
+                raise ValueError(f"level {level} obstruction flags must be booleans")
             witness = cls.from_json(item["coordinateWitness"])
             shortcut = (None if item.get("shortcutWitness") is None
                         else cls.from_json(item["shortcutWitness"]))
             reports.append(ObstructionReport(
-                level=item["level"], alternating=alternating,
+                level=level, alternating=alternating,
                 coordinate_witness=witness, is_zero=item["isZero"],
                 parity_path=item["parityPath"], shortcut_witness=shortcut,
                 shortcut_agrees=item.get("shortcutAgrees")))

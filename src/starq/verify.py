@@ -27,7 +27,8 @@ from .star import StarProduct
 
 @dataclass
 class PoissonVector:
-    """The three independent components (P^{23}, P^{31}, P^{12})."""
+    """The three independent components (P^{23}, P^{31}, P^{12}), explicit
+    polynomials or, for a symbolic family, jet polynomials."""
     p23: XPoly
     p31: XPoly
     p12: XPoly
@@ -58,14 +59,8 @@ def jacobi_residual(p: PoissonVector) -> XPoly:
 def gradient_jacobi_residual(mode: str = NABLA_PHI) -> JetPolynomial:
     """Same residual with the potentials symbolic, proving the identity for
     every gradient (or conformal-gradient) vector at once."""
-    comps = {}
-    for i, j in ((2, 3), (3, 1), (1, 2)):
-        comps[(i, j)] = substitute_factor((), i, j, mode)
-    c1, c2, c3 = comps[(2, 3)], comps[(3, 1)], comps[(1, 2)]
-    curl1 = c3.x_derivative(2) - c2.x_derivative(3)
-    curl2 = c1.x_derivative(3) - c3.x_derivative(1)
-    curl3 = c2.x_derivative(1) - c1.x_derivative(2)
-    return c1 * curl1 + c2 * curl2 + c3 * curl3
+    return jacobi_residual(PoissonVector(
+        *(substitute_factor((), i, j, mode) for i, j in ((2, 3), (3, 1), (1, 2)))))
 
 
 # -- the Moyal reference -------------------------------------------------------------
@@ -230,7 +225,7 @@ def _digest(payload) -> str:
 
 def _minimal_arg(index: MultiIndex) -> XPoly:
     """The smallest monomial whose index-derivative is a nonzero constant."""
-    return XPoly.monomial(multiplicities(index))
+    return XPoly.from_monomial(multiplicities(index))
 
 
 def _witness_from_slots(slots) -> list[str]:

@@ -4,10 +4,10 @@ from fractions import Fraction
 from itertools import permutations, product
 from random import Random
 
-from starq.cochains import Cochain, JET_RING, coeff_derivative
+from starq.cochains import Cochain, JET_RING, X_RING
 from starq.jets import JetPolynomial, phi_jet, psi_jet
 from starq.multiindex import binary_splits, merge, splits
-from starq.polynomials import XPoly, monomials_up_to
+from starq.polynomials import XPoly, add_into, monomials_up_to
 
 _DIRS = (1, 2, 3)
 
@@ -42,7 +42,7 @@ def random_x_coeff(rng: Random, max_degree: int = 2) -> XPoly:
         exp = tuple(rng.randint(0, max_degree) for _ in range(3))
         if sum(exp) > max_degree:
             exp = (rng.randint(0, 1), 0, rng.randint(0, 1))
-        total = total + XPoly.monomial(exp, random_fraction(rng))
+        total = total + XPoly.from_monomial(exp, random_fraction(rng))
     return total
 
 
@@ -84,7 +84,7 @@ def reference_insert(a: Cochain, b: Cochain) -> Cochain:
             for pieces, count in splits(slots_m[i], q + 1):
                 on_coeff, on_slots = pieces[0], pieces[1:]
                 for slots_n, c_n in b.terms.items():
-                    inner = coeff_derivative(c_n, on_coeff)
+                    inner = c_n.derivative(on_coeff)
                     if inner.is_zero:
                         continue
                     new_slots = (slots_m[:i]
@@ -115,16 +115,33 @@ def reference_antisymmetrize(c: Cochain) -> Cochain:
 
 # -- reference associator scan ------------------------------------------------------
 
+def eval_args(cochain: Cochain, args) -> XPoly:
+    """Apply an x-ring operator to explicit polynomial arguments."""
+    if cochain.ring != X_RING:
+        raise ValueError("eval_args applies to x-ring cochains")
+    if len(args) != cochain.arity:
+        raise ValueError("argument count does not match arity")
+    total: dict = {}
+    for slots, c in cochain.terms.items():
+        value = c
+        for s, f in zip(slots, args):
+            if value.is_zero:
+                break
+            value = value * f.derivative(s)
+        add_into(total, value)
+    return XPoly(total)
+
+
 def reference_associator(levels, f: XPoly, g: XPoly, h: XPoly) -> list[XPoly]:
     """Coefficients of (f*g)*h - f*(g*h), every inner product re-evaluated
-    through Cochain.eval_args for every term: the unmemoized formula."""
+    through eval_args for every term: the unmemoized formula."""
     out = []
     for j in range(len(levels)):
         total = XPoly.zero()
         for a in range(j + 1):
             b = j - a
-            left = levels[a].eval_args((levels[b].eval_args((f, g)), h))
-            right = levels[a].eval_args((f, levels[b].eval_args((g, h))))
+            left = eval_args(levels[a], (eval_args(levels[b], (f, g)), h))
+            right = eval_args(levels[a], (f, eval_args(levels[b], (g, h))))
             total = total + left - right
         out.append(total)
     return out

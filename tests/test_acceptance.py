@@ -69,7 +69,7 @@ def test_criterion_2_jacobi_residuals():
         for _ in range(rng.randint(1, 4)):
             exp = tuple(rng.randint(0, 4) for _ in range(3))
             if sum(exp) <= 4:
-                phi = phi + XPoly.monomial(exp, Fraction(rng.randint(-5, 5)))
+                phi = phi + XPoly.from_monomial(exp, Fraction(rng.randint(-5, 5)))
         if not jacobi_residual(PoissonVector.from_gradient(phi)).is_zero:
             explicit_ok = False
             break
@@ -194,7 +194,7 @@ def test_criterion_10_mutation_sensitivity(cubic_star, tmp_path, capsys):
         star = StarProduct.from_json(data)
         k = rng.randrange(0, len(star.levels))
         slots = rng.choice(sorted(star.levels[k].terms))
-        bump = XPoly.monomial(
+        bump = XPoly.from_monomial(
             (rng.randint(0, 1), 0, 0),
             Fraction(rng.randint(1, 5), rng.randint(1, 3)))
         star.levels[k].terms[slots] = star.levels[k].terms[slots] + bump

@@ -130,13 +130,6 @@ def test_export_latex(tmp_path, capsys):
     assert "\\otimes" in text
 
 
-def test_threads_env_validation(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("STARQ_THREADS", "0")
-    assert main(["jacobi", "--phi", "x3"]) == 2
-    monkeypatch.setenv("STARQ_THREADS", "2")
-    assert main(["jacobi", "--phi", "x3"]) == 0
-
-
 def test_emit_json_construct(capsys):
     rc = main(["construct", "--phi", "x3", "--order", "1", "--emit", "json"])
     out = capsys.readouterr().out
@@ -181,6 +174,11 @@ MALFORMED = {
     "float-arity": _edit(lambda d: d["levels"][1].update(arity=2.0)),
     "gauges-list": _edit(lambda d: d.update(gauges=[1])),
     "number-coefficient": _edit(lambda d: _first_coeff(d).update(coeff=0.5)),
+    "report-level-text": _edit(lambda d: d["obstructionReports"][0].update(level="two")),
+    "report-level-99": _edit(lambda d: d["obstructionReports"][0].update(level=99)),
+    "report-arity-2": _edit(lambda d: d["obstructionReports"][0]["alternating"].update(arity=2)),
+    "report-jet-ring": _edit(lambda d: d["obstructionReports"][0]["alternating"].update(ring="jet")),
+    "report-is-zero-text": _edit(lambda d: d["obstructionReports"][0].update(isZero="no")),
 }
 
 

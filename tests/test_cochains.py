@@ -8,7 +8,7 @@ from starq.cochains import (Cochain, JET_RING, X_RING, delta_terms, epsilon_coch
                             insertion_sum, linear_combination, slot_total)
 from starq.polynomials import XPoly, parse_poly
 
-from helpers import (random_cochain, reference_antisymmetrize,
+from helpers import (eval_args, random_cochain, reference_antisymmetrize,
                      reference_hochschild_delta, reference_insert)
 
 
@@ -43,7 +43,7 @@ def test_eval_args_is_derivation_pairing():
     c = Cochain.single(2, X_RING, ((1,), (2, 3)), parse_poly("x2"))
     f, g = parse_poly("x1^2"), parse_poly("x2*x3^2")
     # x2 * d1(x1^2) * d23(x2 x3^2) = x2 * 2 x1 * 2 x3
-    assert c.eval_args((f, g)) == parse_poly("4*x1*x2*x3")
+    assert eval_args(c, (f, g)) == parse_poly("4*x1*x2*x3")
 
 
 def test_delta_matches_associativity_defect_pattern():
@@ -67,9 +67,9 @@ def test_insert_composition_on_explicit_args():
     b = random_cochain(rng, 2, ring=X_RING, max_slot_degree=2, terms=2)
     f, g, h = parse_poly("x1^2*x2"), parse_poly("x3^2"), parse_poly("x1*x2*x3")
     composed = a.insert(b)
-    direct = (a.eval_args((b.eval_args((f, g)), h))
-              - a.eval_args((f, b.eval_args((g, h)))))
-    assert composed.eval_args((f, g, h)) == direct
+    direct = (eval_args(a, (eval_args(b, (f, g)), h))
+              - eval_args(a, (f, eval_args(b, (g, h)))))
+    assert eval_args(composed, (f, g, h)) == direct
 
 
 def test_reverse_and_scale_define_parity():
@@ -116,7 +116,7 @@ def test_arity_mismatch_rejected():
     with pytest.raises(ValueError):
         _ = a + b
     with pytest.raises(ValueError):
-        a.eval_args((XPoly.one(),))
+        eval_args(a, (XPoly.one(),))
 
 
 # -- accumulating kernels against the add_term formulas they replace ---------------

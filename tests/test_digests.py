@@ -1,0 +1,60 @@
+"""Pinned sha256 digests of serialized products, LaTeX exports and verify
+reports: the bytes the ring classes print must not drift under refactoring."""
+
+import hashlib
+import json
+
+import pytest
+
+from starq.latex import star_latex
+from starq.star import StarProduct
+from starq.verify import verify_star
+
+PRODUCTS = {
+    "sym_star3": (
+        "441e2d8c51665dd8dd8edc3f6a0a3db284396ee18c4c108e540e4000bf68ac7e",
+        "55878318020d982d613d4e9334c1d5cca06b4e53c4ce6e8579929755fc14e968"),
+    "cubic_star": (
+        "d454c8047d58e2a7d67b13fbc5b355e341c68ad933e6ceba2d120bf97b07cfa4",
+        "6b5f88c8894f5ffef92ba82294c32679b55ce85ab35c14ae6c85b04a2e881a34"),
+    "x3_star4": (
+        "317eaca894f5f3dc8f1ec2afcd22c6679f7dcd2e2bc20c423242c45756617b4f",
+        "45ed0ae811a7f320ebb515ec9c0b8e40511b939b3aef62ecc765a8ac0fe12915"),
+    "sphere_star": (
+        "bc39f8244f679db76614d1b2a2a1c649e59126dc94603952dcbf7a3726a9111f",
+        "81e5c30357f329fb5b4b5376449de361282d9b79f80a3c9517168f5a89ef7064"),
+}
+
+# Verify reports of a product whose level 2 has its first coefficient set to
+# 7/5: the failing residuals print ring elements of either ring.
+MUTANTS = {
+    "cubic_star": "f0973c8a7ce3be40666359a22755cd05e8934de976b1c245e4c7cb2cc02402c3",
+    "sym_star3": "b8c615f07608ab7281ce869a2423db0b3acf6649dbe393c97ba48fc30fbe79f5",
+}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCTS))
+def test_product_json_and_latex_digests(name, request):
+    star = request.getfixturevalue(name)
+    json_digest, latex_digest = PRODUCTS[name]
+    assert _sha(json.dumps(star.to_json(), indent=2)) == json_digest
+    assert _sha(star_latex(star)) == latex_digest
+
+
+def test_verify_report_digest(cubic_star):
+    report = verify_star(cubic_star)
+    assert _sha(json.dumps(report, indent=2)) == (
+        "9f490d449b5c686536a8fecd026a4e165eebc9785a63f5f0b197312fc5a5197c")
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_mutant_verify_report_digest(name, request):
+    data = request.getfixturevalue(name).to_json()
+    data["levels"][2]["terms"][0]["coeff"][0]["coeff"] = "7/5"
+    report = verify_star(StarProduct.from_json(data))
+    assert not report["pass"]
+    assert _sha(json.dumps(report, indent=2)) == MUTANTS[name]

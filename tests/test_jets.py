@@ -87,3 +87,10 @@ def test_substitute_p_sums_terms_in_place():
     half = Fraction(1, 2)
     assert (substitute_p([(half, (d1_p12,)), (half, (d1_p12,))])
             == substitute_factor((1,), 1, 2, NABLA_PHI))
+
+
+def test_rings_are_distinct_under_equality():
+    # both zeros have an empty term dict; equality still tells the rings apart
+    assert XPoly.zero() != JetPolynomial.zero()
+    assert JetPolynomial.zero() != XPoly.zero()
+    assert XPoly.zero() == XPoly.zero() and JetPolynomial.zero() == JetPolynomial.zero()

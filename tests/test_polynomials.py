@@ -24,9 +24,9 @@ def test_parse_examples():
 def test_prefix_sign_binds_looser_than_power():
     assert parse_poly("-x1^2") == -parse_poly("x1^2")
     assert parse_poly("-(x1+x2)^2") == -parse_poly("(x1+x2)^2")
-    assert parse_poly("2*-x1^2") == parse_poly("-2*x1^2") == XPoly.monomial((2, 0, 0), -2)
-    assert parse_poly("x2 - x1^2") == XPoly.var(2) - XPoly.monomial((2, 0, 0))
-    assert parse_poly("-x1*x2") == XPoly.monomial((1, 1, 0), -1)
+    assert parse_poly("2*-x1^2") == parse_poly("-2*x1^2") == XPoly.from_monomial((2, 0, 0), -2)
+    assert parse_poly("x2 - x1^2") == XPoly.var(2) - XPoly.from_monomial((2, 0, 0))
+    assert parse_poly("-x1*x2") == XPoly.from_monomial((1, 1, 0), -1)
 
 
 def test_parse_rejects_garbage():

@@ -47,9 +47,15 @@ def test_one_sided_rhs_equals_symmetric_bracket_form(seed, ring):
         assert assemble_rhs(levels, k, check_closed=False) == _rhs(levels, k)
 
 
-def test_one_sided_rhs_on_symbolic_levels(sym_star3):
+@pytest.fixture(scope="module")
+def sym_rhs(sym_star3):
+    """The verifier's R_k of the symbolic levels, computed once for the module."""
+    return {k: _rhs(sym_star3.levels, k) for k in (2, 3, 4)}
+
+
+def test_one_sided_rhs_on_symbolic_levels(sym_star3, sym_rhs):
     for k in (2, 3, 4):
-        assert assemble_rhs(sym_star3.levels, k, check_closed=False) == _rhs(sym_star3.levels, k)
+        assert assemble_rhs(sym_star3.levels, k, check_closed=False) == sym_rhs[k]
 
 
 @settings(max_examples=30, deadline=None)
@@ -63,9 +69,9 @@ def test_verifier_rhs_matches_copy_based_form(seed, ring):
         assert _rhs(levels, k) == reference_rhs(levels, k)
 
 
-def test_verifier_rhs_on_symbolic_levels(sym_star3):
+def test_verifier_rhs_on_symbolic_levels(sym_star3, sym_rhs):
     for k in (2, 3, 4):
-        assert _rhs(sym_star3.levels, k) == reference_rhs(sym_star3.levels, k)
+        assert sym_rhs[k] == reference_rhs(sym_star3.levels, k)
 
 
 def test_levels_satisfy_recursion(sym_star3):
