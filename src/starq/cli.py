@@ -31,6 +31,13 @@ EXIT_GRADING = 4
 
 MODES = (NABLA_PHI, PSI_NABLA_PHI)
 
+# Resource bounds, checked before any work: the cost of a build, of an
+# obstruction (which builds every level below it) and of the associator scan
+# grows steeply with these values.
+MAX_ORDER = 8
+MAX_K = 9
+MAX_DEGREE = 8
+
 
 class ConfigError(Exception):
     pass
@@ -45,33 +52,44 @@ class JobConfig:
     order: int = 1
     jet_cap: int | None = None
     degree: int | None = None
+    k: int | None = None  # obstruction level
     out: str | None = None
     emit: str = "text"
     opo_restrict: bool = False
     star: str | None = None  # stored product read by verify and export-latex
 
     def validate(self) -> None:
-        if self.command in ("construct",) and self.order < 1:
-            raise ConfigError("order must be at least 1")
+        if self.command == "construct" and not 1 <= self.order <= MAX_ORDER:
+            raise ConfigError(f"order must be between 1 and {MAX_ORDER}")
+        if self.k is not None and not 2 <= self.k <= MAX_K:
+            raise ConfigError(f"obstruction level must be between 2 and {MAX_K}")
         if self.jet_cap is not None and self.jet_cap < self.order + 1:
             raise ConfigError("jet truncation must exceed the order")
-        if self.degree is not None and self.degree < 1:
-            raise ConfigError("degree bound must be at least 1")
+        if self.degree is not None and not 1 <= self.degree <= MAX_DEGREE:
+            raise ConfigError(f"degree bound must be between 1 and {MAX_DEGREE}")
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
+        if self.out is not None and not os.path.isdir(_directory(self.out)):
+            raise ConfigError(f"no such output directory: {_directory(self.out)}")
+
+
+def _directory(path: str) -> str:
+    return os.path.dirname(os.path.abspath(path))
 
 
 def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".starq-")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=_directory(path), prefix=".starq-")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _emit(cfg: JobConfig, text: str) -> None:
@@ -138,6 +156,8 @@ def _load_star(path: str) -> StarProduct:
         return StarProduct.from_json(data)
     except FileNotFoundError:
         raise ConfigError(f"no such file: {path}")
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}")
     except (json.JSONDecodeError, KeyError, RecursionError, TypeError, ValueError,
             ZeroDivisionError) as exc:
         raise ConfigError(f"cannot load star product from {path}: {exc}")
@@ -191,9 +211,8 @@ def cmd_jacobi(cfg: JobConfig, vector: str | None) -> int:
     return EXIT_OK if residual.is_zero else EXIT_FINDING
 
 
-def cmd_obstruction(cfg: JobConfig, k: int) -> int:
-    if k < 2:
-        raise ConfigError("the first obstruction level is 2")
+def cmd_obstruction(cfg: JobConfig) -> int:
+    k = cfg.k
     phi = _parse_expr(cfg.phi, "phi")
     psi = None if cfg.psi is None else _parse_expr(cfg.psi, "psi")
     try:
@@ -306,6 +325,7 @@ def main(argv: list[str] | None = None) -> int:
             order=getattr(args, "order", 1),
             jet_cap=getattr(args, "jet_cap", None),
             degree=getattr(args, "degree", None),
+            k=getattr(args, "k", None),
             out=getattr(args, "out", None),
             emit=getattr(args, "emit", "text"),
             opo_restrict=getattr(args, "opo_restrict", False),
@@ -319,7 +339,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "jacobi":
             return cmd_jacobi(cfg, args.vector)
         if args.command == "obstruction":
-            return cmd_obstruction(cfg, args.k)
+            return cmd_obstruction(cfg)
         if args.command == "opo-check":
             return cmd_opo_check(cfg, args.term)
         if args.command == "export-latex":

@@ -12,7 +12,9 @@ Hochschild coboundary, whose middle terms expand argument products by the
 Leibniz rule; the Gerstenhaber insertion product and bracket, whose
 insertions differentiate inner coefficients through the total x-derivative
 of the ring; argument-degree filtering; argument reversal; and the
-alternating average over the arguments of a trilinear operator.
+alternating average over the arguments of a trilinear operator.  The
+kernels accumulate into ``RatVec`` running sums of integer numerators, one
+per output slot, and build each coefficient once.
 
 The coboundary and the insertion product both create transient empty slots
 (an argument multiplied without differentiation).  For inputs whose slots
@@ -23,13 +25,14 @@ normalized class and needs them.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from itertools import permutations
 from typing import Callable, Iterable, Iterator
 
 from .jets import JetPolynomial
 from .multiindex import MultiIndex, binary_splits, merge, splits
-from .polynomials import XPoly, add_into
+from .polynomials import RatVec, XPoly
 
 Slots = tuple[MultiIndex, ...]
 
@@ -112,11 +115,12 @@ class Cochain:
         return Cochain(2, ring, {((), ()): ring_class(ring).one()})
 
     @staticmethod
-    def _from_sums(arity: int, ring: str, sums: dict[Slots, dict]) -> "Cochain":
-        """Cochain from per-slot monomial sums (sorted slot keys), each ring
-        element built once; slots whose sum cancelled are dropped."""
-        cls = ring_class(ring)
-        return Cochain(arity, ring, {slots: cls(terms) for slots, terms in sums.items() if terms})
+    def _from_sums(arity: int, ring: str, sums: dict[Slots, RatVec]) -> "Cochain":
+        """Cochain from per-slot running sums (sorted slot keys), each ring
+        element built and reduced once; slots whose sum cancelled are dropped."""
+        make = ring_class(ring).from_numerators
+        return Cochain(arity, ring, {slots: make(acc.terms, acc.den)
+                                     for slots, acc in sums.items() if acc.terms})
 
     def add_term(self, slots: Slots, coeff) -> None:
         if len(slots) != self.arity:
@@ -137,19 +141,16 @@ class Cochain:
 
     def __add__(self, other: "Cochain") -> "Cochain":
         self._check_compatible(other)
-        out = Cochain(self.arity, self.ring, dict(self.terms))
-        for slots, c in other.terms.items():
-            out.add_term(slots, c)
-        return out
+        return linear_combination(self.arity, self.ring, ((1, self), (1, other)))
 
     def __sub__(self, other: "Cochain") -> "Cochain":
-        return self + other.scale(-1)
+        self._check_compatible(other)
+        return linear_combination(self.arity, self.ring, ((1, self), (-1, other)))
 
     def __neg__(self) -> "Cochain":
         return self.scale(-1)
 
     def scale(self, q: Fraction | int) -> "Cochain":
-        q = Fraction(q)
         if not q:
             return Cochain(self.arity, self.ring)
         return Cochain(self.arity, self.ring,
@@ -213,10 +214,11 @@ class Cochain:
 
     def hochschild_delta(self) -> "Cochain":
         """Hochschild coboundary; raises arity by one, never touches coefficients."""
-        sums: dict[Slots, dict] = {}
+        sums: dict[Slots, RatVec] = defaultdict(RatVec)
         for slots, c in self.terms.items():
+            terms, den = c.terms, c.den
             for new_slots, q in delta_terms(slots):
-                add_into(sums.setdefault(new_slots, {}), c, q)
+                sums[new_slots].add(terms, den, q)
         return Cochain._from_sums(self.arity + 1, self.ring, sums)
 
     def insert(self, other: "Cochain", degrees: tuple[int, ...] | None = None) -> "Cochain":
@@ -242,11 +244,11 @@ class Cochain:
         """Signed average over all orderings of the three arguments."""
         if self.arity != 3:
             raise ValueError("alternation is defined for trilinear operators")
-        sums: dict[Slots, dict] = {}
+        sums: dict[Slots, RatVec] = defaultdict(RatVec)
         for slots, c in self.terms.items():
+            terms, den = c.terms, 6 * c.den
             for perm in _S3:
-                permuted = tuple(slots[p] for p in perm)
-                add_into(sums.setdefault(permuted, {}), c, Fraction(_perm_sign(perm), 6))
+                sums[tuple(slots[p] for p in perm)].add(terms, den, _perm_sign(perm))
         return Cochain._from_sums(3, self.ring, sums)
 
     # -- evaluation -----------------------------------------------------------
@@ -295,19 +297,20 @@ class Cochain:
 
 
 def linear_combination(arity: int, ring: str,
-                       pairs: Iterable[tuple[Fraction, "Cochain"]]) -> "Cochain":
+                       pairs: Iterable[tuple[Fraction | int, "Cochain"]]) -> "Cochain":
     """Sum of q * cochain over (q, cochain) pairs, accumulated in place."""
-    sums: dict[Slots, dict] = {}
+    sums: dict[Slots, RatVec] = defaultdict(RatVec)
     for q, cochain in pairs:
+        num, den = q.numerator, q.denominator
         for slots, c in cochain.terms.items():
-            add_into(sums.setdefault(slots, {}), c, q)
+            sums[slots].add(c.terms, c.den * den, num)
     return Cochain._from_sums(arity, ring, sums)
 
 
 def insertion_sum(arity: int, ring: str, insertions: Iterable[tuple],
                   degrees: tuple[int, ...] | None = None) -> "Cochain":
     """Sum of weight * outer.insert(inner) over (weight, outer, inner)
-    triples, accumulated in place into one monomial dict per output slot.
+    triples, accumulated in place into one running sum per output slot.
 
     A slot of the outer operator distributes over the composite argument:
     one piece differentiates the inner coefficient, the others land on the
@@ -321,9 +324,10 @@ def insertion_sum(arity: int, ring: str, insertions: Iterable[tuple],
         degrees = tuple(degrees)
         if len(degrees) != arity:
             raise ValueError("degree tuple does not match arity")
-    sums: dict[Slots, dict] = {}
+    sums: dict[Slots, RatVec] = defaultdict(RatVec)
     groups: dict = {}  # (outer slot, parts) -> its splits grouped by the first piece
     for weight, outer, inner in insertions:
+        w_den = weight.denominator
         if outer.ring != ring or inner.ring != ring:
             raise ValueError("cochain ring mismatch")
         p, q = outer.arity, inner.arity
@@ -342,7 +346,7 @@ def insertion_sum(arity: int, ring: str, insertions: Iterable[tuple],
                     if _lengths(head) != degrees[:i] or _lengths(tail) != degrees[i + q:]:
                         continue
                     inner_degrees = degrees[i:i + q]
-                scale = weight * (-1) ** (i * (q - 1))
+                scale = weight.numerator * (-1) ** (i * (q - 1))
                 key = (slots_m[i], q + 1)
                 grouped = groups.get(key)
                 if grouped is None:
@@ -369,7 +373,8 @@ def insertion_sum(arity: int, ring: str, insertions: Iterable[tuple],
                             new_slots = (head
                                          + tuple(merge(t, d) for t, d in zip(slots_n, on_slots))
                                          + tail)
-                            add_into(sums.setdefault(new_slots, {}), product, scale * count)
+                            sums[new_slots].add(product.terms, product.den * w_den,
+                                                scale * count)
     return Cochain._from_sums(arity, ring, sums)
 
 

@@ -211,7 +211,8 @@ def psi_opo_experiment(jet_cap: int = 5,
     delta_rows: set = set()
     obstruction_rows: set = set()
     for idx, proj in sorted(columns.items()):
-        dvec = {("delta",) + row: q for row, q in _flatten(proj.hochschild_delta()).items()}
+        delta = _flatten(proj.hochschild_delta()).fractions()
+        dvec = {("delta",) + row: q for row, q in delta.items()}
         delta_rows.update(dvec)
         delta_only.add_column(idx, dict(dvec))
         alt = m1.bracket(proj, (1, 1, 1)).antisymmetrize()
@@ -220,7 +221,7 @@ def psi_opo_experiment(jet_cap: int = 5,
             obstruction_rows.add(("ar", mono))
         combined.add_column(idx, dvec)
 
-    rhs_delta = {("delta",) + row: q for row, q in _flatten(r3).items()}
+    rhs_delta = {("delta",) + row: q for row, q in _flatten(r3).fractions().items()}
     delta_rows.update(rhs_delta)
     rhs_combined = dict(rhs_delta)
     for mono, q in base_witness.monomials():
@@ -241,12 +242,12 @@ def psi_opo_experiment(jet_cap: int = 5,
 
     obstruction_witness = None
     if orderable_m3 is not None:
-        if not (orderable_m3.hochschild_delta() - r3).is_zero:
+        if orderable_m3.hochschild_delta() != r3:
             raise AssertionError("diagram-span level-3 solution fails its equation")
         # degree_part and antisymmetrize are linear, so the constant part is reused
         alt = m1.bracket(orderable_m3, (1, 1, 1)).antisymmetrize() + base_alt
         obstruction_witness = determinant_witness(alt)
-    if witness_m3 is not None and not (witness_m3.hochschild_delta() - r3).is_zero:
+    if witness_m3 is not None and witness_m3.hochschild_delta() != r3:
         raise AssertionError("combined solution fails the level equation")
 
     # contrast: the unconstrained level equation is solvable (shape ansatz)

@@ -8,8 +8,9 @@ algebraically independent; the only relation built into the representation
 is the symmetry of mixed partials, enforced by keeping multi-indices sorted.
 
 A JetPolynomial is a sparse rational polynomial in jet variables, a ring
-class on the sparse core of ``starq.polynomials``.  Its monomial keys are
-sorted tuples of jet variables, so structural equality is dict equality.
+class on the sparse core of ``starq.polynomials`` (integer numerators over
+one denominator).  Its monomial keys are sorted tuples of jet variables, so
+structural equality is dict and denominator equality.
 The total x-derivative acts by prolongation, d/dx_a phi_I = phi_{I+a},
 extended as a derivation to products.
 
@@ -25,7 +26,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .multiindex import MultiIndex, binary_splits, format_index, merge, parse_index
-from .polynomials import SparsePoly, XPoly, add_into
+from .polynomials import RatVec, SparsePoly, XPoly
 
 PHI = "phi"
 PSI = "psi"
@@ -36,8 +37,6 @@ PSI_NABLA_PHI = "psi-nabla-phi"
 
 JetVar = tuple[str, MultiIndex]
 Monomial = tuple[JetVar, ...]
-
-_ZERO = Fraction(0)
 
 
 def jet_var(tag: str, index: MultiIndex) -> JetVar:
@@ -114,21 +113,22 @@ class JetPolynomial(SparsePoly):
 
     @staticmethod
     def variable(v: JetVar) -> "JetPolynomial":
-        return JetPolynomial({(v,): Fraction(1)})
+        return JetPolynomial.from_numerators({(v,): 1})
 
     def x_derivative(self, direction: int) -> "JetPolynomial":
         """Total derivative: prolongation on each factor, Leibniz over products."""
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, int] = {}
+        get = out.get
         for mono, c in self.terms.items():
             for pos, (tag, index) in enumerate(mono):
                 lifted = (tag, merge(index, (direction,)))
                 key = monomial_key(mono[:pos] + (lifted,) + mono[pos + 1:])
-                s = out.get(key, _ZERO) + c
+                s = get(key, 0) + c
                 if s:
                     out[key] = s
                 else:
-                    out.pop(key, None)
-        return JetPolynomial(out)
+                    del out[key]
+        return JetPolynomial.from_numerators(out, self.den)
 
     def eval_jets(self, phi: XPoly | None, psi: XPoly | None = None) -> XPoly:
         """Substitute explicit potentials for the jet variables.
@@ -137,7 +137,7 @@ class JetPolynomial(SparsePoly):
         derivative of the given polynomial; the substitution is a ring
         homomorphism.
         """
-        total: dict = {}
+        total = RatVec()
         for mono, c in self.terms.items():
             value = XPoly.const(c)
             for tag, index in mono:
@@ -151,8 +151,8 @@ class JetPolynomial(SparsePoly):
                     if psi is None:
                         raise ValueError("psi jets present but no psi given")
                     value = value * psi.derivative(index)
-            add_into(total, value)
-        return XPoly(total)
+            total.add(value.terms, value.den)
+        return XPoly.from_numerators(total.terms, total.den * self.den)
 
     def factor_counts(self, mono: Monomial | None = None) -> tuple[int, int]:
         """(phi factors, psi factors) of a monomial; requires a single monomial
@@ -201,11 +201,11 @@ def substitute_factor(index: MultiIndex, i: int, j: int, mode: str) -> JetPolyno
             continue
         if mode == NABLA_PHI:
             out = out + JetPolynomial.from_monomial(
-                (jet_var(PHI, merge(index, (k,))),), Fraction(sign))
+                (jet_var(PHI, merge(index, (k,))),), sign)
         elif mode == PSI_NABLA_PHI:
             for left, right, count in binary_splits(index):
                 mono = monomial_key((jet_var(PSI, left), jet_var(PHI, merge(right, (k,)))))
-                out = out + JetPolynomial.from_monomial(mono, Fraction(sign * count))
+                out = out + JetPolynomial.from_monomial(mono, sign * count)
         else:
             raise ValueError(f"unknown substitution mode {mode!r}")
     return out
@@ -213,12 +213,12 @@ def substitute_factor(index: MultiIndex, i: int, j: int, mode: str) -> JetPolyno
 
 def substitute_p(terms: Iterable[PTerm], mode: str = NABLA_PHI) -> JetPolynomial:
     """Rewrite a formal polynomial in Poisson-component derivatives into jets."""
-    total: dict = {}
+    total = RatVec()
     for coeff, factors in terms:
         value = JetPolynomial.const(coeff)
         for index, i, j in factors:
             if value.is_zero:
                 break
             value = value * substitute_factor(index, i, j, mode)
-        add_into(total, value)
-    return JetPolynomial(total)
+        total.add(value.terms, value.den)
+    return JetPolynomial.from_numerators(total.terms, total.den)

@@ -5,85 +5,85 @@ row keys.  The reducer keeps a column echelon form with unit leading
 entries and, for every pivot, the combination of original columns that
 produced it.  Solving expresses a right-hand side in the added columns
 using pivot columns only, so columns that arrived linearly dependent never
-appear in a solution: their coefficients stay zero.  All arithmetic is in
-Fraction, so results are exact and independence decisions are never
-approximate.
+appear in a solution: their coefficients stay zero.  Pivots, combinations
+and the vectors being reduced are ``RatVec``s, integer numerators over one
+denominator, reduced by their gcd after every elimination step; only the
+combinations ``solve`` and ``residual`` return are Fractions.  Results are
+exact and independence decisions are never approximate.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Mapping
 
-Vector = dict[Hashable, Fraction]
-
-
-def _axpy(target: Vector, coeff: Fraction, source: Mapping) -> None:
-    """target -= coeff * source, dropping cancelled entries."""
-    for key, value in source.items():
-        new = target.get(key, Fraction(0)) - coeff * value
-        if new:
-            target[key] = new
-        else:
-            target.pop(key, None)
+from .polynomials import RatVec
 
 
 class ColumnReducer:
     """Column echelon with combination tracking over exact rationals."""
 
     def __init__(self):
-        # lead row key -> (unit-lead vector, combination over column keys)
-        self.pivots: dict[Hashable, tuple[Vector, Vector]] = {}
-        self.column_keys: list[Hashable] = []
+        # lead row key -> (the unit-lead pivot without its lead entry, its
+        # combination over column keys)
+        self.pivots: dict[Hashable, tuple[RatVec, RatVec]] = {}
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def _reduce(self, vec: Vector, combo: Vector) -> Vector:
-        """Eliminate vec against pivots.
+    def _reduce(self, vec: RatVec, combo: RatVec) -> None:
+        """Eliminate vec against pivots, in place.
 
         Invariant: vec + columns.combo is unchanged, where columns.combo is
         the combination of original columns with the coefficients in combo.
         """
-        while vec:
-            lead = min(vec)
+        terms = vec.terms
+        while terms:
+            lead = min(terms)
             hit = self.pivots.get(lead)
             if hit is None:
                 break
-            coeff = vec.pop(lead)
-            pivot_vec, pivot_combo = hit
-            _axpy(vec, coeff, {k: v for k, v in pivot_vec.items() if k != lead})
-            _axpy(combo, -coeff, pivot_combo)
-        return vec
+            rest, pivot_combo = hit
+            coeff, den = terms.pop(lead), vec.den  # the multiple coeff/den of the pivot
+            vec.add(rest.terms, rest.den * den, -coeff)
+            combo.add(pivot_combo.terms, pivot_combo.den * den, coeff)
+            vec.reduce()
+            combo.reduce()
 
-    def add_column(self, key: Hashable, vec: Mapping) -> bool:
+    def add_column(self, key: Hashable, vec: Mapping | RatVec) -> bool:
         """Insert a column; returns False when it is dependent on earlier ones."""
-        self.column_keys.append(key)
-        work: Vector = {k: Fraction(v) for k, v in vec.items() if v}
+        work = RatVec.of(vec)
         # start from vec + columns.{key: -1} == 0 so the invariant gives the
         # reduced vector as a combination of original columns at the end
-        combo: Vector = {key: Fraction(-1)}
-        work = self._reduce(work, combo)
-        if not work:
+        combo = RatVec({key: -1})
+        self._reduce(work, combo)
+        if not work.terms:
             return False
-        lead = min(work)
-        inv = 1 / work[lead]
-        unit = {k: v * inv for k, v in work.items()}
-        self.pivots[lead] = (unit, {k: -v * inv for k, v in combo.items()})
+        lead = min(work.terms)
+        v = work.terms.pop(lead)
+        sign = 1 if v > 0 else -1
+        # dividing by the lead entry v/den gives the pivot work/v, lead 1, and
+        # its combination -combo * den/v
+        rest = RatVec({k: c * sign for k, c in work.terms.items()}, v * sign)
+        factor = -work.den * sign
+        pivot_combo = RatVec({k: c * factor for k, c in combo.terms.items()},
+                             combo.den * v * sign)
+        self.pivots[lead] = (rest.reduce(), pivot_combo.reduce())
         return True
 
-    def solve(self, rhs: Mapping) -> Vector | None:
+    def solve(self, rhs: Mapping | RatVec) -> dict[Hashable, Fraction] | None:
         """Coefficients over column keys reproducing rhs, or None if outside
         the span.  Dependent columns are never used."""
-        work: Vector = {k: Fraction(v) for k, v in rhs.items() if v}
-        combo: Vector = {}
-        work = self._reduce(work, combo)
-        if work:
+        work = RatVec.of(rhs)
+        combo = RatVec()
+        self._reduce(work, combo)
+        if work.terms:
             return None
-        return {k: v for k, v in combo.items() if v}
+        return combo.fractions()
 
-    def residual(self, rhs: Mapping) -> Vector:
+    def residual(self, rhs: Mapping | RatVec) -> dict[Hashable, Fraction]:
         """Part of rhs outside the span of the added columns."""
-        work: Vector = {k: Fraction(v) for k, v in rhs.items() if v}
-        return self._reduce(work, {})
+        work = RatVec.of(rhs)
+        self._reduce(work, RatVec())
+        return work.fractions()

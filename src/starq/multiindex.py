@@ -10,6 +10,7 @@ before terms recombine.
 from __future__ import annotations
 
 import itertools
+from functools import cache
 from math import comb
 from typing import Iterator
 
@@ -50,17 +51,19 @@ def parse_index(text: str) -> MultiIndex:
     return mi(*(int(ch) for ch in text))
 
 
-def binary_splits(index: MultiIndex) -> Iterator[tuple[MultiIndex, MultiIndex, int]]:
+@cache
+def binary_splits(index: MultiIndex) -> tuple[tuple[MultiIndex, MultiIndex, int], ...]:
     """Ordered two-part multiset splits of ``index`` with multiplicity.
 
-    Yields (left, right, count) where count is the number of ways to pick
-    which individual derivatives go left, i.e. the product of binomial
-    coefficients per direction.  This is the Leibniz expansion of a repeated
-    derivative applied to a product of two factors.
+    Returns (left, right, count) triples where count is the number of ways
+    to pick which individual derivatives go left, i.e. the product of
+    binomial coefficients per direction.  This is the Leibniz expansion of a
+    repeated derivative applied to a product of two factors.  The result is
+    a pure function of the sorted index and is memoized.
     """
     mults = multiplicities(index)
-    choices = [range(m + 1) for m in mults]
-    for take in itertools.product(*choices):
+    out = []
+    for take in itertools.product(*(range(m + 1) for m in mults)):
         count = 1
         left: list[int] = []
         right: list[int] = []
@@ -68,7 +71,8 @@ def binary_splits(index: MultiIndex) -> Iterator[tuple[MultiIndex, MultiIndex, i
             count *= comb(m, t)
             left.extend([d] * t)
             right.extend([d] * (m - t))
-        yield tuple(left), tuple(right), count
+        out.append((tuple(left), tuple(right), count))
+    return tuple(out)
 
 
 def splits(index: MultiIndex, parts: int) -> Iterator[tuple[tuple[MultiIndex, ...], int]]:

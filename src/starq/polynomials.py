@@ -1,51 +1,133 @@
 """Exact sparse polynomials over the rationals, and the ring in x1, x2, x3.
 
-``SparsePoly`` is the one sparse core: a mapping from monomial keys to
-nonzero Fraction coefficients, so equality of polynomials is equality of
-dicts and no floating point appears anywhere.  Its ring classes say what a
-monomial is: ``XPoly`` here, with exponent triples, and ``JetPolynomial``
-in ``starq.jets``.  XPoly polynomials serve as explicit potentials, as
-evaluation arguments for multidifferential operators, and as the
-coefficient ring of explicitly instantiated cochains.
+``SparsePoly`` is the one sparse core.  A polynomial holds integer
+numerators per monomial over one positive integer denominator (the layout of
+FLINT's ``fmpq_poly``), kept reduced: the denominator shares no factor with
+all numerators together, and zero has denominator 1.  Equality of
+polynomials is therefore equality of dicts and denominators, and no floating
+point appears anywhere.  ``Fraction`` appears only where a coefficient
+leaves the core: ``monomials``, ``coefficient``, printing and JSON.
+``RatVec`` is the running sum the kernels accumulate into.
+
+The ring classes say what a monomial is: ``XPoly`` here, with exponent
+triples, and ``JetPolynomial`` in ``starq.jets``.  XPoly polynomials serve as
+explicit potentials, as evaluation arguments for multidifferential
+operators, and as the coefficient ring of explicitly instantiated cochains.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable
+from math import gcd, lcm
+from typing import Iterable, Mapping
 
 Exponent = tuple[int, int, int]
 
-_ZERO = Fraction(0)
+
+class RatVec:
+    """A rational vector under construction: nonzero integer numerators over
+    one positive denominator, which rises to the lcm only when a
+    contribution's denominator does not divide it.  Keys are anything
+    hashable (monomials, slot tuples, row keys); the sum is not kept reduced.
+    """
+
+    __slots__ = ("terms", "den")
+
+    def __init__(self, terms: dict | None = None, den: int = 1):
+        self.terms: dict = {} if terms is None else terms
+        self.den = den
+
+    @classmethod
+    def of(cls, values) -> "RatVec":
+        """A copy of a RatVec, or the vector of a mapping to ints and Fractions."""
+        if isinstance(values, RatVec):
+            return cls(dict(values.terms), values.den)
+        den = lcm(*(q.denominator for q in values.values()))
+        return cls({k: q.numerator * (den // q.denominator) for k, q in values.items() if q}, den)
+
+    def add(self, terms: Mapping, den: int = 1, mul: int = 1) -> None:
+        """Add ``mul * terms / den`` in place (nonzero integer numerators in
+        ``terms``), dropping cancelled entries."""
+        if not mul:
+            return
+        own = self.den
+        if own % den:
+            g = gcd(mul, den)
+            mul, den = mul // g, den // g
+            rise = den // gcd(own, den)
+            if rise != 1:
+                out = self.terms
+                for k in out:
+                    out[k] *= rise
+                self.den = own = own * rise
+        mul *= own // den
+        out = self.terms
+        get = out.get
+        for k, c in terms.items():
+            s = get(k, 0) + c * mul
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+
+    def reduce(self) -> "RatVec":
+        """Divide numerators and denominator by their gcd, in place."""
+        terms = self.terms
+        g = gcd(self.den, *terms.values())
+        if g != 1:
+            for k in terms:
+                terms[k] //= g
+            self.den //= g
+        return self
+
+    def fractions(self) -> dict:
+        den = self.den
+        return {k: Fraction(c, den) for k, c in self.terms.items()}
 
 
 class SparsePoly:
     """Sparse polynomial with rational coefficients over the monomials of
-    one ring.
+    one ring, as integer numerators over one reduced denominator.
 
-    The term dict maps monomial keys to nonzero Fractions, so equality is
-    dict equality.  Everything here is independent of what a monomial is;
-    each ring subclass supplies ``_unit`` (the monomial of the constants),
-    ``_mono_mul`` (the product of two monomials), ``_term_key`` (the
-    canonical order, used by ``monomials`` and JSON), ``_text_key`` (the
-    order ``str`` prints), ``_factors`` and ``_parse_factors`` (the JSON
-    factor names of a monomial and back), ``_format`` when a monomial does
-    not print as its factor names joined by "*", and ``x_derivative``.
+    Everything here is independent of what a monomial is; each ring subclass
+    supplies ``_unit`` (the monomial of the constants), ``_mono_mul`` (the
+    product of two monomials), ``_term_key`` (the canonical order, used by
+    ``monomials`` and JSON), ``_text_key`` (the order ``str`` prints),
+    ``_factors`` and ``_parse_factors`` (the JSON factor names of a monomial
+    and back), ``_format`` when a monomial does not print as its factor names
+    joined by "*", and ``x_derivative``.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "den")
 
-    def __init__(self, terms: dict | None = None):
-        self.terms: dict = terms or {}
+    def __init__(self, terms: Mapping | None = None):
+        """From rational (int or Fraction) coefficients; reduced Fractions over
+        their lcm already give the reduced form."""
+        vec = RatVec.of(terms or {})
+        self.terms: dict = vec.terms
+        self.den: int = vec.den
+
+    @classmethod
+    def from_numerators(cls, terms: dict, den: int = 1):
+        """From nonzero integer numerators over ``den > 0``, reduced by one gcd."""
+        if den != 1:
+            g = gcd(den, *terms.values())
+            if g != 1:
+                terms = {m: c // g for m, c in terms.items()}
+                den //= g
+        p = object.__new__(cls)
+        p.terms = terms
+        p.den = den
+        return p
 
     @classmethod
     def zero(cls):
-        return cls()
+        return cls.from_numerators({})
 
     @classmethod
     def one(cls):
-        return cls({cls._unit: Fraction(1)})
+        return cls.from_numerators({cls._unit: 1})
 
     @classmethod
     def const(cls, value: Fraction | int):
@@ -53,25 +135,26 @@ class SparsePoly:
 
     @classmethod
     def from_monomial(cls, key, coeff: Fraction | int = 1):
-        q = Fraction(coeff)
-        return cls({key: q}) if q else cls()
+        n = coeff.numerator
+        return cls.from_numerators({key: n} if n else {}, coeff.denominator if n else 1)
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
+    def _plus(self, other, sign: int):
+        acc = RatVec(dict(self.terms), self.den)
+        acc.add(other.terms, other.den, sign)
+        return self.from_numerators(acc.terms, acc.den)
+
     def __add__(self, other):
-        out = dict(self.terms)
-        add_into(out, other)
-        return type(self)(out)
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        out = dict(self.terms)
-        add_into(out, other, -1)
-        return type(self)(out)
+        return self._plus(other, -1)
 
     def __neg__(self):
-        return type(self)({m: -c for m, c in self.terms.items()})
+        return self.from_numerators({m: -c for m, c in self.terms.items()}, self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -82,26 +165,31 @@ class SparsePoly:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 key = mono_mul(m1, m2)
-                s = get(key, _ZERO) + c1 * c2
+                s = get(key, 0) + c1 * c2
                 if s:
                     out[key] = s
                 else:
-                    out.pop(key, None)
-        return type(self)(out)
+                    del out[key]
+        return self.from_numerators(out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def scale(self, q: Fraction | int):
-        q = Fraction(q)
-        if not q:
-            return type(self)()
-        return type(self)({m: c * q for m, c in self.terms.items()})
+        n = q.numerator
+        if not n:
+            return self.zero()
+        return self.from_numerators({m: c * n for m, c in self.terms.items()},
+                                    self.den * q.denominator)
 
     def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self.terms == other.terms
+        return (type(other) is type(self) and self.den == other.den
+                and self.terms == other.terms)
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.den, frozenset(self.terms.items())))
+
+    def coefficient(self, key) -> Fraction:
+        return Fraction(self.terms.get(key, 0), self.den)
 
     def derivative(self, index: Iterable[int]):
         """Iterated x-derivative along a multi-index."""
@@ -113,11 +201,11 @@ class SparsePoly:
         return p
 
     def _ordered(self, key) -> list:
-        terms = self.terms
-        return [(m, terms[m]) for m in sorted(terms, key=key)]
+        terms, den = self.terms, self.den
+        return [(m, Fraction(terms[m], den)) for m in sorted(terms, key=key)]
 
     def monomials(self) -> list:
-        """Terms in the ring's canonical order."""
+        """(monomial, Fraction) pairs in the ring's canonical order."""
         return self._ordered(self._term_key)
 
     def _format(self, mono) -> str:
@@ -146,11 +234,13 @@ class SparsePoly:
 
     @classmethod
     def from_json(cls, data: list[dict]):
-        total: dict = {}
+        total = RatVec()
         for item in data:
             key = cls._parse_factors(item["factors"])
-            add_into(total, cls.from_monomial(key, json_coefficient(item["coeff"])))
-        return cls(total)
+            q = json_coefficient(item["coeff"])
+            if q:
+                total.add({key: q.numerator}, q.denominator)
+        return cls.from_numerators(total.terms, total.den)
 
 
 class XPoly(SparsePoly):
@@ -195,7 +285,7 @@ class XPoly(SparsePoly):
             raise ValueError(f"coordinate label out of range: {direction!r}")
         exp = [0, 0, 0]
         exp[direction - 1] = 1
-        return XPoly({tuple(exp): Fraction(1)})
+        return XPoly.from_numerators({tuple(exp): 1})
 
     def total_degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
@@ -204,43 +294,15 @@ class XPoly(SparsePoly):
         return max(sum(e) for e in self.terms)
 
     def x_derivative(self, direction: int) -> "XPoly":
-        """Partial derivative with respect to x_direction."""
+        """Partial derivative with respect to x_direction; distinct monomials
+        have distinct derivatives, so nothing cancels."""
         i = direction - 1
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, int] = {}
         for exp, c in self.terms.items():
-            if exp[i] == 0:
-                continue
-            new = list(exp)
-            new[i] -= 1
-            key = tuple(new)
-            s = out.get(key, _ZERO) + c * exp[i]
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return XPoly(out)
-
-
-def add_into(out: dict, poly, scale: Fraction | int = 1) -> None:
-    """Add ``scale * poly`` to the term dict ``out`` in place, dropping
-    cancelled terms, so ``type(poly)(out)`` is the sum without copying ``out``.
-    """
-    get = out.get
-    if scale == 1 or scale == -1:
-        subtract = scale == -1
-        for mono, c in poly.terms.items():
-            s = get(mono, _ZERO) - c if subtract else get(mono, _ZERO) + c
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-    else:
-        for mono, c in poly.terms.items():
-            s = get(mono, _ZERO) + c * scale
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
+            e = exp[i]
+            if e:
+                out[exp[:i] + (e - 1,) + exp[i + 1:]] = c * e
+        return XPoly.from_numerators(out, self.den)
 
 
 def json_coefficient(text) -> Fraction:

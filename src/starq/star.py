@@ -26,6 +26,7 @@ the structural antisymmetry that makes the following obstruction vanish.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -40,7 +41,7 @@ from .jets import (
 from .linsolve import ColumnReducer
 from .multiindex import MultiIndex, all_indices
 from .opo import concretize, enumerate_terms
-from .polynomials import XPoly, parse_poly
+from .polynomials import RatVec, XPoly, parse_poly
 
 
 class GradingError(Exception):
@@ -152,10 +153,9 @@ def proportional(a, b) -> bool:
     """Both ring elements zero, or nonzero rational multiples of each other."""
     if a.is_zero or b.is_zero:
         return a.is_zero and b.is_zero
-    monos = a.monomials()
-    key, ca = monos[0]
-    cb = b.terms.get(key)
-    if cb is None:
+    key, ca = a.monomials()[0]
+    cb = b.coefficient(key)
+    if not cb:
         return False
     return b == a.scale(cb / ca)
 
@@ -224,7 +224,7 @@ def check_grading(cochain: Cochain, k: int, mode: str, jet_cap: int | None = Non
     want_psi = mode == PSI_NABLA_PHI
     for slots, coeff in cochain.terms.items():
         s_total = slot_total(slots)
-        for mono, _ in coeff.monomials():
+        for mono in coeff.terms:
             n_phi = sum(1 for tag, _ in mono if tag == PHI)
             n_psi = len(mono) - n_phi
             jet_orders = [len(index) for _, index in mono]
@@ -289,10 +289,10 @@ class DeltaSolver:
         for a, b in shape_pairs(total, parity):
             vec: dict = {}
             for new_slots, q in delta_terms((a, b)):
-                vec[new_slots] = vec.get(new_slots, Fraction(0)) + q
+                vec[new_slots] = vec.get(new_slots, 0) + q
             if a != b:
                 for new_slots, q in delta_terms((b, a)):
-                    vec[new_slots] = vec.get(new_slots, Fraction(0)) + q * parity
+                    vec[new_slots] = vec.get(new_slots, 0) + q * parity
             vec = {s: q for s, q in vec.items() if q}
             reducer.add_column((a, b), vec)
         self._systems[key] = reducer
@@ -305,25 +305,25 @@ class DeltaSolver:
         if mode is not None:
             check_grading(rhs, k, mode, jet_cap)
         parity = parity_sign(k)
-        ring = ring_class(rhs.ring)
-        blocks: dict[tuple, dict] = {}
+        blocks: dict[tuple, RatVec] = defaultdict(RatVec)
         for slots, coeff in rhs.terms.items():
-            total = slot_total(slots)
-            for mono, q in coeff.monomials():
-                blocks.setdefault((total, mono), {})[slots] = q
-        result = Cochain(2, rhs.ring)
+            total, den = slot_total(slots), coeff.den
+            for mono, c in coeff.terms.items():
+                blocks[total, mono].add({slots: c}, den)
+        sums: dict = defaultdict(RatVec)
         for total, mono in sorted(blocks):
             reducer = self.system(total, parity)
-            combo = reducer.solve(blocks[(total, mono)])
+            combo = reducer.solve(blocks[total, mono])
             if combo is None:
                 raise InfeasibleError(
                     f"level {k}: block (slot total {total}, monomial {mono}) "
                     f"is outside the coboundary span", block=(total, mono))
             for (a, b), q in sorted(combo.items()):
-                result.add_term((a, b), ring.from_monomial(mono, q))
+                sums[a, b].add({mono: q.numerator}, q.denominator)
                 if a != b:
-                    result.add_term((b, a), ring.from_monomial(mono, q * parity))
-        if not (result.hochschild_delta() - rhs).is_zero:
+                    sums[b, a].add({mono: q.numerator * parity}, q.denominator)
+        result = Cochain._from_sums(2, rhs.ring, sums)
+        if result.hochschild_delta() != rhs:
             raise AssertionError("solver produced a wrong coboundary")
         return result
 
@@ -359,11 +359,11 @@ def opo_projections(k: int, mode: str) -> list[tuple[int, Cochain]]:
     return out
 
 
-def _flatten(cochain: Cochain) -> dict:
-    rows = {}
+def _flatten(cochain: Cochain) -> RatVec:
+    """The coefficients of a cochain as one vector over (monomial, slots) rows."""
+    rows = RatVec()
     for slots, coeff in cochain.terms.items():
-        for mono, q in coeff.monomials():
-            rows[(mono, slots)] = q
+        rows.add({(mono, slots): c for mono, c in coeff.terms.items()}, coeff.den)
     return rows
 
 
@@ -386,7 +386,7 @@ def solve_opo(rhs: Cochain, k: int, mode: str) -> Cochain | None:
     if combo is None:
         return None
     out = linear_combination(2, JET_RING, ((q, columns[idx]) for idx, q in sorted(combo.items())))
-    if not (out.hochschild_delta() - rhs).is_zero:
+    if out.hochschild_delta() != rhs:
         raise AssertionError("diagram-span solver produced a wrong coboundary")
     return out
 
@@ -544,7 +544,7 @@ def build_star(mode: str, order: int, phi: XPoly | str = "sym",
                     "recursion right-hand side")
             if jet_level is not None:
                 level_k = jet_level if symbolic else jet_level.specialize(phi_poly, psi_poly)
-                if not symbolic and not (level_k.hochschild_delta() - rhs).is_zero:
+                if not symbolic and level_k.hochschild_delta() != rhs:
                     level_k = None  # specialization left the explicit span; fall back
                     if opo_restrict:
                         raise InfeasibleError(

@@ -5,9 +5,9 @@ from itertools import permutations, product
 from random import Random
 
 from starq.cochains import Cochain, JET_RING, X_RING
-from starq.jets import JetPolynomial, phi_jet, psi_jet
+from starq.jets import JetPolynomial, monomial_key, phi_jet, psi_jet
 from starq.multiindex import binary_splits, merge, splits
-from starq.polynomials import XPoly, add_into, monomials_up_to
+from starq.polynomials import XPoly, monomials_up_to
 
 _DIRS = (1, 2, 3)
 
@@ -121,15 +121,15 @@ def eval_args(cochain: Cochain, args) -> XPoly:
         raise ValueError("eval_args applies to x-ring cochains")
     if len(args) != cochain.arity:
         raise ValueError("argument count does not match arity")
-    total: dict = {}
+    total = XPoly.zero()
     for slots, c in cochain.terms.items():
         value = c
         for s, f in zip(slots, args):
             if value.is_zero:
                 break
             value = value * f.derivative(s)
-        add_into(total, value)
-    return XPoly(total)
+        total = total + value
+    return total
 
 
 def reference_associator(levels, f: XPoly, g: XPoly, h: XPoly) -> list[XPoly]:
@@ -158,3 +158,96 @@ def reference_scan(levels, bound: int):
             if not c.is_zero:
                 return f, g, h, j, c
     return None
+
+
+# -- reference ring arithmetic on Fraction coefficient dicts ---------------------------
+# The formulas of the sparse core before it held integer numerators: every
+# coefficient a Fraction, every result term by term.
+
+def _put(out: dict, key, value: Fraction) -> None:
+    total = out.get(key, Fraction(0)) + value
+    if total:
+        out[key] = total
+    else:
+        out.pop(key, None)
+
+
+def fraction_add(a: dict, b: dict, sign: int = 1) -> dict:
+    out = dict(a)
+    for key, c in b.items():
+        _put(out, key, sign * c)
+    return out
+
+
+def fraction_mul(a: dict, b: dict, mono_mul) -> dict:
+    out: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            _put(out, mono_mul(m1, m2), c1 * c2)
+    return out
+
+
+def fraction_scale(a: dict, q: Fraction) -> dict:
+    return {m: c * q for m, c in a.items()} if q else {}
+
+
+def fraction_x_derivative(a: dict, direction: int, ring) -> dict:
+    out: dict = {}
+    for mono, c in a.items():
+        if ring is XPoly:
+            if mono[direction - 1]:
+                key = tuple(e - (i == direction - 1) for i, e in enumerate(mono))
+                _put(out, key, c * mono[direction - 1])
+        else:
+            for pos, (tag, index) in enumerate(mono):
+                lifted = (tag, merge(index, (direction,)))
+                _put(out, monomial_key(mono[:pos] + (lifted,) + mono[pos + 1:]), c)
+    return out
+
+
+# -- reference linear solver ----------------------------------------------------------
+
+class FractionReducer:
+    """The column reducer with every entry a Fraction: unit-lead pivots and
+    their combinations as Fraction dicts, reduced term by term."""
+
+    def __init__(self):
+        self.pivots: dict = {}
+
+    @staticmethod
+    def _axpy(target: dict, coeff: Fraction, source: dict) -> None:
+        for key, value in source.items():
+            _put(target, key, -coeff * value)
+
+    def _reduce(self, vec: dict, combo: dict) -> dict:
+        while vec:
+            lead = min(vec)
+            hit = self.pivots.get(lead)
+            if hit is None:
+                break
+            coeff = vec.pop(lead)
+            pivot_vec, pivot_combo = hit
+            self._axpy(vec, coeff, {k: v for k, v in pivot_vec.items() if k != lead})
+            self._axpy(combo, -coeff, pivot_combo)
+        return vec
+
+    def add_column(self, key, vec: dict) -> bool:
+        work = {k: Fraction(v) for k, v in vec.items() if v}
+        combo = {key: Fraction(-1)}
+        work = self._reduce(work, combo)
+        if not work:
+            return False
+        lead = min(work)
+        inv = 1 / work[lead]
+        self.pivots[lead] = ({k: v * inv for k, v in work.items()},
+                             {k: -v * inv for k, v in combo.items()})
+        return True
+
+    def solve(self, rhs: dict):
+        combo: dict = {}
+        if self._reduce({k: Fraction(v) for k, v in rhs.items() if v}, combo):
+            return None
+        return combo
+
+    def residual(self, rhs: dict) -> dict:
+        return self._reduce({k: Fraction(v) for k, v in rhs.items() if v}, {})

@@ -4,7 +4,7 @@ import os
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from starq.cli import main
+from starq.cli import MAX_DEGREE, MAX_K, MAX_ORDER, main
 from starq.polynomials import parse_poly
 from starq.star import StarProduct
 
@@ -142,6 +142,42 @@ def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["verify", "export-latex"])
+def test_directory_as_star_file_exits_two(command, tmp_path, capsys):
+    assert main([command, str(tmp_path)]) == 2
+    assert "cannot read" in capsys.readouterr().err
+
+
+def _no_build(*args, **kwargs):
+    raise AssertionError("the build ran although its arguments were rejected")
+
+
+def test_missing_out_directory_is_rejected_before_the_build(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("starq.cli.build_star", _no_build)
+    out = tmp_path / "missing" / "x.json"
+    assert main(["construct", "--order", "1", "--out", str(out)]) == 2
+    assert "output directory" in capsys.readouterr().err
+
+
+def test_failed_write_exits_two(tmp_path, capsys):
+    # the output path is an existing directory, so replacing it fails
+    assert main(["construct", "--phi", "x3", "--order", "1", "--out", str(tmp_path)]) == 2
+    assert "cannot write" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["construct", "--order", str(MAX_ORDER + 1)], "order"),
+    (["obstruction", "--k", str(MAX_K + 1)], "obstruction level"),
+    (["verify", "star.json", "--degree", str(MAX_DEGREE + 1)], "degree"),
+])
+def test_resource_bounds_are_rejected_before_any_work(argv, what, monkeypatch, capsys):
+    # only the rejection is exercised; nothing is computed at or near a cap
+    monkeypatch.setattr("starq.cli.build_star", _no_build)
+    monkeypatch.setattr("starq.cli.verify_star", _no_build)
+    assert main(argv) == 2
+    assert what in capsys.readouterr().err
 
 
 def _truncate(text: str) -> str:

@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from starq.linsolve import ColumnReducer
 
+from helpers import FractionReducer
+
 
 def test_solves_small_system_exactly():
     r = ColumnReducer()
@@ -62,3 +64,45 @@ def test_random_combinations_are_recovered(seed):
             rebuilt[r] = rebuilt.get(r, Fraction(0)) + w * v
     rebuilt = {r: v for r, v in rebuilt.items() if v}
     assert rebuilt == rhs
+
+
+def _random_column(rng: Random, rows: int) -> dict:
+    return {r: Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 5, 6)))
+            for r in range(rows) if rng.random() < 0.6}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_reducer_matches_the_fraction_reference(seed):
+    """Random rational columns, with zero columns and combinations of earlier
+    columns among them: the same rank, pivot leads, solutions and residuals."""
+    rng = Random(seed)
+    rows = rng.randint(1, 7)
+    reducer, reference = ColumnReducer(), FractionReducer()
+    columns: list[dict] = []
+    for c in range(rng.randint(1, 7)):
+        kind = rng.random()
+        if kind < 0.15 or not columns:
+            col = {} if kind < 0.1 else _random_column(rng, rows)
+        elif kind < 0.4:
+            col = {}
+            for other in rng.sample(columns, min(2, len(columns))):
+                w = Fraction(rng.randint(-3, 3), rng.choice((1, 2, 7)))
+                for r, v in other.items():
+                    col[r] = col.get(r, Fraction(0)) + w * v
+        else:
+            col = _random_column(rng, rows)
+        columns.append(col)
+        assert reducer.add_column(c, col) == reference.add_column(c, col)
+    assert reducer.rank == len(reference.pivots)
+    assert sorted(reducer.pivots) == sorted(reference.pivots)
+    for _ in range(3):
+        rhs = _random_column(rng, rows)
+        if rng.random() < 0.5:  # inside the span
+            rhs = {}
+            for col in columns:
+                w = Fraction(rng.randint(-2, 2), rng.choice((1, 3)))
+                for r, v in col.items():
+                    rhs[r] = rhs.get(r, Fraction(0)) + w * v
+        assert reducer.solve(rhs) == reference.solve(rhs)
+        assert reducer.residual(rhs) == reference.residual(rhs)

@@ -1,3 +1,6 @@
+from collections import Counter
+from itertools import product
+
 import pytest
 
 from starq.multiindex import (binary_splits, format_index, indices_up_to, merge,
@@ -35,6 +38,21 @@ def test_binary_splits_counts_by_multinomial():
     as_map = {(a, b): c for a, b, c in pieces}
     assert as_map[((1, 1), (2,))] == 1
     assert as_map[((1,), (1, 2))] == 2
+
+
+def test_memoized_binary_splits_match_a_fresh_enumeration():
+    """Every subset of the individual derivatives goes left once."""
+    for index in indices_up_to(6):
+        fresh = Counter()
+        for picks in product((False, True), repeat=len(index)):
+            left = tuple(a for a, pick in zip(index, picks) if pick)
+            right = tuple(a for a, pick in zip(index, picks) if not pick)
+            fresh[left, right] += 1
+        splits_of = binary_splits(index)
+        assert isinstance(splits_of, tuple)
+        assert binary_splits(index) is splits_of
+        assert len(splits_of) == len(fresh)
+        assert {(a, b): c for a, b, c in splits_of} == fresh
 
 
 def test_splits_three_ways_sum():

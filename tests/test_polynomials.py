@@ -1,9 +1,15 @@
 from fractions import Fraction
+from math import gcd
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from starq.jets import JetPolynomial, monomial_key, phi_jet, psi_jet
 from starq.polynomials import MAX_PARSE_DEGREE, XPoly, monomials_up_to, parse_poly
+
+from helpers import (fraction_add, fraction_mul, fraction_scale, fraction_x_derivative,
+                     random_index)
 
 
 def small_polys():
@@ -90,3 +96,80 @@ def test_parser_rejects_degrees_beyond_the_cap():
                  "(x1^8)^9", f"x1^{MAX_PARSE_DEGREE} * x2", f"x1^{MAX_PARSE_DEGREE}(x2+1)"):
         with pytest.raises(ValueError):
             parse_poly(text)
+
+
+# -- the integer-numerator core against Fraction arithmetic ------------------------------
+
+_DENOMINATORS = (1, 2, 3, 4, 5, 6, 7, 9, 12)  # many pairs that do not divide each other
+
+
+def _random_mono(rng: Random, ring):
+    if ring is XPoly:
+        return tuple(rng.randint(0, 2) for _ in range(3))
+    factors = [phi_jet(*random_index(rng, 2, min_len=1)) if rng.random() < 0.6
+               else psi_jet(*random_index(rng, 2)) for _ in range(rng.randint(0, 2))]
+    return monomial_key(factors)
+
+
+def _random_terms(rng: Random, ring) -> dict:
+    """Fraction coefficients; empty in about one draw out of six."""
+    out = {}
+    for _ in range(rng.choice((0, 1, 2, 3, 4, 5))):
+        q = Fraction(rng.randint(-9, 9), rng.choice(_DENOMINATORS))
+        if q:
+            out[_random_mono(rng, ring)] = q
+    return out
+
+
+def assert_canonical(p) -> None:
+    """Nonzero int numerators over den > 0, gcd 1 overall; zero has den 1."""
+    assert type(p.den) is int and p.den > 0
+    assert all(type(c) is int and c for c in p.terms.values())
+    assert gcd(p.den, *p.terms.values()) == 1
+
+
+def _fractions(p) -> dict:
+    return dict(p.monomials())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from((XPoly, JetPolynomial)))
+def test_integer_core_matches_fraction_arithmetic(seed, ring):
+    rng = Random(seed)
+    a, b = _random_terms(rng, ring), _random_terms(rng, ring)
+    pa, pb = ring(a), ring(b)
+    q = Fraction(rng.randint(-5, 5), rng.choice(_DENOMINATORS))
+    direction = rng.choice((1, 2, 3))
+    index = random_index(rng, 3)
+    expected_derivative = a
+    for d in index:
+        expected_derivative = fraction_x_derivative(expected_derivative, d, ring)
+    cases = [
+        (pa, a),
+        (pa + pb, fraction_add(a, b)),
+        (pa - pb, fraction_add(a, b, -1)),
+        (-pa, fraction_scale(a, Fraction(-1))),
+        (pa * pb, fraction_mul(a, b, ring._mono_mul)),
+        (pa.scale(q), fraction_scale(a, q)),
+        (pa * q.numerator, fraction_scale(a, Fraction(q.numerator))),
+        (pa.x_derivative(direction), fraction_x_derivative(a, direction, ring)),
+        (pa.derivative(index), expected_derivative),
+        (pa - pa, {}),
+    ]
+    for result, expected in cases:
+        assert type(result) is ring
+        assert_canonical(result)
+        assert _fractions(result) == expected
+        assert result == ring(expected)
+        assert hash(result) == hash(ring(expected))
+    for mono, c in a.items():
+        assert pa.coefficient(mono) == c
+    assert ring.from_json(pa.to_json()) == pa
+
+
+def test_canonical_form_of_zero_and_cancellation():
+    half = XPoly.from_monomial((1, 0, 0), Fraction(1, 2))
+    assert (half - half).den == 1 and (half - half).terms == {}
+    assert (half + half).den == 1 and (half + half).terms == {(1, 0, 0): 1}
+    assert XPoly.const(Fraction(0, 7)) == XPoly.zero()
+    assert half.scale(Fraction(2, 3)) == XPoly.from_monomial((1, 0, 0), Fraction(1, 3))

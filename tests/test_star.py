@@ -74,6 +74,23 @@ def test_verifier_rhs_on_symbolic_levels(sym_star3, sym_rhs):
         assert sym_rhs[k] == reference_rhs(sym_star3.levels, k)
 
 
+def test_hot_kernels_construct_no_fraction(sym_star3, monkeypatch):
+    """The coboundary and the insertion kernel run on integer numerators."""
+    made = []
+    original = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6) and made  # the wrapper counts
+    made.clear()
+    sym_star3.levels[3].hochschild_delta()
+    assemble_rhs(sym_star3.levels, 3)
+    assert made == []
+
+
 def test_levels_satisfy_recursion(sym_star3):
     levels = sym_star3.levels
     for k in range(2, 4):
