@@ -12,8 +12,7 @@ from .multiindex import mi
 from .opo import AbstractTerm, concretize, enumerate_terms, is_opo, parse_term
 from .polynomials import XPoly, parse_poly
 from .star import (GradingError, InfeasibleError, ObstructionError,
-                   ObstructionReport, StarProduct, build_star, obstruction,
-                   solve_delta)
+                   ObstructionReport, StarProduct, build_star, obstruction)
 from .verify import (PoissonVector, associator, commutator_probe,
                      jacobi_residual, moyal_level, verify_star)
 from .experiment import opo_audit, psi_opo_experiment
@@ -48,7 +47,6 @@ __all__ = [
     "parse_poly",
     "parse_term",
     "psi_opo_experiment",
-    "solve_delta",
     "verify_star",
     "__version__",
 ]

@@ -21,7 +21,7 @@ from .latex import star_latex
 from .opo import is_opo, parse_term, term_to_text
 from .polynomials import XPoly, parse_poly
 from .star import (GradingError, InfeasibleError, ObstructionError,
-                   StarProduct, assemble_rhs, build_star, obstruction)
+                   StarProduct, build_star, level_equation)
 from .verify import PoissonVector, jacobi_residual, verify_star
 
 EXIT_OK = 0
@@ -63,8 +63,10 @@ class JobConfig:
             raise ConfigError(f"order must be between 1 and {MAX_ORDER}")
         if self.k is not None and not 2 <= self.k <= MAX_K:
             raise ConfigError(f"obstruction level must be between 2 and {MAX_K}")
-        if self.jet_cap is not None and self.jet_cap < self.order + 1:
-            raise ConfigError("jet truncation must exceed the order")
+        # an obstruction builds and grades every level up to k
+        top, what = (self.order, "order") if self.k is None else (self.k, "obstruction level")
+        if self.jet_cap is not None and self.jet_cap < top + 1:
+            raise ConfigError(f"jet truncation must exceed the {what}")
         if self.degree is not None and not 1 <= self.degree <= MAX_DEGREE:
             raise ConfigError(f"degree bound must be between 1 and {MAX_DEGREE}")
         if self.mode not in MODES:
@@ -203,6 +205,8 @@ def cmd_jacobi(cfg: JobConfig, vector: str | None) -> int:
             raise ConfigError("jacobi needs --P or an explicit --phi")
         if cfg.psi is not None:
             psi = _parse_expr(cfg.psi, "psi")
+            if isinstance(psi, str):
+                raise ConfigError("jacobi needs an explicit --psi")
             p = PoissonVector.from_conformal(psi, phi)
         else:
             p = PoissonVector.from_gradient(phi)
@@ -218,8 +222,7 @@ def cmd_obstruction(cfg: JobConfig) -> int:
     try:
         star = build_star(cfg.mode, k - 1, phi=phi, psi=psi,
                           jet_cap=cfg.jet_cap)
-        rhs = assemble_rhs(star.levels, k, check_closed=True)
-        report = obstruction(rhs, k, levels=star.levels, assume_closed=True)
+        _, report = level_equation(star.levels, k, cfg.mode, cfg.jet_cap)
     except ObstructionError as exc:
         report = exc.report
     except (InfeasibleError, ValueError) as exc:
@@ -269,7 +272,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="exact star-product construction and verification")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, order=False):
+    def common(p, emit, order=False):
         p.add_argument("--mode", choices=MODES, default=NABLA_PHI)
         p.add_argument("--phi", default="sym",
                        help="polynomial expression or 'sym'")
@@ -277,13 +280,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--jet-cap", type=int, default=None,
                        help="jet truncation bound (symbolic runs)")
         p.add_argument("--out", default=None)
-        p.add_argument("--emit", choices=("text", "json", "latex"),
-                       default="text")
+        p.add_argument("--emit", choices=emit, default="text")
         if order:
             p.add_argument("--order", type=int, required=True)
 
     c = sub.add_parser("construct", help="build a star product level by level")
-    common(c, order=True)
+    common(c, ("text", "json", "latex"), order=True)
     c.add_argument("--opo-restrict", action="store_true",
                    help="restrict every level to the orderable-diagram span")
 
@@ -301,7 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
     j.add_argument("--psi", default=None)
 
     o = sub.add_parser("obstruction", help="alternating obstruction at a level")
-    common(o)
+    common(o, ("text", "json"))
     o.add_argument("--k", type=int, required=True)
 
     t = sub.add_parser("opo-check", help="orderability of one abstract term")

@@ -28,10 +28,10 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from itertools import permutations
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
-from .jets import JetPolynomial
-from .multiindex import MultiIndex, binary_splits, merge, splits
+from .jets import JetPolynomial, epsilon
+from .multiindex import MultiIndex, merge, splits
 from .polynomials import RatVec, XPoly
 
 Slots = tuple[MultiIndex, ...]
@@ -41,16 +41,8 @@ X_RING = "x"
 
 _RINGS = {JET_RING: JetPolynomial, X_RING: XPoly}
 
-_S3 = tuple(permutations((0, 1, 2)))
-
-
-def _perm_sign(perm: tuple[int, ...]) -> int:
-    sign = 1
-    for a in range(len(perm)):
-        for b in range(a + 1, len(perm)):
-            if perm[a] > perm[b]:
-                sign = -sign
-    return sign
+# the orderings of three arguments, each with its sign
+_S3 = tuple((perm, epsilon(*(p + 1 for p in perm))) for perm in permutations((0, 1, 2)))
 
 
 def ring_class(ring: str):
@@ -79,7 +71,7 @@ def delta_terms(slots: Slots) -> Iterator[tuple[Slots, int]]:
     yield ((),) + slots, 1
     for i in range(n):
         sign = -(-1) ** i
-        for left, right, count in binary_splits(slots[i]):
+        for (left, right), count in splits(slots[i], 2):
             yield slots[:i] + (left, right) + slots[i + 1:], sign * count
     yield slots + ((),), (-1) ** (n - 1)
 
@@ -163,14 +155,6 @@ class Cochain:
             out.add_term(slots, c * value)
         return out
 
-    def map_coefficients(self, fn: Callable, ring: str | None = None) -> "Cochain":
-        out = Cochain(self.arity, ring or self.ring)
-        for slots, c in self.terms.items():
-            image = fn(c)
-            if not image.is_zero:
-                out.add_term(slots, image)
-        return out
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -247,8 +231,8 @@ class Cochain:
         sums: dict[Slots, RatVec] = defaultdict(RatVec)
         for slots, c in self.terms.items():
             terms, den = c.terms, 6 * c.den
-            for perm in _S3:
-                sums[tuple(slots[p] for p in perm)].add(terms, den, _perm_sign(perm))
+            for perm, sign in _S3:
+                sums[tuple(slots[p] for p in perm)].add(terms, den, sign)
         return Cochain._from_sums(3, self.ring, sums)
 
     # -- evaluation -----------------------------------------------------------
@@ -257,7 +241,9 @@ class Cochain:
         """Substitute explicit potentials into jet coefficients."""
         if self.ring != JET_RING:
             raise ValueError("specialize applies to jet-ring cochains")
-        return self.map_coefficients(lambda c: c.eval_jets(phi, psi), ring=X_RING)
+        images = ((slots, c.eval_jets(phi, psi)) for slots, c in self.terms.items())
+        return Cochain(self.arity, X_RING,
+                       {slots: image for slots, image in images if not image.is_zero})
 
     # -- serialization ----------------------------------------------------------
 
@@ -383,7 +369,7 @@ def epsilon_cochain(ring: str) -> "Cochain":
     first derivatives; unit coefficient on the identity slot ordering."""
     one = ring_class(ring).one()
     out = Cochain(3, ring)
-    for perm in _S3:
+    for perm, sign in _S3:
         slots = ((perm[0] + 1,), (perm[1] + 1,), (perm[2] + 1,))
-        out.add_term(slots, one.scale(_perm_sign(perm)))
+        out.add_term(slots, one.scale(sign))
     return out

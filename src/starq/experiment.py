@@ -21,8 +21,8 @@ from .jets import PSI_NABLA_PHI, JetPolynomial
 from .linsolve import ColumnReducer
 from .opo import AbstractTerm, concretize, enumerate_terms, is_opo, term_to_text
 from .star import (
-    DeltaSolver, InfeasibleError, StarProduct, _flatten, assemble_rhs, build_star,
-    check_grading, determinant_witness, opo_projections,
+    DeltaSolver, InfeasibleError, StarProduct, _flatten, build_star, determinant_witness,
+    level_equation, opo_projections, solve_opo,
 )
 
 OPO_LIFT = "opo-lift"
@@ -169,11 +169,10 @@ class ExperimentRecord:
         }
 
 
-def _solvable(solver: DeltaSolver, rhs: Cochain, k: int, mode: str,
-              jet_cap: int | None) -> bool:
+def _solvable(solver: DeltaSolver, rhs: Cochain, k: int) -> bool:
     """Whether the shape ansatz cobounds rhs at level k."""
     try:
-        solver.solve(rhs, k, mode, jet_cap)
+        solver.solve(rhs, k)
     except InfeasibleError:
         return False
     return True
@@ -197,8 +196,7 @@ def psi_opo_experiment(jet_cap: int = 5,
                        jet_cap=jet_cap)
     levels = list(lower.levels)
     m1, m2 = levels[1], levels[2]
-    r3 = assemble_rhs(levels, 3, check_closed=True)
-    check_grading(r3, 3, mode, jet_cap)
+    r3, _ = level_equation(levels, 3, mode, jet_cap)
 
     columns = dict(opo_projections(3, mode))
 
@@ -206,7 +204,6 @@ def psi_opo_experiment(jet_cap: int = 5,
     base_alt = m2.bracket(m2, (1, 1, 1)).scale(Fraction(1, 2)).antisymmetrize()
     base_witness = determinant_witness(base_alt)
 
-    delta_only = ColumnReducer()
     combined = ColumnReducer()
     delta_rows: set = set()
     obstruction_rows: set = set()
@@ -214,44 +211,35 @@ def psi_opo_experiment(jet_cap: int = 5,
         delta = _flatten(proj.hochschild_delta()).fractions()
         dvec = {("delta",) + row: q for row, q in delta.items()}
         delta_rows.update(dvec)
-        delta_only.add_column(idx, dict(dvec))
         alt = m1.bracket(proj, (1, 1, 1)).antisymmetrize()
         for mono, q in determinant_witness(alt).monomials():
             dvec[("ar", mono)] = q
             obstruction_rows.add(("ar", mono))
         combined.add_column(idx, dvec)
 
-    rhs_delta = {("delta",) + row: q for row, q in _flatten(r3).fractions().items()}
-    delta_rows.update(rhs_delta)
-    rhs_combined = dict(rhs_delta)
+    rhs_combined = {("delta",) + row: q for row, q in _flatten(r3).fractions().items()}
+    delta_rows.update(rhs_combined)
     for mono, q in base_witness.monomials():
         rhs_combined[("ar", mono)] = -q
         obstruction_rows.add(("ar", mono))
 
-    delta_solution = delta_only.solve(rhs_delta)
+    orderable_m3 = solve_opo(r3, 3, mode)
     combined_solution = combined.solve(rhs_combined)
-
-    def assemble(solution: dict[int, Fraction] | None) -> Cochain | None:
-        if solution is None:
-            return None
-        return linear_combination(2, JET_RING,
-                                  ((q, columns[idx]) for idx, q in sorted(solution.items())))
-
-    orderable_m3 = assemble(delta_solution)
-    witness_m3 = assemble(combined_solution)
+    witness_m3 = None
+    if combined_solution is not None:
+        witness_m3 = linear_combination(
+            2, JET_RING, ((q, columns[idx]) for idx, q in sorted(combined_solution.items())))
+        if witness_m3.hochschild_delta() != r3:
+            raise AssertionError("combined solution fails the level equation")
 
     obstruction_witness = None
     if orderable_m3 is not None:
-        if orderable_m3.hochschild_delta() != r3:
-            raise AssertionError("diagram-span level-3 solution fails its equation")
         # degree_part and antisymmetrize are linear, so the constant part is reused
         alt = m1.bracket(orderable_m3, (1, 1, 1)).antisymmetrize() + base_alt
         obstruction_witness = determinant_witness(alt)
-    if witness_m3 is not None and witness_m3.hochschild_delta() != r3:
-        raise AssertionError("combined solution fails the level equation")
 
     # contrast: the unconstrained level equation is solvable (shape ansatz)
-    unrestricted_feasible = _solvable(DeltaSolver(), r3, 3, mode, jet_cap)
+    unrestricted_feasible = _solvable(DeltaSolver(), r3, 3)
 
     return ExperimentRecord(
         mode=mode,
@@ -259,7 +247,7 @@ def psi_opo_experiment(jet_cap: int = 5,
         columns=len(columns),
         delta_rows=len(delta_rows),
         obstruction_rows=len(obstruction_rows),
-        orderable_delta_feasible=delta_solution is not None,
+        orderable_delta_feasible=orderable_m3 is not None,
         combined_feasible=combined_solution is not None,
         unrestricted_feasible=unrestricted_feasible,
         expected_infeasible=True,

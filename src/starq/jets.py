@@ -13,19 +13,13 @@ one denominator).  Its monomial keys are sorted tuples of jet variables, so
 structural equality is dict and denominator equality.
 The total x-derivative acts by prolongation, d/dx_a phi_I = phi_{I+a},
 extended as a derivation to products.
-
-Poisson structure components enter through ``substitute_p``: a formal
-product of derivatives of components ``d_I P^{ij}`` is rewritten into jet
-variables, either for the gradient family P_vec = grad phi or for the
-conformal family P_vec = psi * grad phi.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable
 
-from .multiindex import MultiIndex, binary_splits, format_index, merge, parse_index
+from .multiindex import MultiIndex, format_index, merge, parse_index, splits
 from .polynomials import RatVec, SparsePoly, XPoly
 
 PHI = "phi"
@@ -154,26 +148,11 @@ class JetPolynomial(SparsePoly):
             total.add(value.terms, value.den)
         return XPoly.from_numerators(total.terms, total.den * self.den)
 
-    def factor_counts(self, mono: Monomial | None = None) -> tuple[int, int]:
-        """(phi factors, psi factors) of a monomial; requires a single monomial
-        when called without an argument."""
-        if mono is None:
-            if len(self.terms) != 1:
-                raise ValueError("factor_counts of a non-monomial polynomial")
-            mono = next(iter(self.terms))
-        n_phi = sum(1 for tag, _ in mono if tag == PHI)
-        return n_phi, len(mono) - n_phi
-
     def max_jet_order(self) -> int:
         """Largest derivative order among all jet factors; 0 if constant."""
         orders = [len(index) for mono in self.terms for _, index in mono]
         return max(orders, default=0)
 
-
-# A formal product of derivatives of Poisson components: each factor is
-# (derivative multi-index, upper index i, upper index j) for d_I P^{ij}.
-PFactorSymbol = tuple[MultiIndex, int, int]
-PTerm = tuple[Fraction, tuple[PFactorSymbol, ...]]
 
 _EPSILON = {
     (1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1,
@@ -203,22 +182,10 @@ def substitute_factor(index: MultiIndex, i: int, j: int, mode: str) -> JetPolyno
             out = out + JetPolynomial.from_monomial(
                 (jet_var(PHI, merge(index, (k,))),), sign)
         elif mode == PSI_NABLA_PHI:
-            for left, right, count in binary_splits(index):
+            for (left, right), count in splits(index, 2):
                 mono = monomial_key((jet_var(PSI, left), jet_var(PHI, merge(right, (k,)))))
                 out = out + JetPolynomial.from_monomial(mono, sign * count)
         else:
             raise ValueError(f"unknown substitution mode {mode!r}")
     return out
 
-
-def substitute_p(terms: Iterable[PTerm], mode: str = NABLA_PHI) -> JetPolynomial:
-    """Rewrite a formal polynomial in Poisson-component derivatives into jets."""
-    total = RatVec()
-    for coeff, factors in terms:
-        value = JetPolynomial.const(coeff)
-        for index, i, j in factors:
-            if value.is_zero:
-                break
-            value = value * substitute_factor(index, i, j, mode)
-        total.add(value.terms, value.den)
-    return JetPolynomial.from_numerators(total.terms, total.den)

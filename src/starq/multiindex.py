@@ -52,39 +52,20 @@ def parse_index(text: str) -> MultiIndex:
 
 
 @cache
-def binary_splits(index: MultiIndex) -> tuple[tuple[MultiIndex, MultiIndex, int], ...]:
-    """Ordered two-part multiset splits of ``index`` with multiplicity.
-
-    Returns (left, right, count) triples where count is the number of ways
-    to pick which individual derivatives go left, i.e. the product of
-    binomial coefficients per direction.  This is the Leibniz expansion of a
-    repeated derivative applied to a product of two factors.  The result is
-    a pure function of the sorted index and is memoized.
-    """
-    mults = multiplicities(index)
-    out = []
-    for take in itertools.product(*(range(m + 1) for m in mults)):
-        count = 1
-        left: list[int] = []
-        right: list[int] = []
-        for d, m, t in zip(DIRECTIONS, mults, take):
-            count *= comb(m, t)
-            left.extend([d] * t)
-            right.extend([d] * (m - t))
-        out.append((tuple(left), tuple(right), count))
-    return tuple(out)
-
-
-def splits(index: MultiIndex, parts: int) -> Iterator[tuple[tuple[MultiIndex, ...], int]]:
+def splits(index: MultiIndex, parts: int) -> tuple[tuple[tuple[MultiIndex, ...], int], ...]:
     """Ordered multiset splits of ``index`` into ``parts`` pieces.
 
-    Yields (pieces, count) with the multinomial multiplicity, i.e. the number
-    of assignments of the individual derivatives realizing those pieces.
+    Returns (pieces, count) pairs with the multinomial multiplicity, i.e. the
+    number of assignments of the individual derivatives realizing those
+    pieces.  With two parts this is the Leibniz expansion of a repeated
+    derivative applied to a product of two factors.  The result is a pure
+    function of the sorted index and is memoized.
     """
     if parts < 1:
         raise ValueError("parts must be >= 1")
     mults = multiplicities(index)
     per_direction = [list(_compositions(m, parts)) for m in mults]
+    out = []
     for combo in itertools.product(*per_direction):
         count = 1
         pieces: list[list[int]] = [[] for _ in range(parts)]
@@ -92,7 +73,8 @@ def splits(index: MultiIndex, parts: int) -> Iterator[tuple[tuple[MultiIndex, ..
             count *= ways
             for p, c in enumerate(composition):
                 pieces[p].extend([d] * c)
-        yield tuple(tuple(p) for p in pieces), count
+        out.append((tuple(tuple(p) for p in pieces), count))
+    return tuple(out)
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -112,10 +94,3 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[tuple[int, ...], int
 def all_indices(length: int) -> list[MultiIndex]:
     """All sorted multi-indices of the given length."""
     return [tuple(c) for c in itertools.combinations_with_replacement(DIRECTIONS, length)]
-
-
-def indices_up_to(length: int) -> list[MultiIndex]:
-    out: list[MultiIndex] = []
-    for n in range(length + 1):
-        out.extend(all_indices(n))
-    return out

@@ -23,7 +23,7 @@ reappear when diagrams are concretized over coordinate indices.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 import re
 from typing import Iterable, Iterator, Sequence
 
@@ -318,33 +318,20 @@ def concretize(terms: AbstractTerm | Iterable[AbstractTerm], mode: str) -> Cocha
 
 # -- enumeration ----------------------------------------------------------------
 
-def enumerate_terms(n_factors: int, n_args: int = 2, min_arg_degree: int = 1,
-                    include_self: bool = True, require_opo: bool = False) -> list[AbstractTerm]:
-    """All canonical unit-coefficient diagrams with the given factor count.
+def enumerate_terms(n_factors: int, require_opo: bool = False) -> list[AbstractTerm]:
+    """All canonical unit-coefficient bidifferential diagrams with the given
+    factor count.
 
-    Diagrams are deduplicated under factor relabeling; arguments must each
-    receive at least min_arg_degree wires; self-differentiation can be
-    excluded; require_opo keeps rightward-orderable diagrams only.
+    Diagrams are deduplicated under factor relabeling; each argument must
+    receive at least one wire; require_opo keeps rightward-orderable
+    diagrams only.
     """
-    targets_base: list[Target] = [(ARG, a) for a in range(n_args)]
+    targets = [(ARG, 0), (ARG, 1)] + [(FAC, v) for v in range(n_factors)]
+    pairs: list[Pair] = [tuple(sorted(pair)) for pair in combinations(targets, 2)]
     seen: dict[tuple, AbstractTerm] = {}
-    per_factor: list[list[Pair]] = []
-    for u in range(n_factors):
-        targets = list(targets_base) + [
-            (FAC, v) for v in range(n_factors) if include_self or v != u]
-        pairs = []
-        for x in range(len(targets)):
-            for y in range(x + 1, len(targets)):
-                a, b = targets[x], targets[y]
-                if (a, b) == ((FAC, u), (FAC, u)):
-                    continue
-                pairs.append(tuple(sorted((a, b))))
-        per_factor.append(pairs)
-    for assignment in product(*per_factor):
-        term = canonical_term(Fraction(1), list(assignment), n_args)
-        if term is None:
-            continue
-        if any(term.arg_degree(a) < min_arg_degree for a in range(n_args)):
+    for assignment in product(pairs, repeat=n_factors):
+        term = canonical_term(Fraction(1), list(assignment), 2)
+        if term is None or not (term.arg_degree(0) and term.arg_degree(1)):
             continue
         if require_opo and not is_opo(term)[0]:
             continue

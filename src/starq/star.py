@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .cochains import (
     Cochain, JET_RING, X_RING, delta_terms, epsilon_cochain, insertion_sum, linear_combination,
@@ -99,14 +99,13 @@ def base_levels(mode: str, ring: str, phi: XPoly | None = None,
 
 # -- right-hand side ------------------------------------------------------------
 
-def assemble_rhs(levels: Sequence[Cochain], k: int, check_closed: bool = True) -> Cochain:
+def assemble_rhs(levels: Sequence[Cochain], k: int) -> Cochain:
     """R_k = sum over l of M_l o M_{k-l}, the source M_k must cobound.
 
     Levels are indexed by their order, levels[0] being the multiplication.
     For bilinear levels the Gerstenhaber bracket is [a, b] = a o b + b o a,
     so this one-sided sum equals (1/2) sum over l of [M_l, M_{k-l}] with half
-    the insertions.  The result is closed when the lower levels solve their
-    own equations; that is verified here rather than assumed.
+    the insertions.  ``level_equation`` checks that the result is closed.
     """
     if k < 2:
         raise ValueError("right-hand sides start at level 2")
@@ -114,11 +113,8 @@ def assemble_rhs(levels: Sequence[Cochain], k: int, check_closed: bool = True) -
         raise ValueError(f"level {k} needs all lower levels, have {len(levels) - 1}")
     if any(levels[l].arity != 2 for l in range(1, k)):
         raise ValueError("right-hand sides are assembled from bilinear levels")
-    total = insertion_sum(3, levels[1].ring,
-                          ((1, levels[l], levels[k - l]) for l in range(1, k)))
-    if check_closed and not total.hochschild_delta().is_zero:
-        raise ClosureError(f"delta(R_{k}) is nonzero; lower levels are inconsistent")
-    return total
+    return insertion_sum(3, levels[1].ring,
+                         ((1, levels[l], levels[k - l]) for l in range(1, k)))
 
 
 # -- obstruction -----------------------------------------------------------------
@@ -172,8 +168,8 @@ def determinant_witness(alternating: Cochain):
     return witness
 
 
-def obstruction(rhs: Cochain, k: int, levels: Sequence[Cochain] | None = None,
-                assume_closed: bool = False) -> ObstructionReport:
+def obstruction(rhs: Cochain, k: int,
+                levels: Sequence[Cochain] | None = None) -> ObstructionReport:
     """Alternating first-order part of R_k, with its coordinate witness.
 
     The alternating part of a first-order trilinear operator in three
@@ -185,8 +181,6 @@ def obstruction(rhs: Cochain, k: int, levels: Sequence[Cochain] | None = None,
     A((M_{k-1} o M_1)_{(1,1,1)}) is computed as a cross-check; it must be
     zero together with the direct result, or a rational multiple of it.
     """
-    if not assume_closed and not rhs.hochschild_delta().is_zero:
-        raise ClosureError(f"delta(R_{k}) is nonzero; lower levels are inconsistent")
     alternating = rhs.degree_part((1, 1, 1)).antisymmetrize()
     witness = determinant_witness(alternating)
     parity_path = (k % 2 == 1) and rhs.reverse_args() == rhs
@@ -236,6 +230,24 @@ def check_grading(cochain: Cochain, k: int, mode: str, jet_cap: int | None = Non
                     f"level {k}: derivative balance {s_total}+{sum(jet_orders)} != {3 * k}")
             if max(jet_orders, default=0) > cap:
                 raise GradingError(f"level {k}: jet order beyond truncation {cap}")
+
+
+# -- the level step ------------------------------------------------------------------
+
+def level_equation(levels: Sequence[Cochain], k: int, mode: str,
+                   jet_cap: int | None = None) -> tuple[Cochain, ObstructionReport]:
+    """The checked right-hand side of delta(M_k) = R_k and its obstruction.
+
+    R_k is assembled from the lower levels and must be closed, which holds
+    when they solve their own equations; that is verified here rather than
+    assumed.  In the jet ring R_k is also graded.  Whether the report's
+    obstruction blocks the step is left to the caller.
+    """
+    rhs = assemble_rhs(levels, k)
+    if not rhs.hochschild_delta().is_zero:
+        raise ClosureError(f"delta(R_{k}) is nonzero; lower levels are inconsistent")
+    check_grading(rhs, k, mode, jet_cap)
+    return rhs, obstruction(rhs, k, levels)
 
 
 # -- the ansatz and the solver -------------------------------------------------------
@@ -298,12 +310,9 @@ class DeltaSolver:
         self._systems[key] = reducer
         return reducer
 
-    def solve(self, rhs: Cochain, k: int, mode: str | None = None,
-              jet_cap: int | None = None) -> Cochain:
+    def solve(self, rhs: Cochain, k: int) -> Cochain:
         """Canonical M_k with delta(M_k) = R_k, exact; raises InfeasibleError
         when some block cannot be generated."""
-        if mode is not None:
-            check_grading(rhs, k, mode, jet_cap)
         parity = parity_sign(k)
         blocks: dict[tuple, RatVec] = defaultdict(RatVec)
         for slots, coeff in rhs.terms.items():
@@ -326,11 +335,6 @@ class DeltaSolver:
         if result.hochschild_delta() != rhs:
             raise AssertionError("solver produced a wrong coboundary")
         return result
-
-
-def solve_delta(rhs: Cochain, k: int, mode: str | None = None,
-                jet_cap: int | None = None, solver: DeltaSolver | None = None) -> Cochain:
-    return (solver or DeltaSolver()).solve(rhs, k, mode, jet_cap)
 
 
 # -- gauge re-selection inside the orderable-diagram span ------------------------------
@@ -404,9 +408,6 @@ class StarProduct:
     psi_source: str | None = None
     gauges: dict[int, str] | None = None
 
-    def level(self, k: int) -> Cochain:
-        return self.levels[k]
-
     def to_json(self) -> dict:
         return {
             "mode": self.mode,
@@ -475,7 +476,6 @@ class StarProduct:
 
 def build_star(mode: str, order: int, phi: XPoly | str = "sym",
                psi: XPoly | str | None = None, jet_cap: int | None = None,
-               solver: DeltaSolver | None = None,
                opo_gauge_limit: int = OPO_GAUGE_LIMIT,
                opo_restrict: bool = False) -> StarProduct:
     """Construct levels 0..order with obstruction checks at every step.
@@ -512,31 +512,26 @@ def build_star(mode: str, order: int, phi: XPoly | str = "sym",
     levels = base_levels(mode, ring, phi_poly, psi_poly)
     # jet-ring shadow recursion, sourcing gauge re-selections for explicit builds
     jet_levels = levels if symbolic else base_levels(mode, JET_RING)
-    solver = solver or DeltaSolver()
+    solver = DeltaSolver()
     reports: list[ObstructionReport] = []
     gauges = {0: "base", 1: "base"}
     for k in range(2, order + 1):
-        rhs = assemble_rhs(levels, k, check_closed=True)
-        if ring == JET_RING:
-            check_grading(rhs, k, mode, jet_cap)
-        report = obstruction(rhs, k, levels=levels, assume_closed=True)
+        rhs, report = level_equation(levels, k, mode, jet_cap)
         reports.append(report)
         if not report.is_zero:
             raise ObstructionError(report)
-        level_k = None
         gauges[k] = "unique" if k % 2 else "pivot"
-        opo_wanted = (opo_restrict or (k % 2 == 0 and k <= opo_gauge_limit))
-        if opo_wanted and len(jet_levels) == k:
-            jet_rhs = rhs if symbolic else assemble_rhs(jet_levels, k, check_closed=False)
-            if not symbolic:
-                check_grading(jet_rhs, k, mode, jet_cap)
-                jet_report = obstruction(jet_rhs, k, levels=jet_levels,
-                                         assume_closed=True)
-                if opo_restrict and not jet_report.is_zero:
-                    # the whole family is obstructed, so there is no
-                    # restricted solution to specialize from
-                    reports.append(jet_report)
-                    raise ObstructionError(jet_report)
+        opo_wanted = opo_restrict or (k % 2 == 0 and k <= opo_gauge_limit)
+        jet_rhs = rhs if symbolic else None
+        if jet_rhs is None and len(jet_levels) == k and (opo_wanted or k < opo_gauge_limit):
+            jet_rhs, jet_report = level_equation(jet_levels, k, mode, jet_cap)
+            if opo_restrict and not jet_report.is_zero:
+                # the whole family is obstructed, so there is no
+                # restricted solution to specialize from
+                reports.append(jet_report)
+                raise ObstructionError(jet_report)
+        level_k = jet_level = None
+        if opo_wanted and jet_rhs is not None:
             jet_level = solve_opo(jet_rhs, k, mode)
             if jet_level is None and opo_restrict:
                 raise InfeasibleError(
@@ -552,14 +547,14 @@ def build_star(mode: str, order: int, phi: XPoly | str = "sym",
                             "stopped solving the explicit recursion")
             if level_k is not None:
                 gauges[k] = "opo"
-                if not symbolic:
-                    jet_levels.append(jet_level)
         if level_k is None:
-            level_k = solver.solve(rhs, k, mode if ring == JET_RING else None, jet_cap)
+            level_k = solver.solve(rhs, k)
         levels.append(level_k)
-        if not symbolic and len(jet_levels) == k and k < opo_gauge_limit:
-            jet_levels.append(solver.solve(
-                assemble_rhs(jet_levels, k, check_closed=False), k, mode, jet_cap))
+        if not symbolic and jet_rhs is not None:
+            if gauges[k] == "opo":
+                jet_levels.append(jet_level)
+            elif k < opo_gauge_limit:
+                jet_levels.append(solver.solve(jet_rhs, k))
     return StarProduct(
         mode=mode, ring=ring, order=order, levels=levels,
         obstruction_reports=reports,

@@ -18,6 +18,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
+from math import factorial
 
 from .cochains import Cochain, X_RING, linear_combination
 from .jets import NABLA_PHI, JetPolynomial, substitute_factor
@@ -82,7 +83,7 @@ def moyal_level(p: PoissonVector, k: int) -> Cochain:
     out = Cochain(2, X_RING)
     if k == 0:
         return Cochain.multiplication(X_RING)
-    weight = Fraction(1, 2 ** k) / _factorial(k)
+    weight = Fraction(1, 2 ** k * factorial(k))
     for chain in iproduct(sorted(comps), repeat=k):
         coeff = weight
         for pair in chain:
@@ -90,13 +91,6 @@ def moyal_level(p: PoissonVector, k: int) -> Cochain:
         left = tuple(sorted(i for i, _ in chain))
         right = tuple(sorted(j for _, j in chain))
         out.add_term((left, right), XPoly.const(coeff))
-    return out
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
     return out
 
 
@@ -269,8 +263,7 @@ def _rhs(levels: list[Cochain], k: int) -> Cochain:
                               ((half, levels[l].bracket(levels[k - l])) for l in range(1, k)))
 
 
-def verify_star(star: StarProduct, degree: int | None = None,
-                probe_degree: int = 2) -> dict:
+def verify_star(star: StarProduct, degree: int | None = None) -> dict:
     """Full independent re-check of a star product; returns a report whose
     failing checks each name a witness triple.
 
@@ -322,7 +315,7 @@ def verify_star(star: StarProduct, degree: int | None = None,
         else:
             check("associator", True)
 
-        _commutator_checks(star, check, probe_degree)
+        _commutator_checks(star, check)
 
     report = {
         "pass": all(c.passed for c in checks),
@@ -345,7 +338,7 @@ def _monomial_triples(monos: list[XPoly], bound: int):
                     yield f, g, h
 
 
-def _commutator_checks(star: StarProduct, check, probe_degree: int) -> None:
+def _commutator_checks(star: StarProduct, check) -> None:
     """First-order bracket agreement and evenness cancellation on samples."""
     phi = parse_poly(star.phi_source) if star.phi_source != "sym" else None
     psi = (parse_poly(star.psi_source)
@@ -359,7 +352,7 @@ def _commutator_checks(star: StarProduct, check, probe_degree: int) -> None:
         c1, c2, c3 = vector.components()
         brackets = {(1, 2): c3, (2, 3): c1, (3, 1): c2}
     pairs = [(XPoly.var(i), XPoly.var(j)) for i, j in ((1, 2), (2, 3), (3, 1))]
-    pairs += [(m, XPoly.var(1)) for m in monomials_up_to(probe_degree)[:6]]
+    pairs += [(m, XPoly.var(1)) for m in monomials_up_to(2)[:6]]
     for f, g in pairs:
         series = commutator_probe(star, f, g)
         evens = [series[k] for k in range(0, len(series), 2)]

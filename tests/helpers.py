@@ -6,7 +6,7 @@ from random import Random
 
 from starq.cochains import Cochain, JET_RING, X_RING
 from starq.jets import JetPolynomial, monomial_key, phi_jet, psi_jet
-from starq.multiindex import binary_splits, merge, splits
+from starq.multiindex import merge, splits
 from starq.polynomials import XPoly, monomials_up_to
 
 _DIRS = (1, 2, 3)
@@ -68,7 +68,7 @@ def reference_hochschild_delta(c: Cochain) -> Cochain:
     for slots, coeff in c.terms.items():
         out.add_term(((),) + slots, coeff)
         for i in range(n):
-            for left, right, count in binary_splits(slots[i]):
+            for (left, right), count in splits(slots[i], 2):
                 out.add_term(slots[:i] + (left, right) + slots[i + 1:],
                              coeff.scale(-Fraction((-1) ** i) * count))
         out.add_term(slots + ((),), coeff.scale((-1) ** (n - 1)))

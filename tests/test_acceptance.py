@@ -20,7 +20,7 @@ from starq.opo import (abstract_bracket, abstract_delta, concretize,
                        jacobi_example_opo_term, jacobi_example_terms,
                        non_orderable_example, poisson_term)
 from starq.polynomials import XPoly, parse_poly
-from starq.star import StarProduct, assemble_rhs, build_star, obstruction
+from starq.star import StarProduct, build_star, level_equation
 from starq.verify import (PoissonVector, associator_scan, commutator_probe,
                           gradient_jacobi_residual, jacobi_residual)
 
@@ -109,12 +109,10 @@ def test_criterion_5_cubic_potential_order_three(cubic_star):
 
 def test_criterion_6_symbolic_obstructions(sym_star3):
     levels = sym_star3.levels
-    rhs3 = assemble_rhs(levels, 3, check_closed=True)
-    report3 = obstruction(rhs3, 3, levels=levels, assume_closed=True)
+    _, report3 = level_equation(levels, 3, NABLA_PHI)
     odd_ok = report3.is_zero and report3.parity_path
 
-    rhs4 = assemble_rhs(levels, 4, check_closed=True)
-    report4 = obstruction(rhs4, 4, levels=levels, assume_closed=True)
+    _, report4 = level_equation(levels, 4, NABLA_PHI)
     even_ok = (report4.is_zero and not report4.parity_path
                and report4.coordinate_witness.is_zero
                and report4.alternating.is_zero

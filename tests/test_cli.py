@@ -60,6 +60,8 @@ def test_jacobi_rejects_bad_vector(capsys):
     assert main(["jacobi", "--P", "x1,x2"]) == 2
     assert main(["jacobi", "--P", "x1,x2,sym"]) == 2
     assert main(["jacobi"]) == 2
+    assert main(["jacobi", "--phi", "x1", "--psi", "sym"]) == 2
+    assert "explicit --psi" in capsys.readouterr().err
 
 
 def test_obstruction_symbolic_parity(capsys):
@@ -71,6 +73,19 @@ def test_obstruction_symbolic_parity(capsys):
 
 def test_obstruction_level_validation(capsys):
     assert main(["obstruction", "--phi", "sym", "--k", "1"]) == 2
+
+
+def test_obstruction_jet_cap_must_exceed_k(monkeypatch, capsys):
+    # only the rejection is exercised: the build below level k never runs
+    monkeypatch.setattr("starq.cli.build_star", _no_build)
+    assert main(["obstruction", "--phi", "sym", "--k", "5", "--jet-cap", "2"]) == 2
+    assert "obstruction level" in capsys.readouterr().err
+
+
+def test_obstruction_offers_text_and_json_only():
+    with pytest.raises(SystemExit) as exc:
+        main(["obstruction", "--phi", "sym", "--k", "2", "--emit", "latex"])
+    assert exc.value.code == 2
 
 
 def test_opo_check_examples(capsys):

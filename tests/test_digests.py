@@ -6,8 +6,10 @@ import json
 
 import pytest
 
+from starq.jets import NABLA_PHI, PSI_NABLA_PHI
 from starq.latex import star_latex
-from starq.star import StarProduct
+from starq.polynomials import parse_poly
+from starq.star import StarProduct, build_star
 from starq.verify import verify_star
 
 PRODUCTS = {
@@ -32,6 +34,17 @@ MUTANTS = {
     "sym_star3": "b8c615f07608ab7281ce869a2423db0b3acf6649dbe393c97ba48fc30fbe79f5",
 }
 
+# JSON of builds through the restricted span at every level and through the
+# explicit conformal recursion with its jet-ring shadow.
+BUILDS = {
+    "opo-restrict": (
+        lambda: build_star(NABLA_PHI, 3, opo_restrict=True),
+        "5d11d27198fe2d09956529b665cd95ad345dba93d999126aa4f348353725b4ba"),
+    "conformal": (
+        lambda: build_star(PSI_NABLA_PHI, 3, phi=parse_poly("x1*x2*x3"), psi=parse_poly("1+x1")),
+        "6fd702ea0ea128118108cc8a9a3ab62c97f294e3acff464a112efe68b5d2dc67"),
+}
+
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -43,6 +56,12 @@ def test_product_json_and_latex_digests(name, request):
     json_digest, latex_digest = PRODUCTS[name]
     assert _sha(json.dumps(star.to_json(), indent=2)) == json_digest
     assert _sha(star_latex(star)) == latex_digest
+
+
+@pytest.mark.parametrize("name", sorted(BUILDS))
+def test_build_json_digests(name):
+    build, digest = BUILDS[name]
+    assert _sha(json.dumps(build().to_json(), indent=2)) == digest
 
 
 def test_verify_report_digest(cubic_star):

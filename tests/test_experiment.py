@@ -3,7 +3,7 @@ import json
 from starq.cochains import Cochain, JET_RING
 from starq.experiment import (NO_LIFT, NON_OPO_LIFT, OPO_LIFT, SKIPPED,
                               AuditReport, _solvable, opo_audit)
-from starq.jets import NABLA_PHI, PSI_NABLA_PHI
+from starq.jets import NABLA_PHI
 from starq.star import InfeasibleError, build_star
 
 
@@ -47,7 +47,7 @@ class _StubSolver:
     def __init__(self, feasible: bool):
         self.feasible = feasible
 
-    def solve(self, rhs, k, mode=None, jet_cap=None):
+    def solve(self, rhs, k):
         if not self.feasible:
             raise InfeasibleError(f"level {k}: no ansatz combination")
         return Cochain(2, JET_RING)
@@ -55,5 +55,5 @@ class _StubSolver:
 
 def test_infeasible_unrestricted_solve_is_recorded_not_raised():
     rhs = Cochain(3, JET_RING)
-    assert _solvable(_StubSolver(True), rhs, 3, PSI_NABLA_PHI, 5) is True
-    assert _solvable(_StubSolver(False), rhs, 3, PSI_NABLA_PHI, 5) is False
+    assert _solvable(_StubSolver(True), rhs, 3) is True
+    assert _solvable(_StubSolver(False), rhs, 3) is False

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from starq.jets import (NABLA_PHI, PSI_NABLA_PHI, JetPolynomial, jet_var,
-                        phi_jet, psi_jet, substitute_factor, substitute_p)
+                        phi_jet, psi_jet, substitute_factor)
 from starq.polynomials import XPoly, parse_poly
 
 
@@ -62,7 +62,6 @@ def test_eval_jets_specializes_to_explicit_polynomials():
 def test_factor_counts_and_jet_order():
     mono = (phi_jet(1), phi_jet(2, 3), psi_jet())
     p = JetPolynomial.from_monomial(mono, Fraction(1))
-    assert p.factor_counts(mono) == (2, 1)
     assert p.max_jet_order() == 2
 
 
@@ -79,14 +78,6 @@ def test_from_json_sums_duplicates_and_drops_zeros():
     assert JetPolynomial.from_json(data) == JetPolynomial.variable(phi_jet(3))
     with pytest.raises(ValueError):
         JetPolynomial.from_json([{"coeff": 1, "factors": []}])
-
-
-def test_substitute_p_sums_terms_in_place():
-    d1_p12 = ((1,), 1, 2)
-    assert substitute_p([(Fraction(1), (d1_p12,)), (Fraction(-1), (d1_p12,))]).is_zero
-    half = Fraction(1, 2)
-    assert (substitute_p([(half, (d1_p12,)), (half, (d1_p12,))])
-            == substitute_factor((1,), 1, 2, NABLA_PHI))
 
 
 def test_rings_are_distinct_under_equality():

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from starq.cochains import Cochain, JET_RING, X_RING
 from starq.jets import (NABLA_PHI, PSI_NABLA_PHI, JetPolynomial, phi_jet)
 from starq.polynomials import XPoly, parse_poly
-from starq.star import (GradingError, ObstructionReport, StarProduct,
-                        assemble_rhs, base_levels, build_star, check_grading,
-                        jet_cap_default, obstruction, parity_sign, solve_delta)
+from starq.star import (ClosureError, DeltaSolver, GradingError, ObstructionReport,
+                        StarProduct, assemble_rhs, base_levels, build_star, check_grading,
+                        jet_cap_default, level_equation, obstruction, parity_sign)
 from starq.verify import _rhs, moyal_levels, PoissonVector
 
 from helpers import random_cochain, reference_rhs
@@ -44,7 +44,7 @@ def test_one_sided_rhs_equals_symmetric_bracket_form(seed, ring):
         random_cochain(rng, 2, ring, max_slot_degree=rng.randint(1, 3), terms=rng.randint(1, 3))
         for _ in range(rng.randint(2, 4))]
     for k in range(2, len(levels) + 1):
-        assert assemble_rhs(levels, k, check_closed=False) == _rhs(levels, k)
+        assert assemble_rhs(levels, k) == _rhs(levels, k)
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +55,7 @@ def sym_rhs(sym_star3):
 
 def test_one_sided_rhs_on_symbolic_levels(sym_star3, sym_rhs):
     for k in (2, 3, 4):
-        assert assemble_rhs(sym_star3.levels, k, check_closed=False) == sym_rhs[k]
+        assert assemble_rhs(sym_star3.levels, k) == sym_rhs[k]
 
 
 @settings(max_examples=30, deadline=None)
@@ -94,8 +94,32 @@ def test_hot_kernels_construct_no_fraction(sym_star3, monkeypatch):
 def test_levels_satisfy_recursion(sym_star3):
     levels = sym_star3.levels
     for k in range(2, 4):
-        rhs = assemble_rhs(levels, k, check_closed=True)
+        rhs, _ = level_equation(levels, k, NABLA_PHI)
         assert (levels[k].hochschild_delta() - rhs).is_zero
+
+
+@pytest.mark.parametrize("name", ["sym_star3", "cubic_star"])
+def test_level_step_rejects_a_perturbed_lower_level(name, request):
+    star = request.getfixturevalue(name)
+    levels = list(star.levels)
+    bumped = Cochain(2, star.ring, dict(levels[2].terms))
+    slots, coeff = bumped.sorted_terms()[0]
+    bumped.terms[slots] = coeff.scale(2)  # keeps the grading, breaks the equation
+    levels[2] = bumped
+    with pytest.raises(ClosureError):
+        level_equation(levels, 3, star.mode)
+
+
+def test_symbolic_build_grades_each_level_once(monkeypatch):
+    graded = []
+
+    def counting(cochain, k, *args):
+        graded.append(k)
+        return check_grading(cochain, k, *args)
+
+    monkeypatch.setattr("starq.star.check_grading", counting)
+    build_star(NABLA_PHI, 3)
+    assert graded == [2, 3]
 
 
 def test_second_level_carries_weyl_weights(sym_star3):
@@ -151,7 +175,8 @@ def test_solve_delta_inverts_coboundaries():
     raw = Cochain.single(2, JET_RING, ((1, 2), (2, 3, 3)), jets)
     seed = (raw - raw.reverse_args()).scale(Fraction(1, 2))
     rhs = seed.hochschild_delta()
-    solved = solve_delta(rhs, 3, NABLA_PHI)
+    check_grading(rhs, 3, NABLA_PHI)
+    solved = DeltaSolver().solve(rhs, 3)
     assert (solved.hochschild_delta() - rhs).is_zero
     assert solved.reverse_args() == solved.scale(-1)
 
@@ -201,5 +226,5 @@ def test_conformal_symbolic_build_through_two_levels():
 def test_obstruction_alternation_kills_coboundaries():
     rng = Random(31)
     c = random_cochain(rng, 2, ring=JET_RING, max_slot_degree=2, terms=3)
-    report = obstruction(c.hochschild_delta(), 4, assume_closed=True)
+    report = obstruction(c.hochschild_delta(), 4)
     assert report.is_zero
