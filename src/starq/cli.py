@@ -63,10 +63,12 @@ class JobConfig:
             raise ConfigError(f"order must be between 1 and {MAX_ORDER}")
         if self.k is not None and not 2 <= self.k <= MAX_K:
             raise ConfigError(f"obstruction level must be between 2 and {MAX_K}")
-        # an obstruction builds and grades every level up to k
+        # R_k, graded up to the top level, spreads 3k derivatives over k jets
+        # of order >= 1 and three nonempty slots: its jets reach order 2k - 2
         top, what = (self.order, "order") if self.k is None else (self.k, "obstruction level")
-        if self.jet_cap is not None and self.jet_cap < top + 1:
-            raise ConfigError(f"jet truncation must exceed the {what}")
+        need = max(top + 1, 2 * top - 2)
+        if self.jet_cap is not None and self.jet_cap < need:
+            raise ConfigError(f"jet truncation must be at least {need} at this {what}")
         if self.degree is not None and not 1 <= self.degree <= MAX_DEGREE:
             raise ConfigError(f"degree bound must be between 1 and {MAX_DEGREE}")
         if self.mode not in MODES:

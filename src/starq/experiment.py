@@ -198,7 +198,8 @@ def psi_opo_experiment(jet_cap: int = 5,
     m1, m2 = levels[1], levels[2]
     r3, _ = level_equation(levels, 3, mode, jet_cap)
 
-    columns = dict(opo_projections(3, mode))
+    projections = opo_projections(3, mode)  # computed once, shared with solve_opo
+    columns = dict(projections)
 
     # constant part of the level-4 obstruction: half the self-bracket of level 2
     base_alt = m2.bracket(m2, (1, 1, 1)).scale(Fraction(1, 2)).antisymmetrize()
@@ -223,7 +224,7 @@ def psi_opo_experiment(jet_cap: int = 5,
         rhs_combined[("ar", mono)] = -q
         obstruction_rows.add(("ar", mono))
 
-    orderable_m3 = solve_opo(r3, 3, mode)
+    orderable_m3 = solve_opo(r3, projections)
     combined_solution = combined.solve(rhs_combined)
     witness_m3 = None
     if combined_solution is not None:

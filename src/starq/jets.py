@@ -17,6 +17,7 @@ extended as a derivation to products.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterable
 
 from .multiindex import MultiIndex, format_index, merge, parse_index, splits
@@ -165,12 +166,13 @@ def epsilon(i: int, j: int, k: int) -> int:
     return _EPSILON.get((i, j, k), 0)
 
 
+@cache
 def substitute_factor(index: MultiIndex, i: int, j: int, mode: str) -> JetPolynomial:
     """Rewrite d_I P^{ij} into jet variables for the chosen structure family.
 
     Gradient family: P^{ij} = eps^{ijk} phi_k, so the derivative lands on a
     single phi jet.  Conformal family: P^{ij} = eps^{ijk} psi*phi_k, and the
-    derivative distributes over the product.
+    derivative distributes over the product.  Memoized: ring elements are immutable.
     """
     index = tuple(sorted(index))
     out = JetPolynomial.zero()

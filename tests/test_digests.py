@@ -1,5 +1,6 @@
-"""Pinned sha256 digests of serialized products, LaTeX exports and verify
-reports: the bytes the ring classes print must not drift under refactoring."""
+"""Pinned sha256 digests of serialized products, LaTeX exports, verify
+reports and diagram columns: the bytes the ring classes print, and the
+diagrams the enumeration yields, must not drift under refactoring."""
 
 import hashlib
 import json
@@ -8,8 +9,9 @@ import pytest
 
 from starq.jets import NABLA_PHI, PSI_NABLA_PHI
 from starq.latex import star_latex
+from starq.opo import enumerate_terms
 from starq.polynomials import parse_poly
-from starq.star import StarProduct, build_star
+from starq.star import StarProduct, build_star, opo_projections
 from starq.verify import verify_star
 
 PRODUCTS = {
@@ -34,12 +36,16 @@ MUTANTS = {
     "sym_star3": "b8c615f07608ab7281ce869a2423db0b3acf6649dbe393c97ba48fc30fbe79f5",
 }
 
-# JSON of builds through the restricted span at every level and through the
-# explicit conformal recursion with its jet-ring shadow.
+# JSON of builds through the restricted span at every level (the conformal
+# one concretizes non-monomial factors) and through the explicit conformal
+# recursion with its jet-ring shadow.
 BUILDS = {
     "opo-restrict": (
         lambda: build_star(NABLA_PHI, 3, opo_restrict=True),
         "5d11d27198fe2d09956529b665cd95ad345dba93d999126aa4f348353725b4ba"),
+    "opo-restrict-conformal": (
+        lambda: build_star(PSI_NABLA_PHI, 3, "sym", "sym", opo_restrict=True),
+        "78d7c66d703becb4376d1b6ad818f277751ee1dfca3c9b848c3716f7cd22d4de"),
     "conformal": (
         lambda: build_star(PSI_NABLA_PHI, 3, phi=parse_poly("x1*x2*x3"), psi=parse_poly("1+x1")),
         "6fd702ea0ea128118108cc8a9a3ab62c97f294e3acff464a112efe68b5d2dc67"),
@@ -62,6 +68,25 @@ def test_product_json_and_latex_digests(name, request):
 def test_build_json_digests(name):
     build, digest = BUILDS[name]
     assert _sha(json.dumps(build().to_json(), indent=2)) == digest
+
+
+def test_orderable_enumeration_digest():
+    keys = [term.key() for term in enumerate_terms(4, require_opo=True)]
+    assert _sha(repr(keys)) == (
+        "d68157cc64d4bdb2f338db3a0dbb9f9e228b8600dafc83b86ed29a3c64174bd4")
+
+
+# JSON of every parity-projected 3-factor column, with its diagram index.
+PROJECTIONS = {
+    NABLA_PHI: "d8a9c7256ed23ea5d99f22a2bad7057e57b9c2609cb76db1d6c496b3a3231250",
+    PSI_NABLA_PHI: "a2fbe4936c05363291f5a664727717ff17d54c6dcf7e6ebeb15fc39123c2d1e1",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(PROJECTIONS))
+def test_projection_digests(mode):
+    columns = [[idx, proj.to_json()] for idx, proj in opo_projections(3, mode)]
+    assert _sha(json.dumps(columns, indent=2)) == PROJECTIONS[mode]
 
 
 def test_verify_report_digest(cubic_star):

@@ -1,9 +1,14 @@
+from fractions import Fraction
+from itertools import product
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from helpers import reference_concretize, reference_enumerate
 from starq.cochains import X_RING
-from starq.jets import NABLA_PHI, PSI_NABLA_PHI
+from starq.jets import NABLA_PHI, PSI_NABLA_PHI, substitute_factor
+from starq.multiindex import all_indices
 from starq.opo import (AbstractTerm, abstract_bracket, abstract_delta,
                        canonical_term, concretize, double_bracket_terms,
                        enumerate_terms, is_opo, jacobi_example_opo_term,
@@ -107,3 +112,62 @@ def test_bracket_closure_spot_checks():
             produced += 1
             assert is_opo(piece)[0]
     assert produced > 0
+
+
+# -- the fast kernels against the brute-force references in tests/helpers.py -----------
+
+MODES = st.sampled_from((NABLA_PHI, PSI_NABLA_PHI))
+POOL = [t for n in (1, 2, 3) for t in enumerate_terms(n)]  # non-orderable ones included
+COEFFS = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+
+
+@st.composite
+def diagram_lists(draw):
+    """Random lists of scaled diagrams, some of them cancelling exactly."""
+    terms = [draw(st.sampled_from(POOL)).scale(draw(COEFFS))
+             for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        terms.append(terms[0].scale(-1))  # a diagram and its negative
+    if draw(st.booleans()):
+        q = draw(COEFFS)
+        terms += [t.scale(q) for t in jacobi_example_terms()]  # sums to zero
+    return draw(st.permutations(terms))
+
+
+@settings(max_examples=20, deadline=None)
+@given(diagram_lists(), MODES)
+def test_concretize_matches_reference(terms, mode):
+    assert concretize(terms, mode) == reference_concretize(terms, mode)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_generated_enumeration_matches_filtered_reference(n):
+    for require_opo in (True, False):
+        fast, slow = enumerate_terms(n, require_opo), reference_enumerate(n, require_opo)
+        assert [(t.coeff, t.key()) for t in fast] == [(t.coeff, t.key()) for t in slow]
+
+
+def test_generated_diagrams_are_orderable():
+    for n in (1, 2, 3, 4):
+        assert all(is_opo(t)[0] for t in enumerate_terms(n, require_opo=True))
+
+
+@settings(max_examples=20, deadline=None)
+@given(diagram_lists(), MODES)
+def test_memoized_substitution_shares_nothing_mutable(terms, mode):
+    first = concretize(terms, mode)
+    assert concretize(terms, mode) == first
+    for index in (ix for length in range(5) for ix in all_indices(length)):
+        for i, j in product((1, 2, 3), repeat=2):
+            assert substitute_factor(index, i, j, mode) == (
+                substitute_factor.__wrapped__(index, i, j, mode))
+
+
+@pytest.mark.slow
+def test_four_factor_diagrams_match_references():
+    orderable = enumerate_terms(4, require_opo=True)
+    assert len(orderable) == 74
+    assert [t.key() for t in orderable] == [t.key() for t in reference_enumerate(4, True)]
+    for mode in (NABLA_PHI, PSI_NABLA_PHI):
+        for term in orderable:
+            assert concretize(term, mode) == reference_concretize([term], mode)
