@@ -50,7 +50,6 @@ class JobConfig:
     phi: str = "sym"
     psi: str | None = None
     order: int = 1
-    jet_cap: int | None = None
     degree: int | None = None
     k: int | None = None  # obstruction level
     out: str | None = None
@@ -63,16 +62,8 @@ class JobConfig:
             raise ConfigError(f"order must be between 1 and {MAX_ORDER}")
         if self.k is not None and not 2 <= self.k <= MAX_K:
             raise ConfigError(f"obstruction level must be between 2 and {MAX_K}")
-        # R_k, graded up to the top level, spreads 3k derivatives over k jets
-        # of order >= 1 and three nonempty slots: its jets reach order 2k - 2
-        top, what = (self.order, "order") if self.k is None else (self.k, "obstruction level")
-        need = max(top + 1, 2 * top - 2)
-        if self.jet_cap is not None and self.jet_cap < need:
-            raise ConfigError(f"jet truncation must be at least {need} at this {what}")
         if self.degree is not None and not 1 <= self.degree <= MAX_DEGREE:
             raise ConfigError(f"degree bound must be between 1 and {MAX_DEGREE}")
-        if self.mode not in MODES:
-            raise ConfigError(f"unknown mode {self.mode!r}")
         if self.out is not None and not os.path.isdir(_directory(self.out)):
             raise ConfigError(f"no such output directory: {_directory(self.out)}")
 
@@ -120,7 +111,7 @@ def cmd_construct(cfg: JobConfig) -> int:
     psi = None if cfg.psi is None else _parse_expr(cfg.psi, "psi")
     try:
         star = build_star(cfg.mode, cfg.order, phi=phi, psi=psi,
-                          jet_cap=cfg.jet_cap, opo_restrict=cfg.opo_restrict)
+                          opo_restrict=cfg.opo_restrict)
     except ObstructionError as exc:
         payload = {"status": "obstructed", "report": exc.report.to_json()}
         _emit(cfg, json.dumps(payload, indent=2))
@@ -222,9 +213,8 @@ def cmd_obstruction(cfg: JobConfig) -> int:
     phi = _parse_expr(cfg.phi, "phi")
     psi = None if cfg.psi is None else _parse_expr(cfg.psi, "psi")
     try:
-        star = build_star(cfg.mode, k - 1, phi=phi, psi=psi,
-                          jet_cap=cfg.jet_cap)
-        _, report = level_equation(star.levels, k, cfg.mode, cfg.jet_cap)
+        star = build_star(cfg.mode, k - 1, phi=phi, psi=psi)
+        _, report = level_equation(star.levels, k, cfg.mode)
     except ObstructionError as exc:
         report = exc.report
     except (InfeasibleError, ValueError) as exc:
@@ -279,8 +269,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--phi", default="sym",
                        help="polynomial expression or 'sym'")
         p.add_argument("--psi", default=None)
-        p.add_argument("--jet-cap", type=int, default=None,
-                       help="jet truncation bound (symbolic runs)")
         p.add_argument("--out", default=None)
         p.add_argument("--emit", choices=emit, default="text")
         if order:
@@ -327,7 +315,6 @@ def main(argv: list[str] | None = None) -> int:
             phi=getattr(args, "phi", "sym") or "sym",
             psi=getattr(args, "psi", None),
             order=getattr(args, "order", 1),
-            jet_cap=getattr(args, "jet_cap", None),
             degree=getattr(args, "degree", None),
             k=getattr(args, "k", None),
             out=getattr(args, "out", None),

@@ -92,16 +92,6 @@ class Cochain:
     # -- construction -----------------------------------------------------
 
     @staticmethod
-    def zero(arity: int, ring: str) -> "Cochain":
-        return Cochain(arity, ring)
-
-    @staticmethod
-    def single(arity: int, ring: str, slots: Slots, coeff) -> "Cochain":
-        out = Cochain(arity, ring)
-        out.add_term(slots, coeff)
-        return out
-
-    @staticmethod
     def multiplication(ring: str) -> "Cochain":
         """The pointwise product as a bilinear operator."""
         return Cochain(2, ring, {((), ()): ring_class(ring).one()})

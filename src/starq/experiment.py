@@ -132,7 +132,6 @@ class ExperimentRecord:
     it is recorded here in full as the refutation witness.
     """
     mode: str
-    jet_cap: int
     columns: int
     delta_rows: int
     obstruction_rows: int
@@ -151,7 +150,6 @@ class ExperimentRecord:
     def to_json(self) -> dict:
         return {
             "mode": self.mode,
-            "jetCap": self.jet_cap,
             "columns": self.columns,
             "deltaRows": self.delta_rows,
             "obstructionRows": self.obstruction_rows,
@@ -178,8 +176,7 @@ def _solvable(solver: DeltaSolver, rhs: Cochain, k: int) -> bool:
     return True
 
 
-def psi_opo_experiment(jet_cap: int = 5,
-                       mode: str = PSI_NABLA_PHI) -> ExperimentRecord:
+def psi_opo_experiment() -> ExperimentRecord:
     """Exact feasibility of an orderable level 3 with vanishing level-4
     obstruction, in the conformal family.
 
@@ -192,13 +189,11 @@ def psi_opo_experiment(jet_cap: int = 5,
     an exact symmetric cocycle, which neither the level equation nor the
     alternation can see.
     """
-    lower = build_star(mode, 2, "sym", "sym" if mode == PSI_NABLA_PHI else None,
-                       jet_cap=jet_cap)
-    levels = list(lower.levels)
+    levels = build_star(PSI_NABLA_PHI, 2, "sym", "sym").levels
     m1, m2 = levels[1], levels[2]
-    r3, _ = level_equation(levels, 3, mode, jet_cap)
+    r3, _ = level_equation(levels, 3, PSI_NABLA_PHI)
 
-    projections = opo_projections(3, mode)  # computed once, shared with solve_opo
+    projections = opo_projections(3, PSI_NABLA_PHI)  # computed once, shared with solve_opo
     columns = dict(projections)
 
     # constant part of the level-4 obstruction: half the self-bracket of level 2
@@ -243,8 +238,7 @@ def psi_opo_experiment(jet_cap: int = 5,
     unrestricted_feasible = _solvable(DeltaSolver(), r3, 3)
 
     return ExperimentRecord(
-        mode=mode,
-        jet_cap=jet_cap,
+        mode=PSI_NABLA_PHI,
         columns=len(columns),
         delta_rows=len(delta_rows),
         obstruction_rows=len(obstruction_rows),

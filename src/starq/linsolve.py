@@ -8,8 +8,8 @@ using pivot columns only, so columns that arrived linearly dependent never
 appear in a solution: their coefficients stay zero.  Pivots, combinations
 and the vectors being reduced are ``RatVec``s, integer numerators over one
 denominator, reduced by their gcd after every elimination step; only the
-combinations ``solve`` and ``residual`` return are Fractions.  Results are
-exact and independence decisions are never approximate.
+combinations ``solve`` returns are Fractions.  Results are exact and
+independence decisions are never approximate.
 """
 
 from __future__ import annotations
@@ -81,9 +81,3 @@ class ColumnReducer:
         if work.terms:
             return None
         return combo.fractions()
-
-    def residual(self, rhs: Mapping | RatVec) -> dict[Hashable, Fraction]:
-        """Part of rhs outside the span of the added columns."""
-        work = RatVec.of(rhs)
-        self._reduce(work, RatVec())
-        return work.fractions()

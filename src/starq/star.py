@@ -74,7 +74,7 @@ def parity_sign(k: int) -> int:
 
 # -- level 0 and 1 -------------------------------------------------------------
 
-def poisson_cochain(mode: str = NABLA_PHI) -> Cochain:
+def poisson_cochain(mode: str) -> Cochain:
     """Half the Poisson bracket as a jet-ring bilinear operator."""
     out = Cochain(2, JET_RING)
     half = Fraction(1, 2)
@@ -200,42 +200,37 @@ def obstruction(rhs: Cochain, k: int,
 
 # -- grading ----------------------------------------------------------------------
 
-def jet_cap_default(k: int) -> int:
-    return 2 * k + 1
-
-
-def check_grading(cochain: Cochain, k: int, mode: str, jet_cap: int | None = None) -> None:
+def check_grading(cochain: Cochain, k: int, mode: str) -> None:
     """Factor-count and derivative-balance invariants for a level-k operator
     or right-hand side in the jet ring.
 
     Every term must carry exactly k potential-gradient jets (plus k
     conformal jets in the conformal family) and 3k derivatives in total,
-    counting jet orders and argument slots together.
+    counting jet orders and argument slots together.  Jets are exact and
+    never truncated; the balance alone bounds their orders, since the k
+    phi jets carry at least one derivative each.
     """
     if cochain.ring != JET_RING:
         return
-    cap = jet_cap if jet_cap is not None else jet_cap_default(k)
     want_psi = mode == PSI_NABLA_PHI
     for slots, coeff in cochain.terms.items():
         s_total = slot_total(slots)
         for mono in coeff.terms:
             n_phi = sum(1 for tag, _ in mono if tag == PHI)
             n_psi = len(mono) - n_phi
-            jet_orders = [len(index) for _, index in mono]
+            jet_total = sum(len(index) for _, index in mono)
             if n_phi != k or n_psi != (k if want_psi else 0):
                 raise GradingError(
                     f"level {k}: factor counts ({n_phi} phi, {n_psi} psi) in {mono}")
-            if s_total + sum(jet_orders) != 3 * k:
+            if s_total + jet_total != 3 * k:
                 raise GradingError(
-                    f"level {k}: derivative balance {s_total}+{sum(jet_orders)} != {3 * k}")
-            if max(jet_orders, default=0) > cap:
-                raise GradingError(f"level {k}: jet order beyond truncation {cap}")
+                    f"level {k}: derivative balance {s_total}+{jet_total} != {3 * k}")
 
 
 # -- the level step ------------------------------------------------------------------
 
-def level_equation(levels: Sequence[Cochain], k: int, mode: str,
-                   jet_cap: int | None = None) -> tuple[Cochain, ObstructionReport]:
+def level_equation(levels: Sequence[Cochain], k: int,
+                   mode: str) -> tuple[Cochain, ObstructionReport]:
     """The checked right-hand side of delta(M_k) = R_k and its obstruction.
 
     R_k is assembled from the lower levels and must be closed, which holds
@@ -246,7 +241,7 @@ def level_equation(levels: Sequence[Cochain], k: int, mode: str,
     rhs = assemble_rhs(levels, k)
     if not rhs.hochschild_delta().is_zero:
         raise ClosureError(f"delta(R_{k}) is nonzero; lower levels are inconsistent")
-    check_grading(rhs, k, mode, jet_cap)
+    check_grading(rhs, k, mode)
     return rhs, obstruction(rhs, k, levels)
 
 
@@ -398,6 +393,9 @@ def solve_opo(rhs: Cochain, columns: list[tuple[int, Cochain]]) -> Cochain | Non
 
 # -- the full construction -------------------------------------------------------------
 
+GAUGES = ("base", "pivot", "unique", "opo")
+
+
 @dataclass
 class StarProduct:
     mode: str
@@ -445,8 +443,11 @@ class StarProduct:
         if psi not in (None, "sym"):
             parse_poly(psi)
         gauges = data.get("gauges", {})
-        if not isinstance(gauges, dict) or not all(isinstance(g, str) for g in gauges.values()):
-            raise ValueError(f"gauges must map levels to gauge names, got {gauges!r}")
+        stored_levels = {str(k) for k in range(order + 1)}
+        if not isinstance(gauges, dict) or not all(
+                k in stored_levels and g in GAUGES for k, g in gauges.items()):
+            raise ValueError(f"gauges must map levels 0..{order} to one of {GAUGES}, "
+                             f"got {gauges!r}")
         reports = []
         stored_reports = data.get("obstructionReports", [])
         if not isinstance(stored_reports, list):
@@ -458,7 +459,9 @@ class StarProduct:
             alternating = Cochain.from_json(item["alternating"])
             if alternating.arity != 3 or alternating.ring != ring:
                 raise ValueError(f"level {level} obstruction is not trilinear in the {ring!r} ring")
-            if not isinstance(item["isZero"], bool) or not isinstance(item["parityPath"], bool):
+            agrees = item.get("shortcutAgrees")
+            if not (isinstance(item["isZero"], bool) and isinstance(item["parityPath"], bool)
+                    and isinstance(agrees, (bool, type(None)))):
                 raise ValueError(f"level {level} obstruction flags must be booleans")
             witness = cls.from_json(item["coordinateWitness"])
             shortcut = (None if item.get("shortcutWitness") is None
@@ -467,7 +470,7 @@ class StarProduct:
                 level=level, alternating=alternating,
                 coordinate_witness=witness, is_zero=item["isZero"],
                 parity_path=item["parityPath"], shortcut_witness=shortcut,
-                shortcut_agrees=item.get("shortcutAgrees")))
+                shortcut_agrees=agrees))
         return StarProduct(
             mode=mode, ring=ring, order=order,
             levels=levels, obstruction_reports=reports,
@@ -476,7 +479,7 @@ class StarProduct:
 
 
 def build_star(mode: str, order: int, phi: XPoly | str = "sym",
-               psi: XPoly | str | None = None, jet_cap: int | None = None,
+               psi: XPoly | str | None = None,
                opo_gauge_limit: int = OPO_GAUGE_LIMIT,
                opo_restrict: bool = False) -> StarProduct:
     """Construct levels 0..order with obstruction checks at every step.
@@ -517,7 +520,7 @@ def build_star(mode: str, order: int, phi: XPoly | str = "sym",
     reports: list[ObstructionReport] = []
     gauges = {0: "base", 1: "base"}
     for k in range(2, order + 1):
-        rhs, report = level_equation(levels, k, mode, jet_cap)
+        rhs, report = level_equation(levels, k, mode)
         reports.append(report)
         if not report.is_zero:
             raise ObstructionError(report)
@@ -525,7 +528,7 @@ def build_star(mode: str, order: int, phi: XPoly | str = "sym",
         opo_wanted = opo_restrict or (k % 2 == 0 and k <= opo_gauge_limit)
         jet_rhs = rhs if symbolic else None
         if jet_rhs is None and len(jet_levels) == k and (opo_wanted or k < opo_gauge_limit):
-            jet_rhs, jet_report = level_equation(jet_levels, k, mode, jet_cap)
+            jet_rhs, jet_report = level_equation(jet_levels, k, mode)
             if opo_restrict and not jet_report.is_zero:
                 # the whole family is obstructed, so there is no
                 # restricted solution to specialize from

@@ -21,7 +21,7 @@ from itertools import product as iproduct
 from math import factorial
 
 from .cochains import Cochain, X_RING, linear_combination
-from .jets import NABLA_PHI, JetPolynomial, substitute_factor
+from .jets import JetPolynomial, substitute_factor
 from .multiindex import MultiIndex, multiplicities
 from .polynomials import RatVec, XPoly, monomials_up_to, parse_poly
 from .star import StarProduct
@@ -60,7 +60,7 @@ def jacobi_residual(p: PoissonVector) -> XPoly:
     return c1 * curl1 + c2 * curl2 + c3 * curl3
 
 
-def gradient_jacobi_residual(mode: str = NABLA_PHI) -> JetPolynomial:
+def gradient_jacobi_residual(mode: str) -> JetPolynomial:
     """Same residual with the potentials symbolic, proving the identity for
     every gradient (or conformal-gradient) vector at once."""
     return jacobi_residual(PoissonVector(
@@ -92,10 +92,6 @@ def moyal_level(p: PoissonVector, k: int) -> Cochain:
         right = tuple(sorted(j for _, j in chain))
         out.add_term((left, right), XPoly.const(coeff))
     return out
-
-
-def moyal_levels(p: PoissonVector, order: int) -> list[Cochain]:
-    return [moyal_level(p, k) for k in range(order + 1)]
 
 
 # -- series evaluation ----------------------------------------------------------------
@@ -162,13 +158,6 @@ class _Evaluator:
         return XPoly.from_numerators(out.terms, out.den)
 
 
-def _top_order(levels: list[Cochain], order: int | None) -> int:
-    top = len(levels) - 1 if order is None else order
-    if top > len(levels) - 1:
-        raise ValueError("asking beyond the constructed order")
-    return top
-
-
 def star_series(star, f: XPoly, g: XPoly) -> list[XPoly]:
     """Coefficients of the deformation parameter in f * g, one per level."""
     levels = _levels_of(star)
@@ -176,30 +165,27 @@ def star_series(star, f: XPoly, g: XPoly) -> list[XPoly]:
     return [series.level(b, "f", "g") for b in range(len(levels))]
 
 
-def associator(star, f: XPoly, g: XPoly, h: XPoly,
-               order: int | None = None) -> list[XPoly]:
-    """Coefficients of (f*g)*h - f*(g*h) through the requested order."""
+def associator(star, f: XPoly, g: XPoly, h: XPoly) -> list[XPoly]:
+    """Coefficients of (f*g)*h - f*(g*h), one per level."""
     levels = _levels_of(star)
-    top = _top_order(levels, order)
     series = _Evaluator(levels, {"f": f, "g": g, "h": h})
-    return [series.associator("f", "g", "h", j) for j in range(top + 1)]
+    return [series.associator("f", "g", "h", j) for j in range(len(levels))]
 
 
-def associator_scan(star, bound: int, order: int | None = None):
+def associator_scan(star, bound: int):
     """The first nonzero associator coefficient over every monomial triple
     with total degree at most the bound, as (f, g, h, j, coefficient), or
-    None when every coefficient through the order vanishes.
+    None when every coefficient through the top level vanishes.
 
     Triples come in the order of ``_monomial_triples`` and, within a triple,
     coefficients in increasing j; nothing past the first nonzero one is
     computed.
     """
     levels = _levels_of(star)
-    top = _top_order(levels, order)
     monos = monomials_up_to(bound)
     series = _Evaluator(levels, enumerate(monos))
     for f, g, h in _monomial_triples(monos, bound):
-        for j in range(top + 1):
+        for j in range(len(levels)):
             c = series.associator(f, g, h, j)
             if not c.is_zero:
                 return monos[f], monos[g], monos[h], j, c
@@ -273,7 +259,6 @@ def verify_star(star: StarProduct, degree: int | None = None) -> dict:
     the constructed order).
     """
     levels = star.levels
-    order = star.order
     digest = _digest(star.to_json())
     checks: list[CheckResult] = []
 
@@ -307,8 +292,8 @@ def verify_star(star: StarProduct, degree: int | None = None) -> dict:
               witness=_witness_from_slots(slots))
 
     if star.ring == X_RING:
-        bound = order if degree is None else degree
-        failed = associator_scan(star, bound, order)
+        bound = star.order if degree is None else degree
+        failed = associator_scan(star, bound)
         if failed:
             f, g, h, j, c = failed
             check("associator", False, residual=c, witness=[str(f), str(g), str(h)])

@@ -250,9 +250,6 @@ class FractionReducer:
             return None
         return combo
 
-    def residual(self, rhs: dict) -> dict:
-        return self._reduce({k: Fraction(v) for k, v in rhs.items() if v}, {})
-
 
 # -- reference diagram kernels ------------------------------------------------------
 # Brute force: every pair assignment filtered by is_opo, and every 3^(2n)

@@ -160,12 +160,12 @@ def test_criterion_9_conformal_family_experiment(tmp_path):
     from starq.experiment import psi_opo_experiment
 
     start = time.monotonic()
-    record = psi_opo_experiment(jet_cap=5)
+    record = psi_opo_experiment()
     elapsed = time.monotonic() - start
     payload = record.to_json()
     (tmp_path / "experiment_record.json").write_text(json.dumps(payload, indent=2))
     summary = {k: payload[k] for k in
-               ("mode", "jetCap", "columns", "deltaRows", "obstructionRows",
+               ("mode", "columns", "deltaRows", "obstructionRows",
                 "orderableDeltaFeasible", "combinedFeasible",
                 "unrestrictedFeasible", "outcome")}
     print("experiment record:", json.dumps(summary))

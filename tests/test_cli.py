@@ -1,10 +1,13 @@
+import argparse
 import json
 import os
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from starq.cli import MAX_DEGREE, MAX_K, MAX_ORDER, JobConfig, main
+from starq.cli import MAX_DEGREE, MAX_K, MAX_ORDER, _build_parser, main
 from starq.polynomials import parse_poly
 from starq.star import StarProduct
 
@@ -22,10 +25,6 @@ def test_construct_writes_star_file(tmp_path, capsys):
 def test_construct_rejects_zero_order(capsys):
     assert main(["construct", "--order", "0"]) == 2
     assert "order" in capsys.readouterr().err
-
-
-def test_construct_rejects_small_jet_cap(capsys):
-    assert main(["construct", "--order", "3", "--jet-cap", "3"]) == 2
 
 
 def test_construct_rejects_bad_expression(capsys):
@@ -75,34 +74,40 @@ def test_obstruction_level_validation(capsys):
     assert main(["obstruction", "--phi", "sym", "--k", "1"]) == 2
 
 
-def test_obstruction_jet_cap_must_exceed_k(monkeypatch, capsys):
-    # only the rejection is exercised: the build below level k never runs
-    monkeypatch.setattr("starq.cli.build_star", _no_build)
-    assert main(["obstruction", "--phi", "sym", "--k", "5", "--jet-cap", "2"]) == 2
-    assert "obstruction level" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("argv", [
-    ["obstruction", "--phi", "sym", "--k", "5", "--jet-cap", "7"],
-    ["construct", "--phi", "sym", "--order", "4", "--jet-cap", "5"],
-])
-def test_jet_cap_must_cover_the_top_right_hand_side(argv, monkeypatch, capsys):
-    # R_k reaches jet order 2k - 2 (R_5 of the symbolic levels reaches 8), so
-    # a cap that only exceeds the level would stop the build at a grading check
-    monkeypatch.setattr("starq.cli.build_star", _no_build)
-    assert main(argv) == 2
-    assert "jet truncation" in capsys.readouterr().err
-
-
-def test_jet_cap_at_the_bound_passes_validation():
-    JobConfig(command="obstruction", k=5, jet_cap=8).validate()
-    JobConfig(command="construct", order=4, jet_cap=6).validate()
-
-
 def test_obstruction_offers_text_and_json_only():
     with pytest.raises(SystemExit) as exc:
         main(["obstruction", "--phi", "sym", "--k", "2", "--emit", "latex"])
     assert exc.value.code == 2
+
+
+def test_jet_cap_is_not_an_option():
+    # jets are exact and never truncated, so there is no cap to set
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "--order", "3", "--jet-cap", "5"])
+    assert exc.value.code == 2
+
+
+def _readme_command_spans(commands) -> list[str]:
+    """Backticked spans of the README, fenced lines included, that show a
+    command line or an option."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    fenced = re.findall(r"```(.*?)```", text, flags=re.S)
+    spans = re.findall(r"`([^`\n]+)`", re.sub(r"```.*?```", "", text, flags=re.S))
+    spans += [line.strip() for block in fenced for line in block.splitlines()]
+    return [s for s in spans if s.split()
+            and (s.startswith(("--", "starq ")) or s.split()[0] in commands)]
+
+
+def test_readme_names_only_existing_options():
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = set(parser._option_string_actions)
+    for command in sub.choices.values():
+        options.update(command._option_string_actions)
+    named = {flag for span in _readme_command_spans(set(sub.choices))
+             for flag in re.findall(r"(?<![\w-])--[\w-]+", span)}
+    assert "--order" in named  # the README's option spans were found at all
+    assert named <= options, f"README names unknown options {sorted(named - options)}"
 
 
 def test_opo_check_examples(capsys):
@@ -247,6 +252,10 @@ MALFORMED = {
     "report-arity-2": _edit(lambda d: d["obstructionReports"][0]["alternating"].update(arity=2)),
     "report-jet-ring": _edit(lambda d: d["obstructionReports"][0]["alternating"].update(ring="jet")),
     "report-is-zero-text": _edit(lambda d: d["obstructionReports"][0].update(isZero="no")),
+    "report-shortcut-agrees-text": _edit(
+        lambda d: d["obstructionReports"][0].update(shortcutAgrees="yes")),
+    "gauge-level-99": _edit(lambda d: d["gauges"].update({"99": "opo"})),
+    "gauge-name-unknown": _edit(lambda d: d["gauges"].update({"2": "banana"})),
 }
 
 

@@ -9,8 +9,8 @@ from starq.jets import (NABLA_PHI, PSI_NABLA_PHI, JetPolynomial, phi_jet)
 from starq.polynomials import XPoly, parse_poly
 from starq.star import (ClosureError, DeltaSolver, GradingError, ObstructionReport,
                         StarProduct, assemble_rhs, base_levels, build_star, check_grading,
-                        jet_cap_default, level_equation, obstruction, parity_sign)
-from starq.verify import _rhs, moyal_levels, PoissonVector
+                        level_equation, obstruction, parity_sign)
+from starq.verify import _rhs, moyal_level, PoissonVector
 
 from helpers import random_cochain, reference_rhs
 
@@ -131,18 +131,45 @@ def test_second_level_carries_weyl_weights(sym_star3):
     assert m2.coefficient(((1, 1), (2, 2))) == expected
 
 
+def _phi3_power_times(k: int, jet) -> JetPolynomial:
+    """jet times k - 1 factors phi_3: k phi jets in all."""
+    coeff = JetPolynomial.variable(jet)
+    for _ in range(k - 1):
+        coeff = coeff * JetPolynomial.variable(phi_jet(3))
+    return coeff
+
+
 def test_grading_bookkeeping(sym_star3):
     for k in range(2, 4):
         level = sym_star3.levels[k]
         check_grading(level, k, NABLA_PHI)  # does not raise
-        with pytest.raises(GradingError):
-            check_grading(level, k, NABLA_PHI, jet_cap=1)
-        with pytest.raises(GradingError):
-            check_grading(level, k + 1, NABLA_PHI)  # factor count mismatch
+        with pytest.raises(GradingError, match="factor counts"):
+            check_grading(level, k + 1, NABLA_PHI)
+        # k phi jets, one of order 2k + 2, is too many derivatives; k first
+        # derivatives on two first-order slots are too few
+        for jet in (phi_jet(*[3] * (2 * k + 2)), phi_jet(3)):
+            term = Cochain(2, JET_RING)
+            term.add_term(((1,), (2,)), _phi3_power_times(k, jet))
+            with pytest.raises(GradingError, match="derivative balance"):
+                check_grading(term, k, NABLA_PHI)
 
 
-def test_jet_cap_default_grows_with_level():
-    assert jet_cap_default(2) < jet_cap_default(4)
+@pytest.fixture(scope="module")
+def conformal_star2():
+    return build_star(PSI_NABLA_PHI, 2, phi="sym", psi="sym")
+
+
+@pytest.mark.parametrize("mode, k", [(NABLA_PHI, 2), (NABLA_PHI, 3), (NABLA_PHI, 4),
+                                     (PSI_NABLA_PHI, 2), (PSI_NABLA_PHI, 3)])
+def test_right_hand_sides_fill_every_slot(mode, k, request):
+    """R_k spreads 3k derivatives over three nonempty slots and k phi jets of
+    order at least 1, so no jet exceeds order 2k - 2."""
+    star = request.getfixturevalue("sym_star3" if mode == NABLA_PHI else "conformal_star2")
+    rhs, _ = level_equation(star.levels, k, mode)
+    assert rhs.terms and all(all(slots) for slots in rhs.terms)
+    orders = [len(index) for coeff in rhs.terms.values()
+              for mono in coeff.terms for _, index in mono]
+    assert max(orders) <= 2 * k - 2
 
 
 def test_explicit_build_is_specialization(sym_star3, cubic_star):
@@ -153,7 +180,7 @@ def test_explicit_build_is_specialization(sym_star3, cubic_star):
 
 def test_constant_vector_levels_match_closed_formula(x3_star4):
     vector = PoissonVector.from_gradient(parse_poly("x3"))
-    reference = moyal_levels(vector, 4)
+    reference = [moyal_level(vector, k) for k in range(5)]
     # the orderable gauge reproduces the closed formula exactly through the
     # last uniquely determined level
     for k in range(4):
@@ -168,11 +195,11 @@ def test_constant_vector_levels_match_closed_formula(x3_star4):
 def test_solve_delta_inverts_coboundaries():
     rng = Random(23)
     # an odd cochain of homogeneous slot totals make a legal level-3 shape
-    seed = Cochain(2, JET_RING)
     jets = (JetPolynomial.variable(phi_jet(1))
             * JetPolynomial.variable(phi_jet(2))
             * JetPolynomial.variable(phi_jet(1, 3)))
-    raw = Cochain.single(2, JET_RING, ((1, 2), (2, 3, 3)), jets)
+    raw = Cochain(2, JET_RING)
+    raw.add_term(((1, 2), (2, 3, 3)), jets)
     seed = (raw - raw.reverse_args()).scale(Fraction(1, 2))
     rhs = seed.hochschild_delta()
     check_grading(rhs, 3, NABLA_PHI)

@@ -10,7 +10,7 @@ from starq.polynomials import XPoly, parse_poly
 from starq.star import StarProduct, build_star
 from starq.verify import (PoissonVector, associator, associator_scan,
                           commutator_probe, gradient_jacobi_residual,
-                          jacobi_residual, moyal_level, moyal_levels,
+                          jacobi_residual, moyal_level,
                           star_series, verify_star)
 
 from helpers import (random_cochain, random_x_coeff, reference_associator,
@@ -51,14 +51,9 @@ def test_moyal_level_rejects_nonconstant():
 
 def test_moyal_self_associativity_spot():
     p = PoissonVector(XPoly.zero(), XPoly.zero(), XPoly.one())
-    levels = moyal_levels(p, 3)
+    levels = [moyal_level(p, k) for k in range(4)]
     f, g, h = parse_poly("x1^2"), parse_poly("x2"), parse_poly("x1*x2")
     assert all(c.is_zero for c in associator(levels, f, g, h))
-
-
-def test_associator_respects_order_bound(cubic_star):
-    with pytest.raises(ValueError):
-        associator(cubic_star, XPoly.var(1), XPoly.var(2), XPoly.var(3), order=9)
 
 
 def test_commutator_probe_examples(x3_star4, sphere_star):
