@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 
 from .jets import NABLA_PHI, PSI_NABLA_PHI
 from .latex import star_latex
@@ -37,35 +36,24 @@ MODES = (NABLA_PHI, PSI_NABLA_PHI)
 MAX_ORDER = 8
 MAX_K = 9
 MAX_DEGREE = 8
+# option -> (least, greatest, what the message calls it)
+BOUNDS = {"order": (1, MAX_ORDER, "order"),
+          "k": (2, MAX_K, "obstruction level"),
+          "degree": (1, MAX_DEGREE, "degree bound")}
 
 
 class ConfigError(Exception):
     pass
 
 
-@dataclass
-class JobConfig:
-    command: str
-    mode: str = NABLA_PHI
-    phi: str = "sym"
-    psi: str | None = None
-    order: int = 1
-    degree: int | None = None
-    k: int | None = None  # obstruction level
-    out: str | None = None
-    emit: str = "text"
-    opo_restrict: bool = False
-    star: str | None = None  # stored product read by verify and export-latex
-
-    def validate(self) -> None:
-        if self.command == "construct" and not 1 <= self.order <= MAX_ORDER:
-            raise ConfigError(f"order must be between 1 and {MAX_ORDER}")
-        if self.k is not None and not 2 <= self.k <= MAX_K:
-            raise ConfigError(f"obstruction level must be between 2 and {MAX_K}")
-        if self.degree is not None and not 1 <= self.degree <= MAX_DEGREE:
-            raise ConfigError(f"degree bound must be between 1 and {MAX_DEGREE}")
-        if self.out is not None and not os.path.isdir(_directory(self.out)):
-            raise ConfigError(f"no such output directory: {_directory(self.out)}")
+def _check(args: argparse.Namespace) -> None:
+    """Resource bounds and the output directory, checked before any work."""
+    given = vars(args)
+    for name, (least, greatest, what) in BOUNDS.items():
+        if given.get(name) is not None and not least <= given[name] <= greatest:
+            raise ConfigError(f"{what} must be between {least} and {greatest}")
+    if given.get("out") is not None and not os.path.isdir(_directory(args.out)):
+        raise ConfigError(f"no such output directory: {_directory(args.out)}")
 
 
 def _directory(path: str) -> str:
@@ -87,11 +75,13 @@ def _atomic_write(path: str, text: str) -> None:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}")
 
 
-def _emit(cfg: JobConfig, text: str) -> None:
-    if cfg.out:
-        _atomic_write(cfg.out, text)
-    else:
-        print(text)
+def _to_stdout(args: argparse.Namespace, text: str) -> bool:
+    """Write text to --out if one is given; True when there is none, so the
+    text belongs on stdout (for JSON, only under --emit json)."""
+    if args.out:
+        _atomic_write(args.out, text)
+        return False
+    return True
 
 
 def _parse_expr(text: str, what: str) -> XPoly | str:
@@ -106,42 +96,40 @@ def _parse_expr(text: str, what: str) -> XPoly | str:
 # -- subcommands ------------------------------------------------------------------
 
 
-def cmd_construct(cfg: JobConfig) -> int:
-    phi = _parse_expr(cfg.phi, "phi")
-    psi = None if cfg.psi is None else _parse_expr(cfg.psi, "psi")
+def cmd_construct(args: argparse.Namespace) -> int:
+    phi = _parse_expr(args.phi, "phi")
+    psi = None if args.psi is None else _parse_expr(args.psi, "psi")
     try:
-        star = build_star(cfg.mode, cfg.order, phi=phi, psi=psi,
-                          opo_restrict=cfg.opo_restrict)
+        star = build_star(args.mode, args.order, phi=phi, psi=psi,
+                          opo_restrict=args.opo_restrict)
     except ObstructionError as exc:
         payload = {"status": "obstructed", "report": exc.report.to_json()}
-        _emit(cfg, json.dumps(payload, indent=2))
-        print(f"nonzero obstruction at level {exc.report.level}",
-              file=sys.stderr)
-        return EXIT_FINDING
+        message = f"nonzero obstruction at level {exc.report.level}"
     except InfeasibleError as exc:
-        payload = {"status": "infeasible", "detail": str(exc)}
-        _emit(cfg, json.dumps(payload, indent=2))
-        print(str(exc), file=sys.stderr)
-        return EXIT_FINDING
+        payload, message = {"status": "infeasible", "detail": str(exc)}, str(exc)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    text = json.dumps(star.to_json(), indent=2)
-    if cfg.out:
-        _atomic_write(cfg.out, text)
-    if cfg.emit == "json" and not cfg.out:
-        print(text)
-    elif cfg.emit == "latex":
-        print(star_latex(star))
     else:
-        counts = ", ".join(f"{k}:{level.term_count()}"
-                           for k, level in enumerate(star.levels))
-        print(f"constructed mode={star.mode} ring={star.ring} "
-              f"order={star.order}")
-        print(f"level term counts: {counts}")
-        print(f"gauges: {star.gauges}")
-        print("obstructions zero:",
-              all(r.is_zero for r in star.obstruction_reports))
-    return EXIT_OK
+        text = json.dumps(star.to_json(), indent=2)
+        if _to_stdout(args, text) and args.emit == "json":
+            print(text)
+        elif args.emit == "latex":
+            print(star_latex(star))
+        else:
+            counts = ", ".join(f"{k}:{level.term_count()}"
+                               for k, level in enumerate(star.levels))
+            print(f"constructed mode={star.mode} ring={star.ring} "
+                  f"order={star.order}")
+            print(f"level term counts: {counts}")
+            print(f"gauges: {star.gauges}")
+            print("obstructions zero:",
+                  all(r.is_zero for r in star.obstruction_reports))
+        return EXIT_OK
+    text = json.dumps(payload, indent=2)
+    if _to_stdout(args, text):
+        print(text)
+    print(message, file=sys.stderr)
+    return EXIT_FINDING
 
 
 def _load_star(path: str) -> StarProduct:
@@ -158,13 +146,11 @@ def _load_star(path: str) -> StarProduct:
         raise ConfigError(f"cannot load star product from {path}: {exc}")
 
 
-def cmd_verify(cfg: JobConfig) -> int:
-    star = _load_star(cfg.star)
-    report = verify_star(star, degree=cfg.degree)
+def cmd_verify(args: argparse.Namespace) -> int:
+    star = _load_star(args.star)
+    report = verify_star(star, degree=args.degree)
     text = json.dumps(report, indent=2)
-    if cfg.out:
-        _atomic_write(cfg.out, text)
-    if cfg.emit == "json" and not cfg.out:
+    if _to_stdout(args, text) and args.emit == "json":
         print(text)
     else:
         for check in report["checks"]:
@@ -183,9 +169,9 @@ def cmd_verify(cfg: JobConfig) -> int:
     return EXIT_FINDING
 
 
-def cmd_jacobi(cfg: JobConfig, vector: str | None) -> int:
-    if vector is not None:
-        pieces = vector.split(",")
+def cmd_jacobi(args: argparse.Namespace) -> int:
+    if args.vector is not None:
+        pieces = args.vector.split(",")
         if len(pieces) != 3:
             raise ConfigError("--P needs three comma-separated components")
         polys = [_parse_expr(p.strip(), "component") for p in pieces]
@@ -193,11 +179,11 @@ def cmd_jacobi(cfg: JobConfig, vector: str | None) -> int:
             raise ConfigError("--P components must be explicit polynomials")
         p = PoissonVector(*polys)
     else:
-        phi = _parse_expr(cfg.phi, "phi")
+        phi = _parse_expr(args.phi, "phi")
         if isinstance(phi, str):
             raise ConfigError("jacobi needs --P or an explicit --phi")
-        if cfg.psi is not None:
-            psi = _parse_expr(cfg.psi, "psi")
+        if args.psi is not None:
+            psi = _parse_expr(args.psi, "psi")
             if isinstance(psi, str):
                 raise ConfigError("jacobi needs an explicit --psi")
             p = PoissonVector.from_conformal(psi, phi)
@@ -208,32 +194,29 @@ def cmd_jacobi(cfg: JobConfig, vector: str | None) -> int:
     return EXIT_OK if residual.is_zero else EXIT_FINDING
 
 
-def cmd_obstruction(cfg: JobConfig) -> int:
-    k = cfg.k
-    phi = _parse_expr(cfg.phi, "phi")
-    psi = None if cfg.psi is None else _parse_expr(cfg.psi, "psi")
+def cmd_obstruction(args: argparse.Namespace) -> int:
+    phi = _parse_expr(args.phi, "phi")
+    psi = None if args.psi is None else _parse_expr(args.psi, "psi")
     try:
-        star = build_star(cfg.mode, k - 1, phi=phi, psi=psi)
-        _, report = level_equation(star.levels, k, cfg.mode)
+        star = build_star(args.mode, args.k - 1, phi=phi, psi=psi)
+        _, report = level_equation(star.levels, args.k, args.mode)
     except ObstructionError as exc:
         report = exc.report
     except (InfeasibleError, ValueError) as exc:
         raise ConfigError(str(exc))
-    payload = report.to_json()
-    text = json.dumps(payload, indent=2)
-    if cfg.out:
-        _atomic_write(cfg.out, text)
+    text = json.dumps(report.to_json(), indent=2)
+    shown = _to_stdout(args, text) and args.emit == "json"
     print(f"level {report.level}: " +
           ("zero (parity)" if report.is_zero and report.parity_path
            else "zero" if report.is_zero else "NONZERO"))
-    if cfg.emit == "json" and not cfg.out:
+    if shown:
         print(text)
     return EXIT_OK if report.is_zero else EXIT_FINDING
 
 
-def cmd_opo_check(cfg: JobConfig, term_text: str) -> int:
+def cmd_opo_check(args: argparse.Namespace) -> int:
     try:
-        term = parse_term(term_text)
+        term = parse_term(args.term)
     except Exception as exc:
         raise ConfigError(f"cannot parse term: {exc}")
     ok, arrangement = is_opo(term)
@@ -245,12 +228,9 @@ def cmd_opo_check(cfg: JobConfig, term_text: str) -> int:
     return EXIT_FINDING
 
 
-def cmd_export_latex(cfg: JobConfig) -> int:
-    star = _load_star(cfg.star)
-    text = star_latex(star)
-    if cfg.out:
-        _atomic_write(cfg.out, text)
-    else:
+def cmd_export_latex(args: argparse.Namespace) -> int:
+    text = star_latex(_load_star(args.star))
+    if _to_stdout(args, text):
         print(text)
     return EXIT_OK
 
@@ -278,6 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(c, ("text", "json", "latex"), order=True)
     c.add_argument("--opo-restrict", action="store_true",
                    help="restrict every level to the orderable-diagram span")
+    c.set_defaults(run=cmd_construct)
 
     v = sub.add_parser("verify", help="independent re-check of a stored product")
     v.add_argument("star", help="path to a star-product JSON file")
@@ -285,57 +266,36 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="associator scan degree bound")
     v.add_argument("--out", default=None)
     v.add_argument("--emit", choices=("text", "json"), default="text")
+    v.set_defaults(run=cmd_verify)
 
     j = sub.add_parser("jacobi", help="integrability residual of a vector")
     j.add_argument("--P", dest="vector", default=None,
                    help="three comma-separated component polynomials")
     j.add_argument("--phi", default="sym")
     j.add_argument("--psi", default=None)
+    j.set_defaults(run=cmd_jacobi)
 
     o = sub.add_parser("obstruction", help="alternating obstruction at a level")
     common(o, ("text", "json"))
     o.add_argument("--k", type=int, required=True)
+    o.set_defaults(run=cmd_obstruction)
 
     t = sub.add_parser("opo-check", help="orderability of one abstract term")
     t.add_argument("term", help="term in the factor grammar")
+    t.set_defaults(run=cmd_opo_check)
 
     x = sub.add_parser("export-latex", help="render a stored product to LaTeX")
     x.add_argument("star", help="path to a star-product JSON file")
     x.add_argument("--out", default=None)
+    x.set_defaults(run=cmd_export_latex)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = JobConfig(
-            command=args.command,
-            mode=getattr(args, "mode", NABLA_PHI),
-            phi=getattr(args, "phi", "sym") or "sym",
-            psi=getattr(args, "psi", None),
-            order=getattr(args, "order", 1),
-            degree=getattr(args, "degree", None),
-            k=getattr(args, "k", None),
-            out=getattr(args, "out", None),
-            emit=getattr(args, "emit", "text"),
-            opo_restrict=getattr(args, "opo_restrict", False),
-            star=getattr(args, "star", None),
-        )
-        cfg.validate()
-        if args.command == "construct":
-            return cmd_construct(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        if args.command == "jacobi":
-            return cmd_jacobi(cfg, args.vector)
-        if args.command == "obstruction":
-            return cmd_obstruction(cfg)
-        if args.command == "opo-check":
-            return cmd_opo_check(cfg, args.term)
-        if args.command == "export-latex":
-            return cmd_export_latex(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+        _check(args)
+        return args.run(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

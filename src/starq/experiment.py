@@ -70,17 +70,14 @@ class AuditReport:
 
 
 def _lift(target: Cochain, terms: list[tuple[int, AbstractTerm]],
-          mode: str) -> tuple[dict[int, Fraction] | None, dict[int, Cochain]]:
+          mode: str) -> dict[int, Fraction] | None:
     """Exact coordinates of target in the span of the given diagrams."""
     reducer = ColumnReducer()
-    cols: dict[int, Cochain] = {}
     for idx, term in terms:
         c = concretize([term], mode)
-        if c.is_zero:
-            continue
-        cols[idx] = c
-        reducer.add_column(idx, _flatten(c))
-    return reducer.solve(_flatten(target)), cols
+        if not c.is_zero:
+            reducer.add_column(idx, _flatten(c))
+    return reducer.solve(_flatten(target))
 
 
 def audit_level(level: Cochain, k: int, mode: str) -> LevelAudit:
@@ -89,11 +86,11 @@ def audit_level(level: Cochain, k: int, mode: str) -> LevelAudit:
         return LevelAudit(level=0, status=OPO_LIFT, combination={})
     all_terms = list(enumerate(enumerate_terms(k)))
     orderable = [(i, t) for i, t in all_terms if is_opo(t)[0]]
-    combo, _ = _lift(level, orderable, mode)
+    combo = _lift(level, orderable, mode)
     if combo is not None:
         texts = {i: term_to_text(t) for i, t in orderable if i in combo}
         return LevelAudit(level=k, status=OPO_LIFT, combination=combo, diagrams=texts)
-    combo, _ = _lift(level, all_terms, mode)
+    combo = _lift(level, all_terms, mode)
     if combo is None:
         return LevelAudit(level=k, status=NO_LIFT)
     texts = {i: term_to_text(t) for i, t in all_terms if i in combo}

@@ -198,38 +198,9 @@ def _endpoint_choices(pairs: Sequence[Pair], hits) -> Iterator[list[tuple[Target
 
 
 def abstract_delta(term: AbstractTerm) -> list[AbstractTerm]:
-    """Hochschild coboundary of a diagram, one arity higher."""
-    n = term.n_args
-    results: list[AbstractTerm] = []
-
-    def shift_from(i: int):
-        def mapping(t: Target) -> Target:
-            if t[0] == ARG and t[1] >= i:
-                return (ARG, t[1] + 1)
-            return t
-        return mapping
-
-    # outer boundaries: a fresh undifferentiated argument at either end
-    results.append(canonical_term(
-        term.coeff, _retarget(term.pairs, shift_from(0)), n + 1))
-    results.append(canonical_term(
-        term.coeff * (-1) ** (n - 1), list(term.pairs), n + 1))
-
-    # middle terms: endpoints on argument i go independently left or right
-    for i in range(n):
-        sign = -Fraction((-1) ** i)
-
-        def hits(t: Target, i=i) -> list[Target]:
-            if t[0] == ARG:
-                if t[1] == i:
-                    return [(ARG, i), (ARG, i + 1)]
-                if t[1] > i:
-                    return [(ARG, t[1] + 1)]
-            return [t]
-
-        for rewired in _endpoint_choices(term.pairs, hits):
-            results.append(canonical_term(term.coeff * sign, rewired, n + 1))
-    return combine(results)
+    """Hochschild coboundary of a diagram, one arity higher: -[D, m] for the
+    multiplication diagram m, which has no factors and two arguments."""
+    return [t.scale(-1) for t in abstract_bracket(term, AbstractTerm(Fraction(1), (), 2))]
 
 
 def abstract_insert(outer: AbstractTerm, inner: AbstractTerm) -> list[AbstractTerm]:

@@ -442,6 +442,11 @@ class StarProduct:
             parse_poly(phi)
         if psi not in (None, "sym"):
             parse_poly(psi)
+        symbolic = ring == JET_RING
+        if ((phi == "sym") != symbolic or (psi is None) != (mode == NABLA_PHI)
+                or (mode == PSI_NABLA_PHI and (psi == "sym") != symbolic)):
+            raise ValueError(f"phi {phi!r} and psi {psi!r} do not fit mode {mode!r} "
+                             f"in the {ring!r} ring")
         gauges = data.get("gauges", {})
         stored_levels = {str(k) for k in range(order + 1)}
         if not isinstance(gauges, dict) or not all(
@@ -507,15 +512,17 @@ def build_star(mode: str, order: int, phi: XPoly | str = "sym",
     if mode == PSI_NABLA_PHI:
         if psi is None or symbolic != isinstance(psi, str):
             raise ValueError("phi and psi must both be symbolic or both explicit")
-    elif psi is not None and not (isinstance(psi, str) and symbolic):
+    elif psi is not None:
         raise ValueError("psi is only meaningful in the conformal family")
     ring = JET_RING if symbolic else X_RING
     phi_poly = None if symbolic else phi
     psi_poly = None if symbolic or psi is None else psi
 
     levels = base_levels(mode, ring, phi_poly, psi_poly)
-    # jet-ring shadow recursion, sourcing gauge re-selections for explicit builds
+    # jet-ring shadow recursion, sourcing gauge re-selections for explicit
+    # builds; it runs up to top, the last level that may be re-selected
     jet_levels = levels if symbolic else base_levels(mode, JET_RING)
+    top = order if opo_restrict else min(order, opo_gauge_limit) // 2 * 2
     solver = DeltaSolver()
     reports: list[ObstructionReport] = []
     gauges = {0: "base", 1: "base"}
@@ -525,40 +532,33 @@ def build_star(mode: str, order: int, phi: XPoly | str = "sym",
         if not report.is_zero:
             raise ObstructionError(report)
         gauges[k] = "unique" if k % 2 else "pivot"
-        opo_wanted = opo_restrict or (k % 2 == 0 and k <= opo_gauge_limit)
-        jet_rhs = rhs if symbolic else None
-        if jet_rhs is None and len(jet_levels) == k and (opo_wanted or k < opo_gauge_limit):
+        jet_rhs = rhs
+        if not symbolic and k <= top:
             jet_rhs, jet_report = level_equation(jet_levels, k, mode)
             if opo_restrict and not jet_report.is_zero:
                 # the whole family is obstructed, so there is no
                 # restricted solution to specialize from
                 reports.append(jet_report)
                 raise ObstructionError(jet_report)
-        level_k = jet_level = None
-        if opo_wanted and jet_rhs is not None:
+        jet_level = None
+        if opo_restrict or (k % 2 == 0 and k <= opo_gauge_limit):
             jet_level = solve_opo(jet_rhs, opo_projections(k, mode))
             if jet_level is None and opo_restrict:
                 raise InfeasibleError(
                     f"level {k}: orderable-diagram span cannot cobound the "
                     "recursion right-hand side")
-            if jet_level is not None:
-                level_k = jet_level if symbolic else jet_level.specialize(phi_poly, psi_poly)
-                if not symbolic and level_k.hochschild_delta() != rhs:
-                    level_k = None  # specialization left the explicit span; fall back
-                    if opo_restrict:
-                        raise InfeasibleError(
-                            f"level {k}: the specialized orderable solution "
-                            "stopped solving the explicit recursion")
-            if level_k is not None:
-                gauges[k] = "opo"
-        if level_k is None:
+        if jet_level is None:
             level_k = solver.solve(rhs, k)
+        else:
+            gauges[k] = "opo"
+            # specialization is a ring map commuting with total derivatives,
+            # so the shadow's solution specializes to one of the explicit level
+            level_k = jet_level if symbolic else jet_level.specialize(phi_poly, psi_poly)
+            if not symbolic and level_k.hochschild_delta() != rhs:
+                raise AssertionError("specialized orderable solution fails the explicit recursion")
         levels.append(level_k)
-        if not symbolic and jet_rhs is not None:
-            if gauges[k] == "opo":
-                jet_levels.append(jet_level)
-            elif k < opo_gauge_limit:
-                jet_levels.append(solver.solve(jet_rhs, k))
+        if not symbolic and k < top:
+            jet_levels.append(solver.solve(jet_rhs, k) if jet_level is None else jet_level)
     return StarProduct(
         mode=mode, ring=ring, order=order, levels=levels,
         obstruction_reports=reports,

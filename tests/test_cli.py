@@ -29,6 +29,7 @@ def test_construct_rejects_zero_order(capsys):
 
 def test_construct_rejects_bad_expression(capsys):
     assert main(["construct", "--phi", "x9+", "--order", "2"]) == 2
+    assert main(["construct", "--phi", "", "--order", "2"]) == 2
 
 
 def test_construct_rejects_huge_exponent_at_once(capsys):
@@ -38,6 +39,7 @@ def test_construct_rejects_huge_exponent_at_once(capsys):
 
 def test_construct_psi_requires_conformal_mode(capsys):
     assert main(["construct", "--phi", "x3", "--psi", "x1", "--order", "2"]) == 2
+    assert main(["construct", "--phi", "sym", "--psi", "sym", "--order", "2"]) == 2
 
 
 def test_jacobi_reference_cases(capsys):
@@ -256,6 +258,9 @@ MALFORMED = {
         lambda d: d["obstructionReports"][0].update(shortcutAgrees="yes")),
     "gauge-level-99": _edit(lambda d: d["gauges"].update({"99": "opo"})),
     "gauge-name-unknown": _edit(lambda d: d["gauges"].update({"2": "banana"})),
+    "conformal-mode-without-psi": _edit(lambda d: d.update(mode="psi-nabla-phi")),
+    "psi-in-gradient-mode": _edit(lambda d: d.update(psi="x1")),
+    "symbolic-phi-in-x-ring": _edit(lambda d: d.update(phi="sym")),
 }
 
 

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from starq.cli import main
 from starq.jets import NABLA_PHI, PSI_NABLA_PHI
 from starq.latex import star_latex
 from starq.opo import enumerate_terms
@@ -102,3 +103,23 @@ def test_mutant_verify_report_digest(name, request):
     report = verify_star(StarProduct.from_json(data))
     assert not report["pass"]
     assert _sha(json.dumps(report, indent=2)) == MUTANTS[name]
+
+
+# Stdout of the command line: the summary lines of construct and the check
+# lines of verify for the cubic product, and the obstruction report printed
+# after its summary line.
+CLI_OUTPUTS = [
+    (["construct", "--phi", "x1*x2*x3", "--order", "3", "--out", "{star}"],
+     "40dba278a4521c8b5c88544c3dc3d65959e458a8c78f1d557b878e3d27f16e47"),
+    (["verify", "{star}"],
+     "707c4c31089efd47e7088895743e28aa2da93896429d54bc3105aabe72b29251"),
+    (["obstruction", "--phi", "sym", "--k", "4", "--emit", "json"],
+     "bb0fb30eba6cd147ebf2cee5ff6458a77c06bbfb8483311c8cf099b17aaebf46"),
+]
+
+
+def test_cli_stdout_digests(tmp_path, capsys):
+    star = str(tmp_path / "cubic.json")
+    for argv, digest in CLI_OUTPUTS:
+        assert main([a.format(star=star) for a in argv]) == 0
+        assert _sha(capsys.readouterr().out) == digest, argv[0]
