@@ -52,6 +52,8 @@ def _check(args: argparse.Namespace) -> None:
     for name, (least, greatest, what) in BOUNDS.items():
         if given.get(name) is not None and not least <= given[name] <= greatest:
             raise ConfigError(f"{what} must be between {least} and {greatest}")
+    if given.get("out") == "":
+        raise ConfigError("--out needs a file name")
     if given.get("out") is not None and not os.path.isdir(_directory(args.out)):
         raise ConfigError(f"no such output directory: {_directory(args.out)}")
 

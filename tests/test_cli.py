@@ -200,6 +200,19 @@ def test_missing_out_directory_is_rejected_before_the_build(tmp_path, monkeypatc
     assert "output directory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["construct", "--phi", "x3", "--order", "1"],
+                                  ["verify", "{star}"]])
+def test_empty_out_is_rejected_before_any_work(argv, weyl_text, tmp_path, monkeypatch,
+                                              capsys):
+    star = tmp_path / "star.json"
+    star.write_text(weyl_text)
+    monkeypatch.setattr("starq.cli.build_star", _no_build)
+    monkeypatch.setattr("starq.cli.verify_star", _no_build)
+    assert main([a.format(star=star) for a in argv] + ["--out", ""]) == 2
+    captured = capsys.readouterr()
+    assert "--out" in captured.err and captured.out == ""
+
+
 def test_failed_write_exits_two(tmp_path, capsys):
     # the output path is an existing directory, so replacing it fails
     assert main(["construct", "--phi", "x3", "--order", "1", "--out", str(tmp_path)]) == 2

@@ -4,6 +4,7 @@ diagrams the enumeration yields, must not drift under refactoring."""
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -103,6 +104,45 @@ def test_mutant_verify_report_digest(name, request):
     report = verify_star(StarProduct.from_json(data))
     assert not report["pass"]
     assert _sha(json.dumps(report, indent=2)) == MUTANTS[name]
+
+
+# Verify reports of passing explicit products, the conformal one built as in
+# BUILDS: they print every check of the associator scan and the probes.
+REPORTS = {
+    "x3_star4": "f8ef177724a29144e164d521b45fdb876ca40cd01280026619641c32cbfa0970",
+    "sphere_star": "8211460e391fef14ad14e457d993f153b81964d7249256304c5895d507518548",
+    "conformal": "2c3751c7bf26bd5301f8af45a483bd791675881b75672ccfff583f31ef4569ec",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_passing_verify_report_digests(name, request):
+    star = BUILDS[name][0]() if name in BUILDS else request.getfixturevalue(name)
+    report = verify_star(star)
+    assert report["pass"]
+    assert _sha(json.dumps(report, indent=2)) == REPORTS[name]
+
+
+# Verify reports of the benchmark's kind of mutant: 3/7 added to the first
+# monomial of the first term of a level whose two slots differ, so the level
+# loses its parity and the scan stops at a failing triple.
+ASYMMETRIC_MUTANTS = {
+    ("cubic_star", 1): "1c44db15c7972d17bb096bcc9bc8b9535cdde62189986a13bb00aa7988f54b83",
+    ("cubic_star", 2): "e1011180df0aba99cb64068abea028ff7671014c52819b3b6265c48517ca0c07",
+    ("x3_star4", 1): "9e67d3844a79ff5f465d76953f5b1d6b017d124a7baac0433fb3f04f23e80e29",
+    ("x3_star4", 2): "c2c315abc647edaf805bd52d357ef3d24e5d61ba3a918f407f60e83a7c37d99e",
+}
+
+
+@pytest.mark.parametrize("name, level", sorted(ASYMMETRIC_MUTANTS))
+def test_asymmetric_mutant_verify_report_digests(name, level, request):
+    data = request.getfixturevalue(name).to_json()
+    term = next(t for t in data["levels"][level]["terms"] if t["slots"][0] != t["slots"][1])
+    mono = term["coeff"][0]
+    mono["coeff"] = str(Fraction(mono["coeff"]) + Fraction(3, 7))
+    report = verify_star(StarProduct.from_json(data))
+    assert any(c["name"] == "associator" and not c["pass"] for c in report["checks"])
+    assert _sha(json.dumps(report, indent=2)) == ASYMMETRIC_MUTANTS[name, level]
 
 
 # Stdout of the command line: the summary lines of construct and the check

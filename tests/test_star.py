@@ -10,7 +10,7 @@ from starq.polynomials import XPoly, parse_poly
 from starq.star import (ClosureError, DeltaSolver, GradingError, ObstructionReport,
                         StarProduct, assemble_rhs, base_levels, build_star, check_grading,
                         level_equation, obstruction, parity_sign)
-from starq.verify import _rhs, moyal_level, PoissonVector
+from starq.verify import _rhs, associator_scan, moyal_level, PoissonVector
 
 from helpers import random_cochain, reference_rhs
 
@@ -74,8 +74,9 @@ def test_verifier_rhs_on_symbolic_levels(sym_star3, sym_rhs):
         assert sym_rhs[k] == reference_rhs(sym_star3.levels, k)
 
 
-def test_hot_kernels_construct_no_fraction(sym_star3, monkeypatch):
-    """The coboundary and the insertion kernel run on integer numerators."""
+def test_hot_kernels_construct_no_fraction(sym_star3, cubic_star, monkeypatch):
+    """The coboundary, the insertion kernel and the associator scan run on
+    integer numerators."""
     made = []
     original = Fraction.__new__
 
@@ -88,6 +89,7 @@ def test_hot_kernels_construct_no_fraction(sym_star3, monkeypatch):
     made.clear()
     sym_star3.levels[3].hochschild_delta()
     assemble_rhs(sym_star3.levels, 3)
+    assert associator_scan(cubic_star, 3) is None
     assert made == []
 
 

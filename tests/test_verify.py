@@ -13,7 +13,7 @@ from starq.verify import (PoissonVector, associator, associator_scan,
                           jacobi_residual, moyal_level,
                           star_series, verify_star)
 
-from helpers import (random_cochain, random_x_coeff, reference_associator,
+from helpers import (eval_args, random_cochain, random_x_coeff, reference_associator,
                      reference_scan)
 
 
@@ -137,6 +137,17 @@ def test_mutated_residual_witness_is_a_real_associator_failure(cubic_star):
     assert any(not c.is_zero for c in coeffs)
 
 
+def test_commutator_evenness_names_the_first_failing_probe(cubic_star):
+    bad = StarProduct.from_json(cubic_star.to_json())
+    bad.levels[2].add_term(((1,), (2,)), XPoly.const(Fraction(2, 5)))
+    checks = {c["name"]: c for c in verify_star(bad)["checks"]}
+    series = commutator_probe(bad, XPoly.var(1), XPoly.var(2))
+    assert not series[2].is_zero
+    assert not checks["commutator-evenness"]["pass"]
+    assert checks["commutator-evenness"]["witness"] == ["x1", "x2", "1"]
+    assert checks["commutator-evenness"]["residual"] == str(series[2])
+
+
 def test_report_shape(cubic_star):
     report = verify_star(cubic_star)
     assert set(report) == {"pass", "inputsDigest", "checks"}
@@ -178,3 +189,26 @@ def test_scan_matches_reference_on_cubic_mutants(cubic_star, seed):
     levels[k].add_term(rng.choice(sorted(levels[k].terms)), random_x_coeff(rng))
     bound = rng.randint(2, 3)
     assert associator_scan(levels, bound) == reference_scan(levels, bound)
+
+
+def _random_arg(rng: Random) -> XPoly:
+    if rng.random() < 0.5:
+        return random_x_coeff(rng)
+    return XPoly.from_monomial(tuple(rng.randint(0, 2) for _ in range(3)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_evaluator_matches_reference_on_shared_left_slots(seed):
+    # up to eight terms on slots of length at most two: many terms of a level
+    # share a left slot, so each row of the evaluator holds several
+    rng = Random(seed)
+    levels = [Cochain.multiplication(X_RING)]
+    for _ in range(rng.randint(1, 3)):
+        levels.append(random_cochain(rng, 2, ring=X_RING, max_slot_degree=2,
+                                     terms=rng.randint(1, 8)))
+    bound = rng.randint(1, 3)
+    assert associator_scan(levels, bound) == reference_scan(levels, bound)
+    f, g, h = (_random_arg(rng) for _ in range(3))
+    assert associator(levels, f, g, h) == reference_associator(levels, f, g, h)
+    assert star_series(levels, f, g) == [eval_args(level, (f, g)) for level in levels]
