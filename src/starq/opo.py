@@ -332,8 +332,9 @@ def parse_term(text: str) -> AbstractTerm:
 
     Factors list lower (derivative) names before ';' and the two upper
     names after it; "P(i,j)" is an underived factor.  @k(...) lists the
-    names landing on argument k.  Every upper name must appear exactly once
-    as a lower name somewhere.
+    names landing on argument k; every argument from 1 to the largest must be
+    written, an unwired one as "@k()".  Every upper name must appear exactly
+    once as a lower name somewhere.
     """
     factor_lowers: list[list[str]] = []
     factor_uppers: list[tuple[str, str]] = []
@@ -368,6 +369,10 @@ def parse_term(text: str) -> AbstractTerm:
         raise ValueError("term has no Poisson factors")
     if max_arg == 0:
         raise ValueError("term has no arguments")
+    if len(arg_lowers) != max_arg:
+        # the first gap is at most one past the arguments written
+        gap = next(a for a in range(1, max_arg + 1) if a - 1 not in arg_lowers)
+        raise ValueError(f"argument {gap} is not written; an unwired one is @{gap}()")
 
     where: dict[str, Target] = {}
     for u, lowers in enumerate(factor_lowers):

@@ -403,9 +403,9 @@ class StarProduct:
     order: int
     levels: list[Cochain]
     obstruction_reports: list[ObstructionReport]
-    phi_source: str = "sym"
-    psi_source: str | None = None
-    gauges: dict[int, str] | None = None
+    phi_source: str
+    psi_source: str | None
+    gauges: dict[int, str]
 
     def to_json(self) -> dict:
         return {
@@ -416,7 +416,7 @@ class StarProduct:
             "psi": self.psi_source,
             "levels": [c.to_json() for c in self.levels],
             "obstructionReports": [r.to_json() for r in self.obstruction_reports],
-            "gauges": {str(k): g for k, g in (self.gauges or {}).items()},
+            "gauges": {str(k): g for k, g in self.gauges.items()},
         }
 
     @staticmethod
@@ -496,9 +496,11 @@ def build_star(mode: str, order: int, phi: XPoly | str = "sym",
 
     Even levels up to opo_gauge_limit are re-selected inside the
     orderable-diagram span (per-level gauge tags record the outcome: "opo",
-    "pivot", "unique", or "base").  Explicit-ring builds reuse the symbolic
-    gauge solution and specialize it, so explicit levels agree with the
-    specialized symbolic ones; without the re-selection the obstruction
+    "pivot", "unique", or "base").  An explicit build first builds its
+    symbolic family up to the last level that may be re-selected and
+    specializes the family's re-selected levels, so explicit levels agree
+    with the specialized symbolic ones; an obstructed family raises the
+    family's report.  Without the re-selection the obstruction
     representative two levels above an even level is gauge-noise and can be
     nonzero even when the construction continues for some other gauge.
     """
@@ -519,10 +521,13 @@ def build_star(mode: str, order: int, phi: XPoly | str = "sym",
     psi_poly = None if symbolic or psi is None else psi
 
     levels = base_levels(mode, ring, phi_poly, psi_poly)
-    # jet-ring shadow recursion, sourcing gauge re-selections for explicit
-    # builds; it runs up to top, the last level that may be re-selected
-    jet_levels = levels if symbolic else base_levels(mode, JET_RING)
+    # an explicit build specializes its family's re-selected levels, so it
+    # builds the family up to top, the last level that may be re-selected
     top = order if opo_restrict else min(order, opo_gauge_limit) // 2 * 2
+    family = None
+    if not symbolic and top >= 2:
+        family = build_star(mode, top, "sym", "sym" if mode == PSI_NABLA_PHI else None,
+                            opo_gauge_limit, opo_restrict)
     solver = DeltaSolver()
     reports: list[ObstructionReport] = []
     gauges = {0: "base", 1: "base"}
@@ -531,37 +536,26 @@ def build_star(mode: str, order: int, phi: XPoly | str = "sym",
         reports.append(report)
         if not report.is_zero:
             raise ObstructionError(report)
-        gauges[k] = "unique" if k % 2 else "pivot"
-        jet_rhs = rhs
-        if not symbolic and k <= top:
-            jet_rhs, jet_report = level_equation(jet_levels, k, mode)
-            if opo_restrict and not jet_report.is_zero:
-                # the whole family is obstructed, so there is no
-                # restricted solution to specialize from
-                reports.append(jet_report)
-                raise ObstructionError(jet_report)
-        jet_level = None
-        if opo_restrict or (k % 2 == 0 and k <= opo_gauge_limit):
-            jet_level = solve_opo(jet_rhs, opo_projections(k, mode))
-            if jet_level is None and opo_restrict:
+        level_k = None
+        if family is not None and family.gauges.get(k) == "opo":
+            # specialization is a ring map commuting with total derivatives,
+            # so the family's solution specializes to a solution of the explicit step
+            level_k = family.levels[k].specialize(phi_poly, psi_poly)
+            if level_k.hochschild_delta() != rhs:
+                raise AssertionError("specialized orderable solution fails the explicit recursion")
+        elif symbolic and (opo_restrict or (k % 2 == 0 and k <= opo_gauge_limit)):
+            level_k = solve_opo(rhs, opo_projections(k, mode))
+            if level_k is None and opo_restrict:
                 raise InfeasibleError(
                     f"level {k}: orderable-diagram span cannot cobound the "
                     "recursion right-hand side")
-        if jet_level is None:
+        if level_k is None:
+            gauges[k] = "unique" if k % 2 else "pivot"
             level_k = solver.solve(rhs, k)
         else:
             gauges[k] = "opo"
-            # specialization is a ring map commuting with total derivatives,
-            # so the shadow's solution specializes to one of the explicit level
-            level_k = jet_level if symbolic else jet_level.specialize(phi_poly, psi_poly)
-            if not symbolic and level_k.hochschild_delta() != rhs:
-                raise AssertionError("specialized orderable solution fails the explicit recursion")
         levels.append(level_k)
-        if not symbolic and k < top:
-            jet_levels.append(solver.solve(jet_rhs, k) if jet_level is None else jet_level)
     return StarProduct(
         mode=mode, ring=ring, order=order, levels=levels,
-        obstruction_reports=reports,
-        phi_source="sym" if symbolic else str(phi),
-        psi_source=(psi if isinstance(psi, str) else (str(psi) if psi is not None else None)),
-        gauges=gauges)
+        obstruction_reports=reports, phi_source=str(phi),
+        psi_source=None if psi is None else str(psi), gauges=gauges)

@@ -124,6 +124,25 @@ def test_opo_check_examples(capsys):
     assert out.startswith("OPO")
 
     assert main(["opo-check", "garbage(("]) == 2
+    # every argument up to the largest must be written, so the arity of a
+    # term is bounded by the length of its text
+    for term in ("P(i,j) @1(i) @200000(j)", "P(i,j) @1(i) @3(j)"):
+        assert main(["opo-check", term]) == 2
+        assert capsys.readouterr().out == ""
+
+
+@pytest.mark.slow
+def test_explicit_restricted_build_reports_its_obstructed_family(capsys):
+    # the explicit and the family obstructions are both nonzero at level 4;
+    # the family's is the one reported
+    def construct(phi, psi):
+        assert main(["construct", "--mode", "psi-nabla-phi", "--phi", phi, "--psi", psi,
+                     "--order", "4", "--opo-restrict"]) == 3
+        return json.loads(capsys.readouterr().out)
+
+    expected = construct("sym", "sym")
+    assert construct("x1*x2*x3+x2^2", "1+x1*x2*x3+x3^3") == expected
+    assert expected["status"] == "obstructed" and expected["report"]["level"] == 4
 
 
 def test_verify_roundtrip_and_mutation(tmp_path, capsys):

@@ -39,8 +39,8 @@ MUTANTS = {
 }
 
 # JSON of builds through the restricted span at every level (the conformal
-# one concretizes non-monomial factors) and through the explicit conformal
-# recursion with its jet-ring shadow.
+# one concretizes non-monomial factors), symbolic and explicit, and through
+# the explicit conformal recursion, whose level 2 specializes its family's.
 BUILDS = {
     "opo-restrict": (
         lambda: build_star(NABLA_PHI, 3, opo_restrict=True),
@@ -48,6 +48,13 @@ BUILDS = {
     "opo-restrict-conformal": (
         lambda: build_star(PSI_NABLA_PHI, 3, "sym", "sym", opo_restrict=True),
         "78d7c66d703becb4376d1b6ad818f277751ee1dfca3c9b848c3716f7cd22d4de"),
+    "opo-restrict-cubic": (
+        lambda: build_star(NABLA_PHI, 3, phi=parse_poly("x1*x2*x3"), opo_restrict=True),
+        "07c111ea3ea689e5a6b4b08a990c0857def1f7af794794cdcdf852885f53ab88"),
+    "opo-restrict-explicit-conformal": (
+        lambda: build_star(PSI_NABLA_PHI, 3, phi=parse_poly("x1*x2*x3"), psi=parse_poly("1+x1"),
+                           opo_restrict=True),
+        "ad577be633d37590e079b628f6763f88b3ba3ddd6913c1f652c7933111ba9357"),
     "conformal": (
         lambda: build_star(PSI_NABLA_PHI, 3, phi=parse_poly("x1*x2*x3"), psi=parse_poly("1+x1")),
         "6fd702ea0ea128118108cc8a9a3ab62c97f294e3acff464a112efe68b5d2dc67"),

@@ -52,7 +52,9 @@ def test_parse_rejects_malformed():
                 "P(i,i) @1(i)",            # repeated label in one factor
                 "@1(i) @2(j)",             # no factor owns the uppers
                 "P(i,j) @0(i) @1(j)",      # argument numbering starts at 1
-                "Q(i,j) @1(i) @2(j)"):     # unknown factor head
+                "Q(i,j) @1(i) @2(j)",      # unknown factor head
+                "P(i,j) @1(i) @3(j)",      # argument 2 is not written
+                "P(i,j) @1(i) @200000(j)"):  # arity beyond the text's length
         with pytest.raises(ValueError):
             parse_term(bad)
 

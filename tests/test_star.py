@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from starq.cochains import Cochain, JET_RING, X_RING
 from starq.jets import (NABLA_PHI, PSI_NABLA_PHI, JetPolynomial, phi_jet)
 from starq.polynomials import XPoly, parse_poly
-from starq.star import (ClosureError, DeltaSolver, GradingError, ObstructionReport,
-                        StarProduct, assemble_rhs, base_levels, build_star, check_grading,
-                        level_equation, obstruction, parity_sign)
+from starq.star import (ClosureError, DeltaSolver, GradingError, ObstructionError,
+                        ObstructionReport, StarProduct, assemble_rhs, base_levels, build_star,
+                        check_grading, level_equation, obstruction, parity_sign)
 from starq.verify import _rhs, associator_scan, moyal_level, PoissonVector
 
 from helpers import random_cochain, reference_rhs
@@ -124,6 +124,21 @@ def test_symbolic_build_grades_each_level_once(monkeypatch):
     assert graded == [2, 3]
 
 
+@pytest.mark.parametrize("opo_restrict, levels", [(False, [2]), (True, [2, 3])])
+def test_explicit_build_grades_its_family_once(monkeypatch, opo_restrict, levels):
+    # the family is built once, up to the last level that may be re-selected
+    graded = []
+
+    def counting(cochain, k, *args):
+        if cochain.ring == JET_RING:
+            graded.append(k)
+        return check_grading(cochain, k, *args)
+
+    monkeypatch.setattr("starq.star.check_grading", counting)
+    build_star(NABLA_PHI, 3, phi=parse_poly("x1*x2*x3"), opo_restrict=opo_restrict)
+    assert graded == levels
+
+
 def test_second_level_carries_weyl_weights(sym_star3):
     # the only source of the ((1,1),(2,2)) slot pair is the two-factor
     # product diagram, whose verified weight is 1/8
@@ -177,6 +192,11 @@ def test_right_hand_sides_fill_every_slot(mode, k, request):
 def test_explicit_build_is_specialization(sym_star3, cubic_star):
     phi = parse_poly("x1*x2*x3")
     for sym_level, level in zip(sym_star3.levels, cubic_star.levels):
+        assert (sym_level.specialize(phi) - level).is_zero
+    family = build_star(NABLA_PHI, 3, opo_restrict=True)
+    restricted = build_star(NABLA_PHI, 3, phi=phi, opo_restrict=True)
+    assert len(restricted.levels) == len(family.levels) == 4
+    for sym_level, level in zip(family.levels, restricted.levels):
         assert (sym_level.specialize(phi) - level).is_zero
 
 
@@ -244,6 +264,18 @@ def test_orderable_gauge_is_the_unique_solution(sym_star3):
     assert restricted.gauges == {0: "base", 1: "base", 2: "opo", 3: "opo"}
     for a, b in zip(restricted.levels, sym_star3.levels):
         assert (a - b).is_zero
+
+
+@pytest.mark.slow
+def test_explicit_build_raises_its_obstructed_familys_report():
+    # with level 2 in the orderable gauge the conformal family is obstructed
+    # at level 4, so there is no family level 4 to specialize
+    with pytest.raises(ObstructionError) as caught:
+        build_star(PSI_NABLA_PHI, 4, parse_poly("x1*x2*x3"), parse_poly("1+x1"),
+                   opo_gauge_limit=4)
+    report = caught.value.report
+    assert report.level == 4 and not report.is_zero
+    assert report.alternating.ring == JET_RING
 
 
 def test_conformal_symbolic_build_through_two_levels():
