@@ -14,7 +14,9 @@ insertions differentiate inner coefficients through the total x-derivative
 of the ring; argument-degree filtering; argument reversal; and the
 alternating average over the arguments of a trilinear operator.  The
 kernels accumulate into ``RatVec`` running sums of integer numerators, one
-per output slot, and build each coefficient once.
+per output slot, all over one denominator common to the call (the lcm of
+the input coefficients' denominators, times the weights'), so each
+contribution is an integer multiple; each coefficient is built once.
 
 The coboundary and the insertion product both create transient empty slots
 (an argument multiplied without differentiation).  For inputs whose slots
@@ -28,6 +30,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 from typing import Iterable, Iterator
 
 from .jets import JetPolynomial, epsilon
@@ -58,6 +61,15 @@ def _lengths(slots: Slots) -> tuple[int, ...]:
 
 def slot_total(slots: Slots) -> int:
     return sum(len(s) for s in slots)
+
+
+def _common_den(cochain: "Cochain") -> int:
+    return lcm(*(c.den for c in cochain.terms.values()))
+
+
+def _sums(den: int) -> dict[Slots, RatVec]:
+    """Per-slot running sums, all over the denominator ``den``."""
+    return defaultdict(lambda: RatVec(None, den))
 
 
 def delta_terms(slots: Slots) -> Iterator[tuple[Slots, int]]:
@@ -188,11 +200,12 @@ class Cochain:
 
     def hochschild_delta(self) -> "Cochain":
         """Hochschild coboundary; raises arity by one, never touches coefficients."""
-        sums: dict[Slots, RatVec] = defaultdict(RatVec)
+        den = _common_den(self)
+        sums = _sums(den)
         for slots, c in self.terms.items():
-            terms, den = c.terms, c.den
+            terms, mul = c.terms, den // c.den
             for new_slots, q in delta_terms(slots):
-                sums[new_slots].add(terms, den, q)
+                sums[new_slots].add_scaled(terms, q * mul)
         return Cochain._from_sums(self.arity + 1, self.ring, sums)
 
     def insert(self, other: "Cochain", degrees: tuple[int, ...] | None = None) -> "Cochain":
@@ -218,11 +231,12 @@ class Cochain:
         """Signed average over all orderings of the three arguments."""
         if self.arity != 3:
             raise ValueError("alternation is defined for trilinear operators")
-        sums: dict[Slots, RatVec] = defaultdict(RatVec)
+        den = _common_den(self)
+        sums = _sums(6 * den)
         for slots, c in self.terms.items():
-            terms, den = c.terms, 6 * c.den
+            terms, mul = c.terms, den // c.den
             for perm, sign in _S3:
-                sums[tuple(slots[p] for p in perm)].add(terms, den, sign)
+                sums[tuple(slots[p] for p in perm)].add_scaled(terms, sign * mul)
         return Cochain._from_sums(3, self.ring, sums)
 
     # -- evaluation -----------------------------------------------------------
@@ -275,11 +289,13 @@ class Cochain:
 def linear_combination(arity: int, ring: str,
                        pairs: Iterable[tuple[Fraction | int, "Cochain"]]) -> "Cochain":
     """Sum of q * cochain over (q, cochain) pairs, accumulated in place."""
-    sums: dict[Slots, RatVec] = defaultdict(RatVec)
+    pairs = [(q, cochain) for q, cochain in pairs if q]
+    den = lcm(*(q.denominator * _common_den(cochain) for q, cochain in pairs))
+    sums = _sums(den)
     for q, cochain in pairs:
-        num, den = q.numerator, q.denominator
+        num, q_den = q.numerator, q.denominator
         for slots, c in cochain.terms.items():
-            sums[slots].add(c.terms, c.den * den, num)
+            sums[slots].add_scaled(c.terms, num * (den // (q_den * c.den)))
     return Cochain._from_sums(arity, ring, sums)
 
 
@@ -292,16 +308,22 @@ def insertion_sum(arity: int, ring: str, insertions: Iterable[tuple],
     one piece differentiates the inner coefficient, the others land on the
     inner slots, with multinomial multiplicities.  Splits are grouped by
     that first piece, so each product c_outer * d(c_inner) is formed once
-    per (outer term, piece, inner term).  With target slot lengths
-    ``degrees`` the result is the sum's ``degree_part(degrees)``, and outer
-    terms and inner slot shapes that cannot land there are never visited.
+    per (outer term, piece, inner term), with its integer multiple of the
+    common denominator.  With target slot lengths ``degrees`` the result is
+    the sum's ``degree_part(degrees)``, and outer terms and inner slot
+    shapes that cannot land there are never visited.
     """
     if degrees is not None:
         degrees = tuple(degrees)
         if len(degrees) != arity:
             raise ValueError("degree tuple does not match arity")
-    sums: dict[Slots, RatVec] = defaultdict(RatVec)
+    insertions = list(insertions)
+    # a product c_outer * d(c_inner) has a denominator dividing the product of theirs
+    den = lcm(*(weight.denominator * _common_den(outer) * _common_den(inner)
+                for weight, outer, inner in insertions))
+    sums = _sums(den)
     groups: dict = {}  # (outer slot, parts) -> its splits grouped by the first piece
+    merged: dict = {}  # (inner slots, spread pieces) -> the inner slots they land on
     for weight, outer, inner in insertions:
         w_den = weight.denominator
         if outer.ring != ring or inner.ring != ring:
@@ -309,13 +331,15 @@ def insertion_sum(arity: int, ring: str, insertions: Iterable[tuple],
         p, q = outer.arity, inner.arity
         if p + q - 1 != arity:
             raise ValueError("insertion arity does not match")
+        if not weight:
+            continue
         if degrees is not None:
             by_shape: dict[tuple[int, ...], list] = {}
             for slots_n, c_n in inner.terms.items():
                 by_shape.setdefault(_lengths(slots_n), []).append((slots_n, c_n))
         derivatives: dict = {}  # (inner slots, piece) -> derivative of that coefficient
         for slots_m, c_m in outer.terms.items():
-            products: dict = {}  # (piece, inner slots) -> c_m * derivative
+            products: dict = {}  # (piece, inner slots) -> (c_m * derivative, its multiple)
             for i in range(p):
                 head, tail = slots_m[:i], slots_m[i + 1:]
                 if degrees is not None:
@@ -337,20 +361,23 @@ def insertion_sum(arity: int, ring: str, insertions: Iterable[tuple],
                             shape = tuple(d - len(s) for d, s in zip(inner_degrees, on_slots))
                             inner_terms = by_shape.get(shape, ())
                         for slots_n, c_n in inner_terms:
-                            product = products.get((on_coeff, slots_n))
-                            if product is None:
+                            hit = products.get((on_coeff, slots_n))
+                            if hit is None:
                                 d_key = (slots_n, on_coeff)
                                 d_n = derivatives.get(d_key)
                                 if d_n is None:
                                     d_n = derivatives[d_key] = c_n.derivative(on_coeff)
-                                product = products[on_coeff, slots_n] = c_m * d_n
-                            if product.is_zero:
+                                product = c_m * d_n
+                                hit = products[on_coeff, slots_n] = (
+                                    product.terms, den // (product.den * w_den))
+                            terms, mul = hit
+                            if not terms:
                                 continue
-                            new_slots = (head
-                                         + tuple(merge(t, d) for t, d in zip(slots_n, on_slots))
-                                         + tail)
-                            sums[new_slots].add(product.terms, product.den * w_den,
-                                                scale * count)
+                            middle = merged.get((slots_n, on_slots))
+                            if middle is None:
+                                middle = merged[slots_n, on_slots] = tuple(
+                                    merge(t, d) for t, d in zip(slots_n, on_slots))
+                            sums[head + middle + tail].add_scaled(terms, mul * scale * count)
     return Cochain._from_sums(arity, ring, sums)
 
 

@@ -9,10 +9,15 @@ is the symmetry of mixed partials, enforced by keeping multi-indices sorted.
 
 A JetPolynomial is a sparse rational polynomial in jet variables, a ring
 class on the sparse core of ``starq.polynomials`` (integer numerators over
-one denominator).  Its monomial keys are sorted tuples of jet variables, so
-structural equality is dict and denominator equality.
+one denominator).  Inside a monomial each jet variable is its small int
+``code``, and a monomial is the sorted tuple of its factors' codes, so
+multiplying monomials merges int tuples and structural equality is dict and
+denominator equality.  ``var`` decodes a code back to the public
+``(tag, index)`` pair; names, JSON, printing and LaTeX list a monomial's
+factors phi before psi, then by index length, then by index, as they always
+have.
 The total x-derivative acts by prolongation, d/dx_a phi_I = phi_{I+a},
-extended as a derivation to products.
+extended as a derivation to products; ``lift`` prolongs a code.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ NABLA_PHI = "nabla-phi"
 PSI_NABLA_PHI = "psi-nabla-phi"
 
 JetVar = tuple[str, MultiIndex]
-Monomial = tuple[JetVar, ...]
+Monomial = tuple[int, ...]  # sorted codes of the factors
 
 
 def jet_var(tag: str, index: MultiIndex) -> JetVar:
@@ -57,13 +62,57 @@ def psi_jet(*index: int) -> JetVar:
     return jet_var(PSI, tuple(index))
 
 
-def _var_key(v: JetVar):
+@cache
+def code(v: JetVar) -> int:
+    """The int a monomial stores for a jet variable: the index digits in
+    base 4 behind a leading 1, doubled, plus 1 for psi.  Codes of one tag
+    sort by index length, then by index, since a longer index has more
+    digits."""
     tag, index = v
-    return (tag, len(index), index)
+    n = 1
+    for a in index:
+        n = 4 * n + a
+    return 2 * n + (tag == PSI)
+
+
+@cache
+def var(c: int) -> JetVar:
+    """The jet variable of a code."""
+    n, psi_bit = divmod(c, 2)
+    index = []
+    while n > 1:
+        n, a = divmod(n, 4)
+        index.append(a)
+    return (PSI if psi_bit else PHI, tuple(reversed(index)))
+
+
+@cache
+def lift(c: int, direction: int) -> int:
+    """The code of the prolongation d/dx_direction of a jet variable."""
+    tag, index = var(c)
+    return code((tag, merge(index, (direction,))))
 
 
 def monomial_key(factors: Iterable[JetVar]) -> Monomial:
-    return tuple(sorted(factors, key=_var_key))
+    return tuple(sorted(map(code, factors)))
+
+
+@cache
+def is_psi(c: int) -> int:
+    """1 for the code of a psi jet, 0 for a phi jet."""
+    return c & 1
+
+
+@cache
+def jet_order(c: int) -> int:
+    """The derivative order of the jet variable of a code."""
+    return len(var(c)[1])
+
+
+def decode(mono: Monomial) -> tuple[JetVar, ...]:
+    """The factors of a monomial, phi before psi; the codes of one tag
+    already sort by index length, then by index."""
+    return tuple(map(var, sorted(mono, key=is_psi)))
 
 
 def format_var(v: JetVar) -> str:
@@ -81,8 +130,8 @@ def parse_var(text: str) -> JetVar:
 
 
 class JetPolynomial(SparsePoly):
-    """Sparse rational polynomial in jet variables; a monomial is a sorted
-    tuple of jet variables."""
+    """Sparse rational polynomial in jet variables; a monomial is the sorted
+    tuple of its factors' codes."""
 
     __slots__ = ()
 
@@ -90,17 +139,17 @@ class JetPolynomial(SparsePoly):
 
     @staticmethod
     def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-        return tuple(sorted(m1 + m2, key=_var_key))
+        return tuple(sorted(m1 + m2))
 
     @staticmethod
     def _term_key(mono: Monomial):
-        return (len(mono), mono)  # factor count, then factor keys
+        return (len(mono), decode(mono))  # factor count, then factor keys
 
     _text_key = _term_key
 
     @staticmethod
     def _factors(mono: Monomial) -> list[str]:
-        return [format_var(v) for v in mono]
+        return [format_var(v) for v in decode(mono)]
 
     @staticmethod
     def _parse_factors(names) -> Monomial:
@@ -108,16 +157,15 @@ class JetPolynomial(SparsePoly):
 
     @staticmethod
     def variable(v: JetVar) -> "JetPolynomial":
-        return JetPolynomial.from_numerators({(v,): 1})
+        return JetPolynomial.from_numerators({(code(v),): 1})
 
     def x_derivative(self, direction: int) -> "JetPolynomial":
         """Total derivative: prolongation on each factor, Leibniz over products."""
         out: dict[Monomial, int] = {}
         get = out.get
         for mono, c in self.terms.items():
-            for pos, (tag, index) in enumerate(mono):
-                lifted = (tag, merge(index, (direction,)))
-                key = monomial_key(mono[:pos] + (lifted,) + mono[pos + 1:])
+            for pos, v in enumerate(mono):
+                key = tuple(sorted(mono[:pos] + (lift(v, direction),) + mono[pos + 1:]))
                 s = get(key, 0) + c
                 if s:
                     out[key] = s
@@ -135,7 +183,7 @@ class JetPolynomial(SparsePoly):
         total = RatVec()
         for mono, c in self.terms.items():
             value = XPoly.const(c)
-            for tag, index in mono:
+            for tag, index in map(var, mono):
                 if value.is_zero:
                     break
                 if tag == PHI:
@@ -151,8 +199,7 @@ class JetPolynomial(SparsePoly):
 
     def max_jet_order(self) -> int:
         """Largest derivative order among all jet factors; 0 if constant."""
-        orders = [len(index) for mono in self.terms for _, index in mono]
-        return max(orders, default=0)
+        return max((jet_order(c) for mono in self.terms for c in mono), default=0)
 
 
 _EPSILON = {
@@ -182,7 +229,7 @@ def substitute_factor(index: MultiIndex, i: int, j: int, mode: str) -> JetPolyno
             continue
         if mode == NABLA_PHI:
             out = out + JetPolynomial.from_monomial(
-                (jet_var(PHI, merge(index, (k,))),), sign)
+                monomial_key((jet_var(PHI, merge(index, (k,))),)), sign)
         elif mode == PSI_NABLA_PHI:
             for (left, right), count in splits(index, 2):
                 mono = monomial_key((jet_var(PSI, left), jet_var(PHI, merge(right, (k,)))))

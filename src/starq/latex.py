@@ -7,6 +7,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cochains import JET_RING, X_RING, Cochain
+from .jets import decode
 from .star import StarProduct
 
 
@@ -33,6 +34,7 @@ def _x_symbols(exp: tuple[int, int, int]) -> str:
 
 
 def _jet_symbols(mono) -> str:
+    mono = decode(mono)
     symbols = ""
     for tag, index in dict.fromkeys(mono):
         rendered = rf"\{tag}_{{{''.join(map(str, index))}}}" if index else rf"\{tag}"

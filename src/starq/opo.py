@@ -323,6 +323,11 @@ def enumerate_terms(n_factors: int, require_opo: bool = False) -> list[AbstractT
 
 # -- text grammar -----------------------------------------------------------------
 
+# term_to_text names the two upper indices of each factor with these letters,
+# so a parsed term has at most seven factors (and 7! relabelings to canonicalize)
+_UPPER_NAMES = "ijklmnpqrstuvw"
+MAX_TERM_FACTORS = len(_UPPER_NAMES) // 2
+
 _FACTOR_RE = re.compile(r"^d?P\(([^)]*)\)$")
 _ARG_RE = re.compile(r"^@(\d+)\(([^)]*)\)$")
 
@@ -334,7 +339,8 @@ def parse_term(text: str) -> AbstractTerm:
     names after it; "P(i,j)" is an underived factor.  @k(...) lists the
     names landing on argument k; every argument from 1 to the largest must be
     written, an unwired one as "@k()".  Every upper name must appear exactly
-    once as a lower name somewhere.
+    once as a lower name somewhere.  A term has at most MAX_TERM_FACTORS
+    factors.
     """
     factor_lowers: list[list[str]] = []
     factor_uppers: list[tuple[str, str]] = []
@@ -367,6 +373,8 @@ def parse_term(text: str) -> AbstractTerm:
         raise ValueError(f"cannot parse token {token!r}")
     if not factor_uppers:
         raise ValueError("term has no Poisson factors")
+    if len(factor_uppers) > MAX_TERM_FACTORS:
+        raise ValueError(f"term has more than {MAX_TERM_FACTORS} Poisson factors")
     if max_arg == 0:
         raise ValueError("term has no arguments")
     if len(arg_lowers) != max_arg:
@@ -408,7 +416,7 @@ def parse_term(text: str) -> AbstractTerm:
 
 def term_to_text(term: AbstractTerm) -> str:
     """Render a diagram in the wiring grammar with generated index names."""
-    names = iter("ijklmnpqrstuvw")
+    names = iter(_UPPER_NAMES)
     upper_names: list[tuple[str, str]] = [(next(names), next(names))
                                           for _ in range(term.n_factors)]
     lowers: dict[Target, list[str]] = {}

@@ -49,8 +49,13 @@ class RatVec:
     def add(self, terms: Mapping, den: int = 1, mul: int = 1) -> None:
         """Add ``mul * terms / den`` in place (nonzero integer numerators in
         ``terms``), dropping cancelled entries."""
-        if not mul:
-            return
+        if mul:
+            self.add_scaled(terms, self.multiple(den, mul))
+
+    def multiple(self, den: int, mul: int = 1) -> int:
+        """The denominator step of ``add``: raise ``self.den`` to a multiple of
+        ``den / gcd(mul, den)`` and return the integer m with
+        ``mul / den == m / self.den``."""
         own = self.den
         if own % den:
             g = gcd(mul, den)
@@ -61,7 +66,11 @@ class RatVec:
                 for k in out:
                     out[k] *= rise
                 self.den = own = own * rise
-        mul *= own // den
+        return mul * (own // den)
+
+    def add_scaled(self, terms: Mapping, mul: int) -> None:
+        """Add ``mul * terms`` to the numerators over ``self.den``, in place;
+        ``mul`` must be nonzero, and cancelled entries are dropped."""
         out = self.terms
         get = out.get
         for k, c in terms.items():

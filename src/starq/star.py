@@ -36,7 +36,7 @@ from .cochains import (
     ring_class, slot_total,
 )
 from .jets import (
-    NABLA_PHI, PSI_NABLA_PHI, PHI, substitute_factor,
+    NABLA_PHI, PSI_NABLA_PHI, decode, is_psi, jet_order, substitute_factor,
 )
 from .linsolve import ColumnReducer
 from .multiindex import MultiIndex, all_indices
@@ -216,12 +216,12 @@ def check_grading(cochain: Cochain, k: int, mode: str) -> None:
     for slots, coeff in cochain.terms.items():
         s_total = slot_total(slots)
         for mono in coeff.terms:
-            n_phi = sum(1 for tag, _ in mono if tag == PHI)
-            n_psi = len(mono) - n_phi
-            jet_total = sum(len(index) for _, index in mono)
+            n_psi = sum(map(is_psi, mono))
+            n_phi = len(mono) - n_psi
+            jet_total = sum(map(jet_order, mono))
             if n_phi != k or n_psi != (k if want_psi else 0):
                 raise GradingError(
-                    f"level {k}: factor counts ({n_phi} phi, {n_psi} psi) in {mono}")
+                    f"level {k}: factor counts ({n_phi} phi, {n_psi} psi) in {decode(mono)}")
             if s_total + jet_total != 3 * k:
                 raise GradingError(
                     f"level {k}: derivative balance {s_total}+{jet_total} != {3 * k}")
@@ -315,13 +315,15 @@ class DeltaSolver:
             for mono, c in coeff.terms.items():
                 blocks[total, mono].add({slots: c}, den)
         sums: dict = defaultdict(RatVec)
-        for total, mono in sorted(blocks):
+        # blocks in the order and with the names of their public monomials
+        shown = decode if rhs.ring == JET_RING else tuple
+        for total, mono in sorted(blocks, key=lambda block: (block[0], shown(block[1]))):
             reducer = self.system(total, parity)
             combo = reducer.solve(blocks[total, mono])
             if combo is None:
                 raise InfeasibleError(
-                    f"level {k}: block (slot total {total}, monomial {mono}) "
-                    f"is outside the coboundary span", block=(total, mono))
+                    f"level {k}: block (slot total {total}, monomial {shown(mono)}) "
+                    f"is outside the coboundary span", block=(total, shown(mono)))
             for (a, b), q in sorted(combo.items()):
                 sums[a, b].add({mono: q.numerator}, q.denominator)
                 if a != b:

@@ -249,6 +249,9 @@ class CheckResult:
         }
 
 
+_HALF = Fraction(1, 2)
+
+
 def _rhs(levels: list[Cochain], k: int) -> Cochain:
     """(1/2) sum over l of [M_l, M_{k-l}], the symmetric bracket form.
 
@@ -256,9 +259,8 @@ def _rhs(levels: list[Cochain], k: int) -> Cochain:
     another formula than the constructor's one-sided sum; half of each
     bracket is added into one accumulator.
     """
-    half = Fraction(1, 2)
     return linear_combination(3, levels[1].ring,
-                              ((half, levels[l].bracket(levels[k - l])) for l in range(1, k)))
+                              ((_HALF, levels[l].bracket(levels[k - l])) for l in range(1, k)))
 
 
 def verify_star(star: StarProduct, degree: int | None = None) -> dict:

@@ -5,7 +5,7 @@ from itertools import combinations, permutations, product
 from random import Random
 
 from starq.cochains import Cochain, JET_RING, X_RING
-from starq.jets import JetPolynomial, monomial_key, phi_jet, psi_jet, substitute_factor
+from starq.jets import JetPolynomial, monomial_key, phi_jet, psi_jet, substitute_factor, var
 from starq.multiindex import merge, splits
 from starq.opo import ARG, FAC, AbstractTerm, canonical_term, is_opo
 from starq.polynomials import XPoly, monomials_up_to
@@ -200,9 +200,10 @@ def fraction_x_derivative(a: dict, direction: int, ring) -> dict:
                 key = tuple(e - (i == direction - 1) for i, e in enumerate(mono))
                 _put(out, key, c * mono[direction - 1])
         else:
-            for pos, (tag, index) in enumerate(mono):
+            factors = [var(code) for code in mono]
+            for pos, (tag, index) in enumerate(factors):
                 lifted = (tag, merge(index, (direction,)))
-                _put(out, monomial_key(mono[:pos] + (lifted,) + mono[pos + 1:]), c)
+                _put(out, monomial_key(factors[:pos] + [lifted] + factors[pos + 1:]), c)
     return out
 
 

@@ -131,6 +131,21 @@ def test_opo_check_examples(capsys):
         assert capsys.readouterr().out == ""
 
 
+def test_opo_check_bounds_the_factor_count(capsys):
+    def term(n):
+        return (" ".join(f"P(i{u},j{u})" for u in range(n))
+                + " @1(" + ",".join(f"i{u}" for u in range(n)) + ")"
+                + " @2(" + ",".join(f"j{u}" for u in range(n)) + ")")
+
+    assert main(["opo-check", term(7)]) == 0
+    assert capsys.readouterr().out.startswith("OPO")
+    for n in (8, 9):  # term_to_text has names for seven factors only
+        assert main(["opo-check", term(n)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "more than 7 Poisson factors" in captured.err
+
+
 @pytest.mark.slow
 def test_explicit_restricted_build_reports_its_obstructed_family(capsys):
     # the explicit and the family obstructions are both nonzero at level 4;

@@ -2,7 +2,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from starq.cochains import (Cochain, JET_RING, X_RING, delta_terms, epsilon_cochain,
                             insertion_sum, linear_combination, slot_total)
@@ -152,17 +152,40 @@ def test_insert_matches_reference(seed, ring, p, q):
         assert a.bracket(b, (1, 1, 1)) == a.bracket(b).degree_part((1, 1, 1))
 
 
+# Weights pinned on one operand pair: a weight of 0, alone or beside another,
+# gives contributions with multiplier 0, and weights that cancel give sums
+# that cancel exactly.  Random weights seldom produce either.
+PINNED_WEIGHTS = ((0,), (0, Fraction(2, 3)), (Fraction(1, 2), Fraction(-1, 2)),
+                  (1, Fraction(-1, 3), Fraction(-2, 3)))
+
+
+def _pinned_examples(**arities):
+    """One @example per pinned weight tuple, in both rings."""
+    def decorate(test):
+        for n, weights in enumerate(PINNED_WEIGHTS):
+            for ring in (JET_RING, X_RING):
+                test = example(seed=n, ring=ring, weights=weights, **arities)(test)
+        return test
+    return decorate
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2 ** 32), RINGS, st.sampled_from((2, 3)), st.sampled_from((2, 3)))
-def test_bracket_and_insertion_sum_match_reference(seed, ring, p, q):
+@_pinned_examples(p=2, q=2)
+@_pinned_examples(p=3, q=2)
+@given(seed=st.integers(0, 2 ** 32), ring=RINGS, p=st.sampled_from((2, 3)),
+       q=st.sampled_from((2, 3)), weights=st.none())
+def test_bracket_and_insertion_sum_match_reference(seed, ring, p, q, weights):
     rng = Random(seed)
     a, b = _operand(rng, p, ring), _operand(rng, q, ring)
     sign = (-1) ** ((p - 1) * (q - 1))
     assert a.bracket(b) == reference_insert(a, b) - reference_insert(b, a).scale(sign)
     # weighted insertions of several pairs, against copies folded one by one
-    triples = [(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
-                _operand(rng, p, ring), _operand(rng, q, ring))
-               for _ in range(rng.randint(0, 3))]
+    if weights is None:
+        triples = [(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                    _operand(rng, p, ring), _operand(rng, q, ring))
+                   for _ in range(rng.randint(0, 3))]
+    else:
+        triples = [(weight, a, b) for weight in weights]
     folded = Cochain(p + q - 1, ring)
     for weight, outer, inner in triples:
         folded = folded + reference_insert(outer, inner).scale(weight)
@@ -179,13 +202,18 @@ def test_hochschild_delta_matches_reference(seed, ring, arity):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2 ** 32), RINGS)
-def test_antisymmetrize_and_combination_match_reference(seed, ring):
+@_pinned_examples()
+@given(seed=st.integers(0, 2 ** 32), ring=RINGS, weights=st.none())
+def test_antisymmetrize_and_combination_match_reference(seed, ring, weights):
     rng = Random(seed)
     c = _operand(rng, 3, ring)
     assert c.antisymmetrize() == reference_antisymmetrize(c)
-    pairs = [(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), _operand(rng, 2, ring))
-             for _ in range(rng.randint(0, 3))]
+    if weights is None:
+        pairs = [(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), _operand(rng, 2, ring))
+                 for _ in range(rng.randint(0, 3))]
+    else:
+        term = _operand(rng, 2, ring)
+        pairs = [(weight, term) for weight in weights]
     folded = Cochain(2, ring)
     for q, term in pairs:
         folded = folded + term.scale(q)

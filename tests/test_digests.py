@@ -39,9 +39,13 @@ MUTANTS = {
 }
 
 # JSON of builds through the restricted span at every level (the conformal
-# one concretizes non-monomial factors), symbolic and explicit, and through
-# the explicit conformal recursion, whose level 2 specializes its family's.
+# one concretizes non-monomial factors), symbolic and explicit, through the
+# explicit conformal recursion, whose level 2 specializes its family's, and
+# of the symbolic order-4 build, whose level 4 is solved in the pivot gauge.
 BUILDS = {
+    "symbolic-order-4": (
+        lambda: build_star(NABLA_PHI, 4),
+        "c225a84ba9eaf6b87508487289c8478ee0f590ad5d2657055cb6458969797636"),
     "opo-restrict": (
         lambda: build_star(NABLA_PHI, 3, opo_restrict=True),
         "5d11d27198fe2d09956529b665cd95ad345dba93d999126aa4f348353725b4ba"),

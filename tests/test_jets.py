@@ -1,9 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from starq.jets import (NABLA_PHI, PSI_NABLA_PHI, JetPolynomial, jet_var,
-                        phi_jet, psi_jet, substitute_factor)
+from starq.cli import MAX_ORDER
+from starq.jets import (NABLA_PHI, PHI, PSI, PSI_NABLA_PHI, JetPolynomial, code, format_var,
+                        is_psi, jet_order, jet_var, lift, monomial_key, phi_jet, psi_jet,
+                        substitute_factor, var)
+from starq.cochains import JET_RING
+from starq.latex import _SYMBOLS, _frac_latex, _join, ring_latex
+from starq.multiindex import all_indices, merge
 from starq.polynomials import XPoly, parse_poly
 
 
@@ -61,7 +67,7 @@ def test_eval_jets_specializes_to_explicit_polynomials():
 
 def test_factor_counts_and_jet_order():
     mono = (phi_jet(1), phi_jet(2, 3), psi_jet())
-    p = JetPolynomial.from_monomial(mono, Fraction(1))
+    p = JetPolynomial.from_monomial(monomial_key(mono), Fraction(1))
     assert p.max_jet_order() == 2
 
 
@@ -85,3 +91,89 @@ def test_rings_are_distinct_under_equality():
     assert XPoly.zero() != JetPolynomial.zero()
     assert JetPolynomial.zero() != XPoly.zero()
     assert XPoly.zero() == XPoly.zero() and JetPolynomial.zero() == JetPolynomial.zero()
+
+
+# -- int codes of jet variables ------------------------------------------------------
+
+def _var_key(v):
+    """The order in which a monomial lists its factors when printed."""
+    tag, index = v
+    return (tag, len(index), index)
+
+
+def _all_vars(max_len: int) -> list:
+    return [(tag, index) for tag in (PHI, PSI) for n in range(max_len + 1)
+            for index in all_indices(n)]
+
+
+def test_codes_decode_and_order_like_var_key():
+    variables = _all_vars(2 * MAX_ORDER)
+    assert len({code(v) for v in variables}) == len(variables)
+    for v in variables:
+        assert var(code(v)) == v
+        assert is_psi(code(v)) == (v[0] == PSI) and jet_order(code(v)) == len(v[1])
+        for a in (1, 2, 3):
+            assert var(lift(code(v), a)) == (v[0], merge(v[1], (a,)))
+    for tag in (PHI, PSI):
+        same_tag = [v for v in variables if v[0] == tag]
+        assert sorted(same_tag, key=code) == sorted(same_tag, key=_var_key)
+
+
+# Reference: a jet polynomial as a dict from tuples of jet variables, sorted
+# by _var_key, to Fractions; the functions below print it in the ring's
+# documented order without going through the codes.
+JET_VARS = st.sampled_from(_all_vars(3)).filter(lambda v: v[0] == PSI or v[1])
+TERMS = st.lists(st.tuples(st.lists(JET_VARS, max_size=4),
+                           st.fractions(min_value=-5, max_value=5, max_denominator=12)),
+                 max_size=6)
+
+
+def _reference_terms(terms) -> dict:
+    out: dict = {}
+    for factors, q in terms:
+        key = tuple(sorted(factors, key=_var_key))
+        out[key] = out.get(key, 0) + q
+    return {m: q for m, q in out.items() if q}
+
+
+def _reference_ordered(ref: dict) -> list:
+    return sorted(ref.items(), key=lambda item: (len(item[0]), item[0]))
+
+
+def _reference_str(ref: dict) -> str:
+    parts = []
+    for mono, q in _reference_ordered(ref):
+        body = "*".join(format_var(v) for v in mono)
+        if not body:
+            parts.append(str(q))
+        elif abs(q) == 1:
+            parts.append(body if q == 1 else f"-{body}")
+        else:
+            parts.append(f"{q}*{body}")
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+
+def _reference_latex(ref: dict) -> str:
+    parts = []
+    for mono, q in _reference_ordered(ref):
+        symbols = ""
+        for tag, index in dict.fromkeys(mono):
+            rendered = rf"\{tag}_{{{''.join(map(str, index))}}}" if index else rf"\{tag}"
+            power = mono.count((tag, index))
+            symbols += rendered if power == 1 else f"{rendered}^{{{power}}}"
+        parts.append(_join(*_frac_latex(q, lead=not parts), symbols))
+    return " ".join(parts) if parts else "0"
+
+
+@settings(max_examples=150, deadline=None)
+@given(TERMS)
+def test_printing_and_json_follow_var_key_order(terms):
+    p = JetPolynomial.zero()
+    for factors, q in terms:
+        p = p + JetPolynomial.from_monomial(monomial_key(factors), q)
+    ref = _reference_terms(terms)
+    assert JetPolynomial.from_json(p.to_json()) == p
+    assert p.to_json() == [{"coeff": str(q), "factors": [format_var(v) for v in mono]}
+                           for mono, q in _reference_ordered(ref)]
+    assert str(p) == _reference_str(ref)
+    assert ring_latex(p, _SYMBOLS[JET_RING]) == _reference_latex(ref)

@@ -9,7 +9,7 @@ from helpers import reference_concretize, reference_enumerate
 from starq.cochains import X_RING
 from starq.jets import NABLA_PHI, PSI_NABLA_PHI, substitute_factor
 from starq.multiindex import all_indices
-from starq.opo import (AbstractTerm, abstract_bracket, abstract_delta,
+from starq.opo import (MAX_TERM_FACTORS, AbstractTerm, abstract_bracket, abstract_delta,
                        canonical_term, concretize, double_bracket_terms,
                        enumerate_terms, is_opo, jacobi_example_opo_term,
                        jacobi_example_terms, non_orderable_example, parse_term,
@@ -57,6 +57,23 @@ def test_parse_rejects_malformed():
                 "P(i,j) @1(i) @200000(j)"):  # arity beyond the text's length
         with pytest.raises(ValueError):
             parse_term(bad)
+
+
+def _star_term(n: int) -> str:
+    """n underived factors, each wiring one upper index to either argument."""
+    factors = " ".join(f"P(i{u},j{u})" for u in range(n))
+    firsts = ",".join(f"i{u}" for u in range(n))
+    seconds = ",".join(f"j{u}" for u in range(n))
+    return f"{factors} @1({firsts}) @2({seconds})"
+
+
+def test_parse_bounds_the_factor_count():
+    term = parse_term(_star_term(MAX_TERM_FACTORS))
+    assert term.n_factors == MAX_TERM_FACTORS == 7
+    assert parse_term(term_to_text(term)) == term  # seven factors still get names
+    for n in (MAX_TERM_FACTORS + 1, 40):
+        with pytest.raises(ValueError, match="more than 7 Poisson factors"):
+            parse_term(_star_term(n))
 
 
 def test_enumeration_counts():

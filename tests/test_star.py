@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from starq.cochains import Cochain, JET_RING, X_RING
-from starq.jets import (NABLA_PHI, PSI_NABLA_PHI, JetPolynomial, phi_jet)
+from starq.jets import (NABLA_PHI, PSI_NABLA_PHI, JetPolynomial, phi_jet, var)
 from starq.polynomials import XPoly, parse_poly
 from starq.star import (ClosureError, DeltaSolver, GradingError, ObstructionError,
                         ObstructionReport, StarProduct, assemble_rhs, base_levels, build_star,
@@ -75,8 +75,8 @@ def test_verifier_rhs_on_symbolic_levels(sym_star3, sym_rhs):
 
 
 def test_hot_kernels_construct_no_fraction(sym_star3, cubic_star, monkeypatch):
-    """The coboundary, the insertion kernel and the associator scan run on
-    integer numerators."""
+    """The coboundary, the insertion kernel, the verifier's bracket form of
+    R_k, the grading check and the associator scan run on integer numerators."""
     made = []
     original = Fraction.__new__
 
@@ -88,7 +88,9 @@ def test_hot_kernels_construct_no_fraction(sym_star3, cubic_star, monkeypatch):
     assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6) and made  # the wrapper counts
     made.clear()
     sym_star3.levels[3].hochschild_delta()
-    assemble_rhs(sym_star3.levels, 3)
+    rhs = assemble_rhs(sym_star3.levels, 3)
+    assert _rhs(sym_star3.levels, 3) == rhs
+    check_grading(rhs, 3, NABLA_PHI)
     assert associator_scan(cubic_star, 3) is None
     assert made == []
 
@@ -185,7 +187,7 @@ def test_right_hand_sides_fill_every_slot(mode, k, request):
     rhs, _ = level_equation(star.levels, k, mode)
     assert rhs.terms and all(all(slots) for slots in rhs.terms)
     orders = [len(index) for coeff in rhs.terms.values()
-              for mono in coeff.terms for _, index in mono]
+              for mono in coeff.terms for _, index in map(var, mono)]
     assert max(orders) <= 2 * k - 2
 
 
