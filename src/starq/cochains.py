@@ -150,13 +150,6 @@ class Cochain:
         return Cochain(self.arity, self.ring,
                        {slots: c.scale(q) for slots, c in self.terms.items()})
 
-    def ring_scale(self, value) -> "Cochain":
-        """Multiply every coefficient by a ring element."""
-        out = Cochain(self.arity, self.ring)
-        for slots, c in self.terms.items():
-            out.add_term(slots, c * value)
-        return out
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -191,10 +184,10 @@ class Cochain:
         return Cochain(self.arity, self.ring, picked)
 
     def reverse_args(self) -> "Cochain":
-        out = Cochain(self.arity, self.ring)
-        for slots, c in self.terms.items():
-            out.add_term(slots[::-1], c)
-        return out
+        """The operator with its arguments in reverse order; a reversal is a
+        bijection on slot tuples, so terms move by assignment."""
+        return Cochain(self.arity, self.ring,
+                       {slots[::-1]: c for slots, c in self.terms.items()})
 
     # -- differential and bracket -------------------------------------------
 

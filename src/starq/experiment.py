@@ -20,6 +20,7 @@ from .cochains import Cochain, JET_RING, linear_combination
 from .jets import PSI_NABLA_PHI, JetPolynomial
 from .linsolve import ColumnReducer
 from .opo import AbstractTerm, concretize, enumerate_terms, is_opo, term_to_text
+from .polynomials import RatVec
 from .star import (
     DeltaSolver, InfeasibleError, StarProduct, _flatten, build_star, determinant_witness,
     level_equation, opo_projections, solve_opo,
@@ -77,7 +78,8 @@ def _lift(target: Cochain, terms: list[tuple[int, AbstractTerm]],
         c = concretize([term], mode)
         if not c.is_zero:
             reducer.add_column(idx, _flatten(c))
-    return reducer.solve(_flatten(target))
+    combo = reducer.solve(_flatten(target))
+    return None if combo is None else combo.fractions()
 
 
 def audit_level(level: Cochain, k: int, mode: str) -> LevelAudit:
@@ -173,6 +175,16 @@ def _solvable(solver: DeltaSolver, rhs: Cochain, k: int) -> bool:
     return True
 
 
+def _combined_rows(lhs: Cochain, witness: JetPolynomial, sign: int) -> RatVec:
+    """One vector of the combined system: the coefficients of lhs on
+    ("delta", monomial, slots) rows and sign times the witness on
+    ("ar", monomial) rows."""
+    flat = _flatten(lhs)
+    vec = RatVec({("delta",) + row: c for row, c in flat.terms.items()}, flat.den)
+    vec.add({("ar", mono): c for mono, c in witness.terms.items()}, witness.den, sign)
+    return vec
+
+
 def psi_opo_experiment() -> ExperimentRecord:
     """Exact feasibility of an orderable level 3 with vanishing level-4
     obstruction, in the conformal family.
@@ -198,30 +210,23 @@ def psi_opo_experiment() -> ExperimentRecord:
     base_witness = determinant_witness(base_alt)
 
     combined = ColumnReducer()
-    delta_rows: set = set()
-    obstruction_rows: set = set()
+    rows: set = set()
     for idx, proj in sorted(columns.items()):
-        delta = _flatten(proj.hochschild_delta()).fractions()
-        dvec = {("delta",) + row: q for row, q in delta.items()}
-        delta_rows.update(dvec)
-        alt = m1.bracket(proj, (1, 1, 1)).antisymmetrize()
-        for mono, q in determinant_witness(alt).monomials():
-            dvec[("ar", mono)] = q
-            obstruction_rows.add(("ar", mono))
-        combined.add_column(idx, dvec)
-
-    rhs_combined = {("delta",) + row: q for row, q in _flatten(r3).fractions().items()}
-    delta_rows.update(rhs_combined)
-    for mono, q in base_witness.monomials():
-        rhs_combined[("ar", mono)] = -q
-        obstruction_rows.add(("ar", mono))
+        witness = determinant_witness(m1.bracket(proj, (1, 1, 1)).antisymmetrize())
+        column = _combined_rows(proj.hochschild_delta(), witness, 1)
+        rows.update(column.terms)
+        combined.add_column(idx, column)
+    rhs_combined = _combined_rows(r3, base_witness, -1)
+    rows.update(rhs_combined.terms)
+    delta_rows = sum(row[0] == "delta" for row in rows)
 
     orderable_m3 = solve_opo(r3, projections)
     combined_solution = combined.solve(rhs_combined)
     witness_m3 = None
     if combined_solution is not None:
         witness_m3 = linear_combination(
-            2, JET_RING, ((q, columns[idx]) for idx, q in sorted(combined_solution.items())))
+            2, JET_RING,
+            ((q, columns[idx]) for idx, q in sorted(combined_solution.fractions().items())))
         if witness_m3.hochschild_delta() != r3:
             raise AssertionError("combined solution fails the level equation")
 
@@ -237,8 +242,8 @@ def psi_opo_experiment() -> ExperimentRecord:
     return ExperimentRecord(
         mode=PSI_NABLA_PHI,
         columns=len(columns),
-        delta_rows=len(delta_rows),
-        obstruction_rows=len(obstruction_rows),
+        delta_rows=delta_rows,
+        obstruction_rows=len(rows) - delta_rows,
         orderable_delta_feasible=orderable_m3 is not None,
         combined_feasible=combined_solution is not None,
         unrestricted_feasible=unrestricted_feasible,

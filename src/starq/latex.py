@@ -33,27 +33,38 @@ def _x_symbols(exp: tuple[int, int, int]) -> str:
     return "".join(f"x_{i}" if e == 1 else f"x_{i}^{{{e}}}" for i, e in enumerate(exp, 1) if e)
 
 
-def _jet_symbols(mono) -> str:
-    mono = decode(mono)
+def _x_terms(p) -> list[tuple[str, Fraction]]:
+    return [(_x_symbols(exp), q) for exp, q in p.monomials()]
+
+
+def _jet_symbols(factors) -> str:
     symbols = ""
-    for tag, index in dict.fromkeys(mono):
+    for tag, index in dict.fromkeys(factors):
         rendered = rf"\{tag}_{{{''.join(map(str, index))}}}" if index else rf"\{tag}"
-        power = mono.count((tag, index))
+        power = factors.count((tag, index))
         symbols += rendered if power == 1 else f"{rendered}^{{{power}}}"
     return symbols
 
 
-_SYMBOLS = {X_RING: _x_symbols, JET_RING: _jet_symbols}
+def _jet_terms(p) -> list[tuple[str, Fraction]]:
+    """The ring's canonical order, factor count and then decoded factors,
+    with each monomial decoded once for the order and its symbols."""
+    decoded = sorted((len(mono), decode(mono), c) for mono, c in p.terms.items())
+    return [(_jet_symbols(factors), Fraction(c, p.den)) for _, factors, c in decoded]
 
 
-def ring_latex(p, symbols) -> str:
-    """A ring element in LaTeX; ``symbols`` renders one monomial of its ring."""
+# ring -> (LaTeX symbols, coefficient) of an element's monomials, in canonical order
+_SYMBOLS = {X_RING: _x_terms, JET_RING: _jet_terms}
+
+
+def ring_latex(p, terms) -> str:
+    """A ring element in LaTeX; ``terms`` lists its rendered monomials."""
     if p.is_zero:
         return "0"
     parts = []
-    for mono, coeff in p.monomials():
+    for symbols, coeff in terms(p):
         sign, body = _frac_latex(coeff, lead=not parts)
-        parts.append(_join(sign, body, symbols(mono)))
+        parts.append(_join(sign, body, symbols))
     return " ".join(parts)
 
 
@@ -67,11 +78,11 @@ def _slot_latex(s: tuple[int, ...]) -> str:
 def cochain_latex(c: Cochain) -> str:
     if c.is_zero:
         return "0"
-    symbols = _SYMBOLS[c.ring]
+    terms = _SYMBOLS[c.ring]
     parts = []
     for slots, coeff in c.sorted_terms():
         ops = r" \otimes ".join(_slot_latex(s) for s in slots)
-        body = ring_latex(coeff, symbols)
+        body = ring_latex(coeff, terms)
         if " " in body:  # more than one monomial needs grouping
             body = rf"\bigl({body}\bigr)"
         if body == "1":

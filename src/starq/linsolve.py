@@ -7,14 +7,13 @@ produced it.  Solving expresses a right-hand side in the added columns
 using pivot columns only, so columns that arrived linearly dependent never
 appear in a solution: their coefficients stay zero.  Pivots, combinations
 and the vectors being reduced are ``RatVec``s, integer numerators over one
-denominator, reduced by their gcd after every elimination step; only the
-combinations ``solve`` returns are Fractions.  Results are exact and
-independence decisions are never approximate.
+denominator, reduced by their gcd after every elimination step, and
+``solve`` returns its combination as one, so integers go in and come out.
+Results are exact and independence decisions are never approximate.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Hashable, Mapping
 
 from .polynomials import RatVec
@@ -72,12 +71,12 @@ class ColumnReducer:
         self.pivots[lead] = (rest.reduce(), pivot_combo.reduce())
         return True
 
-    def solve(self, rhs: Mapping | RatVec) -> dict[Hashable, Fraction] | None:
-        """Coefficients over column keys reproducing rhs, or None if outside
-        the span.  Dependent columns are never used."""
+    def solve(self, rhs: Mapping | RatVec) -> RatVec | None:
+        """Reduced coefficients over column keys reproducing rhs, or None if
+        outside the span.  Dependent columns are never used."""
         work = RatVec.of(rhs)
         combo = RatVec()
         self._reduce(work, combo)
         if work.terms:
             return None
-        return combo.fractions()
+        return combo

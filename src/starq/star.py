@@ -29,11 +29,12 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .cochains import (
-    Cochain, JET_RING, X_RING, delta_terms, epsilon_cochain, insertion_sum, linear_combination,
-    ring_class, slot_total,
+    Cochain, JET_RING, X_RING, _common_den, delta_terms, epsilon_cochain, insertion_sum,
+    linear_combination, ring_class, slot_total,
 )
 from .jets import (
     NABLA_PHI, PSI_NABLA_PHI, decode, is_psi, jet_order, substitute_factor,
@@ -62,10 +63,6 @@ class ObstructionError(Exception):
 
 class InfeasibleError(Exception):
     """No ansatz combination cobounds the right-hand side."""
-
-    def __init__(self, message: str, block=None):
-        super().__init__(message)
-        self.block = block
 
 
 def parity_sign(k: int) -> int:
@@ -163,7 +160,9 @@ def determinant_witness(alternating: Cochain):
     always such a multiple; that is checked, not assumed.
     """
     witness = alternating.coefficient(COORDINATE_SLOTS)
-    if alternating != epsilon_cochain(alternating.ring).ring_scale(witness):
+    copies = {} if witness.is_zero else {
+        slots: witness * sign for slots, sign in epsilon_cochain(alternating.ring).terms.items()}
+    if alternating.terms != copies:
         raise AssertionError("alternating part is not a multiple of the determinant operator")
     return witness
 
@@ -307,28 +306,40 @@ class DeltaSolver:
 
     def solve(self, rhs: Cochain, k: int) -> Cochain:
         """Canonical M_k with delta(M_k) = R_k, exact; raises InfeasibleError
-        when some block cannot be generated."""
+        when some block cannot be generated.
+
+        Each entry of R_k lands in one block, and each entry of a block's
+        solution in one slot sum, as does its mirror (a canonical pair is
+        never another's mirror), so entries move by assignment over one
+        common denominator and nothing is summed.
+        """
         parity = parity_sign(k)
-        blocks: dict[tuple, RatVec] = defaultdict(RatVec)
+        den = _common_den(rhs)
+        blocks: dict[tuple, dict] = defaultdict(dict)
         for slots, coeff in rhs.terms.items():
-            total, den = slot_total(slots), coeff.den
+            total, mul = slot_total(slots), den // coeff.den
             for mono, c in coeff.terms.items():
-                blocks[total, mono].add({slots: c}, den)
-        sums: dict = defaultdict(RatVec)
+                blocks[total, mono][slots] = c * mul
+        combos = []
         # blocks in the order and with the names of their public monomials
         shown = decode if rhs.ring == JET_RING else tuple
         for total, mono in sorted(blocks, key=lambda block: (block[0], shown(block[1]))):
-            reducer = self.system(total, parity)
-            combo = reducer.solve(blocks[total, mono])
+            combo = self.system(total, parity).solve(RatVec(blocks[total, mono], den))
             if combo is None:
                 raise InfeasibleError(
                     f"level {k}: block (slot total {total}, monomial {shown(mono)}) "
-                    f"is outside the coboundary span", block=(total, shown(mono)))
-            for (a, b), q in sorted(combo.items()):
-                sums[a, b].add({mono: q.numerator}, q.denominator)
+                    f"is outside the coboundary span")
+            combos.append((mono, combo))
+        common = lcm(*(combo.den for _, combo in combos))
+        sums: dict = defaultdict(dict)
+        for mono, combo in combos:
+            mul = common // combo.den
+            for (a, b), c in combo.terms.items():
+                sums[a, b][mono] = c * mul
                 if a != b:
-                    sums[b, a].add({mono: q.numerator * parity}, q.denominator)
-        result = Cochain._from_sums(2, rhs.ring, sums)
+                    sums[b, a][mono] = c * mul * parity
+        make = ring_class(rhs.ring).from_numerators
+        result = Cochain(2, rhs.ring, {slots: make(terms, common) for slots, terms in sums.items()})
         if result.hochschild_delta() != rhs:
             raise AssertionError("solver produced a wrong coboundary")
         return result
@@ -350,12 +361,12 @@ def opo_projections(k: int, mode: str) -> list[tuple[int, Cochain]]:
     to zero (or duplicate a mirror partner, which the solver detects as a
     dependent column) are harmless and simply dropped or ignored.
     """
-    parity = Fraction(parity_sign(k))
     half = Fraction(1, 2)
+    weights = (half, half * parity_sign(k))
     out = []
     for idx, term in enumerate(enumerate_terms(k, require_opo=True)):
         c = concretize([term], mode)
-        proj = (c + c.reverse_args().ring_scale(parity)).ring_scale(half)
+        proj = linear_combination(2, JET_RING, zip(weights, (c, c.reverse_args())))
         if not proj.is_zero:
             out.append((idx, proj))
     return out
@@ -363,10 +374,13 @@ def opo_projections(k: int, mode: str) -> list[tuple[int, Cochain]]:
 
 def _flatten(cochain: Cochain) -> RatVec:
     """The coefficients of a cochain as one vector over (monomial, slots) rows."""
-    rows = RatVec()
+    den = _common_den(cochain)
+    rows = {}
     for slots, coeff in cochain.terms.items():
-        rows.add({(mono, slots): c for mono, c in coeff.terms.items()}, coeff.den)
-    return rows
+        mul = den // coeff.den
+        for mono, c in coeff.terms.items():
+            rows[mono, slots] = c * mul
+    return RatVec(rows, den)
 
 
 def solve_opo(rhs: Cochain, columns: list[tuple[int, Cochain]]) -> Cochain | None:
@@ -387,7 +401,8 @@ def solve_opo(rhs: Cochain, columns: list[tuple[int, Cochain]]) -> Cochain | Non
     if combo is None:
         return None
     by_index = dict(columns)
-    out = linear_combination(2, JET_RING, ((q, by_index[idx]) for idx, q in sorted(combo.items())))
+    out = linear_combination(2, JET_RING,
+                             ((q, by_index[idx]) for idx, q in sorted(combo.fractions().items())))
     if out.hochschild_delta() != rhs:
         raise AssertionError("diagram-span solver produced a wrong coboundary")
     return out

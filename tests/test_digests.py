@@ -83,6 +83,13 @@ def test_build_json_digests(name):
     assert _sha(json.dumps(build().to_json(), indent=2)) == digest
 
 
+@pytest.mark.slow
+def test_symbolic_order_5_json_digest():
+    # level 5 is solved by the shape solver from its 43,895-term right-hand side
+    assert _sha(json.dumps(build_star(NABLA_PHI, 5).to_json(), indent=2)) == (
+        "9c33c4e613d353554f05cc9ddf1250cc3b0bf823334a30bb6f40adfb14fb2108")
+
+
 def test_orderable_enumeration_digest():
     keys = [term.key() for term in enumerate_terms(4, require_opo=True)]
     assert _sha(repr(keys)) == (

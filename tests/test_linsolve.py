@@ -12,7 +12,7 @@ def test_solves_small_system_exactly():
     r = ColumnReducer()
     r.add_column("a", {0: Fraction(2), 1: Fraction(1)})
     r.add_column("b", {0: Fraction(1), 2: Fraction(3)})
-    combo = r.solve({0: Fraction(4), 1: Fraction(1), 2: Fraction(6)})
+    combo = r.solve({0: Fraction(4), 1: Fraction(1), 2: Fraction(6)}).fractions()
     assert combo == {"a": Fraction(1), "b": Fraction(2)}
 
 
@@ -20,7 +20,7 @@ def test_dependent_columns_are_never_used():
     r = ColumnReducer()
     assert r.add_column("a", {0: 1, 1: 1})
     assert not r.add_column("copy", {0: 2, 1: 2})
-    combo = r.solve({0: Fraction(3), 1: Fraction(3)})
+    combo = r.solve({0: Fraction(3), 1: Fraction(3)}).fractions()
     assert combo == {"a": Fraction(3)}
 
 
@@ -35,7 +35,7 @@ def test_infeasible_returns_none_and_residual_reports_gap():
 def test_zero_rhs_solves_empty():
     r = ColumnReducer()
     r.add_column("a", {0: 1})
-    assert r.solve({}) == {}
+    assert r.solve({}).fractions() == {}
 
 
 @settings(max_examples=40, deadline=None)
@@ -59,7 +59,7 @@ def test_random_combinations_are_recovered(seed):
     assert combo is not None
     # the returned combination reproduces the right-hand side exactly
     rebuilt: dict = {}
-    for c, w in combo.items():
+    for c, w in combo.fractions().items():
         for r, v in matrix[c].items():
             rebuilt[r] = rebuilt.get(r, Fraction(0)) + w * v
     rebuilt = {r: v for r, v in rebuilt.items() if v}
@@ -104,4 +104,5 @@ def test_reducer_matches_the_fraction_reference(seed):
                 w = Fraction(rng.randint(-2, 2), rng.choice((1, 3)))
                 for r, v in col.items():
                     rhs[r] = rhs.get(r, Fraction(0)) + w * v
-        assert reducer.solve(rhs) == reference.solve(rhs)
+        combo = reducer.solve(rhs)
+        assert (None if combo is None else combo.fractions()) == reference.solve(rhs)

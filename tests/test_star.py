@@ -1,15 +1,17 @@
+import re
 from fractions import Fraction
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from starq.cochains import Cochain, JET_RING, X_RING
+from starq.cochains import Cochain, JET_RING, X_RING, epsilon_cochain
 from starq.jets import (NABLA_PHI, PSI_NABLA_PHI, JetPolynomial, phi_jet, var)
 from starq.polynomials import XPoly, parse_poly
-from starq.star import (ClosureError, DeltaSolver, GradingError, ObstructionError,
-                        ObstructionReport, StarProduct, assemble_rhs, base_levels, build_star,
-                        check_grading, level_equation, obstruction, parity_sign)
+from starq.star import (ClosureError, DeltaSolver, GradingError, InfeasibleError,
+                        ObstructionError, ObstructionReport, StarProduct, _flatten, assemble_rhs,
+                        base_levels, build_star, check_grading, level_equation, obstruction,
+                        parity_sign)
 from starq.verify import _rhs, associator_scan, moyal_level, PoissonVector
 
 from helpers import random_cochain, reference_rhs
@@ -76,7 +78,8 @@ def test_verifier_rhs_on_symbolic_levels(sym_star3, sym_rhs):
 
 def test_hot_kernels_construct_no_fraction(sym_star3, cubic_star, monkeypatch):
     """The coboundary, the insertion kernel, the verifier's bracket form of
-    R_k, the grading check and the associator scan run on integer numerators."""
+    R_k, the grading check, the level solver, the flattened rows of the
+    span solver and the associator scan run on integer numerators."""
     made = []
     original = Fraction.__new__
 
@@ -91,8 +94,22 @@ def test_hot_kernels_construct_no_fraction(sym_star3, cubic_star, monkeypatch):
     rhs = assemble_rhs(sym_star3.levels, 3)
     assert _rhs(sym_star3.levels, 3) == rhs
     check_grading(rhs, 3, NABLA_PHI)
+    for star in (sym_star3, cubic_star):
+        r3 = assemble_rhs(star.levels, 3)
+        assert DeltaSolver().solve(r3, 3) == star.levels[3]
+        assert _flatten(r3).terms
     assert associator_scan(cubic_star, 3) is None
     assert made == []
+
+
+def test_infeasible_solve_names_the_first_block_in_decoded_order():
+    # phi_22 has the smaller code, phi_111 the smaller decoded monomial; the
+    # determinant operator is never a coboundary, so both blocks fail
+    jets = JetPolynomial.variable(phi_jet(2, 2)) + JetPolynomial.variable(phi_jet(1, 1, 1))
+    rhs = Cochain(3, JET_RING, {slots: sign * jets for slots, sign
+                                in epsilon_cochain(JET_RING).terms.items()})
+    with pytest.raises(InfeasibleError, match=re.escape("monomial (('phi', (1, 1, 1)),)")):
+        DeltaSolver().solve(rhs, 3)
 
 
 def test_levels_satisfy_recursion(sym_star3):
