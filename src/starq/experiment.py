@@ -202,8 +202,9 @@ def psi_opo_experiment() -> ExperimentRecord:
     m1, m2 = levels[1], levels[2]
     r3, _ = level_equation(levels, 3, PSI_NABLA_PHI)
 
-    projections = opo_projections(3, PSI_NABLA_PHI)  # computed once, shared with solve_opo
-    columns = dict(projections)
+    # projections and their coboundaries are computed once, shared with solve_opo
+    projections = opo_projections(3, PSI_NABLA_PHI)
+    columns = {idx: proj for idx, proj, _ in projections}
 
     # constant part of the level-4 obstruction: half the self-bracket of level 2
     base_alt = m2.bracket(m2, (1, 1, 1)).scale(Fraction(1, 2)).antisymmetrize()
@@ -211,9 +212,9 @@ def psi_opo_experiment() -> ExperimentRecord:
 
     combined = ColumnReducer()
     rows: set = set()
-    for idx, proj in sorted(columns.items()):
+    for idx, proj, delta in projections:
         witness = determinant_witness(m1.bracket(proj, (1, 1, 1)).antisymmetrize())
-        column = _combined_rows(proj.hochschild_delta(), witness, 1)
+        column = _combined_rows(delta, witness, 1)
         rows.update(column.terms)
         combined.add_column(idx, column)
     rhs_combined = _combined_rows(r3, base_witness, -1)

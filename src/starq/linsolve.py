@@ -9,6 +9,7 @@ appear in a solution: their coefficients stay zero.  Pivots, combinations
 and the vectors being reduced are ``RatVec``s, integer numerators over one
 denominator, reduced by their gcd after every elimination step, and
 ``solve`` returns its combination as one, so integers go in and come out.
+A ``RatVec`` handed in is reduced in place rather than copied.
 Results are exact and independence decisions are never approximate.
 """
 
@@ -51,8 +52,9 @@ class ColumnReducer:
             combo.reduce()
 
     def add_column(self, key: Hashable, vec: Mapping | RatVec) -> bool:
-        """Insert a column; returns False when it is dependent on earlier ones."""
-        work = RatVec.of(vec)
+        """Insert a column; returns False when it is dependent on earlier ones.
+        A RatVec argument is consumed (reduced in place); a mapping is copied."""
+        work = vec if isinstance(vec, RatVec) else RatVec.of(vec)
         # start from vec + columns.{key: -1} == 0 so the invariant gives the
         # reduced vector as a combination of original columns at the end
         combo = RatVec({key: -1})
@@ -73,8 +75,9 @@ class ColumnReducer:
 
     def solve(self, rhs: Mapping | RatVec) -> RatVec | None:
         """Reduced coefficients over column keys reproducing rhs, or None if
-        outside the span.  Dependent columns are never used."""
-        work = RatVec.of(rhs)
+        outside the span.  Dependent columns are never used.  A RatVec
+        argument is consumed (reduced in place); a mapping is copied."""
+        work = rhs if isinstance(rhs, RatVec) else RatVec.of(rhs)
         combo = RatVec()
         self._reduce(work, combo)
         if work.terms:

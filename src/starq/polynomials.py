@@ -39,10 +39,8 @@ class RatVec:
         self.den = den
 
     @classmethod
-    def of(cls, values) -> "RatVec":
-        """A copy of a RatVec, or the vector of a mapping to ints and Fractions."""
-        if isinstance(values, RatVec):
-            return cls(dict(values.terms), values.den)
+    def of(cls, values: Mapping) -> "RatVec":
+        """The vector of a mapping to ints and Fractions."""
         den = lcm(*(q.denominator for q in values.values()))
         return cls({k: q.numerator * (den // q.denominator) for k, q in values.items() if q}, den)
 

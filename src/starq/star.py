@@ -12,7 +12,7 @@ explicit polynomial ring.  In the gradient family every level-k term
 carries exactly k potential jets and a total of 3k derivatives split
 between jets and argument slots, which lets the solver decompose the
 cohomological equation into small per-monomial blocks sharing one cached
-echelon system per slot-total and parity.
+echelon system per derivative content and parity.
 
 Solutions of the level equation are not unique at even levels: they may
 differ by coboundaries of one-slot operators, and the obstruction
@@ -40,7 +40,7 @@ from .jets import (
     NABLA_PHI, PSI_NABLA_PHI, decode, is_psi, jet_order, substitute_factor,
 )
 from .linsolve import ColumnReducer
-from .multiindex import MultiIndex, all_indices
+from .multiindex import MultiIndex, splits
 from .opo import concretize, enumerate_terms
 from .polynomials import RatVec, XPoly, parse_poly
 
@@ -250,25 +250,16 @@ def _graded(index: MultiIndex) -> tuple[int, MultiIndex]:
     return (len(index), index)
 
 
-def shape_pairs(total: int, parity: int) -> list[tuple[MultiIndex, MultiIndex]]:
-    """Canonical slot-pair shapes with the given slot total and parity class.
+def shape_pairs(content: MultiIndex, parity: int) -> list[tuple[MultiIndex, MultiIndex]]:
+    """Canonical slot-pair shapes whose derivatives together are ``content``,
+    in the given parity class.
 
     Pairs are listed with the smaller slot first; the symmetric class also
     carries equal-slot diagonals.  Each pair stands for the operator
     d_A x d_B + parity * d_B x d_A.
     """
-    out = []
-    for size_a in range(1, total):
-        size_b = total - size_a
-        if size_b < 1 or size_a > size_b:
-            continue
-        for a in all_indices(size_a):
-            for b in all_indices(size_b):
-                if _graded(a) > _graded(b):
-                    continue
-                if a == b and parity < 0:
-                    continue
-                out.append((a, b))
+    out = [(a, b) for (a, b), _ in splits(content, 2)
+           if a and _graded(a) <= _graded(b) and (a != b or parity > 0)]
     out.sort(key=lambda p: (_graded(p[0]), _graded(p[1])))
     return out
 
@@ -276,31 +267,32 @@ def shape_pairs(total: int, parity: int) -> list[tuple[MultiIndex, MultiIndex]]:
 class DeltaSolver:
     """Exact solver for delta(M_k) = R_k over the graded, parity-pure ansatz.
 
-    The coboundary never touches coefficients and preserves the slot total,
-    so the equation splits into independent blocks per coefficient monomial
-    and slot total; all blocks with the same slot total and parity share a
-    single echelonized shape system, built once and cached.  Within each
-    block the canonical solution sets free coefficients to zero.
+    The coboundary never touches coefficients and only splits slots or adds
+    empty ones, so it keeps the multiset of all derivatives in a term, its
+    content.  The equation therefore splits into independent blocks per
+    coefficient monomial and content; all blocks with the same content and
+    parity share a single echelonized shape system, built the first time a
+    block needs it and cached.  Within each block the canonical solution
+    sets free coefficients to zero.
     """
 
     def __init__(self):
-        self._systems: dict[tuple[int, int], ColumnReducer] = {}
+        self._systems: dict[tuple[MultiIndex, int], ColumnReducer] = {}
 
-    def system(self, total: int, parity: int) -> ColumnReducer:
-        key = (total, parity)
+    def system(self, content: MultiIndex, parity: int) -> ColumnReducer:
+        key = (content, parity)
         hit = self._systems.get(key)
         if hit is not None:
             return hit
         reducer = ColumnReducer()
-        for a, b in shape_pairs(total, parity):
+        for a, b in shape_pairs(content, parity):
             vec: dict = {}
             for new_slots, q in delta_terms((a, b)):
                 vec[new_slots] = vec.get(new_slots, 0) + q
             if a != b:
                 for new_slots, q in delta_terms((b, a)):
                     vec[new_slots] = vec.get(new_slots, 0) + q * parity
-            vec = {s: q for s, q in vec.items() if q}
-            reducer.add_column((a, b), vec)
+            reducer.add_column((a, b), RatVec({s: q for s, q in vec.items() if q}))
         self._systems[key] = reducer
         return reducer
 
@@ -317,17 +309,17 @@ class DeltaSolver:
         den = _common_den(rhs)
         blocks: dict[tuple, dict] = defaultdict(dict)
         for slots, coeff in rhs.terms.items():
-            total, mul = slot_total(slots), den // coeff.den
+            content, mul = tuple(sorted(sum(slots, ()))), den // coeff.den
             for mono, c in coeff.terms.items():
-                blocks[total, mono][slots] = c * mul
+                blocks[content, mono][slots] = c * mul
         combos = []
         # blocks in the order and with the names of their public monomials
         shown = decode if rhs.ring == JET_RING else tuple
-        for total, mono in sorted(blocks, key=lambda block: (block[0], shown(block[1]))):
-            combo = self.system(total, parity).solve(RatVec(blocks[total, mono], den))
+        for content, mono in sorted(blocks, key=lambda b: (len(b[0]), shown(b[1]), b[0])):
+            combo = self.system(content, parity).solve(RatVec(blocks[content, mono], den))
             if combo is None:
                 raise InfeasibleError(
-                    f"level {k}: block (slot total {total}, monomial {shown(mono)}) "
+                    f"level {k}: block (slot total {len(content)}, monomial {shown(mono)}) "
                     f"is outside the coboundary span")
             combos.append((mono, combo))
         common = lcm(*(combo.den for _, combo in combos))
@@ -353,8 +345,9 @@ class DeltaSolver:
 OPO_GAUGE_LIMIT = 2
 
 
-def opo_projections(k: int, mode: str) -> list[tuple[int, Cochain]]:
-    """Parity-projected jet concretizations of the k-factor orderable diagrams.
+def opo_projections(k: int, mode: str) -> list[tuple[int, Cochain, Cochain]]:
+    """Parity-projected jet concretizations of the k-factor orderable diagrams,
+    each as (diagram index, projection, its coboundary).
 
     Reversing a diagram's argument wiring is again a diagram, so the
     projections stay inside the orderable span.  Projections that collapse
@@ -368,7 +361,7 @@ def opo_projections(k: int, mode: str) -> list[tuple[int, Cochain]]:
         c = concretize([term], mode)
         proj = linear_combination(2, JET_RING, zip(weights, (c, c.reverse_args())))
         if not proj.is_zero:
-            out.append((idx, proj))
+            out.append((idx, proj, proj.hochschild_delta()))
     return out
 
 
@@ -383,7 +376,7 @@ def _flatten(cochain: Cochain) -> RatVec:
     return RatVec(rows, den)
 
 
-def solve_opo(rhs: Cochain, columns: list[tuple[int, Cochain]]) -> Cochain | None:
+def solve_opo(rhs: Cochain, columns: list[tuple[int, Cochain, Cochain]]) -> Cochain | None:
     """Solve delta(M_k) = R_k inside the span of orderable diagrams, given as
     the columns opo_projections(k, mode) returns.
 
@@ -395,12 +388,12 @@ def solve_opo(rhs: Cochain, columns: list[tuple[int, Cochain]]) -> Cochain | Non
     if rhs.ring != JET_RING:
         raise ValueError("the diagram span lives in the jet ring")
     reducer = ColumnReducer()
-    for idx, proj in columns:
-        reducer.add_column(idx, _flatten(proj.hochschild_delta()))
+    for idx, _, delta in columns:
+        reducer.add_column(idx, _flatten(delta))
     combo = reducer.solve(_flatten(rhs))
     if combo is None:
         return None
-    by_index = dict(columns)
+    by_index = {idx: proj for idx, proj, _ in columns}
     out = linear_combination(2, JET_RING,
                              ((q, by_index[idx]) for idx, q in sorted(combo.fractions().items())))
     if out.hochschild_delta() != rhs:

@@ -1,12 +1,13 @@
 """Shared generators for randomized tests."""
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations, product
 from random import Random
 
-from starq.cochains import Cochain, JET_RING, X_RING
+from starq.cochains import Cochain, JET_RING, X_RING, delta_terms, ring_class, slot_total
 from starq.jets import JetPolynomial, monomial_key, phi_jet, psi_jet, substitute_factor, var
-from starq.multiindex import merge, splits
+from starq.multiindex import all_indices, merge, splits
 from starq.opo import ARG, FAC, AbstractTerm, canonical_term, is_opo
 from starq.polynomials import XPoly, monomials_up_to
 
@@ -250,6 +251,57 @@ class FractionReducer:
         if self._reduce({k: Fraction(v) for k, v in rhs.items() if v}, combo):
             return None
         return combo
+
+
+# -- reference shape solver -----------------------------------------------------------
+# One shape system per slot total and parity over every canonical pair of that
+# total, solved in Fractions: the systems the per-content ones of DeltaSolver split.
+
+def reference_shape_pairs(total: int, parity: int) -> list:
+    out = []
+    for size_a in range(1, total):
+        size_b = total - size_a
+        if size_a > size_b:
+            continue
+        for a in all_indices(size_a):
+            for b in all_indices(size_b):
+                if (len(a), a) > (len(b), b) or (a == b and parity < 0):
+                    continue
+                out.append((a, b))
+    out.sort(key=lambda p: ((len(p[0]), p[0]), (len(p[1]), p[1])))
+    return out
+
+
+@cache
+def reference_shape_system(total: int, parity: int) -> FractionReducer:
+    reducer = FractionReducer()
+    for a, b in reference_shape_pairs(total, parity):
+        vec: dict = {}
+        for pair, sign in [((a, b), 1)] + ([((b, a), parity)] if a != b else []):
+            for slots, q in delta_terms(pair):
+                vec[slots] = vec.get(slots, 0) + q * sign
+        reducer.add_column((a, b), vec)
+    return reducer
+
+
+def reference_delta_solve(rhs: Cochain, k: int) -> Cochain:
+    """The canonical solution of delta(M) = rhs, one (slot total, monomial)
+    block at a time against its slot total's system."""
+    parity = (-1) ** k
+    blocks: dict = {}
+    for slots, coeff in rhs.terms.items():
+        for mono in coeff.terms:
+            blocks.setdefault((slot_total(slots), mono), {})[slots] = coeff.coefficient(mono)
+    out = Cochain(2, rhs.ring)
+    for (total, mono), block in blocks.items():
+        combo = reference_shape_system(total, parity).solve(block)
+        assert combo is not None, "outside the coboundary span"
+        for (a, b), q in combo.items():
+            term = ring_class(rhs.ring).from_monomial(mono, q)
+            out.add_term((a, b), term)
+            if a != b:
+                out.add_term((b, a), term.scale(parity))
+    return out
 
 
 # -- reference diagram kernels ------------------------------------------------------

@@ -41,7 +41,9 @@ MUTANTS = {
 # JSON of builds through the restricted span at every level (the conformal
 # one concretizes non-monomial factors), symbolic and explicit, through the
 # explicit conformal recursion, whose level 2 specializes its family's, and
-# of the symbolic order-4 build, whose level 4 is solved in the pivot gauge.
+# of the symbolic order-4 build, whose level 4 is solved in the pivot gauge;
+# and of the Moyal products of the potential x3 at orders 6 and 8, whose
+# levels above 2 are solved by the shape solver.
 BUILDS = {
     "symbolic-order-4": (
         lambda: build_star(NABLA_PHI, 4),
@@ -62,6 +64,12 @@ BUILDS = {
     "conformal": (
         lambda: build_star(PSI_NABLA_PHI, 3, phi=parse_poly("x1*x2*x3"), psi=parse_poly("1+x1")),
         "6fd702ea0ea128118108cc8a9a3ab62c97f294e3acff464a112efe68b5d2dc67"),
+    "moyal-order-6": (
+        lambda: build_star(NABLA_PHI, 6, phi=parse_poly("x3")),
+        "f024f672cc848162a21efa45f55acaee4fe245938403b4501ec8ebe5c010006d"),
+    "moyal-order-8": (
+        lambda: build_star(NABLA_PHI, 8, phi=parse_poly("x3")),
+        "4e4430eb30283aff2be16964ed0bab864e2356d817cce0e7ef443358f49acbaf"),
 }
 
 
@@ -105,7 +113,7 @@ PROJECTIONS = {
 
 @pytest.mark.parametrize("mode", sorted(PROJECTIONS))
 def test_projection_digests(mode):
-    columns = [[idx, proj.to_json()] for idx, proj in opo_projections(3, mode)]
+    columns = [[idx, proj.to_json()] for idx, proj, _ in opo_projections(3, mode)]
     assert _sha(json.dumps(columns, indent=2)) == PROJECTIONS[mode]
 
 

@@ -4,6 +4,7 @@ from random import Random
 from hypothesis import given, settings, strategies as st
 
 from starq.linsolve import ColumnReducer
+from starq.polynomials import RatVec
 
 from helpers import FractionReducer
 
@@ -30,6 +31,20 @@ def test_infeasible_returns_none_and_residual_reports_gap():
     r.add_column("a", {0: 1})
     assert r.solve({1: Fraction(1)}) is None
     assert r.solve({0: Fraction(2), 1: Fraction(5)}) is None
+
+
+def test_mappings_are_copied_and_ratvecs_consumed():
+    r = ColumnReducer()
+    column = {0: Fraction(2), 1: Fraction(1)}
+    r.add_column("a", column)
+    rhs = {0: Fraction(4), 1: Fraction(2)}
+    assert r.solve(rhs).fractions() == {"a": Fraction(2)}
+    assert column == {0: Fraction(2), 1: Fraction(1)}
+    assert rhs == {0: Fraction(4), 1: Fraction(2)}
+    # a RatVec is reduced in place, with no copy
+    vec = RatVec({0: 6, 1: 3}, 1)
+    assert r.solve(vec).fractions() == {"a": Fraction(3)}
+    assert vec.terms == {}
 
 
 def test_zero_rhs_solves_empty():

@@ -5,16 +5,19 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from starq.cochains import Cochain, JET_RING, X_RING, epsilon_cochain
+from starq.cochains import Cochain, JET_RING, X_RING, epsilon_cochain, linear_combination
 from starq.jets import (NABLA_PHI, PSI_NABLA_PHI, JetPolynomial, phi_jet, var)
+from starq.multiindex import all_indices, merge
 from starq.polynomials import XPoly, parse_poly
 from starq.star import (ClosureError, DeltaSolver, GradingError, InfeasibleError,
                         ObstructionError, ObstructionReport, StarProduct, _flatten, assemble_rhs,
                         base_levels, build_star, check_grading, level_equation, obstruction,
-                        parity_sign)
+                        parity_sign, shape_pairs)
 from starq.verify import _rhs, associator_scan, moyal_level, PoissonVector
 
-from helpers import random_cochain, reference_rhs
+from helpers import (random_cochain, random_index, random_jet_coeff, random_x_coeff,
+                     reference_delta_solve, reference_rhs, reference_shape_pairs,
+                     reference_shape_system)
 
 
 def test_base_levels_are_multiplication_and_half_bracket():
@@ -247,6 +250,56 @@ def test_solve_delta_inverts_coboundaries():
     solved = DeltaSolver().solve(rhs, 3)
     assert (solved.hochschild_delta() - rhs).is_zero
     assert solved.reverse_args() == solved.scale(-1)
+
+
+@pytest.mark.parametrize("parity", (1, -1))
+@pytest.mark.parametrize("total", range(2, 8))
+def test_content_systems_split_the_slot_total_system(total, parity):
+    reference = reference_shape_pairs(total, parity)
+    solver = DeltaSolver()
+    listed, rank, pivots = 0, 0, {}
+    for content in all_indices(total):
+        pairs = shape_pairs(content, parity)
+        # the reference's pairs of this content, in the reference's order
+        assert pairs == [p for p in reference if merge(*p) == content]
+        listed += len(pairs)
+        system = solver.system(content, parity)
+        rank += system.rank
+        pivots.update(system.pivots)
+    assert listed == len(reference)
+    # the same pivots, each with the same combination of the same columns
+    ref_pivots = reference_shape_system(total, parity).pivots
+    assert rank == len(ref_pivots) and pivots.keys() == ref_pivots.keys()
+    for lead, (rest, combo) in pivots.items():
+        vec, ref_combo = ref_pivots[lead]
+        assert rest.fractions() == {row: q for row, q in vec.items() if row != lead}
+        assert combo.fractions() == ref_combo
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from((JET_RING, X_RING)), st.sampled_from((3, 4)))
+def test_content_solve_matches_one_slot_total_system(seed, ring, k):
+    rng = Random(seed)
+    raw = Cochain(2, ring)
+    for _ in range(rng.randint(1, 4)):
+        slots = (random_index(rng, 3, min_len=1), random_index(rng, 3, min_len=1))
+        raw.add_term(slots, random_jet_coeff(rng) if ring == JET_RING else random_x_coeff(rng))
+    half = Fraction(1, 2)
+    level = linear_combination(2, ring, ((half, raw), (half * parity_sign(k), raw.reverse_args())))
+    rhs = level.hochschild_delta()
+    assert DeltaSolver().solve(rhs, k) == reference_delta_solve(rhs, k)
+
+
+def test_moyal_solve_builds_only_the_contents_of_its_rhs(x3_star4):
+    # the potential x3 puts derivatives in x1 and x2 only
+    levels = x3_star4.levels
+    for k in (3, 4):
+        rhs, _ = level_equation(levels[:k], k, NABLA_PHI)
+        solver = DeltaSolver()
+        assert solver.solve(rhs, k) == levels[k]
+        contents = {tuple(sorted(sum(slots, ()))) for slots in rhs.terms}
+        assert sorted(solver._systems) == sorted((c, parity_sign(k)) for c in contents)
+        assert not any(3 in content for content, _ in solver._systems)
 
 
 def test_obstruction_reports_roundtrip(sym_star3):
