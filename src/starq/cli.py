@@ -19,7 +19,7 @@ from .jets import NABLA_PHI, PSI_NABLA_PHI
 from .latex import star_latex
 from .opo import is_opo, parse_term, term_to_text
 from .polynomials import XPoly, parse_poly
-from .star import (GradingError, InfeasibleError, ObstructionError,
+from .star import (MAX_ORDER, GradingError, InfeasibleError, ObstructionError,
                    StarProduct, build_star, level_equation)
 from .verify import PoissonVector, jacobi_residual, verify_star
 
@@ -32,8 +32,7 @@ MODES = (NABLA_PHI, PSI_NABLA_PHI)
 
 # Resource bounds, checked before any work: the cost of a build, of an
 # obstruction (which builds every level below it) and of the associator scan
-# grows steeply with these values.
-MAX_ORDER = 8
+# grows steeply with these values (MAX_ORDER also bounds a loaded product).
 MAX_K = 9
 MAX_DEGREE = 8
 # option -> (least, greatest, what the message calls it)
@@ -152,7 +151,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     star = _load_star(args.star)
     report = verify_star(star, degree=args.degree)
     text = json.dumps(report, indent=2)
-    if _to_stdout(args, text) and args.emit == "json":
+    shown = _to_stdout(args, text) and args.emit == "json"
+    if shown:
         print(text)
     else:
         for check in report["checks"]:
@@ -162,7 +162,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 line += f"  witness triple: {tuple(check['witness'])}"
             print(line)
     if report["pass"]:
-        print("verified")
+        # a JSON report is the whole of stdout
+        print("verified", file=sys.stderr if shown else sys.stdout)
         return EXIT_OK
     first = next(c for c in report["checks"] if not c["pass"])
     print(f"verification failed at {first['name']}"
@@ -210,7 +211,8 @@ def cmd_obstruction(args: argparse.Namespace) -> int:
     shown = _to_stdout(args, text) and args.emit == "json"
     print(f"level {report.level}: " +
           ("zero (parity)" if report.is_zero and report.parity_path
-           else "zero" if report.is_zero else "NONZERO"))
+           else "zero" if report.is_zero else "NONZERO"),
+          file=sys.stderr if shown else sys.stdout)
     if shown:
         print(text)
     return EXIT_OK if report.is_zero else EXIT_FINDING

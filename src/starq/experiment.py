@@ -19,11 +19,11 @@ from fractions import Fraction
 from .cochains import Cochain, JET_RING, linear_combination
 from .jets import PSI_NABLA_PHI, JetPolynomial
 from .linsolve import ColumnReducer
-from .opo import AbstractTerm, concretize, enumerate_terms, is_opo, term_to_text
+from .opo import concretize, enumerate_terms, is_opo, term_to_text
 from .polynomials import RatVec
 from .star import (
     DeltaSolver, InfeasibleError, StarProduct, _flatten, build_star, determinant_witness,
-    level_equation, opo_projections, solve_opo,
+    level_equation, opo_projections, solve_opo, span_combination,
 )
 
 OPO_LIFT = "opo-lift"
@@ -70,35 +70,29 @@ class AuditReport:
         }
 
 
-def _lift(target: Cochain, terms: list[tuple[int, AbstractTerm]],
-          mode: str) -> dict[int, Fraction] | None:
-    """Exact coordinates of target in the span of the given diagrams."""
-    reducer = ColumnReducer()
-    for idx, term in terms:
-        c = concretize([term], mode)
-        if not c.is_zero:
-            reducer.add_column(idx, _flatten(c))
-    combo = reducer.solve(_flatten(target))
-    return None if combo is None else combo.fractions()
-
-
 def audit_level(level: Cochain, k: int, mode: str) -> LevelAudit:
-    """Diagram lift of one level: orderable span first, full span second."""
+    """Diagram lift of one level: orderable span first, full span second.
+
+    Each diagram is concretized once, the non-orderable ones only when the
+    orderable span misses; both passes take the columns in index order.
+    """
     if k == 0:
         return LevelAudit(level=0, status=OPO_LIFT, combination={})
-    all_terms = list(enumerate(enumerate_terms(k)))
-    orderable = [(i, t) for i, t in all_terms if is_opo(t)[0]]
-    combo = _lift(level, orderable, mode)
+    all_terms = enumerate_terms(k)
+    columns = {i: concretize([t], mode) for i, t in enumerate(all_terms) if is_opo(t)[0]}
+    combo = span_combination(level, columns.items())
     if combo is not None:
-        texts = {i: term_to_text(t) for i, t in orderable if i in combo}
+        texts = {i: term_to_text(all_terms[i]) for i in combo}
         return LevelAudit(level=k, status=OPO_LIFT, combination=combo, diagrams=texts)
-    combo = _lift(level, all_terms, mode)
+    non_orderable = [i for i in range(len(all_terms)) if i not in columns]
+    columns.update((i, concretize([all_terms[i]], mode)) for i in non_orderable)
+    combo = span_combination(level, sorted(columns.items()))
     if combo is None:
         return LevelAudit(level=k, status=NO_LIFT)
-    texts = {i: term_to_text(t) for i, t in all_terms if i in combo}
-    bad = sorted(i for i, t in all_terms if i in combo and not is_opo(t)[0])
+    texts = {i: term_to_text(all_terms[i]) for i in combo}
     return LevelAudit(level=k, status=NON_OPO_LIFT, combination=combo,
-                      diagrams=texts, non_orderable_used=bad)
+                      diagrams=texts,
+                      non_orderable_used=[i for i in non_orderable if i in combo])
 
 
 def opo_audit(star: StarProduct, max_factors: int = 3) -> AuditReport:

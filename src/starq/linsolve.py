@@ -9,13 +9,14 @@ appear in a solution: their coefficients stay zero.  Pivots, combinations
 and the vectors being reduced are ``RatVec``s, integer numerators over one
 denominator, reduced by their gcd after every elimination step, and
 ``solve`` returns its combination as one, so integers go in and come out.
-A ``RatVec`` handed in is reduced in place rather than copied.
+Columns and right-hand sides are ``RatVec``s too, reduced in place rather
+than copied.
 Results are exact and independence decisions are never approximate.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Mapping
+from typing import Hashable
 
 from .polynomials import RatVec
 
@@ -51,35 +52,33 @@ class ColumnReducer:
             vec.reduce()
             combo.reduce()
 
-    def add_column(self, key: Hashable, vec: Mapping | RatVec) -> bool:
+    def add_column(self, key: Hashable, vec: RatVec) -> bool:
         """Insert a column; returns False when it is dependent on earlier ones.
-        A RatVec argument is consumed (reduced in place); a mapping is copied."""
-        work = vec if isinstance(vec, RatVec) else RatVec.of(vec)
+        The vector is consumed (reduced in place)."""
         # start from vec + columns.{key: -1} == 0 so the invariant gives the
         # reduced vector as a combination of original columns at the end
         combo = RatVec({key: -1})
-        self._reduce(work, combo)
-        if not work.terms:
+        self._reduce(vec, combo)
+        if not vec.terms:
             return False
-        lead = min(work.terms)
-        v = work.terms.pop(lead)
+        lead = min(vec.terms)
+        v = vec.terms.pop(lead)
         sign = 1 if v > 0 else -1
-        # dividing by the lead entry v/den gives the pivot work/v, lead 1, and
+        # dividing by the lead entry v/den gives the pivot vec/v, lead 1, and
         # its combination -combo * den/v
-        rest = RatVec({k: c * sign for k, c in work.terms.items()}, v * sign)
-        factor = -work.den * sign
+        rest = RatVec({k: c * sign for k, c in vec.terms.items()}, v * sign)
+        factor = -vec.den * sign
         pivot_combo = RatVec({k: c * factor for k, c in combo.terms.items()},
                              combo.den * v * sign)
         self.pivots[lead] = (rest.reduce(), pivot_combo.reduce())
         return True
 
-    def solve(self, rhs: Mapping | RatVec) -> RatVec | None:
+    def solve(self, rhs: RatVec) -> RatVec | None:
         """Reduced coefficients over column keys reproducing rhs, or None if
-        outside the span.  Dependent columns are never used.  A RatVec
-        argument is consumed (reduced in place); a mapping is copied."""
-        work = rhs if isinstance(rhs, RatVec) else RatVec.of(rhs)
+        outside the span.  Dependent columns are never used.  The vector is
+        consumed (reduced in place)."""
         combo = RatVec()
-        self._reduce(work, combo)
-        if work.terms:
+        self._reduce(rhs, combo)
+        if rhs.terms:
             return None
         return combo

@@ -247,7 +247,7 @@ def abstract_bracket(left: AbstractTerm, right: AbstractTerm) -> list[AbstractTe
 
 # -- concretization ------------------------------------------------------------
 
-def concretize(terms: AbstractTerm | Iterable[AbstractTerm], mode: str) -> Cochain:
+def concretize(terms: Iterable[AbstractTerm], mode: str) -> Cochain:
     """Expand diagrams over coordinate indices 1..3 into a jet-ring cochain.
 
     Each factor's upper pair runs over the six (i, j) with i != j, where
@@ -256,8 +256,6 @@ def concretize(terms: AbstractTerm | Iterable[AbstractTerm], mode: str) -> Cocha
     there is one, and multiplies a factor in once its uppers and every wire
     onto it are fixed; assignments add into one running sum per slot tuple.
     """
-    if isinstance(terms, AbstractTerm):
-        terms = [terms]
     arity = None
     sums: dict[tuple, RatVec] = defaultdict(RatVec)
     for term in terms:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Mapping
 
 Exponent = tuple[int, int, int]
@@ -37,12 +37,6 @@ class RatVec:
     def __init__(self, terms: dict | None = None, den: int = 1):
         self.terms: dict = {} if terms is None else terms
         self.den = den
-
-    @classmethod
-    def of(cls, values: Mapping) -> "RatVec":
-        """The vector of a mapping to ints and Fractions."""
-        den = lcm(*(q.denominator for q in values.values()))
-        return cls({k: q.numerator * (den // q.denominator) for k, q in values.items() if q}, den)
 
     def add(self, terms: Mapping, den: int = 1, mul: int = 1) -> None:
         """Add ``mul * terms / den`` in place (nonzero integer numerators in
@@ -103,17 +97,11 @@ class SparsePoly:
     ``monomials`` and JSON), ``_text_key`` (the order ``str`` prints),
     ``_factors`` and ``_parse_factors`` (the JSON factor names of a monomial
     and back), ``_format`` when a monomial does not print as its factor names
-    joined by "*", and ``x_derivative``.
+    joined by "*", and ``x_derivative``.  Every element is made by
+    ``from_numerators``, directly or through the constructors built on it.
     """
 
     __slots__ = ("terms", "den")
-
-    def __init__(self, terms: Mapping | None = None):
-        """From rational (int or Fraction) coefficients; reduced Fractions over
-        their lcm already give the reduced form."""
-        vec = RatVec.of(terms or {})
-        self.terms: dict = vec.terms
-        self.den: int = vec.den
 
     @classmethod
     def from_numerators(cls, terms: dict, den: int = 1):
@@ -164,8 +152,6 @@ class SparsePoly:
         return self.from_numerators({m: -c for m, c in self.terms.items()}, self.den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         mono_mul = self._mono_mul
         out: dict = {}
         get = out.get
@@ -178,8 +164,6 @@ class SparsePoly:
                 else:
                     del out[key]
         return self.from_numerators(out, self.den * other.den)
-
-    __rmul__ = __mul__
 
     def scale(self, q: Fraction | int):
         n = q.numerator

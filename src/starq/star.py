@@ -30,7 +30,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .cochains import (
     Cochain, JET_RING, X_RING, _common_den, delta_terms, epsilon_cochain, insertion_sum,
@@ -376,26 +376,34 @@ def _flatten(cochain: Cochain) -> RatVec:
     return RatVec(rows, den)
 
 
+def span_combination(target: Cochain,
+                     columns: Iterable[tuple[int, Cochain]]) -> dict[int, Fraction] | None:
+    """Exact coordinates of target in the span of the (key, cochain) columns,
+    or None outside it.  Columns enter in the given order and dependent ones
+    never contribute, so the combination is deterministic."""
+    reducer = ColumnReducer()
+    for key, column in columns:
+        reducer.add_column(key, _flatten(column))
+    combo = reducer.solve(_flatten(target))
+    return None if combo is None else combo.fractions()
+
+
 def solve_opo(rhs: Cochain, columns: list[tuple[int, Cochain, Cochain]]) -> Cochain | None:
     """Solve delta(M_k) = R_k inside the span of orderable diagrams, given as
     the columns opo_projections(k, mode) returns.
 
     Jet ring only.  Returns None when the span does not reach the
-    right-hand side.  Diagrams enter in enumeration order and free columns
-    never contribute, so the result is deterministic; at level 2 the span
-    solution is in fact unique.
+    right-hand side.  Diagrams enter in enumeration order; at level 2 the
+    span solution is in fact unique.
     """
     if rhs.ring != JET_RING:
         raise ValueError("the diagram span lives in the jet ring")
-    reducer = ColumnReducer()
-    for idx, _, delta in columns:
-        reducer.add_column(idx, _flatten(delta))
-    combo = reducer.solve(_flatten(rhs))
+    combo = span_combination(rhs, ((idx, delta) for idx, _, delta in columns))
     if combo is None:
         return None
     by_index = {idx: proj for idx, proj, _ in columns}
     out = linear_combination(2, JET_RING,
-                             ((q, by_index[idx]) for idx, q in sorted(combo.fractions().items())))
+                             ((q, by_index[idx]) for idx, q in sorted(combo.items())))
     if out.hochschild_delta() != rhs:
         raise AssertionError("diagram-span solver produced a wrong coboundary")
     return out
@@ -404,6 +412,21 @@ def solve_opo(rhs: Cochain, columns: list[tuple[int, Cochain, Cochain]]) -> Coch
 # -- the full construction -------------------------------------------------------------
 
 GAUGES = ("base", "pivot", "unique", "opo")
+
+# The largest order built or loaded: the cost of a build and of a verify's
+# associator scan grows steeply with it.  A level-k term carries k phi jets of
+# order one or more within 3k derivatives, so at most 2k slot derivatives.
+MAX_ORDER = 8
+
+
+def _bounded(cochain: Cochain, what: str) -> Cochain:
+    """The cochain, unless a term carries more slot derivatives than a
+    level of order MAX_ORDER can."""
+    for slots in cochain.terms:
+        if slot_total(slots) > 2 * MAX_ORDER:
+            raise ValueError(f"{what} has a term with {slot_total(slots)} slot "
+                             f"derivatives, above {2 * MAX_ORDER}")
+    return cochain
 
 
 @dataclass
@@ -436,14 +459,16 @@ class StarProduct:
         mode, ring, order = data["mode"], data["ring"], data["order"]
         if mode not in (NABLA_PHI, PSI_NABLA_PHI):
             raise ValueError(f"unknown mode {mode!r}")
+        if type(order) is not int or not 1 <= order <= MAX_ORDER:
+            raise ValueError(f"order {order!r} is not in 1..{MAX_ORDER}")
         cls = ring_class(ring)
         levels = []
         for k, item in enumerate(data["levels"]):
-            level = Cochain.from_json(item)
+            level = _bounded(Cochain.from_json(item), f"level {k}")
             if level.arity != 2 or level.ring != ring:
                 raise ValueError(f"level {k} is not a bilinear operator in the {ring!r} ring")
             levels.append(level)
-        if type(order) is not int or order < 1 or order != len(levels) - 1:
+        if order != len(levels) - 1:
             raise ValueError(f"order {order!r} does not match {len(levels)} stored levels")
         phi, psi = data.get("phi", "sym"), data.get("psi")
         if not isinstance(phi, str) or not isinstance(psi, (str, type(None))):
@@ -471,7 +496,8 @@ class StarProduct:
             level = item["level"]
             if type(level) is not int or not 2 <= level <= order:
                 raise ValueError(f"obstruction report level {level!r} is not in 2..{order}")
-            alternating = Cochain.from_json(item["alternating"])
+            alternating = _bounded(Cochain.from_json(item["alternating"]),
+                                   f"level {level} obstruction")
             if alternating.arity != 3 or alternating.ring != ring:
                 raise ValueError(f"level {level} obstruction is not trilinear in the {ring!r} ring")
             agrees = item.get("shortcutAgrees")

@@ -96,10 +96,6 @@ def moyal_level(p: PoissonVector, k: int) -> Cochain:
 
 # -- series evaluation ----------------------------------------------------------------
 
-def _levels_of(star) -> list[Cochain]:
-    return star.levels if hasattr(star, "levels") else list(star)
-
-
 class _Evaluator:
     """The levels of one product applied to explicit arguments.
 
@@ -170,21 +166,19 @@ class _Evaluator:
         return XPoly.from_numerators(out.terms, out.den)
 
 
-def star_series(star, f: XPoly, g: XPoly) -> list[XPoly]:
+def star_series(levels: list[Cochain], f: XPoly, g: XPoly) -> list[XPoly]:
     """Coefficients of the deformation parameter in f * g, one per level."""
-    levels = _levels_of(star)
     series = _Evaluator(levels, {"f": f, "g": g})
     return [series.level(b, "f", "g") for b in range(len(levels))]
 
 
-def associator(star, f: XPoly, g: XPoly, h: XPoly) -> list[XPoly]:
+def associator(levels: list[Cochain], f: XPoly, g: XPoly, h: XPoly) -> list[XPoly]:
     """Coefficients of (f*g)*h - f*(g*h), one per level."""
-    levels = _levels_of(star)
     series = _Evaluator(levels, {"f": f, "g": g, "h": h})
     return [series.associator("f", "g", "h", j) for j in range(len(levels))]
 
 
-def associator_scan(star, bound: int):
+def associator_scan(levels: list[Cochain], bound: int):
     """The first nonzero associator coefficient over every monomial triple
     with total degree at most the bound, as (f, g, h, j, coefficient), or
     None when every coefficient through the top level vanishes.
@@ -193,7 +187,6 @@ def associator_scan(star, bound: int):
     coefficients in increasing j; nothing past the first nonzero one is
     computed.
     """
-    levels = _levels_of(star)
     monos = monomials_up_to(bound)
     series = _Evaluator(levels, enumerate(monos))
     for f, g, h in _monomial_triples(monos, bound):
@@ -202,14 +195,6 @@ def associator_scan(star, bound: int):
             if not c.is_zero:
                 return monos[f], monos[g], monos[h], j, c
     return None
-
-
-def commutator_probe(star, f: XPoly, g: XPoly) -> list[XPoly]:
-    """Coefficients of f * g - g * f; odd levels double, even levels cancel
-    when the parity invariant holds."""
-    fg = star_series(star, f, g)
-    gf = star_series(star, g, f)
-    return [a - b for a, b in zip(fg, gf)]
 
 
 # -- the report -------------------------------------------------------------------
@@ -307,7 +292,7 @@ def verify_star(star: StarProduct, degree: int | None = None) -> dict:
 
     if star.ring == X_RING:
         bound = star.order if degree is None else degree
-        failed = associator_scan(star, bound)
+        failed = associator_scan(levels, bound)
         if failed:
             f, g, h, j, c = failed
             check("associator", False, residual=c, witness=[str(f), str(g), str(h)])

@@ -3,13 +3,15 @@
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations, product
+from math import lcm
 from random import Random
 
 from starq.cochains import Cochain, JET_RING, X_RING, delta_terms, ring_class, slot_total
 from starq.jets import JetPolynomial, monomial_key, phi_jet, psi_jet, substitute_factor, var
 from starq.multiindex import all_indices, merge, splits
 from starq.opo import ARG, FAC, AbstractTerm, canonical_term, is_opo
-from starq.polynomials import XPoly, monomials_up_to
+from starq.polynomials import RatVec, XPoly, monomials_up_to
+from starq.verify import star_series
 
 _DIRS = (1, 2, 3)
 
@@ -162,9 +164,28 @@ def reference_scan(levels, bound: int):
     return None
 
 
+def commutator(levels, f: XPoly, g: XPoly) -> list[XPoly]:
+    """Coefficients of f * g - g * f; odd levels double, even levels cancel
+    when the parity invariant holds."""
+    return [a - b for a, b in zip(star_series(levels, f, g), star_series(levels, g, f))]
+
+
 # -- reference ring arithmetic on Fraction coefficient dicts ---------------------------
 # The formulas of the sparse core before it held integer numerators: every
 # coefficient a Fraction, every result term by term.
+
+def ratvec(values: dict) -> RatVec:
+    """The vector of a mapping to ints and Fractions, over the lcm of their
+    denominators."""
+    den = lcm(*(q.denominator for q in values.values()))
+    return RatVec({k: q.numerator * (den // q.denominator) for k, q in values.items() if q}, den)
+
+
+def poly(ring, coeffs: dict):
+    """The element of a ring class with the given rational coefficients."""
+    vec = ratvec(coeffs)
+    return ring.from_numerators(vec.terms, vec.den)
+
 
 def _put(out: dict, key, value: Fraction) -> None:
     total = out.get(key, Fraction(0)) + value

@@ -211,6 +211,20 @@ def test_emit_json_construct(capsys):
     assert data["order"] == 1
 
 
+def test_emit_json_prints_one_document(tmp_path, capsys):
+    star = str(tmp_path / "star.json")
+    assert main(["construct", "--phi", "x3", "--order", "2", "--out", star]) == 0
+    capsys.readouterr()
+    assert main(["verify", star, "--emit", "json"]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["pass"] is True
+    assert err == "verified\n"
+    assert main(["obstruction", "--phi", "x3", "--k", "3", "--emit", "json"]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["level"] == 3
+    assert err == "level 3: zero (parity)\n"
+
+
 def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -282,6 +296,17 @@ def _first_coeff(data) -> dict:
     return data["levels"][1]["terms"][0]["coeff"][0]
 
 
+def _order_12(data) -> None:
+    # zero levels up to order 12: the scan would run up to total degree 12
+    data["levels"] += [dict(data["levels"][2], terms=[]) for _ in range(10)]
+    data["order"] = 12
+
+
+# one slot with multiplicities (60, 60, 60): the coboundary splits it in
+# about 60^3 ways
+_SLOT_180 = [1] * 60 + [2] * 60 + [3] * 60
+
+
 MALFORMED = {
     "empty-levels": _edit(lambda d: d.update(levels=[])),
     "slot-label-7": _edit(lambda d: d["levels"][1]["terms"][0].update(slots=[[7], [2]])),
@@ -308,6 +333,11 @@ MALFORMED = {
     "conformal-mode-without-psi": _edit(lambda d: d.update(mode="psi-nabla-phi")),
     "psi-in-gradient-mode": _edit(lambda d: d.update(psi="x1")),
     "symbolic-phi-in-x-ring": _edit(lambda d: d.update(phi="sym")),
+    "order-12": _edit(_order_12),
+    "slot-total-180": _edit(lambda d: d["levels"][2]["terms"][0].update(slots=[_SLOT_180, [1]])),
+    "report-slot-total-180": _edit(
+        lambda d: d["obstructionReports"][0]["alternating"]["terms"].append(
+            {"coeff": [{"coeff": "1", "factors": []}], "slots": [_SLOT_180, [1], [2]]})),
 }
 
 

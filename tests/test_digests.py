@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from starq.cli import main
+from starq.experiment import opo_audit, psi_opo_experiment
 from starq.jets import NABLA_PHI, PSI_NABLA_PHI
 from starq.latex import star_latex
 from starq.opo import enumerate_terms
@@ -117,6 +118,28 @@ def test_projection_digests(mode):
     assert _sha(json.dumps(columns, indent=2)) == PROJECTIONS[mode]
 
 
+# JSON of the diagram audits of the symbolic order-3 product, in the
+# orderable gauge and in the pivot gauge (no lift at levels 2 and 3, so the
+# full span is searched), and of the conformal experiment record.
+RECORDS = {
+    "audit-orderable": (
+        lambda: opo_audit(build_star(NABLA_PHI, 3)),
+        "a778570c5042fc77396b3014ec550e9a07d3a4d7407fd5220f8f5ca2cbaef41c"),
+    "audit-pivot": (
+        lambda: opo_audit(build_star(NABLA_PHI, 3, opo_gauge_limit=0)),
+        "ca4e0d1cc153779f81f329990c8be73a406cc72981a9c83f74eda509d26a39e2"),
+    "experiment": (
+        psi_opo_experiment,
+        "c5b87b626d35da5a3b2b0a93364579db801b10f3ea1d7ae1007421d955b229f7"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_record_digests(name):
+    record, digest = RECORDS[name]
+    assert _sha(json.dumps(record().to_json(), indent=2)) == digest
+
+
 def test_verify_report_digest(cubic_star):
     report = verify_star(cubic_star)
     assert _sha(json.dumps(report, indent=2)) == (
@@ -172,15 +195,15 @@ def test_asymmetric_mutant_verify_report_digests(name, level, request):
 
 
 # Stdout of the command line: the summary lines of construct and the check
-# lines of verify for the cubic product, and the obstruction report printed
-# after its summary line.
+# lines of verify for the cubic product, and the obstruction report, whose
+# summary line goes to stderr under --emit json.
 CLI_OUTPUTS = [
     (["construct", "--phi", "x1*x2*x3", "--order", "3", "--out", "{star}"],
      "40dba278a4521c8b5c88544c3dc3d65959e458a8c78f1d557b878e3d27f16e47"),
     (["verify", "{star}"],
      "707c4c31089efd47e7088895743e28aa2da93896429d54bc3105aabe72b29251"),
     (["obstruction", "--phi", "sym", "--k", "4", "--emit", "json"],
-     "bb0fb30eba6cd147ebf2cee5ff6458a77c06bbfb8483311c8cf099b17aaebf46"),
+     "9750c174134abba67eabf534aa9aff318e111fee24b73bc84091a1ae10a7f0f0"),
 ]
 
 

@@ -1,5 +1,6 @@
 import json
 
+import starq.experiment
 from starq.cochains import Cochain, JET_RING
 from starq.experiment import (NO_LIFT, NON_OPO_LIFT, OPO_LIFT, SKIPPED,
                               AuditReport, _solvable, opo_audit)
@@ -24,6 +25,23 @@ def test_audit_detects_non_orderable_gauge():
     level2 = next(a for a in report.levels if a.level == 2)
     assert level2.status == NO_LIFT
     assert not report.all_orderable
+
+
+def test_audit_concretizes_each_diagram_once(monkeypatch):
+    # the pivot gauge has no orderable lift at levels 2 and 3, so the audit
+    # also searches the full span there
+    star = build_star(NABLA_PHI, 3, opo_gauge_limit=0)
+    seen = []
+    concretize = starq.experiment.concretize
+
+    def counted(terms, mode):
+        seen.extend(term.key() for term in terms)
+        return concretize(terms, mode)
+
+    monkeypatch.setattr(starq.experiment, "concretize", counted)
+    report = opo_audit(star)
+    assert [a.status for a in report.levels] == [OPO_LIFT, OPO_LIFT, NO_LIFT, NO_LIFT]
+    assert len(seen) == len(set(seen))
 
 
 def test_audit_skips_heavy_levels(x3_star4=None):

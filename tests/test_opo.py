@@ -92,7 +92,7 @@ def test_jacobi_analogue_concretizes_to_zero_in_both_modes():
     terms = jacobi_example_terms()
     for mode in (NABLA_PHI, PSI_NABLA_PHI):
         assert concretize(terms, mode).is_zero
-    lone = concretize(jacobi_example_opo_term(), NABLA_PHI)
+    lone = concretize([jacobi_example_opo_term()], NABLA_PHI)
     assert not lone.is_zero
 
 
@@ -100,11 +100,11 @@ def test_self_contraction_dies_in_gradient_mode():
     # P contracted against its own derivative along the same label chain
     # vanishes because the gradient bivector is divergence free
     term = parse_term("dP(i;i,j) @1(j) @2()")
-    assert concretize(term, NABLA_PHI).is_zero
+    assert concretize([term], NABLA_PHI).is_zero
 
 
 def test_poisson_term_concretizes_to_bracket():
-    c = concretize(poisson_term(), NABLA_PHI)
+    c = concretize([poisson_term()], NABLA_PHI)
     # six epsilon entries, each a first jet of the potential
     assert c.term_count() == 6
     assert c.reverse_args() == c.scale(-1)
@@ -189,4 +189,4 @@ def test_four_factor_diagrams_match_references():
     assert [t.key() for t in orderable] == [t.key() for t in reference_enumerate(4, True)]
     for mode in (NABLA_PHI, PSI_NABLA_PHI):
         for term in orderable:
-            assert concretize(term, mode) == reference_concretize([term], mode)
+            assert concretize([term], mode) == reference_concretize([term], mode)

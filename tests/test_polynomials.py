@@ -9,14 +9,14 @@ from starq.jets import JetPolynomial, monomial_key, phi_jet, psi_jet
 from starq.polynomials import MAX_PARSE_DEGREE, XPoly, monomials_up_to, parse_poly
 
 from helpers import (fraction_add, fraction_mul, fraction_scale, fraction_x_derivative,
-                     random_index)
+                     poly, random_index)
 
 
 def small_polys():
     coeff = st.fractions(min_value=-9, max_value=9, max_denominator=5)
     exponent = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
     return st.dictionaries(exponent, coeff, max_size=4).map(
-        lambda d: XPoly({e: c for e, c in d.items() if c}))
+        lambda d: poly(XPoly, d))
 
 
 def test_parse_examples():
@@ -137,7 +137,7 @@ def _fractions(p) -> dict:
 def test_integer_core_matches_fraction_arithmetic(seed, ring):
     rng = Random(seed)
     a, b = _random_terms(rng, ring), _random_terms(rng, ring)
-    pa, pb = ring(a), ring(b)
+    pa, pb = poly(ring, a), poly(ring, b)
     q = Fraction(rng.randint(-5, 5), rng.choice(_DENOMINATORS))
     direction = rng.choice((1, 2, 3))
     index = random_index(rng, 3)
@@ -151,7 +151,6 @@ def test_integer_core_matches_fraction_arithmetic(seed, ring):
         (-pa, fraction_scale(a, Fraction(-1))),
         (pa * pb, fraction_mul(a, b, ring._mono_mul)),
         (pa.scale(q), fraction_scale(a, q)),
-        (pa * q.numerator, fraction_scale(a, Fraction(q.numerator))),
         (pa.x_derivative(direction), fraction_x_derivative(a, direction, ring)),
         (pa.derivative(index), expected_derivative),
         (pa - pa, {}),
@@ -160,8 +159,8 @@ def test_integer_core_matches_fraction_arithmetic(seed, ring):
         assert type(result) is ring
         assert_canonical(result)
         assert _fractions(result) == expected
-        assert result == ring(expected)
-        assert hash(result) == hash(ring(expected))
+        assert result == poly(ring, expected)
+        assert hash(result) == hash(poly(ring, expected))
     for mono, c in a.items():
         assert pa.coefficient(mono) == c
     assert ring.from_json(pa.to_json()) == pa

@@ -101,7 +101,7 @@ def test_hot_kernels_construct_no_fraction(sym_star3, cubic_star, monkeypatch):
         r3 = assemble_rhs(star.levels, 3)
         assert DeltaSolver().solve(r3, 3) == star.levels[3]
         assert _flatten(r3).terms
-    assert associator_scan(cubic_star, 3) is None
+    assert associator_scan(cubic_star.levels, 3) is None
     assert made == []
 
 
