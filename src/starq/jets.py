@@ -15,7 +15,8 @@ multiplying monomials merges int tuples and structural equality is dict and
 denominator equality.  ``var`` decodes a code back to the public
 ``(tag, index)`` pair; names, JSON, printing and LaTeX list a monomial's
 factors phi before psi, then by index length, then by index, as they always
-have.
+have.  At the JSON boundary a code's name and a name's code are each worked
+out once and looked up after (``var_name``, ``name_code``).
 The total x-derivative acts by prolongation, d/dx_a phi_I = phi_{I+a},
 extended as a derivation to products; ``lift`` prolongs a code.
 """
@@ -129,6 +130,19 @@ def parse_var(text: str) -> JetVar:
     return jet_var(tag, parse_index(digits))
 
 
+@cache
+def var_name(c: int) -> str:
+    """The JSON name of the jet variable of a code."""
+    return format_var(var(c))
+
+
+@cache
+def name_code(text: str) -> int:
+    """The code of a jet-variable name; an invalid name raises, and nothing
+    is cached for it.  The caller rejects a non-string before the lookup."""
+    return code(parse_var(text))
+
+
 class JetPolynomial(SparsePoly):
     """Sparse rational polynomial in jet variables; a monomial is the sorted
     tuple of its factors' codes."""
@@ -149,11 +163,16 @@ class JetPolynomial(SparsePoly):
 
     @staticmethod
     def _factors(mono: Monomial) -> list[str]:
-        return [format_var(v) for v in decode(mono)]
+        return [var_name(c) for c in sorted(mono, key=is_psi)]
 
     @staticmethod
     def _parse_factors(names) -> Monomial:
-        return monomial_key(parse_var(name) for name in names)
+        codes = []
+        for name in names:
+            if not isinstance(name, str):
+                raise ValueError(f"malformed jet variable {name!r}")
+            codes.append(name_code(name))
+        return tuple(sorted(codes))
 
     @staticmethod
     def variable(v: JetVar) -> "JetPolynomial":

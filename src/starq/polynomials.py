@@ -234,6 +234,10 @@ class SparsePoly:
         return cls.from_numerators(total.terms, total.den)
 
 
+# The JSON factor names of the coordinates, with their exponent positions.
+_COORDINATES = {"x1": 0, "x2": 1, "x3": 2}
+
+
 class XPoly(SparsePoly):
     """Polynomial in x1, x2, x3; a monomial is its exponent triple."""
 
@@ -265,9 +269,13 @@ class XPoly(SparsePoly):
     def _parse_factors(names) -> Exponent:
         exp = [0, 0, 0]
         for name in names:
-            if not re.fullmatch(r"x[123]", name):
+            if not isinstance(name, str):
+                raise ValueError(
+                    f"expected string or bytes-like object, got {type(name).__name__!r}")
+            i = _COORDINATES.get(name)
+            if i is None:
                 raise ValueError(f"unknown coordinate factor {name!r}")
-            exp[int(name[1]) - 1] += 1
+            exp[i] += 1
         return tuple(exp)
 
     @staticmethod

@@ -5,6 +5,7 @@ reference comes from its closed formula, associators from direct evaluation
 on explicit polynomials, the Jacobi residual from the curl formula.  The
 ring core and the insertion kernel are shared with the constructor; the
 independence is in the formulas, the symmetric-bracket right-hand side
+(one bracket per unordered pair of levels, each inserting both orders)
 against the constructor's one-sided sum, and the associator scan.  A
 verification run produces a machine-readable report whose failing entries
 each name a witness triple of polynomials, so a corrupted product is not
@@ -240,12 +241,17 @@ _HALF = Fraction(1, 2)
 def _rhs(levels: list[Cochain], k: int) -> Cochain:
     """(1/2) sum over l of [M_l, M_{k-l}], the symmetric bracket form.
 
-    Every bracket inserts both orders of its pair, so this re-derives R_k by
-    another formula than the constructor's one-sided sum; half of each
-    bracket is added into one accumulator.
+    For bilinear levels the bracket is symmetric, [a, b] = a∘b + b∘a = [b, a],
+    so the sum runs over unordered pairs: each [M_l, M_{k-l}] with l < k - l
+    once, and half of [M_{k/2}, M_{k/2}] for even k, floor(k/2) brackets in
+    all.  Every bracket still inserts both orders of its pair, so this
+    re-derives R_k by another formula than the constructor's one-sided sum;
+    the brackets are added into one accumulator.
     """
-    return linear_combination(3, levels[1].ring,
-                              ((_HALF, levels[l].bracket(levels[k - l])) for l in range(1, k)))
+    return linear_combination(
+        3, levels[1].ring,
+        ((1 if 2 * l < k else _HALF, levels[l].bracket(levels[k - l]))
+         for l in range(1, k // 2 + 1)))
 
 
 def verify_star(star: StarProduct, degree: int | None = None) -> dict:

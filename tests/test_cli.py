@@ -397,3 +397,39 @@ def test_verify_survives_structural_mutations(data, weyl_text, tmp_path):
     path = tmp_path / "mutated.json"
     path.write_text(json.dumps(star))
     assert main(["verify", str(path)]) in (0, 2, 3)
+
+
+# The error line of a star file with one bad factor name in its first level-1
+# coefficient: a jet name in the symbolic product, a coordinate in the Weyl one.
+BAD_FACTORS = [
+    ("jet", 5, "malformed jet variable 5"),
+    ("jet", None, "malformed jet variable None"),
+    ("jet", ["phi_1"], "malformed jet variable ['phi_1']"),
+    ("jet", {"phi_1": 1}, "malformed jet variable {'phi_1': 1}"),
+    ("jet", "phi_", "phi jets carry at least one derivative"),
+    ("jet", "phi_4", "coordinate label out of range: 4"),
+    ("jet", "chi_1", "unknown potential tag 'chi'"),
+    ("jet", "phi1", "malformed jet variable 'phi1'"),
+    ("jet", True, "malformed jet variable True"),
+    ("x", "x4", "unknown coordinate factor 'x4'"),
+    ("x", "X1", "unknown coordinate factor 'X1'"),
+    ("x", "x1 ", "unknown coordinate factor 'x1 '"),
+    ("x", 1, "expected string or bytes-like object, got 'int'"),
+    ("x", ["x1"], "expected string or bytes-like object, got 'list'"),
+    ("x", None, "expected string or bytes-like object, got 'NoneType'"),
+]
+
+
+@pytest.fixture(scope="module")
+def ring_texts(weyl_text, sym_star3):
+    return {"x": weyl_text, "jet": json.dumps(sym_star3.to_json())}
+
+
+@pytest.mark.parametrize("ring, name, message", BAD_FACTORS)
+def test_verify_names_a_bad_factor(ring, name, message, ring_texts, tmp_path, capsys):
+    data = json.loads(ring_texts[ring])
+    _first_coeff(data)["factors"] = [name]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["verify", str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: cannot load star product from {bad}: {message}\n"

@@ -155,9 +155,11 @@ def test_mutant_verify_report_digest(name, request):
     assert _sha(json.dumps(report, indent=2)) == MUTANTS[name]
 
 
-# Verify reports of passing explicit products, the conformal one built as in
-# BUILDS: they print every check of the associator scan and the probes.
+# Verify reports of passing products: the explicit ones, the conformal one
+# built as in BUILDS, print every check of the associator scan and the probes;
+# the symbolic one prints the unit, parity and residual checks.
 REPORTS = {
+    "sym_star3": "9302d1b683fa469db1c52de3dc008ee56416fa00a44e2b3242b17250ebf4fb45",
     "x3_star4": "f8ef177724a29144e164d521b45fdb876ca40cd01280026619641c32cbfa0970",
     "sphere_star": "8211460e391fef14ad14e457d993f153b81964d7249256304c5895d507518548",
     "conformal": "2c3751c7bf26bd5301f8af45a483bd791675881b75672ccfff583f31ef4569ec",
@@ -183,15 +185,41 @@ ASYMMETRIC_MUTANTS = {
 }
 
 
-@pytest.mark.parametrize("name, level", sorted(ASYMMETRIC_MUTANTS))
-def test_asymmetric_mutant_verify_report_digests(name, level, request):
-    data = request.getfixturevalue(name).to_json()
+def _asymmetric_mutant_report(star: StarProduct, level: int) -> dict:
+    data = star.to_json()
     term = next(t for t in data["levels"][level]["terms"] if t["slots"][0] != t["slots"][1])
     mono = term["coeff"][0]
     mono["coeff"] = str(Fraction(mono["coeff"]) + Fraction(3, 7))
-    report = verify_star(StarProduct.from_json(data))
+    return verify_star(StarProduct.from_json(data))
+
+
+@pytest.mark.parametrize("name, level", sorted(ASYMMETRIC_MUTANTS))
+def test_asymmetric_mutant_verify_report_digests(name, level, request):
+    report = _asymmetric_mutant_report(request.getfixturevalue(name), level)
     assert any(c["name"] == "associator" and not c["pass"] for c in report["checks"])
     assert _sha(json.dumps(report, indent=2)) == ASYMMETRIC_MUTANTS[name, level]
+
+
+# The same mutants of the symbolic product: the level loses its parity, and
+# both residuals print jet-ring coefficients.
+SYMBOLIC_MUTANTS = {
+    1: "31d8bfc2eff11e28e8c9ef2bf3fe0af6d664394d8e795d43b0e6e07385947f93",
+    2: "316444c3f83d9cf0ad99bd2740fea04b65bad563e0f5d8f1b47f855d8388314c",
+}
+
+
+@pytest.mark.parametrize("level", sorted(SYMBOLIC_MUTANTS))
+def test_symbolic_asymmetric_mutant_verify_report_digests(level, sym_star3):
+    report = _asymmetric_mutant_report(sym_star3, level)
+    failed = [c["name"] for c in report["checks"] if not c["pass"]]
+    assert failed == [f"parity-{level}", "residual-2", "residual-3"]
+    assert _sha(json.dumps(report, indent=2)) == SYMBOLIC_MUTANTS[level]
+
+
+def test_symbolic_json_reloads_byte_for_byte(sym_star3):
+    text = json.dumps(sym_star3.to_json(), indent=2)
+    reloaded = StarProduct.from_json(json.loads(text))
+    assert json.dumps(reloaded.to_json(), indent=2) == text
 
 
 # Stdout of the command line: the summary lines of construct and the check

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from starq.cli import MAX_ORDER
 from starq.jets import (NABLA_PHI, PHI, PSI, PSI_NABLA_PHI, JetPolynomial, code, format_var,
-                        is_psi, jet_order, jet_var, lift, monomial_key, phi_jet, psi_jet,
-                        substitute_factor, var)
+                        is_psi, jet_order, jet_var, lift, monomial_key, name_code, parse_var,
+                        phi_jet, psi_jet, substitute_factor, var, var_name)
 from starq.cochains import JET_RING
 from starq.latex import _SYMBOLS, _frac_latex, _join, ring_latex
 from starq.multiindex import all_indices, merge
@@ -117,6 +117,27 @@ def test_codes_decode_and_order_like_var_key():
     for tag in (PHI, PSI):
         same_tag = [v for v in variables if v[0] == tag]
         assert sorted(same_tag, key=code) == sorted(same_tag, key=_var_key)
+
+
+def test_cached_name_maps_agree_with_format_and_parse():
+    variables = [v for v in _all_vars(4) if v[0] == PSI or v[1]]
+    assert len(variables) == 34 + 35  # phi of order 1..4, psi of order 0..4
+    for v in variables:
+        name = format_var(v)
+        assert var_name(code(v)) == name
+        assert name_code(name) == code(parse_var(name)) == code(v)
+    mono = monomial_key(variables[:6] + variables[-6:])
+    names = [format_var(v) for v in sorted(map(var, mono), key=_var_key)]
+    assert JetPolynomial._factors(mono) == names
+    assert JetPolynomial._parse_factors(names) == mono
+
+
+@pytest.mark.parametrize("name", ["phi_", "phi_4", "chi_1", "phi1", "psi_0"])
+def test_invalid_names_raise_and_are_not_cached(name):
+    before = name_code.cache_info().currsize
+    with pytest.raises(ValueError):
+        name_code(name)
+    assert name_code.cache_info().currsize == before
 
 
 # Reference: a jet polynomial as a dict from tuples of jet variables, sorted

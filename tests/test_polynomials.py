@@ -78,6 +78,8 @@ def test_iterated_derivative_matches_singles():
 def test_json_roundtrip():
     p = parse_poly("1/3*x1*x3 - 2*x2^4")
     assert XPoly.from_json(p.to_json()) == p
+    for mono in monomials_up_to(4):  # every factor list the coordinate table reads
+        assert XPoly.from_json(mono.to_json()) == mono
 
 
 def test_from_json_sums_duplicates_and_drops_zeros():

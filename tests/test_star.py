@@ -1,6 +1,7 @@
 import re
 from fractions import Fraction
 from random import Random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -66,12 +67,31 @@ def test_one_sided_rhs_on_symbolic_levels(sym_star3, sym_rhs):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2 ** 32), st.sampled_from((JET_RING, X_RING)))
 def test_verifier_rhs_matches_copy_based_form(seed, ring):
+    """[a, b] = [b, a] for bilinear a and b, so R_k brackets each unordered
+    pair of levels once: floor(k/2) brackets and no one-sided insertion."""
     rng = Random(seed)
     levels = [Cochain.multiplication(ring)] + [
         random_cochain(rng, 2, ring, max_slot_degree=rng.randint(1, 3), terms=rng.randint(1, 3))
         for _ in range(rng.randint(2, 4))]
+    bracket = Cochain.bracket
+    calls = []
+
+    def counted(self, other, degrees=None):
+        calls.append(other)
+        return bracket(self, other, degrees)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the verifier's right-hand side inserts one-sidedly")
+
     for k in range(2, len(levels) + 1):
-        assert _rhs(levels, k) == reference_rhs(levels, k)
+        calls.clear()
+        with mock.patch.object(Cochain, "bracket", counted), \
+                mock.patch.object(Cochain, "insert", forbidden), \
+                mock.patch("starq.star.assemble_rhs", forbidden):
+            rhs = _rhs(levels, k)
+        assert len(calls) == k // 2
+        assert rhs == reference_rhs(levels, k)
+
 
 
 def test_verifier_rhs_on_symbolic_levels(sym_star3, sym_rhs):
