@@ -18,11 +18,11 @@ per output slot, all over one denominator common to the call (the lcm of
 the input coefficients' denominators, times the weights'), so each
 contribution is an integer multiple; each coefficient is built once.
 
-The coboundary and the insertion product both create transient empty slots
-(an argument multiplied without differentiation).  For inputs whose slots
-are all nonempty those contributions cancel in pairs, but they are kept in
-general; the bare multiplication cochain itself lives outside the
-normalized class and needs them.
+Empty slots (an argument multiplied without differentiation) occur in the
+bare multiplication, in insertions with it, and in terms that carry one.
+In the coboundary of a term whose slots are all nonempty, the items with
+an empty slot cancel in pairs within the term, so they are never formed;
+a term with an empty slot keeps its full expansion.
 """
 
 from __future__ import annotations
@@ -78,14 +78,23 @@ def delta_terms(slots: Slots) -> Iterator[tuple[Slots, int]]:
 
     Coefficients are untouched by the coboundary, so the expansion depends
     on the slots alone; the solver reuses this to build shape systems.
+
+    When every slot is nonempty, the items with an empty slot cancel in
+    pairs: ``((),) + slots`` with the ``((), s_0)`` split, the ``(s_i, ())``
+    split with the ``((), s_{i+1})`` split, and the ``(s_{n-1}, ())`` split
+    with ``slots + ((),)``; such a tuple yields only the middle of
+    ``splits``, whose first and last items are ``((), s)`` and ``(s, ())``.
     """
-    n = len(slots)
-    yield ((),) + slots, 1
+    n, full = len(slots), not all(slots)
+    if full:
+        yield ((),) + slots, 1
     for i in range(n):
         sign = -(-1) ** i
-        for (left, right), count in splits(slots[i], 2):
+        pieces = splits(slots[i], 2)
+        for (left, right), count in pieces if full else pieces[1:-1]:
             yield slots[:i] + (left, right) + slots[i + 1:], sign * count
-    yield slots + ((),), (-1) ** (n - 1)
+    if full:
+        yield slots + ((),), (-1) ** (n - 1)
 
 
 class Cochain:

@@ -3,8 +3,8 @@
 A multi-index is a tuple of coordinate labels, kept sorted ascending so that
 the symmetry of mixed partial derivatives is structural: two derivative
 orders that agree as multisets are the same tuple.  The empty tuple stands
-for "no derivative" and appears transiently inside the Hochschild coboundary
-before terms recombine.
+for "no derivative": a piece of a split that takes nothing, or the slot of
+an argument that is only multiplied, as in the bare multiplication.
 """
 
 from __future__ import annotations

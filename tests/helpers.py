@@ -6,7 +6,7 @@ from itertools import combinations, permutations, product
 from math import lcm
 from random import Random
 
-from starq.cochains import Cochain, JET_RING, X_RING, delta_terms, ring_class, slot_total
+from starq.cochains import Cochain, JET_RING, X_RING, ring_class, slot_total
 from starq.jets import JetPolynomial, monomial_key, phi_jet, psi_jet, substitute_factor, var
 from starq.multiindex import all_indices, merge, splits
 from starq.opo import ARG, FAC, AbstractTerm, canonical_term, is_opo
@@ -66,16 +66,22 @@ def random_cochain(rng: Random, arity: int, ring: str = JET_RING,
 # Each contribution is a scaled copy added term by term through add_term: the
 # formulas the accumulating kernels in starq.cochains replace.
 
+def reference_delta_terms(slots):
+    """The full Leibniz expansion of the coboundary of one slot tuple, with
+    every boundary term and every split of a slot, empty pieces included."""
+    n = len(slots)
+    yield ((),) + slots, 1
+    for i in range(n):
+        for (left, right), count in splits(slots[i], 2):
+            yield slots[:i] + (left, right) + slots[i + 1:], -(-1) ** i * count
+    yield slots + ((),), (-1) ** (n - 1)
+
+
 def reference_hochschild_delta(c: Cochain) -> Cochain:
     out = Cochain(c.arity + 1, c.ring)
-    n = c.arity
     for slots, coeff in c.terms.items():
-        out.add_term(((),) + slots, coeff)
-        for i in range(n):
-            for (left, right), count in splits(slots[i], 2):
-                out.add_term(slots[:i] + (left, right) + slots[i + 1:],
-                             coeff.scale(-Fraction((-1) ** i) * count))
-        out.add_term(slots + ((),), coeff.scale((-1) ** (n - 1)))
+        for new_slots, q in reference_delta_terms(slots):
+            out.add_term(new_slots, coeff.scale(q))
     return out
 
 
@@ -299,7 +305,7 @@ def reference_shape_system(total: int, parity: int) -> FractionReducer:
     for a, b in reference_shape_pairs(total, parity):
         vec: dict = {}
         for pair, sign in [((a, b), 1)] + ([((b, a), parity)] if a != b else []):
-            for slots, q in delta_terms(pair):
+            for slots, q in reference_delta_terms(pair):
                 vec[slots] = vec.get(slots, 0) + q * sign
         reducer.add_column((a, b), vec)
     return reducer

@@ -9,7 +9,7 @@ from starq.cochains import (Cochain, JET_RING, X_RING, delta_terms, epsilon_coch
 from starq.polynomials import XPoly, parse_poly
 
 from helpers import (eval_args, random_cochain, reference_antisymmetrize,
-                     reference_hochschild_delta, reference_insert)
+                     reference_delta_terms, reference_hochschild_delta, reference_insert)
 
 
 def test_delta_terms_preserve_slot_totals():
@@ -17,6 +17,34 @@ def test_delta_terms_preserve_slot_totals():
     for expanded, sign in delta_terms(slots):
         assert slot_total(expanded) == slot_total(slots)
         assert len(expanded) == len(slots) + 1
+
+
+def _summed(items) -> dict:
+    out: dict = {}
+    for slots, q in items:
+        out[slots] = out.get(slots, 0) + q
+    return {slots: q for slots, q in out.items() if q}
+
+
+SLOT_TUPLES = st.lists(st.lists(st.sampled_from((1, 2, 3)), max_size=3).map(
+    lambda s: tuple(sorted(s))), min_size=1, max_size=4).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@example(((1, 1, 2), (3,), (2, 3)))
+@example(((1, 2), (), (3,)))
+@example(((),))
+@given(SLOT_TUPLES)
+def test_delta_terms_sum_to_the_full_leibniz_expansion(slots):
+    items = list(delta_terms(slots))
+    assert _summed(items) == _summed(reference_delta_terms(slots))
+    if all(slots):
+        # the self-cancelling items with an empty slot are never formed
+        assert all(all(expanded) for expanded, _ in items)
+
+
+def test_delta_terms_of_first_order_slots_is_empty():
+    assert list(delta_terms(((1,), (2,), (3,)))) == []
 
 
 def test_delta_squares_to_zero_randomized_small():

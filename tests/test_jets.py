@@ -119,6 +119,20 @@ def test_codes_decode_and_order_like_var_key():
         assert sorted(same_tag, key=code) == sorted(same_tag, key=_var_key)
 
 
+def test_term_order_is_by_tag_and_index_not_by_code():
+    # a term is ordered by its factors' (tag, index), so phi_11 precedes phi_2,
+    # while the codes sort phi_2 first (a shorter index has fewer digits)
+    phi_2, phi_11, psi = map(JetPolynomial.variable, (phi_jet(2), phi_jet(1, 1), psi_jet()))
+    assert code(phi_jet(2)) == 12 < code(phi_jet(1, 1)) == 42
+    p = phi_2 + phi_11
+    assert [item["factors"] for item in p.to_json()] == [["phi_11"], ["phi_2"]]
+    assert str(p) == "phi_11 + phi_2"
+    q = phi_2 * psi + phi_11 * psi + JetPolynomial.variable(psi_jet(3))
+    assert [item["factors"] for item in q.to_json()] == [
+        ["psi_3"], ["phi_11", "psi_"], ["phi_2", "psi_"]]
+    assert str(q) == "psi_3 + phi_11*psi_ + phi_2*psi_"
+
+
 def test_cached_name_maps_agree_with_format_and_parse():
     variables = [v for v in _all_vars(4) if v[0] == PSI or v[1]]
     assert len(variables) == 34 + 35  # phi of order 1..4, psi of order 0..4

@@ -6,6 +6,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import starq.cochains
+import starq.star
 from starq.cochains import Cochain, JET_RING, X_RING, epsilon_cochain, linear_combination
 from starq.jets import (NABLA_PHI, PSI_NABLA_PHI, JetPolynomial, phi_jet, var)
 from starq.multiindex import all_indices, merge
@@ -294,6 +296,24 @@ def test_content_systems_split_the_slot_total_system(total, parity):
         vec, ref_combo = ref_pivots[lead]
         assert rest.fractions() == {row: q for row, q in vec.items() if row != lead}
         assert combo.fractions() == ref_combo
+
+
+def test_build_forms_no_empty_slot_in_a_coboundary(monkeypatch):
+    # every R_k and M_k term is normalized, so the coboundary's self-cancelling
+    # items with an empty slot are never yielded
+    seen = []
+    expand = starq.cochains.delta_terms
+
+    def counted(slots):
+        for expanded, q in expand(slots):
+            seen.append(expanded)
+            yield expanded, q
+
+    monkeypatch.setattr(starq.cochains, "delta_terms", counted)
+    monkeypatch.setattr(starq.star, "delta_terms", counted)
+    build_star(NABLA_PHI, 3)
+    assert seen
+    assert [slots for slots in seen if not all(slots)] == []
 
 
 @settings(max_examples=30, deadline=None)
