@@ -76,13 +76,19 @@ def _atomic_write(path: str, text: str) -> None:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}")
 
 
-def _to_stdout(args: argparse.Namespace, text: str) -> bool:
+def _to_stdout(args: argparse.Namespace, text: str | None) -> bool:
     """Write text to --out if one is given; True when there is none, so the
     text belongs on stdout (for JSON, only under --emit json)."""
     if args.out:
         _atomic_write(args.out, text)
         return False
     return True
+
+
+def _json_text(args: argparse.Namespace, payload) -> str | None:
+    """The indented JSON of payload() when it is written, to --out or under
+    --emit json; None otherwise, so an unused document is never rendered."""
+    return json.dumps(payload(), indent=2) if args.out or args.emit == "json" else None
 
 
 def _parse_expr(text: str, what: str) -> XPoly | str:
@@ -111,7 +117,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc))
     else:
-        text = json.dumps(star.to_json(), indent=2)
+        text = _json_text(args, star.to_json)
         if _to_stdout(args, text) and args.emit == "json":
             print(text)
         elif args.emit == "latex":
@@ -150,7 +156,7 @@ def _load_star(path: str) -> StarProduct:
 def cmd_verify(args: argparse.Namespace) -> int:
     star = _load_star(args.star)
     report = verify_star(star, degree=args.degree)
-    text = json.dumps(report, indent=2)
+    text = _json_text(args, lambda: report)
     shown = _to_stdout(args, text) and args.emit == "json"
     if shown:
         print(text)
@@ -207,7 +213,7 @@ def cmd_obstruction(args: argparse.Namespace) -> int:
         report = exc.report
     except (InfeasibleError, ValueError) as exc:
         raise ConfigError(str(exc))
-    text = json.dumps(report.to_json(), indent=2)
+    text = _json_text(args, report.to_json)
     shown = _to_stdout(args, text) and args.emit == "json"
     print(f"level {report.level}: " +
           ("zero (parity)" if report.is_zero and report.parity_path

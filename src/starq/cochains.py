@@ -150,9 +150,6 @@ class Cochain:
         self._check_compatible(other)
         return linear_combination(self.arity, self.ring, ((1, self), (-1, other)))
 
-    def __neg__(self) -> "Cochain":
-        return self.scale(-1)
-
     def scale(self, q: Fraction | int) -> "Cochain":
         if not q:
             return Cochain(self.arity, self.ring)

@@ -131,14 +131,13 @@ class ExperimentRecord:
     orderable_delta_feasible: bool
     combined_feasible: bool
     unrestricted_feasible: bool
-    expected_infeasible: bool
-    witness_level3: Cochain | None = None
-    orderable_level3: Cochain | None = None
-    obstruction_witness: JetPolynomial | None = None
+    witness_level3: Cochain | None
+    orderable_level3: Cochain | None
+    obstruction_witness: JetPolynomial | None
 
     @property
     def as_expected(self) -> bool:
-        return self.combined_feasible != self.expected_infeasible
+        return not self.combined_feasible
 
     def to_json(self) -> dict:
         return {
@@ -149,7 +148,7 @@ class ExperimentRecord:
             "orderableDeltaFeasible": self.orderable_delta_feasible,
             "combinedFeasible": self.combined_feasible,
             "unrestrictedFeasible": self.unrestricted_feasible,
-            "expectation": "infeasible" if self.expected_infeasible else "feasible",
+            "expectation": "infeasible",
             "outcome": "as-expected" if self.as_expected else "refutation",
             "witnessLevel3": (None if self.witness_level3 is None
                               else self.witness_level3.to_json()),
@@ -242,7 +241,6 @@ def psi_opo_experiment() -> ExperimentRecord:
         orderable_delta_feasible=orderable_m3 is not None,
         combined_feasible=combined_solution is not None,
         unrestricted_feasible=unrestricted_feasible,
-        expected_infeasible=True,
         witness_level3=witness_m3,
         orderable_level3=orderable_m3,
         obstruction_witness=obstruction_witness,

@@ -29,10 +29,6 @@ class ColumnReducer:
         # combination over column keys)
         self.pivots: dict[Hashable, tuple[RatVec, RatVec]] = {}
 
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
     def _reduce(self, vec: RatVec, combo: RatVec) -> None:
         """Eliminate vec against pivots, in place.
 

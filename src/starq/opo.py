@@ -73,9 +73,6 @@ class AbstractTerm:
         return (isinstance(other, AbstractTerm) and self.coeff == other.coeff
                 and self.pairs == other.pairs and self.n_args == other.n_args)
 
-    def __hash__(self):
-        return hash((self.coeff, self.pairs, self.n_args))
-
     def __repr__(self) -> str:
         return f"{self.coeff} * {term_to_text(self)}"
 

@@ -38,16 +38,12 @@ class RatVec:
         self.terms: dict = {} if terms is None else terms
         self.den = den
 
-    def add(self, terms: Mapping, den: int = 1, mul: int = 1) -> None:
+    def add(self, terms: Mapping, den: int, mul: int = 1) -> None:
         """Add ``mul * terms / den`` in place (nonzero integer numerators in
-        ``terms``), dropping cancelled entries."""
-        if mul:
-            self.add_scaled(terms, self.multiple(den, mul))
-
-    def multiple(self, den: int, mul: int = 1) -> int:
-        """The denominator step of ``add``: raise ``self.den`` to a multiple of
-        ``den / gcd(mul, den)`` and return the integer m with
-        ``mul / den == m / self.den``."""
+        ``terms``), dropping cancelled entries.  ``self.den`` first rises to a
+        multiple of ``den / gcd(mul, den)`` if it is not one already."""
+        if not mul:
+            return
         own = self.den
         if own % den:
             g = gcd(mul, den)
@@ -58,7 +54,7 @@ class RatVec:
                 for k in out:
                     out[k] *= rise
                 self.den = own = own * rise
-        return mul * (own // den)
+        self.add_scaled(terms, mul * (own // den))
 
     def add_scaled(self, terms: Mapping, mul: int) -> None:
         """Add ``mul * terms`` to the numerators over ``self.den``, in place;

@@ -36,9 +36,7 @@ from .cochains import (
     Cochain, JET_RING, X_RING, _common_den, delta_terms, epsilon_cochain, insertion_sum,
     linear_combination, ring_class, slot_total,
 )
-from .jets import (
-    NABLA_PHI, PSI_NABLA_PHI, decode, is_psi, jet_order, substitute_factor,
-)
+from .jets import NABLA_PHI, PSI_NABLA_PHI, decode, is_psi, jet_order
 from .linsolve import ColumnReducer
 from .multiindex import MultiIndex, splits
 from .opo import concretize, enumerate_terms
@@ -71,24 +69,10 @@ def parity_sign(k: int) -> int:
 
 # -- level 0 and 1 -------------------------------------------------------------
 
-def poisson_cochain(mode: str) -> Cochain:
-    """Half the Poisson bracket as a jet-ring bilinear operator."""
-    out = Cochain(2, JET_RING)
-    half = Fraction(1, 2)
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            if i == j:
-                continue
-            coeff = substitute_factor((), i, j, mode).scale(half)
-            if not coeff.is_zero:
-                out.add_term(((i,), (j,)), coeff)
-    return out
-
-
-def base_levels(mode: str, ring: str, phi: XPoly | None = None,
-                psi: XPoly | None = None) -> list[Cochain]:
-    """[M_0, M_1] in the requested coefficient ring."""
-    m1 = poisson_cochain(mode)
+def base_levels(mode: str, ring: str, phi: XPoly | None, psi: XPoly | None) -> list[Cochain]:
+    """[M_0, M_1] in the requested coefficient ring.  M_1 is half the Poisson
+    bracket, the one one-factor diagram P^{ij} d_i f d_j g concretized."""
+    m1 = concretize(enumerate_terms(1, require_opo=True), mode).scale(Fraction(1, 2))
     if ring == X_RING:
         m1 = m1.specialize(phi, psi)
     return [Cochain.multiplication(ring), m1]
@@ -126,8 +110,8 @@ class ObstructionReport:
     coordinate_witness: object  # ring element: value on (x1, x2, x3)
     is_zero: bool
     parity_path: bool
-    shortcut_witness: object | None = None
-    shortcut_agrees: bool | None = None
+    shortcut_witness: object | None
+    shortcut_agrees: bool | None
 
     def to_json(self) -> dict:
         return {
@@ -167,8 +151,7 @@ def determinant_witness(alternating: Cochain):
     return witness
 
 
-def obstruction(rhs: Cochain, k: int,
-                levels: Sequence[Cochain] | None = None) -> ObstructionReport:
+def obstruction(rhs: Cochain, k: int, levels: Sequence[Cochain]) -> ObstructionReport:
     """Alternating first-order part of R_k, with its coordinate witness.
 
     The alternating part of a first-order trilinear operator in three
@@ -176,25 +159,23 @@ def obstruction(rhs: Cochain, k: int,
     its value on the coordinate triple decides vanishing.  For odd k the
     right-hand side is symmetric under argument reversal and the report is
     zero on parity grounds; the direct computation is still performed.
-    When the previous level is supplied, the insertion shortcut
-    A((M_{k-1} o M_1)_{(1,1,1)}) is computed as a cross-check; it must be
-    zero together with the direct result, or a rational multiple of it.
+    The insertion shortcut A((M_{k-1} o M_1)_{(1,1,1)}) over the lower levels
+    is computed as a cross-check; it must be zero together with the direct
+    result, or a rational multiple of it.
     """
     alternating = rhs.degree_part((1, 1, 1)).antisymmetrize()
     witness = determinant_witness(alternating)
-    parity_path = (k % 2 == 1) and rhs.reverse_args() == rhs
-    report = ObstructionReport(
+    shortcut = levels[k - 1].insert(levels[1], (1, 1, 1)).antisymmetrize()
+    shortcut_witness = shortcut.coefficient(COORDINATE_SLOTS)
+    return ObstructionReport(
         level=k,
         alternating=alternating,
         coordinate_witness=witness,
         is_zero=alternating.is_zero,
-        parity_path=parity_path,
+        parity_path=(k % 2 == 1) and rhs.reverse_args() == rhs,
+        shortcut_witness=shortcut_witness,
+        shortcut_agrees=proportional(witness, shortcut_witness),
     )
-    if levels is not None and len(levels) > k - 1 and k >= 2:
-        shortcut = levels[k - 1].insert(levels[1], (1, 1, 1)).antisymmetrize()
-        report.shortcut_witness = shortcut.coefficient(COORDINATE_SLOTS)
-        report.shortcut_agrees = proportional(witness, report.shortcut_witness)
-    return report
 
 
 # -- grading ----------------------------------------------------------------------

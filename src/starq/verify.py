@@ -217,24 +217,6 @@ def _witness_from_slots(slots) -> list[str]:
     return args[:3]
 
 
-@dataclass
-class CheckResult:
-    name: str
-    digest: str
-    passed: bool
-    residual: str = "0"
-    witness: list[str] | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "inputsDigest": self.digest,
-            "residual": self.residual,
-            "pass": self.passed,
-            "witness": self.witness,
-        }
-
-
 _HALF = Fraction(1, 2)
 
 
@@ -265,10 +247,11 @@ def verify_star(star: StarProduct, degree: int | None = None) -> dict:
     """
     levels = star.levels
     digest = _digest(star.to_json())
-    checks: list[CheckResult] = []
+    checks: list[dict] = []
 
     def check(name: str, passed: bool, residual="0", witness=None):
-        checks.append(CheckResult(name, digest, passed, str(residual), witness))
+        checks.append({"name": name, "inputsDigest": digest, "residual": str(residual),
+                       "pass": passed, "witness": witness})
 
     # unit law: level 0 is bare multiplication, higher levels kill constants
     unit_ok = levels[0] == Cochain.multiplication(star.ring)
@@ -307,12 +290,7 @@ def verify_star(star: StarProduct, degree: int | None = None) -> dict:
 
         _commutator_checks(star, check)
 
-    report = {
-        "pass": all(c.passed for c in checks),
-        "inputsDigest": digest,
-        "checks": [c.to_json() for c in checks],
-    }
-    return report
+    return {"pass": all(c["pass"] for c in checks), "inputsDigest": digest, "checks": checks}
 
 
 def _monomial_triples(monos: list[XPoly], bound: int):

@@ -2,7 +2,7 @@ import pytest
 
 from starq.jets import NABLA_PHI
 from starq.polynomials import parse_poly
-from starq.star import build_star
+from starq.star import ObstructionError, build_star
 
 
 @pytest.fixture(scope="session")
@@ -27,3 +27,12 @@ def x3_star4():
 def sphere_star():
     """Explicit product for the rotationally symmetric quadratic potential."""
     return build_star(NABLA_PHI, 3, phi=parse_poly("1/2*(x1^2+x2^2+x3^2)"))
+
+
+@pytest.fixture(scope="session")
+def pivot_gauge_obstruction():
+    """The nonzero level-4 report of a symbolic build that re-selects no even
+    level in the orderable span."""
+    with pytest.raises(ObstructionError) as caught:
+        build_star(NABLA_PHI, 4, opo_gauge_limit=0)
+    return caught.value.report

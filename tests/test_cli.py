@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from starq.cli import MAX_DEGREE, MAX_K, MAX_ORDER, _build_parser, main
 from starq.polynomials import parse_poly
-from starq.star import StarProduct
+from starq.star import ObstructionError, ObstructionReport, StarProduct
 
 
 def test_construct_writes_star_file(tmp_path, capsys):
@@ -158,6 +158,71 @@ def test_explicit_restricted_build_reports_its_obstructed_family(capsys):
     expected = construct("sym", "sym")
     assert construct("x1*x2*x3+x2^2", "1+x1*x2*x3+x3^3") == expected
     assert expected["status"] == "obstructed" and expected["report"]["level"] == 4
+
+
+def _raising(report):
+    def build(*args, **kwargs):
+        raise ObstructionError(report)
+    return build
+
+
+def _finding(argv, to_file, tmp_path, capsys) -> tuple[str, str]:
+    """The status JSON text of a construct that exits 3, from --out or from
+    stdout (which then holds it and nothing else), and its stderr."""
+    out = tmp_path / "status.json"
+    assert main(["construct", *argv] + (["--out", str(out)] if to_file else [])) == 3
+    captured = capsys.readouterr()
+    if not to_file:
+        return captured.out, captured.err
+    assert captured.out == ""
+    return out.read_text() + "\n", captured.err
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_construct_reports_an_obstructed_build(to_file, pivot_gauge_obstruction, tmp_path,
+                                               monkeypatch, capsys):
+    monkeypatch.setattr("starq.cli.build_star", _raising(pivot_gauge_obstruction))
+    text, err = _finding(["--phi", "sym", "--order", "4"], to_file, tmp_path, capsys)
+    payload = {"status": "obstructed", "report": pivot_gauge_obstruction.to_json()}
+    assert text == json.dumps(payload, indent=2) + "\n"
+    assert err == "nonzero obstruction at level 4\n"
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_construct_reports_an_infeasible_restricted_build(to_file, tmp_path, monkeypatch,
+                                                          capsys):
+    # with no orderable columns the span cannot reach the level-2 right-hand side
+    monkeypatch.setattr("starq.star.opo_projections", lambda k, mode: [])
+    text, err = _finding(["--phi", "sym", "--order", "2", "--opo-restrict"], to_file,
+                         tmp_path, capsys)
+    detail = "level 2: orderable-diagram span cannot cobound the recursion right-hand side"
+    assert json.loads(text) == {"status": "infeasible", "detail": detail}
+    assert err == detail + "\n"
+
+
+def test_obstruction_names_the_level_that_blocks_the_build(pivot_gauge_obstruction,
+                                                           monkeypatch, capsys):
+    monkeypatch.setattr("starq.cli.build_star", _raising(pivot_gauge_obstruction))
+    assert main(["obstruction", "--phi", "sym", "--k", "5"]) == 3
+    assert capsys.readouterr().out == "level 4: NONZERO\n"
+
+
+def test_text_output_serializes_nothing(monkeypatch, capsys):
+    def unused(self):
+        raise AssertionError("rendered a JSON document that nothing writes")
+
+    monkeypatch.setattr(StarProduct, "to_json", unused)
+    monkeypatch.setattr(ObstructionReport, "to_json", unused)
+    assert main(["construct", "--phi", "x3", "--order", "2"]) == 0
+    assert main(["construct", "--phi", "x3", "--order", "2", "--emit", "latex"]) == 0
+    assert main(["obstruction", "--phi", "x3", "--k", "3"]) == 0
+
+
+def test_vanishing_term_is_a_parse_error(capsys):
+    assert main(["opo-check", "P(i,j) @1(i,j) @2()"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "term vanishes identically by antisymmetry" in captured.err
 
 
 def test_verify_roundtrip_and_mutation(tmp_path, capsys):

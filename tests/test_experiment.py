@@ -1,10 +1,13 @@
 import json
 
+import pytest
+
 import starq.experiment
 from starq.cochains import Cochain, JET_RING
 from starq.experiment import (NO_LIFT, NON_OPO_LIFT, OPO_LIFT, SKIPPED,
-                              AuditReport, _solvable, opo_audit)
-from starq.jets import NABLA_PHI
+                              AuditReport, _solvable, audit_level, opo_audit)
+from starq.jets import NABLA_PHI, PSI_NABLA_PHI
+from starq.opo import concretize, non_orderable_example, term_to_text
 from starq.star import InfeasibleError, build_star
 
 
@@ -42,6 +45,18 @@ def test_audit_concretizes_each_diagram_once(monkeypatch):
     report = opo_audit(star)
     assert [a.status for a in report.levels] == [OPO_LIFT, OPO_LIFT, NO_LIFT, NO_LIFT]
     assert len(seen) == len(set(seen))
+
+
+@pytest.mark.parametrize("mode", [NABLA_PHI, PSI_NABLA_PHI])
+def test_audit_lifts_a_non_orderable_diagram_over_the_full_span(mode):
+    # the orderable span misses the diagram, so the second pass finds it
+    # itself: diagram 8 of the two-factor enumeration, with coefficient 1
+    diagram = non_orderable_example()
+    audit = audit_level(concretize([diagram], mode), 2, mode)
+    assert audit.status == NON_OPO_LIFT
+    assert audit.non_orderable_used == [8]
+    assert audit.combination == {8: 1}
+    assert audit.diagrams == {8: term_to_text(diagram)}
 
 
 def test_audit_skips_heavy_levels(x3_star4=None):

@@ -9,13 +9,14 @@ from hypothesis import given, settings, strategies as st
 import starq.cochains
 import starq.star
 from starq.cochains import Cochain, JET_RING, X_RING, epsilon_cochain, linear_combination
-from starq.jets import (NABLA_PHI, PSI_NABLA_PHI, JetPolynomial, phi_jet, var)
+from starq.jets import (NABLA_PHI, PSI_NABLA_PHI, JetPolynomial, phi_jet, substitute_factor,
+                        var)
 from starq.multiindex import all_indices, merge
 from starq.polynomials import XPoly, parse_poly
 from starq.star import (ClosureError, DeltaSolver, GradingError, InfeasibleError,
                         ObstructionError, ObstructionReport, StarProduct, _flatten, assemble_rhs,
                         base_levels, build_star, check_grading, level_equation, obstruction,
-                        parity_sign, shape_pairs)
+                        parity_sign, proportional, shape_pairs)
 from starq.verify import _rhs, associator_scan, moyal_level, PoissonVector
 
 from helpers import (random_cochain, random_index, random_jet_coeff, random_x_coeff,
@@ -29,6 +30,29 @@ def test_base_levels_are_multiplication_and_half_bracket():
     half_phi3 = JetPolynomial.variable(phi_jet(3)).scale(Fraction(1, 2))
     assert levels[1].coefficient(((1,), (2,))) == half_phi3
     assert levels[1].reverse_args() == levels[1].scale(-1)
+
+
+@pytest.mark.parametrize("mode", [NABLA_PHI, PSI_NABLA_PHI])
+def test_level_1_is_half_the_bracket_componentwise(mode):
+    # the concretized one-factor diagram against (1/2) P^{ij} d_i f d_j g
+    # written out from the bivector components
+    half_bracket = Cochain(2, JET_RING)
+    for i in (1, 2, 3):
+        for j in (1, 2, 3):
+            if i != j:
+                half_bracket.add_term(((i,), (j,)),
+                                      substitute_factor((), i, j, mode).scale(Fraction(1, 2)))
+    assert base_levels(mode, JET_RING, None, None)[1] == half_bracket
+
+
+def test_proportional_compares_one_coefficient_then_the_rest():
+    a = parse_poly("x1 + 2*x2")
+    assert proportional(a, a.scale(Fraction(-3, 7)))
+    assert not proportional(a, parse_poly("x1 - x2"))  # first coefficients match, the rest not
+    assert not proportional(a, parse_poly("x2"))  # no term on a's first monomial
+    zero = XPoly.zero()
+    assert proportional(zero, zero)
+    assert not proportional(a, zero) and not proportional(zero, a)
 
 
 def test_symbolic_construction_shape(sym_star3):
@@ -286,7 +310,7 @@ def test_content_systems_split_the_slot_total_system(total, parity):
         assert pairs == [p for p in reference if merge(*p) == content]
         listed += len(pairs)
         system = solver.system(content, parity)
-        rank += system.rank
+        rank += len(system.pivots)
         pivots.update(system.pivots)
     assert listed == len(reference)
     # the same pivots, each with the same combination of the same columns
@@ -390,6 +414,16 @@ def test_explicit_build_raises_its_obstructed_familys_report():
     assert report.alternating.ring == JET_RING
 
 
+def test_pivot_gauge_is_obstructed_at_level_4(pivot_gauge_obstruction):
+    # with every even level left in the pivot gauge the level-4 obstruction
+    # is nonzero; re-selecting level 2 in the orderable span removes it, which
+    # is why the construction re-selects even levels
+    report = pivot_gauge_obstruction
+    assert report.level == 4 and not report.is_zero
+    assert not report.coordinate_witness.is_zero
+    assert all(r.is_zero for r in build_star(NABLA_PHI, 4).obstruction_reports)
+
+
 def test_conformal_symbolic_build_through_two_levels():
     star = build_star(PSI_NABLA_PHI, 2, phi="sym", psi="sym")
     assert star.gauges[2] == "opo"
@@ -399,5 +433,5 @@ def test_conformal_symbolic_build_through_two_levels():
 def test_obstruction_alternation_kills_coboundaries():
     rng = Random(31)
     c = random_cochain(rng, 2, ring=JET_RING, max_slot_degree=2, terms=3)
-    report = obstruction(c.hochschild_delta(), 4)
+    report = obstruction(c.hochschild_delta(), 4, build_star(NABLA_PHI, 3).levels)
     assert report.is_zero
