@@ -240,7 +240,7 @@ class Cochain:
 
     # -- evaluation -----------------------------------------------------------
 
-    def specialize(self, phi: XPoly | None, psi: XPoly | None = None) -> "Cochain":
+    def specialize(self, phi: XPoly | None, psi: XPoly | None) -> "Cochain":
         """Substitute explicit potentials into jet coefficients."""
         if self.ring != JET_RING:
             raise ValueError("specialize applies to jet-ring cochains")

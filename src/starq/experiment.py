@@ -13,7 +13,6 @@ the rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cochains import Cochain, JET_RING, linear_combination
@@ -34,130 +33,64 @@ SKIPPED = "skipped"
 
 # -- per-level diagram audit ---------------------------------------------------
 
-@dataclass
-class LevelAudit:
-    level: int
-    status: str
-    combination: dict[int, Fraction] | None = None
-    diagrams: dict[int, str] = field(default_factory=dict)
-    non_orderable_used: list[int] = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {
-            "level": self.level,
-            "status": self.status,
-            "combination": (None if self.combination is None else
-                            {str(i): str(q) for i, q in sorted(self.combination.items())}),
-            "diagrams": {str(i): text for i, text in sorted(self.diagrams.items())},
-            "nonOrderableUsed": self.non_orderable_used,
-        }
+def _level_dict(level: int, status: str, combination: dict[int, Fraction] | None,
+                texts: dict[int, str], non_orderable_used: list[int]) -> dict:
+    """The JSON record of one level's diagram lift."""
+    return {
+        "level": level,
+        "status": status,
+        "combination": (None if combination is None else
+                        {str(i): str(q) for i, q in sorted(combination.items())}),
+        "diagrams": {str(i): text for i, text in sorted(texts.items())},
+        "nonOrderableUsed": non_orderable_used,
+    }
 
 
-@dataclass
-class AuditReport:
-    mode: str
-    levels: list[LevelAudit]
-
-    @property
-    def all_orderable(self) -> bool:
-        return all(a.status in (OPO_LIFT, SKIPPED) for a in self.levels)
-
-    def to_json(self) -> dict:
-        return {
-            "mode": self.mode,
-            "allOrderable": self.all_orderable,
-            "levels": [a.to_json() for a in self.levels],
-        }
-
-
-def audit_level(level: Cochain, k: int, mode: str) -> LevelAudit:
+def audit_level(level: Cochain, k: int, mode: str) -> dict:
     """Diagram lift of one level: orderable span first, full span second.
 
     Each diagram is concretized once, the non-orderable ones only when the
     orderable span misses; both passes take the columns in index order.
     """
     if k == 0:
-        return LevelAudit(level=0, status=OPO_LIFT, combination={})
+        return _level_dict(0, OPO_LIFT, {}, {}, [])
     all_terms = enumerate_terms(k)
     columns = {i: concretize([t], mode) for i, t in enumerate(all_terms) if is_opo(t)[0]}
     combo = span_combination(level, columns.items())
     if combo is not None:
         texts = {i: term_to_text(all_terms[i]) for i in combo}
-        return LevelAudit(level=k, status=OPO_LIFT, combination=combo, diagrams=texts)
+        return _level_dict(k, OPO_LIFT, combo, texts, [])
     non_orderable = [i for i in range(len(all_terms)) if i not in columns]
     columns.update((i, concretize([all_terms[i]], mode)) for i in non_orderable)
     combo = span_combination(level, sorted(columns.items()))
     if combo is None:
-        return LevelAudit(level=k, status=NO_LIFT)
+        return _level_dict(k, NO_LIFT, None, {}, [])
     texts = {i: term_to_text(all_terms[i]) for i in combo}
-    return LevelAudit(level=k, status=NON_OPO_LIFT, combination=combo,
-                      diagrams=texts,
-                      non_orderable_used=[i for i in non_orderable if i in combo])
+    return _level_dict(k, NON_OPO_LIFT, combo, texts,
+                       [i for i in non_orderable if i in combo])
 
 
-def opo_audit(star: StarProduct, max_factors: int = 3) -> AuditReport:
+def opo_audit(star: StarProduct, max_factors: int = 3) -> dict:
     """Lift every level of a symbolic star product over contraction diagrams.
 
     A level-k lift enumerates all canonical k-factor diagrams, so the cost
     grows steeply with k; levels needing more than max_factors factors are
-    reported as skipped rather than guessed at.
+    reported as skipped rather than guessed at.  The report is a JSON-ready
+    dict; a skipped level does not count against ``allOrderable``.
     """
     if star.ring != JET_RING:
         raise ValueError("the diagram audit needs the symbolic jet ring")
-    audits = []
-    for k, level in enumerate(star.levels):
-        if k > max_factors:
-            audits.append(LevelAudit(level=k, status=SKIPPED))
-            continue
-        audits.append(audit_level(level, k, star.mode))
-    return AuditReport(mode=star.mode, levels=audits)
+    levels = [_level_dict(k, SKIPPED, None, {}, []) if k > max_factors
+              else audit_level(level, k, star.mode)
+              for k, level in enumerate(star.levels)]
+    return {
+        "mode": star.mode,
+        "allOrderable": all(a["status"] in (OPO_LIFT, SKIPPED) for a in levels),
+        "levels": levels,
+    }
 
 
 # -- the conformal-family experiment ---------------------------------------------
-
-@dataclass
-class ExperimentRecord:
-    """Machine-readable outcome of the conformal level-3 feasibility test.
-
-    The combined system asks for one operator inside the orderable span
-    satisfying both the level-3 equation and the vanishing of the level-4
-    obstruction.  Expectation: infeasible; if a solution is found after all,
-    it is recorded here in full as the refutation witness.
-    """
-    mode: str
-    columns: int
-    delta_rows: int
-    obstruction_rows: int
-    orderable_delta_feasible: bool
-    combined_feasible: bool
-    unrestricted_feasible: bool
-    witness_level3: Cochain | None
-    orderable_level3: Cochain | None
-    obstruction_witness: JetPolynomial | None
-
-    @property
-    def as_expected(self) -> bool:
-        return not self.combined_feasible
-
-    def to_json(self) -> dict:
-        return {
-            "mode": self.mode,
-            "columns": self.columns,
-            "deltaRows": self.delta_rows,
-            "obstructionRows": self.obstruction_rows,
-            "orderableDeltaFeasible": self.orderable_delta_feasible,
-            "combinedFeasible": self.combined_feasible,
-            "unrestrictedFeasible": self.unrestricted_feasible,
-            "expectation": "infeasible",
-            "outcome": "as-expected" if self.as_expected else "refutation",
-            "witnessLevel3": (None if self.witness_level3 is None
-                              else self.witness_level3.to_json()),
-            "orderableLevel3": (None if self.orderable_level3 is None
-                                else self.orderable_level3.to_json()),
-            "obstructionWitness": (None if self.obstruction_witness is None
-                                   else self.obstruction_witness.to_json()),
-        }
-
 
 def _solvable(solver: DeltaSolver, rhs: Cochain, k: int) -> bool:
     """Whether the shape ansatz cobounds rhs at level k."""
@@ -178,7 +111,7 @@ def _combined_rows(lhs: Cochain, witness: JetPolynomial, sign: int) -> RatVec:
     return vec
 
 
-def psi_opo_experiment() -> ExperimentRecord:
+def psi_opo_experiment() -> dict:
     """Exact feasibility of an orderable level 3 with vanishing level-4
     obstruction, in the conformal family.
 
@@ -190,6 +123,10 @@ def psi_opo_experiment() -> ExperimentRecord:
     odd-parity projections loses nothing: the even part of any solution is
     an exact symmetric cocycle, which neither the level equation nor the
     alternation can see.
+
+    The record is a JSON-ready dict.  Expectation: the combined system is
+    infeasible; if a solution is found after all, it is recorded in full as
+    the refutation witness.
     """
     levels = build_star(PSI_NABLA_PHI, 2, "sym", "sym").levels
     m1, m2 = levels[1], levels[2]
@@ -233,15 +170,18 @@ def psi_opo_experiment() -> ExperimentRecord:
     # contrast: the unconstrained level equation is solvable (shape ansatz)
     unrestricted_feasible = _solvable(DeltaSolver(), r3, 3)
 
-    return ExperimentRecord(
-        mode=PSI_NABLA_PHI,
-        columns=len(columns),
-        delta_rows=delta_rows,
-        obstruction_rows=len(rows) - delta_rows,
-        orderable_delta_feasible=orderable_m3 is not None,
-        combined_feasible=combined_solution is not None,
-        unrestricted_feasible=unrestricted_feasible,
-        witness_level3=witness_m3,
-        orderable_level3=orderable_m3,
-        obstruction_witness=obstruction_witness,
-    )
+    return {
+        "mode": PSI_NABLA_PHI,
+        "columns": len(columns),
+        "deltaRows": delta_rows,
+        "obstructionRows": len(rows) - delta_rows,
+        "orderableDeltaFeasible": orderable_m3 is not None,
+        "combinedFeasible": combined_solution is not None,
+        "unrestrictedFeasible": unrestricted_feasible,
+        "expectation": "infeasible",
+        "outcome": "as-expected" if combined_solution is None else "refutation",
+        "witnessLevel3": None if witness_m3 is None else witness_m3.to_json(),
+        "orderableLevel3": None if orderable_m3 is None else orderable_m3.to_json(),
+        "obstructionWitness": (None if obstruction_witness is None
+                               else obstruction_witness.to_json()),
+    }

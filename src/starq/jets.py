@@ -192,7 +192,7 @@ class JetPolynomial(SparsePoly):
                     del out[key]
         return JetPolynomial.from_numerators(out, self.den)
 
-    def eval_jets(self, phi: XPoly | None, psi: XPoly | None = None) -> XPoly:
+    def eval_jets(self, phi: XPoly | None, psi: XPoly | None) -> XPoly:
         """Substitute explicit potentials for the jet variables.
 
         Each jet variable becomes the corresponding iterated partial

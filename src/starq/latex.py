@@ -33,11 +33,8 @@ def _x_symbols(exp: tuple[int, int, int]) -> str:
     return "".join(f"x_{i}" if e == 1 else f"x_{i}^{{{e}}}" for i, e in enumerate(exp, 1) if e)
 
 
-def _x_terms(p) -> list[tuple[str, Fraction]]:
-    return [(_x_symbols(exp), q) for exp, q in p.monomials()]
-
-
-def _jet_symbols(factors) -> str:
+def _jet_symbols(mono) -> str:
+    factors = decode(mono)
     symbols = ""
     for tag, index in dict.fromkeys(factors):
         rendered = rf"\{tag}_{{{''.join(map(str, index))}}}" if index else rf"\{tag}"
@@ -46,25 +43,19 @@ def _jet_symbols(factors) -> str:
     return symbols
 
 
-def _jet_terms(p) -> list[tuple[str, Fraction]]:
-    """The ring's canonical order, factor count and then decoded factors,
-    with each monomial decoded once for the order and its symbols."""
-    decoded = sorted((len(mono), decode(mono), c) for mono, c in p.terms.items())
-    return [(_jet_symbols(factors), Fraction(c, p.den)) for _, factors, c in decoded]
+# ring -> the LaTeX symbols of one monomial
+_SYMBOLS = {X_RING: _x_symbols, JET_RING: _jet_symbols}
 
 
-# ring -> (LaTeX symbols, coefficient) of an element's monomials, in canonical order
-_SYMBOLS = {X_RING: _x_terms, JET_RING: _jet_terms}
-
-
-def ring_latex(p, terms) -> str:
-    """A ring element in LaTeX; ``terms`` lists its rendered monomials."""
+def ring_latex(p, symbols) -> str:
+    """A ring element in LaTeX, its monomials in the ring's canonical order;
+    ``symbols`` renders one monomial."""
     if p.is_zero:
         return "0"
     parts = []
-    for symbols, coeff in terms(p):
+    for mono, coeff in p.monomials():
         sign, body = _frac_latex(coeff, lead=not parts)
-        parts.append(_join(sign, body, symbols))
+        parts.append(_join(sign, body, symbols(mono)))
     return " ".join(parts)
 
 
@@ -78,11 +69,11 @@ def _slot_latex(s: tuple[int, ...]) -> str:
 def cochain_latex(c: Cochain) -> str:
     if c.is_zero:
         return "0"
-    terms = _SYMBOLS[c.ring]
+    symbols = _SYMBOLS[c.ring]
     parts = []
     for slots, coeff in c.sorted_terms():
         ops = r" \otimes ".join(_slot_latex(s) for s in slots)
-        body = ring_latex(coeff, terms)
+        body = ring_latex(coeff, symbols)
         if " " in body:  # more than one monomial needs grouping
             body = rf"\bigl({body}\bigr)"
         if body == "1":

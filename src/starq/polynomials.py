@@ -342,15 +342,13 @@ class _Parser:
     @staticmethod
     def _tokenize(text: str) -> list[str]:
         tokens = []
-        pos = 0
-        while pos < len(text):
+        pos, end = 0, len(text.rstrip())
+        while pos < end:
             m = _TOKEN.match(text, pos)
             if not m or m.end() == pos:
                 raise ValueError(f"cannot parse polynomial near {text[pos:pos + 12]!r}")
             tokens.append(m.group(1) or m.group(2) or m.group(3))
             pos = m.end()
-        if text[pos:].strip():
-            raise ValueError(f"trailing input {text[pos:]!r}")
         return tokens
 
     def _peek(self) -> str | None:

@@ -166,7 +166,7 @@ def obstruction(rhs: Cochain, k: int, levels: Sequence[Cochain]) -> ObstructionR
     alternating = rhs.degree_part((1, 1, 1)).antisymmetrize()
     witness = determinant_witness(alternating)
     shortcut = levels[k - 1].insert(levels[1], (1, 1, 1)).antisymmetrize()
-    shortcut_witness = shortcut.coefficient(COORDINATE_SLOTS)
+    shortcut_witness = determinant_witness(shortcut)
     return ObstructionReport(
         level=k,
         alternating=alternating,

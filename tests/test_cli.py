@@ -8,8 +8,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from starq.cli import MAX_DEGREE, MAX_K, MAX_ORDER, _build_parser, main
+from starq.latex import star_latex
 from starq.polynomials import parse_poly
-from starq.star import ObstructionError, ObstructionReport, StarProduct
+from starq.star import GradingError, ObstructionError, ObstructionReport, StarProduct
 
 
 def test_construct_writes_star_file(tmp_path, capsys):
@@ -218,6 +219,26 @@ def test_text_output_serializes_nothing(monkeypatch, capsys):
     assert main(["obstruction", "--phi", "x3", "--k", "3"]) == 0
 
 
+@pytest.mark.parametrize("argv", [["construct", "--phi", "sym", "--order", "3"],
+                                  ["obstruction", "--phi", "sym", "--k", "4"]])
+def test_grading_violation_exits_four(argv, monkeypatch, capsys):
+    def violating(*args, **kwargs):
+        raise GradingError("level 3: 2 phi jets in a term, expected 3")
+
+    monkeypatch.setattr("starq.cli.build_star", violating)
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("grading violation: level 3")
+
+
+def test_symbolic_conformal_obstruction_needs_a_symbolic_psi(capsys):
+    assert main(["obstruction", "--mode", "psi-nabla-phi", "--phi", "sym", "--k", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "phi and psi must both be symbolic or both explicit" in captured.err
+
+
 def test_vanishing_term_is_a_parse_error(capsys):
     assert main(["opo-check", "P(i,j) @1(i,j) @2()"]) == 2
     captured = capsys.readouterr()
@@ -266,6 +287,15 @@ def test_export_latex(tmp_path, capsys):
     text = tex.read_text()
     assert text.startswith("%")
     assert "\\otimes" in text
+
+
+def test_export_latex_prints_without_out(weyl_text, tmp_path, capsys):
+    star = tmp_path / "star.json"
+    star.write_text(weyl_text)
+    assert main(["export-latex", str(star)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == star_latex(StarProduct.from_json(json.loads(weyl_text))) + "\n"
+    assert captured.err == ""
 
 
 def test_emit_json_construct(capsys):

@@ -59,7 +59,7 @@ def test_eval_jets_specializes_to_explicit_polynomials():
     phi = parse_poly("x1*x2*x3")
     p = JetPolynomial.variable(phi_jet(1)) * JetPolynomial.variable(phi_jet(2, 3))
     # d1 phi = x2 x3 and d23 phi = x1
-    assert p.eval_jets(phi) == parse_poly("x1*x2*x3")
+    assert p.eval_jets(phi, None) == parse_poly("x1*x2*x3")
     psi = parse_poly("x1")
     q = JetPolynomial.variable(psi_jet()) * JetPolynomial.variable(phi_jet(3))
     assert q.eval_jets(phi, psi) == parse_poly("x1^2*x2")

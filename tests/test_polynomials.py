@@ -33,10 +33,16 @@ def test_prefix_sign_binds_looser_than_power():
     assert parse_poly("2*-x1^2") == parse_poly("-2*x1^2") == XPoly.from_monomial((2, 0, 0), -2)
     assert parse_poly("x2 - x1^2") == XPoly.var(2) - XPoly.from_monomial((2, 0, 0))
     assert parse_poly("-x1*x2") == XPoly.from_monomial((1, 1, 0), -1)
+    assert parse_poly("2*+x1") == parse_poly("2*x1")
+
+
+def test_surrounding_whitespace_is_ignored():
+    for text in ("x1 ", "x1\n", " x1\t \n", "\tx1"):
+        assert parse_poly(text) == XPoly.var(1)
 
 
 def test_parse_rejects_garbage():
-    for bad in ("x4", "x1/x2", "1 +", "(x1", "x1 x2 ***"):
+    for bad in ("x4", "x1/x2", "1 +", "1 + \n", " ", "(x1", "x1 x2 ***"):
         with pytest.raises(ValueError):
             parse_poly(bad)
 

@@ -260,12 +260,12 @@ def test_right_hand_sides_fill_every_slot(mode, k, request):
 def test_explicit_build_is_specialization(sym_star3, cubic_star):
     phi = parse_poly("x1*x2*x3")
     for sym_level, level in zip(sym_star3.levels, cubic_star.levels):
-        assert (sym_level.specialize(phi) - level).is_zero
+        assert (sym_level.specialize(phi, None) - level).is_zero
     family = build_star(NABLA_PHI, 3, opo_restrict=True)
     restricted = build_star(NABLA_PHI, 3, phi=phi, opo_restrict=True)
     assert len(restricted.levels) == len(family.levels) == 4
     for sym_level, level in zip(family.levels, restricted.levels):
-        assert (sym_level.specialize(phi) - level).is_zero
+        assert (sym_level.specialize(phi, None) - level).is_zero
 
 
 def test_constant_vector_levels_match_closed_formula(x3_star4):
