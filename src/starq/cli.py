@@ -15,20 +15,18 @@ import os
 import sys
 import tempfile
 
-from .jets import NABLA_PHI, PSI_NABLA_PHI
+from .jets import MODES, NABLA_PHI
 from .latex import star_latex
 from .opo import is_opo, parse_term, term_to_text
 from .polynomials import XPoly, parse_poly
 from .star import (MAX_ORDER, GradingError, InfeasibleError, ObstructionError,
                    StarProduct, build_star, level_equation)
-from .verify import PoissonVector, jacobi_residual, verify_star
+from .verify import jacobi_residual, poisson_vector, verify_star
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_FINDING = 3
 EXIT_GRADING = 4
-
-MODES = (NABLA_PHI, PSI_NABLA_PHI)
 
 # Resource bounds, checked before any work: the cost of a build, of an
 # obstruction (which builds every level below it) and of the associator scan
@@ -123,7 +121,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
         elif args.emit == "latex":
             print(star_latex(star))
         else:
-            counts = ", ".join(f"{k}:{level.term_count()}"
+            counts = ", ".join(f"{k}:{len(level.terms)}"
                                for k, level in enumerate(star.levels))
             print(f"constructed mode={star.mode} ring={star.ring} "
                   f"order={star.order}")
@@ -186,18 +184,15 @@ def cmd_jacobi(args: argparse.Namespace) -> int:
         polys = [_parse_expr(p.strip(), "component") for p in pieces]
         if any(isinstance(p, str) for p in polys):
             raise ConfigError("--P components must be explicit polynomials")
-        p = PoissonVector(*polys)
+        p = polys
     else:
         phi = _parse_expr(args.phi, "phi")
         if isinstance(phi, str):
             raise ConfigError("jacobi needs --P or an explicit --phi")
-        if args.psi is not None:
-            psi = _parse_expr(args.psi, "psi")
-            if isinstance(psi, str):
-                raise ConfigError("jacobi needs an explicit --psi")
-            p = PoissonVector.from_conformal(psi, phi)
-        else:
-            p = PoissonVector.from_gradient(phi)
+        psi = None if args.psi is None else _parse_expr(args.psi, "psi")
+        if isinstance(psi, str):
+            raise ConfigError("jacobi needs an explicit --psi")
+        p = poisson_vector(phi, psi)
     residual = jacobi_residual(p)
     print(f"residual: {residual}")
     return EXIT_OK if residual.is_zero else EXIT_FINDING

@@ -170,10 +170,7 @@ class Cochain:
 
     def sorted_terms(self) -> list[tuple[Slots, object]]:
         return sorted(self.terms.items(),
-                      key=lambda kv: (tuple(len(s) for s in kv[0]), kv[0]))
-
-    def term_count(self) -> int:
-        return len(self.terms)
+                      key=lambda kv: (_lengths(kv[0]), kv[0]))
 
     # -- structure of slots -------------------------------------------------
 
@@ -186,7 +183,7 @@ class Cochain:
         if len(degrees) != self.arity:
             raise ValueError("degree tuple does not match arity")
         picked = {slots: c for slots, c in self.terms.items()
-                  if tuple(len(s) for s in slots) == degrees}
+                  if _lengths(slots) == degrees}
         return Cochain(self.arity, self.ring, picked)
 
     def reverse_args(self) -> "Cochain":

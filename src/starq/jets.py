@@ -14,9 +14,9 @@ one denominator).  Inside a monomial each jet variable is its small int
 multiplying monomials merges int tuples and structural equality is dict and
 denominator equality.  ``var`` decodes a code back to the public
 ``(tag, index)`` pair; names, JSON, printing and LaTeX list a monomial's
-factors phi before psi, then by index length, then by index, as they always
-have.  At the JSON boundary a code's name and a name's code are each worked
-out once and looked up after (``var_name``, ``name_code``).
+factors phi before psi, then by index length, then by index.  At the JSON
+boundary a code's name and a name's code are each worked out once and
+looked up after (``var_name``, ``name_code``).
 The total x-derivative acts by prolongation, d/dx_a phi_I = phi_{I+a},
 extended as a derivation to products; ``lift`` prolongs a code.
 """
@@ -26,7 +26,7 @@ from __future__ import annotations
 from functools import cache
 from typing import Iterable
 
-from .multiindex import MultiIndex, format_index, merge, parse_index, splits
+from .multiindex import MultiIndex, format_index, merge, mi, parse_index, splits
 from .polynomials import RatVec, SparsePoly, XPoly
 
 PHI = "phi"
@@ -35,6 +35,7 @@ PSI = "psi"
 # Substitution modes for Poisson components.
 NABLA_PHI = "nabla-phi"
 PSI_NABLA_PHI = "psi-nabla-phi"
+MODES = (NABLA_PHI, PSI_NABLA_PHI)
 
 JetVar = tuple[str, MultiIndex]
 Monomial = tuple[int, ...]  # sorted codes of the factors
@@ -42,16 +43,11 @@ Monomial = tuple[int, ...]  # sorted codes of the factors
 
 def jet_var(tag: str, index: MultiIndex) -> JetVar:
     """Validated jet variable; phi requires at least one derivative."""
-    index = tuple(sorted(index))
-    if tag == PHI:
-        if len(index) < 1:
-            raise ValueError("phi jets carry at least one derivative")
-    elif tag == PSI:
-        pass
-    else:
+    index = mi(*index)
+    if tag not in (PHI, PSI):
         raise ValueError(f"unknown potential tag {tag!r}")
-    if any(a not in (1, 2, 3) for a in index):
-        raise ValueError(f"coordinate label out of range in {index!r}")
+    if tag == PHI and not index:
+        raise ValueError("phi jets carry at least one derivative")
     return (tag, index)
 
 

@@ -377,17 +377,15 @@ def parse_term(text: str) -> AbstractTerm:
         gap = next(a for a in range(1, max_arg + 1) if a - 1 not in arg_lowers)
         raise ValueError(f"argument {gap} is not written; an unwired one is @{gap}()")
 
+    # lower names land on factors, in order, then on arguments as written
+    sites = [((FAC, u), lowers) for u, lowers in enumerate(factor_lowers)]
+    sites += [((ARG, a), names) for a, names in arg_lowers.items()]
     where: dict[str, Target] = {}
-    for u, lowers in enumerate(factor_lowers):
-        for name in lowers:
-            if name in where:
-                raise ValueError(f"lower name {name!r} used twice")
-            where[name] = (FAC, u)
-    for a, names in arg_lowers.items():
+    for target, names in sites:
         for name in names:
             if name in where:
                 raise ValueError(f"lower name {name!r} used twice")
-            where[name] = (ARG, a)
+            where[name] = target
 
     used: set[str] = set()
     raw_pairs: list[tuple[Target, Target]] = []

@@ -300,11 +300,18 @@ class XPoly(SparsePoly):
         return XPoly.from_numerators(out, self.den)
 
 
+_COEFFICIENT_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def json_coefficient(text) -> Fraction:
-    """A stored rational coefficient; only a string such as "-3/4" is exact,
-    so a JSON number is rejected rather than converted."""
+    """A stored rational coefficient, in the form str(Fraction) writes, such
+    as "-3/4".  A JSON number is rejected rather than converted, and any
+    other string before Fraction parses it, so an exponent such as
+    "1e999999" costs nothing."""
     if not isinstance(text, str):
         raise ValueError(f"coefficients are stored as strings, got {text!r}")
+    if not _COEFFICIENT_RE.fullmatch(text):
+        raise ValueError(f"coefficient {text!r} is not an integer or a fraction such as '-3/4'")
     return Fraction(text)
 
 

@@ -36,7 +36,7 @@ from .cochains import (
     Cochain, JET_RING, X_RING, _common_den, delta_terms, epsilon_cochain, insertion_sum,
     linear_combination, ring_class, slot_total,
 )
-from .jets import NABLA_PHI, PSI_NABLA_PHI, decode, is_psi, jet_order
+from .jets import MODES, NABLA_PHI, PSI_NABLA_PHI, decode, is_psi, jet_order
 from .linsolve import ColumnReducer
 from .multiindex import MultiIndex, splits
 from .opo import concretize, enumerate_terms
@@ -164,17 +164,26 @@ def obstruction(rhs: Cochain, k: int, levels: Sequence[Cochain]) -> ObstructionR
     result, or a rational multiple of it.
     """
     alternating = rhs.degree_part((1, 1, 1)).antisymmetrize()
-    witness = determinant_witness(alternating)
     shortcut = levels[k - 1].insert(levels[1], (1, 1, 1)).antisymmetrize()
-    shortcut_witness = determinant_witness(shortcut)
+    return derive_report(k, alternating, (k % 2 == 1) and rhs.reverse_args() == rhs,
+                         determinant_witness(shortcut))
+
+
+def derive_report(level: int, alternating: Cochain, parity_path: bool,
+                  shortcut_witness) -> ObstructionReport:
+    """The report of an alternating part: its coordinate witness, whether it
+    vanishes, and whether the shortcut witness (None when there is none)
+    agrees with it."""
+    witness = determinant_witness(alternating)
     return ObstructionReport(
-        level=k,
+        level=level,
         alternating=alternating,
         coordinate_witness=witness,
         is_zero=alternating.is_zero,
-        parity_path=(k % 2 == 1) and rhs.reverse_args() == rhs,
+        parity_path=parity_path,
         shortcut_witness=shortcut_witness,
-        shortcut_agrees=proportional(witness, shortcut_witness),
+        shortcut_agrees=(None if shortcut_witness is None
+                         else proportional(witness, shortcut_witness)),
     )
 
 
@@ -438,7 +447,7 @@ class StarProduct:
         """Parse a stored product; raises ValueError (or KeyError, TypeError)
         on one that is not well formed, so a verifier never meets it."""
         mode, ring, order = data["mode"], data["ring"], data["order"]
-        if mode not in (NABLA_PHI, PSI_NABLA_PHI):
+        if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
         if type(order) is not int or not 1 <= order <= MAX_ORDER:
             raise ValueError(f"order {order!r} is not in 1..{MAX_ORDER}")
@@ -488,11 +497,15 @@ class StarProduct:
             witness = cls.from_json(item["coordinateWitness"])
             shortcut = (None if item.get("shortcutWitness") is None
                         else cls.from_json(item["shortcutWitness"]))
-            reports.append(ObstructionReport(
-                level=level, alternating=alternating,
-                coordinate_witness=witness, is_zero=item["isZero"],
-                parity_path=item["parityPath"], shortcut_witness=shortcut,
-                shortcut_agrees=agrees))
+            if alternating != alternating.degree_part((1, 1, 1)).antisymmetrize():
+                raise ValueError(f"level {level} obstruction is not an alternating "
+                                 "first-order operator")
+            report = derive_report(level, alternating, item["parityPath"], shortcut)
+            if (report.is_zero, report.coordinate_witness, report.shortcut_agrees) != (
+                    item["isZero"], witness, agrees):
+                raise ValueError(f"level {level} obstruction flags or witness do not "
+                                 "follow from its alternating part")
+            reports.append(report)
         return StarProduct(
             mode=mode, ring=ring, order=order,
             levels=levels, obstruction_reports=reports,
@@ -523,7 +536,7 @@ def build_star(mode: str, order: int, phi: XPoly | str = "sym",
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    if mode not in (NABLA_PHI, PSI_NABLA_PHI):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     symbolic = isinstance(phi, str)
     if symbolic and phi != "sym":

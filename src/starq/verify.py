@@ -16,45 +16,35 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 from math import factorial
 
 from .cochains import Cochain, X_RING, linear_combination
 from .jets import JetPolynomial, substitute_factor
-from .multiindex import MultiIndex, multiplicities
+from .multiindex import multiplicities
 from .polynomials import RatVec, XPoly, monomials_up_to, parse_poly
 from .star import StarProduct
 
 
 # -- Jacobi -----------------------------------------------------------------------
 
-@dataclass
-class PoissonVector:
-    """The three independent components (P^{23}, P^{31}, P^{12}), explicit
-    polynomials or, for a symbolic family, jet polynomials."""
-    p23: XPoly
-    p31: XPoly
-    p12: XPoly
-
-    @staticmethod
-    def from_gradient(phi: XPoly) -> "PoissonVector":
-        return PoissonVector(phi.x_derivative(1), phi.x_derivative(2), phi.x_derivative(3))
-
-    @staticmethod
-    def from_conformal(psi: XPoly, phi: XPoly) -> "PoissonVector":
-        return PoissonVector(psi * phi.x_derivative(1), psi * phi.x_derivative(2),
-                             psi * phi.x_derivative(3))
-
-    def components(self) -> tuple[XPoly, XPoly, XPoly]:
-        return (self.p23, self.p31, self.p12)
+# the index pairs (i, j) of the components (P^{23}, P^{31}, P^{12})
+POISSON_PAIRS = ((2, 3), (3, 1), (1, 2))
 
 
-def jacobi_residual(p: PoissonVector) -> XPoly:
-    """The dot product of the vector with its own curl; zero iff the bracket
+def poisson_vector(phi: XPoly, psi: XPoly | None) -> tuple[XPoly, XPoly, XPoly]:
+    """The components (P^{23}, P^{31}, P^{12}) of psi * grad phi, or of
+    grad phi when psi is None."""
+    grad = tuple(phi.x_derivative(a) for a in (1, 2, 3))
+    return grad if psi is None else tuple(psi * c for c in grad)
+
+
+def jacobi_residual(p: tuple) -> XPoly:
+    """The dot product of a vector (P^{23}, P^{31}, P^{12}), explicit
+    polynomials or jet polynomials, with its own curl; zero iff the bracket
     P^{ij} d_i f d_j g satisfies the Jacobi identity."""
-    c1, c2, c3 = p.components()
+    c1, c2, c3 = p
     curl1 = c3.x_derivative(2) - c2.x_derivative(3)
     curl2 = c1.x_derivative(3) - c3.x_derivative(1)
     curl3 = c2.x_derivative(1) - c1.x_derivative(2)
@@ -64,17 +54,17 @@ def jacobi_residual(p: PoissonVector) -> XPoly:
 def gradient_jacobi_residual(mode: str) -> JetPolynomial:
     """Same residual with the potentials symbolic, proving the identity for
     every gradient (or conformal-gradient) vector at once."""
-    return jacobi_residual(PoissonVector(
-        *(substitute_factor((), i, j, mode) for i, j in ((2, 3), (3, 1), (1, 2)))))
+    return jacobi_residual(tuple(substitute_factor((), i, j, mode) for i, j in POISSON_PAIRS))
 
 
 # -- the Moyal reference -------------------------------------------------------------
 
-def moyal_level(p: PoissonVector, k: int) -> Cochain:
-    """Level k of the Weyl product for a constant vector, from the closed
-    exponential formula: all index chains of length k, weight 1/(2^k k!)."""
+def moyal_level(p: tuple, k: int) -> Cochain:
+    """Level k of the Weyl product for a constant vector (P^{23}, P^{31},
+    P^{12}), from the closed exponential formula: all index chains of
+    length k, weight 1/(2^k k!)."""
     comps = {}
-    for (i, j), c in (((2, 3), p.p23), ((3, 1), p.p31), ((1, 2), p.p12)):
+    for (i, j), c in zip(POISSON_PAIRS, p):
         if c.total_degree() > 0:
             raise ValueError("the closed formula needs a constant vector")
         q = c.coefficient((0, 0, 0))
@@ -205,16 +195,11 @@ def _digest(payload) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _minimal_arg(index: MultiIndex) -> XPoly:
-    """The smallest monomial whose index-derivative is a nonzero constant."""
-    return XPoly.from_monomial(multiplicities(index))
-
-
 def _witness_from_slots(slots) -> list[str]:
-    args = [str(_minimal_arg(index)) for index in slots]
-    while len(args) < 3:
-        args.append("1")
-    return args[:3]
+    """Per slot, the smallest monomial whose slot derivative is a nonzero
+    constant, padded with 1 to three arguments."""
+    args = [str(XPoly.from_monomial(multiplicities(index))) for index in slots]
+    return (args + ["1", "1", "1"])[:3]
 
 
 _HALF = Fraction(1, 2)
@@ -260,24 +245,19 @@ def verify_star(star: StarProduct, degree: int | None = None) -> dict:
           residual="levels " + ",".join(map(str, degenerate)) if degenerate else "0",
           witness=None if unit_ok and not degenerate else ["1", "1", "1"])
 
-    for k in range(1, len(levels)):
-        mirror = levels[k].reverse_args().scale((-1) ** k)
-        diff = levels[k] - mirror
-        if diff.is_zero:
-            check(f"parity-{k}", True)
+    def compare(name: str, a: Cochain, b: Cochain):
+        """Pass when a == b; otherwise the first sorted term of a - b is the
+        residual, and its slots name the witness."""
+        if a == b:
+            check(name, True)
         else:
-            slots, coeff = diff.sorted_terms()[0]
-            check(f"parity-{k}", False, residual=coeff,
-                  witness=_witness_from_slots(slots))
+            slots, coeff = (a - b).sorted_terms()[0]
+            check(name, False, residual=coeff, witness=_witness_from_slots(slots))
 
+    for k in range(1, len(levels)):
+        compare(f"parity-{k}", levels[k], levels[k].reverse_args().scale((-1) ** k))
     for k in range(2, len(levels)):
-        delta, rhs = levels[k].hochschild_delta(), _rhs(levels, k)
-        if delta == rhs:
-            check(f"residual-{k}", True)
-            continue
-        slots, coeff = (delta - rhs).sorted_terms()[0]
-        check(f"residual-{k}", False, residual=coeff,
-              witness=_witness_from_slots(slots))
+        compare(f"residual-{k}", levels[k].hochschild_delta(), _rhs(levels, k))
 
     if star.ring == X_RING:
         bound = star.order if degree is None else degree
@@ -311,15 +291,9 @@ def _commutator_checks(star: StarProduct, check) -> None:
     phi = parse_poly(star.phi_source) if star.phi_source != "sym" else None
     psi = (parse_poly(star.psi_source)
            if star.psi_source not in (None, "sym") else None)
-    vector = None
-    if phi is not None:
-        vector = (PoissonVector.from_conformal(psi, phi) if psi is not None
-                  else PoissonVector.from_gradient(phi))
-    brackets = {}
-    if vector is not None:
-        c1, c2, c3 = vector.components()
-        brackets = {(1, 2): c3, (2, 3): c1, (3, 1): c2}
-    pairs = [(XPoly.var(i), XPoly.var(j)) for i, j in ((1, 2), (2, 3), (3, 1))]
+    # the probe order decides which failure is reported first
+    probes = ((1, 2), (2, 3), (3, 1))
+    pairs = [(XPoly.var(i), XPoly.var(j)) for i, j in probes]
     pairs += [(m, XPoly.var(1)) for m in monomials_up_to(2)[:6]]
     # one evaluator for every probe: the arguments are their own keys
     series = _Evaluator(star.levels, ((p, p) for pair in pairs for p in pair))
@@ -335,9 +309,10 @@ def _commutator_checks(star: StarProduct, check) -> None:
                       witness=[str(f), str(g), "1"])
                 return
     check("commutator-evenness", True)
-    if vector is not None and len(star.levels) > 1:
-        for (i, j), want in brackets.items():
-            diff = commutator(XPoly.var(i), XPoly.var(j), 1) - want
+    if phi is not None and len(star.levels) > 1:
+        brackets = dict(zip(POISSON_PAIRS, poisson_vector(phi, psi)))
+        for i, j in probes:
+            diff = commutator(XPoly.var(i), XPoly.var(j), 1) - brackets[i, j]
             if not diff.is_zero:
                 check("commutator-bracket", False, residual=diff,
                       witness=[f"x{i}", f"x{j}", "1"])

@@ -239,11 +239,24 @@ def test_symbolic_conformal_obstruction_needs_a_symbolic_psi(capsys):
     assert "phi and psi must both be symbolic or both explicit" in captured.err
 
 
-def test_vanishing_term_is_a_parse_error(capsys):
-    assert main(["opo-check", "P(i,j) @1(i,j) @2()"]) == 2
+@pytest.mark.parametrize("term, message", [
+    pytest.param("P(i,j) @1(i,j) @2()", "term vanishes identically by antisymmetry",
+                 id="vanishes"),
+    pytest.param("P(i) @1(i) @2()", "factor needs exactly two upper names", id="one-upper"),
+    pytest.param("P(i,j)", "term has no arguments", id="no-arguments"),
+    pytest.param("dP(i;j,k) dP(i;l,m) @1(j,l) @2(k,m)", "lower name 'i' used twice",
+                 id="lower-twice-factors"),
+    pytest.param("P(i,j) @1(i) @2(i)", "lower name 'i' used twice", id="lower-twice-args"),
+    pytest.param("dP(i;j,k) @1(i,j) @2(k)", "lower name 'i' used twice",
+                 id="lower-twice-factor-and-arg"),
+    pytest.param("P(i,j) @1(i,k) @2(j)", "lower names never contracted: ['k']",
+                 id="never-contracted"),
+])
+def test_vanishing_term_is_a_parse_error(term, message, capsys):
+    assert main(["opo-check", term]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "term vanishes identically by antisymmetry" in captured.err
+    assert message in captured.err
 
 
 def test_verify_roundtrip_and_mutation(tmp_path, capsys):
@@ -416,6 +429,8 @@ MALFORMED = {
     "float-arity": _edit(lambda d: d["levels"][1].update(arity=2.0)),
     "gauges-list": _edit(lambda d: d.update(gauges=[1])),
     "number-coefficient": _edit(lambda d: _first_coeff(d).update(coeff=0.5)),
+    "exponent-coefficient": _edit(lambda d: _first_coeff(d).update(coeff="1e999999")),
+    "decimal-coefficient": _edit(lambda d: _first_coeff(d).update(coeff="0.5")),
     "report-level-text": _edit(lambda d: d["obstructionReports"][0].update(level="two")),
     "report-level-99": _edit(lambda d: d["obstructionReports"][0].update(level=99)),
     "report-arity-2": _edit(lambda d: d["obstructionReports"][0]["alternating"].update(arity=2)),
@@ -423,6 +438,13 @@ MALFORMED = {
     "report-is-zero-text": _edit(lambda d: d["obstructionReports"][0].update(isZero="no")),
     "report-shortcut-agrees-text": _edit(
         lambda d: d["obstructionReports"][0].update(shortcutAgrees="yes")),
+    # a report whose flags or witness contradict its alternating part
+    "report-is-zero-flipped": _edit(lambda d: d["obstructionReports"][0].update(isZero=False)),
+    "report-witness-5x1": _edit(lambda d: d["obstructionReports"][0].update(
+        coordinateWitness=[{"coeff": "5", "factors": ["x1"]}])),
+    "report-alternating-not-alternating": _edit(
+        lambda d: d["obstructionReports"][0]["alternating"]["terms"].append(
+            {"coeff": [{"coeff": "1", "factors": []}], "slots": [[1], [1], [2]]})),
     "gauge-level-99": _edit(lambda d: d["gauges"].update({"99": "opo"})),
     "gauge-name-unknown": _edit(lambda d: d["gauges"].update({"2": "banana"})),
     "conformal-mode-without-psi": _edit(lambda d: d.update(mode="psi-nabla-phi")),
@@ -449,6 +471,20 @@ def test_verify_rejects_malformed_star_files(name, weyl_text, tmp_path, capsys):
     bad.write_text(MALFORMED[name](weyl_text))
     assert main(["verify", str(bad)]) == 2
     assert "cannot load star product" in capsys.readouterr().err
+
+
+def test_verify_accepts_reports_without_shortcut(weyl_text, tmp_path, capsys):
+    """A report stored with no shortcut witness loads, as long as it does not
+    claim that the shortcut agrees."""
+    data = json.loads(weyl_text)
+    data["obstructionReports"][0].update(shortcutWitness=None, shortcutAgrees=None)
+    path = tmp_path / "star.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", str(path)]) == 0
+    data["obstructionReports"][0].update(shortcutAgrees=True)
+    path.write_text(json.dumps(data))
+    assert main(["verify", str(path)]) == 2
+    assert "do not follow from its alternating part" in capsys.readouterr().err
 
 
 def _json_paths(node, path=()):

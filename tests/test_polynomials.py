@@ -42,7 +42,7 @@ def test_surrounding_whitespace_is_ignored():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("x4", "x1/x2", "1 +", "1 + \n", " ", "(x1", "x1 x2 ***"):
+    for bad in ("x4", "x1/x2", "1 +", "1 + \n", " ", "(x1", "x1 x2 ***", "x1)", "(x1^2^3)"):
         with pytest.raises(ValueError):
             parse_poly(bad)
 
