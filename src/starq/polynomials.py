@@ -22,6 +22,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping
 
+from .multiindex import all_indices, mi, multiplicities
+
 Exponent = tuple[int, int, int]
 
 
@@ -276,11 +278,7 @@ class XPoly(SparsePoly):
 
     @staticmethod
     def var(direction: int) -> "XPoly":
-        if direction not in (1, 2, 3):
-            raise ValueError(f"coordinate label out of range: {direction!r}")
-        exp = [0, 0, 0]
-        exp[direction - 1] = 1
-        return XPoly.from_numerators({tuple(exp): 1})
+        return XPoly.from_numerators({multiplicities(mi(direction)): 1})
 
     def total_degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
@@ -317,12 +315,8 @@ def json_coefficient(text) -> Fraction:
 
 def monomials_up_to(total_degree: int) -> list[XPoly]:
     """All monic monomials of total degree <= total_degree, constants first."""
-    out = []
-    for d in range(total_degree + 1):
-        for e1 in range(d + 1):
-            for e2 in range(d - e1 + 1):
-                out.append(XPoly.from_monomial((e1, e2, d - e1 - e2)))
-    return sorted(out, key=lambda p: next(iter(p.terms)))
+    return [XPoly.from_monomial(exp) for exp in sorted(
+        multiplicities(index) for d in range(total_degree + 1) for index in all_indices(d))]
 
 
 # Largest total degree (and exponent) a parsed expression may reach; a power

@@ -105,13 +105,23 @@ COORDINATE_SLOTS = (((1,), (2,), (3,)))
 
 @dataclass
 class ObstructionReport:
+    """The alternating first-order part of R_k; the rest is derived from it,
+    from the level and from the shortcut witness (None when there is none).
+
+    Over Weyl-type levels, M_l^rev = (-1)^l M_l, each insertion obeys
+    (a o b)^rev = -(a^rev o b^rev), so R_k^rev = (-1)^(k+1) R_k: at odd k
+    the alternating part vanishes on parity grounds (``parity_path``).
+    """
     level: int
     alternating: Cochain
-    coordinate_witness: object  # ring element: value on (x1, x2, x3)
-    is_zero: bool
-    parity_path: bool
     shortcut_witness: object | None
-    shortcut_agrees: bool | None
+
+    def __post_init__(self) -> None:
+        self.coordinate_witness = determinant_witness(self.alternating)  # value on (x1, x2, x3)
+        self.is_zero = self.alternating.is_zero
+        self.parity_path = self.level % 2 == 1
+        self.shortcut_agrees = (None if self.shortcut_witness is None
+                                else proportional(self.coordinate_witness, self.shortcut_witness))
 
     def to_json(self) -> dict:
         return {
@@ -156,35 +166,19 @@ def obstruction(rhs: Cochain, k: int, levels: Sequence[Cochain]) -> ObstructionR
 
     The alternating part of a first-order trilinear operator in three
     dimensions is a single ring element times the determinant operator, so
-    its value on the coordinate triple decides vanishing.  For odd k the
-    right-hand side is symmetric under argument reversal and the report is
-    zero on parity grounds; the direct computation is still performed.
+    its value on the coordinate triple decides vanishing.  Since
+    R_k^rev = (-1)^(k+1) R_k over Weyl-type lower levels, an odd R_k that is
+    not reversal-symmetric means a lower level has lost its parity, and
+    raises AssertionError; its alternating part is computed all the same.
     The insertion shortcut A((M_{k-1} o M_1)_{(1,1,1)}) over the lower levels
     is computed as a cross-check; it must be zero together with the direct
     result, or a rational multiple of it.
     """
+    if k % 2 == 1 and rhs.reverse_args() != rhs:
+        raise AssertionError(f"R_{k} is not reversal-symmetric; a lower level lost its parity")
     alternating = rhs.degree_part((1, 1, 1)).antisymmetrize()
     shortcut = levels[k - 1].insert(levels[1], (1, 1, 1)).antisymmetrize()
-    return derive_report(k, alternating, (k % 2 == 1) and rhs.reverse_args() == rhs,
-                         determinant_witness(shortcut))
-
-
-def derive_report(level: int, alternating: Cochain, parity_path: bool,
-                  shortcut_witness) -> ObstructionReport:
-    """The report of an alternating part: its coordinate witness, whether it
-    vanishes, and whether the shortcut witness (None when there is none)
-    agrees with it."""
-    witness = determinant_witness(alternating)
-    return ObstructionReport(
-        level=level,
-        alternating=alternating,
-        coordinate_witness=witness,
-        is_zero=alternating.is_zero,
-        parity_path=parity_path,
-        shortcut_witness=shortcut_witness,
-        shortcut_agrees=(None if shortcut_witness is None
-                         else proportional(witness, shortcut_witness)),
-    )
+    return ObstructionReport(k, alternating, determinant_witness(shortcut))
 
 
 # -- grading ----------------------------------------------------------------------
@@ -500,9 +494,9 @@ class StarProduct:
             if alternating != alternating.degree_part((1, 1, 1)).antisymmetrize():
                 raise ValueError(f"level {level} obstruction is not an alternating "
                                  "first-order operator")
-            report = derive_report(level, alternating, item["parityPath"], shortcut)
-            if (report.is_zero, report.coordinate_witness, report.shortcut_agrees) != (
-                    item["isZero"], witness, agrees):
+            report = ObstructionReport(level, alternating, shortcut)
+            if (report.is_zero, report.parity_path, report.coordinate_witness,
+                    report.shortcut_agrees) != (item["isZero"], item["parityPath"], witness, agrees):
                 raise ValueError(f"level {level} obstruction flags or witness do not "
                                  "follow from its alternating part")
             reports.append(report)

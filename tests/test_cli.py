@@ -440,6 +440,8 @@ MALFORMED = {
         lambda d: d["obstructionReports"][0].update(shortcutAgrees="yes")),
     # a report whose flags or witness contradict its alternating part
     "report-is-zero-flipped": _edit(lambda d: d["obstructionReports"][0].update(isZero=False)),
+    "report-parity-path-flipped": _edit(
+        lambda d: d["obstructionReports"][0].update(parityPath=True)),
     "report-witness-5x1": _edit(lambda d: d["obstructionReports"][0].update(
         coordinateWitness=[{"coeff": "5", "factors": ["x1"]}])),
     "report-alternating-not-alternating": _edit(

@@ -58,6 +58,11 @@ def test_monomials_up_to_counts():
     assert len(monomials_up_to(0)) == 1
     assert len(monomials_up_to(2)) == 10
     assert len(monomials_up_to(4)) == 35
+    # the associator scan visits argument triples in this order
+    assert [str(m) for m in monomials_up_to(2)] == [
+        "1", "x3", "x3^2", "x2", "x2*x3", "x2^2", "x1", "x1*x3", "x1*x2", "x1^2"]
+    with pytest.raises(ValueError, match="coordinate label out of range: 4"):
+        XPoly.var(4)
 
 
 @settings(max_examples=60, deadline=None)

@@ -120,6 +120,14 @@ def test_verifier_rhs_matches_copy_based_form(seed, ring):
 
 
 
+def test_rhs_reversal_parity(sym_star3, sym_rhs):
+    # R_k^rev = (-1)^(k+1) R_k over Weyl-type levels, at even k as at odd k
+    for k in (2, 3, 4):
+        rhs = sym_rhs[k]
+        assert rhs.reverse_args() == rhs.scale((-1) ** (k + 1))
+        assert obstruction(rhs, k, sym_star3.levels).parity_path == (k % 2 == 1)
+
+
 def test_verifier_rhs_on_symbolic_levels(sym_star3, sym_rhs):
     for k in (2, 3, 4):
         assert sym_rhs[k] == reference_rhs(sym_star3.levels, k)
@@ -435,3 +443,11 @@ def test_obstruction_alternation_kills_coboundaries():
     c = random_cochain(rng, 2, ring=JET_RING, max_slot_degree=2, terms=3)
     report = obstruction(c.hochschild_delta(), 4, build_star(NABLA_PHI, 3).levels)
     assert report.is_zero
+
+
+def test_obstruction_asserts_odd_reversal_symmetry():
+    rhs = random_cochain(Random(31), 2, ring=JET_RING, max_slot_degree=2,
+                         terms=3).hochschild_delta()
+    assert rhs.reverse_args() != rhs
+    with pytest.raises(AssertionError, match="not reversal-symmetric"):
+        obstruction(rhs, 3, build_star(NABLA_PHI, 2).levels)
