@@ -268,7 +268,8 @@ def _build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="independent re-check of a stored product")
     v.add_argument("star", help="path to a star-product JSON file")
     v.add_argument("--degree", type=int, default=None,
-                   help="associator scan degree bound")
+                   help="associator scan degree bound; a symbolic product runs "
+                        "no scan, so it does nothing there")
     v.add_argument("--out", default=None)
     v.add_argument("--emit", choices=("text", "json"), default="text")
     v.set_defaults(run=cmd_verify)

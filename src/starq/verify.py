@@ -98,10 +98,21 @@ class _Evaluator:
     whose slot derivative of an argument is nonzero are listed once per
     argument and level.  The memos grow with the arguments seen, so an
     evaluator lives for one top-level call.
+
+    A term c d_s x d_t y vanishes unless |s| <= deg x and |t| <= deg y, and
+    otherwise has degree at most deg x + deg y + deg c - |s| - |t|.  Each
+    level keeps the slot lengths of its terms and the largest such excess,
+    and ``associator`` evaluates only the sides that these allow to be
+    nonzero: a skipped side looks up, evaluates and memoizes nothing.  No
+    coefficient is skipped, and each is the one a full evaluation gives.
     """
 
     def __init__(self, levels: list[Cochain], args):
         self.rows: list[dict] = []  # per level: left slot -> [(right slot, coefficient)]
+        self._shapes: list[set] = []  # per level: the (|s|, |t|) of its terms
+        # per level: max of deg c - |s| - |t|, or None for an empty level,
+        # which fits no degrees, so its None is never read
+        self._excess: list = []
         for level in levels:
             if level.ring != X_RING or level.arity != 2:
                 raise ValueError("series evaluation needs bilinear x-ring levels")
@@ -109,9 +120,39 @@ class _Evaluator:
             for (s, t), c in level.terms.items():
                 rows.setdefault(s, []).append((t, c))
             self.rows.append(rows)
+            self._shapes.append({(len(s), len(t)) for s, t in level.terms})
+            self._excess.append(max((c.total_degree() - len(s) - len(t)
+                                     for (s, t), c in level.terms.items()), default=None))
         self.args = dict(args)
         self._derivatives: dict = {}
         self._live: dict = {}
+        self._degrees: dict = {}
+        self._sides: dict = {}
+
+    def _degree(self, key) -> int:
+        if key not in self._degrees:
+            self._degrees[key] = self.args[key].total_degree()
+        return self._degrees[key]
+
+    def _fits(self, b: int, dx: int, dy: int) -> bool:
+        """Whether some term of level b acts on arguments of degrees dx, dy."""
+        return any(ls <= dx and lt <= dy for ls, lt in self._shapes[b])
+
+    def _live_sides(self, j: int, df: int, dg: int, dh: int) -> list:
+        """(a, b, sign) for each side of coefficient j of the associator that
+        degrees allow to be nonzero: sign 1 for (f *_b g) *_a h, -1 for
+        f *_a (g *_b h)."""
+        key = (j, df, dg, dh)
+        if key not in self._sides:
+            sides = []
+            for a in range(j + 1):
+                b = j - a
+                if self._fits(b, df, dg) and self._fits(a, df + dg + self._excess[b], dh):
+                    sides.append((a, b, 1))
+                if self._fits(b, dg, dh) and self._fits(a, df, dg + dh + self._excess[b]):
+                    sides.append((a, b, -1))
+            self._sides[key] = sides
+        return self._sides[key]
 
     def _derivative(self, key, slot) -> XPoly:
         memo = self._derivatives
@@ -148,12 +189,14 @@ class _Evaluator:
         return key
 
     def associator(self, f, g, h, j: int) -> XPoly:
-        """Coefficient j of (f*g)*h - f*(g*h)."""
+        """Coefficient j of (f*g)*h - f*(g*h), from the sides that degrees
+        allow to be nonzero."""
         out = RatVec()
-        for a in range(j + 1):
-            b = j - a
-            self._add_level(out, a, self.pair(f, g, b), h)
-            self._add_level(out, a, f, self.pair(g, h, b), -1)
+        for a, b, sign in self._live_sides(j, self._degree(f), self._degree(g), self._degree(h)):
+            if sign == 1:
+                self._add_level(out, a, self.pair(f, g, b), h)
+            else:
+                self._add_level(out, a, f, self.pair(g, h, b), -1)
         return XPoly.from_numerators(out.terms, out.den)
 
 
@@ -176,7 +219,10 @@ def associator_scan(levels: list[Cochain], bound: int):
 
     Triples come in the order of ``_monomial_triples`` and, within a triple,
     coefficients in increasing j; nothing past the first nonzero one is
-    computed.
+    computed.  Every triple and every j up to it is visited; only level
+    applications that degrees show to be zero are skipped (see
+    ``_Evaluator``), so the first nonzero coefficient is the one a full
+    evaluation finds.
     """
     monos = monomials_up_to(bound)
     series = _Evaluator(levels, enumerate(monos))

@@ -43,8 +43,9 @@ MUTANTS = {
 # one concretizes non-monomial factors), symbolic and explicit, through the
 # explicit conformal recursion, whose level 2 specializes its family's, and
 # of the symbolic order-4 build, whose level 4 is solved in the pivot gauge;
-# and of the Moyal products of the potential x3 at orders 6 and 8, whose
-# levels above 2 are solved by the shape solver.
+# of the Moyal products of the potential x3 at orders 6 and 8, whose
+# levels above 2 are solved by the shape solver; and of the cubic product
+# at order 4.
 BUILDS = {
     "symbolic-order-4": (
         lambda: build_star(NABLA_PHI, 4),
@@ -71,6 +72,9 @@ BUILDS = {
     "moyal-order-8": (
         lambda: build_star(NABLA_PHI, 8, phi=parse_poly("x3")),
         "4e4430eb30283aff2be16964ed0bab864e2356d817cce0e7ef443358f49acbaf"),
+    "cubic-order-4": (
+        lambda: build_star(NABLA_PHI, 4, phi=parse_poly("x1*x2*x3")),
+        "7ed9853ecf53cde8d6bc330ed5be57f7abe077efb10d861b99c247aa7dcb3def"),
 }
 
 
@@ -155,21 +159,30 @@ def test_mutant_verify_report_digest(name, request):
     assert _sha(json.dumps(report, indent=2)) == MUTANTS[name]
 
 
-# Verify reports of passing products: the explicit ones, the conformal one
-# built as in BUILDS, print every check of the associator scan and the probes;
-# the symbolic one prints the unit, parity and residual checks.
+# Verify reports of passing products: the explicit ones, those built as in
+# BUILDS among them, print every check of the associator scan and the probes;
+# the symbolic one prints the unit, parity and residual checks.  The Moyal
+# products at orders 6 and 8 and the cubic one at order 4 are where the
+# scan's degree skip leaves out the most level applications.
 REPORTS = {
     "sym_star3": "9302d1b683fa469db1c52de3dc008ee56416fa00a44e2b3242b17250ebf4fb45",
     "x3_star4": "f8ef177724a29144e164d521b45fdb876ca40cd01280026619641c32cbfa0970",
     "sphere_star": "8211460e391fef14ad14e457d993f153b81964d7249256304c5895d507518548",
     "conformal": "2c3751c7bf26bd5301f8af45a483bd791675881b75672ccfff583f31ef4569ec",
+    "moyal-order-6": "fe5ec3a6d590fb466ad94b9f2fcec945d6ac176290cd90469909ad6010defd3b",
+    "moyal-order-8": "3d33324a2e481449a06b2dbc09db64feed49cdd82cf10af290322d4847763695",
+    "cubic-order-4": "02f30eabbe1ce0d5d35d6bdaddc755b0c0c5675bb785fd50a4e2451ec696e144",
 }
+
+
+def _product(name: str, request) -> StarProduct:
+    """A product of BUILDS, built afresh, or a session fixture."""
+    return BUILDS[name][0]() if name in BUILDS else request.getfixturevalue(name)
 
 
 @pytest.mark.parametrize("name", sorted(REPORTS))
 def test_passing_verify_report_digests(name, request):
-    star = BUILDS[name][0]() if name in BUILDS else request.getfixturevalue(name)
-    report = verify_star(star)
+    report = verify_star(_product(name, request))
     assert report["pass"]
     assert _sha(json.dumps(report, indent=2)) == REPORTS[name]
 
@@ -182,6 +195,8 @@ ASYMMETRIC_MUTANTS = {
     ("cubic_star", 2): "e1011180df0aba99cb64068abea028ff7671014c52819b3b6265c48517ca0c07",
     ("x3_star4", 1): "9e67d3844a79ff5f465d76953f5b1d6b017d124a7baac0433fb3f04f23e80e29",
     ("x3_star4", 2): "c2c315abc647edaf805bd52d357ef3d24e5d61ba3a918f407f60e83a7c37d99e",
+    ("moyal-order-6", 1): "efdb9d07f2721d91452847f6d55c2dbcee6479e5ac5f7296b7ca85a7b7ebbf39",
+    ("moyal-order-6", 2): "afcd622c46df72dec6e30a98433fd579e1a060615dc35201eb9aec225fbacd7b",
 }
 
 
@@ -195,7 +210,7 @@ def _asymmetric_mutant_report(star: StarProduct, level: int) -> dict:
 
 @pytest.mark.parametrize("name, level", sorted(ASYMMETRIC_MUTANTS))
 def test_asymmetric_mutant_verify_report_digests(name, level, request):
-    report = _asymmetric_mutant_report(request.getfixturevalue(name), level)
+    report = _asymmetric_mutant_report(_product(name, request), level)
     assert any(c["name"] == "associator" and not c["pass"] for c in report["checks"])
     assert _sha(json.dumps(report, indent=2)) == ASYMMETRIC_MUTANTS[name, level]
 

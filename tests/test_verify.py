@@ -12,8 +12,8 @@ from starq.verify import (associator, associator_scan, gradient_jacobi_residual,
                           jacobi_residual, moyal_level, poisson_vector, star_series,
                           verify_star)
 
-from helpers import (commutator, eval_args, random_cochain, random_x_coeff,
-                     reference_associator, reference_scan)
+from helpers import (commutator, eval_args, random_cochain, random_index,
+                     random_x_coeff, reference_associator, reference_scan)
 
 
 def test_jacobi_residual_reference_values():
@@ -156,11 +156,37 @@ def test_report_shape(cubic_star):
         assert check["inputsDigest"] == report["inputsDigest"]
 
 
+def _nonzero_fraction(rng: Random) -> Fraction:
+    return Fraction(rng.choice((-3, -2, -1, 1, 2, 5)), rng.randint(1, 4))
+
+
+def _edge_level(rng: Random) -> Cochain:
+    """A level at an edge of the evaluator's degree skip: empty; constant
+    coefficients on slots of length 4 or 5, longer than any scan bound drawn
+    here; or coefficients of higher degree than their slots differentiate."""
+    level = Cochain(2, X_RING)
+    kind = rng.randrange(3)
+    for _ in range(rng.randint(1, 3) if kind else 0):
+        if kind == 1:
+            slots = (random_index(rng, 5, min_len=4), random_index(rng, 5, min_len=4))
+            coeff = XPoly.const(_nonzero_fraction(rng))
+        else:
+            slots = (random_index(rng, 1), random_index(rng, 1))
+            exp = [0, 0, 0]
+            for _ in range(len(slots[0]) + len(slots[1]) + rng.randint(1, 2)):
+                exp[rng.randrange(3)] += 1
+            coeff = XPoly.from_monomial(tuple(exp), _nonzero_fraction(rng))
+        level.add_term(slots, coeff)
+    return level
+
+
 def _random_levels(rng: Random) -> list[Cochain]:
     levels = []
     for k in range(rng.randint(2, 4)):
         if k == 0 and rng.random() < 0.7:
             levels.append(Cochain.multiplication(X_RING))
+        elif rng.random() < 0.3:
+            levels.append(_edge_level(rng))
         else:
             levels.append(random_cochain(rng, 2, ring=X_RING,
                                          max_slot_degree=rng.randint(1, 3),
@@ -191,7 +217,10 @@ def test_scan_matches_reference_on_cubic_mutants(cubic_star, seed):
 
 
 def _random_arg(rng: Random) -> XPoly:
-    if rng.random() < 0.5:
+    roll = rng.random()
+    if roll < 0.2:
+        return XPoly.zero()
+    if roll < 0.6:
         return random_x_coeff(rng)
     return XPoly.from_monomial(tuple(rng.randint(0, 2) for _ in range(3)))
 
@@ -200,12 +229,16 @@ def _random_arg(rng: Random) -> XPoly:
 @given(st.integers(0, 2 ** 32))
 def test_evaluator_matches_reference_on_shared_left_slots(seed):
     # up to eight terms on slots of length at most two: many terms of a level
-    # share a left slot, so each row of the evaluator holds several
+    # share a left slot, so each row of the evaluator holds several; some
+    # levels and arguments sit at the edges of the degree skip
     rng = Random(seed)
     levels = [Cochain.multiplication(X_RING)]
     for _ in range(rng.randint(1, 3)):
-        levels.append(random_cochain(rng, 2, ring=X_RING, max_slot_degree=2,
-                                     terms=rng.randint(1, 8)))
+        if rng.random() < 0.3:
+            levels.append(_edge_level(rng))
+        else:
+            levels.append(random_cochain(rng, 2, ring=X_RING, max_slot_degree=2,
+                                         terms=rng.randint(1, 8)))
     bound = rng.randint(1, 3)
     assert associator_scan(levels, bound) == reference_scan(levels, bound)
     f, g, h = (_random_arg(rng) for _ in range(3))
