@@ -34,7 +34,7 @@ from math import lcm
 from typing import Iterable, Iterator
 
 from .jets import JetPolynomial, epsilon
-from .multiindex import MultiIndex, merge, splits
+from .multiindex import MultiIndex, merge, mi, splits
 from .polynomials import RatVec, XPoly
 
 Slots = tuple[MultiIndex, ...]
@@ -264,9 +264,7 @@ class Cochain:
             raise ValueError(f"arity must be an integer, got {data['arity']!r}")
         out = Cochain(data["arity"], data["ring"])
         for item in data["terms"]:
-            slots = tuple(tuple(v) for v in item["slots"])
-            if any(type(d) is not int or d not in (1, 2, 3) for s in slots for d in s):
-                raise ValueError(f"slot labels must be 1, 2 or 3, got {item['slots']!r}")
+            slots = tuple(mi(*v) for v in item["slots"])
             out.add_term(slots, cls.from_json(item["coeff"]))
         return out
 

@@ -37,6 +37,12 @@ NABLA_PHI = "nabla-phi"
 PSI_NABLA_PHI = "psi-nabla-phi"
 MODES = (NABLA_PHI, PSI_NABLA_PHI)
 
+# The largest order built or loaded: the cost of a build and of a verify's
+# associator scan grows steeply with it.  A level-k term carries jets of order
+# at most 2k - 1, and an R_k at most 2k - 2, so a stored jet name whose index
+# is longer than 2 * MAX_ORDER is rejected before it is coded.
+MAX_ORDER = 8
+
 JetVar = tuple[str, MultiIndex]
 Monomial = tuple[int, ...]  # sorted codes of the factors
 
@@ -123,6 +129,8 @@ def parse_var(text: str) -> JetVar:
     tag, sep, digits = text.partition("_")
     if not sep:
         raise ValueError(f"malformed jet variable {text!r}")
+    if len(digits) > 2 * MAX_ORDER:
+        raise ValueError(f"jet index of {len(digits)} digits, above {2 * MAX_ORDER}")
     return jet_var(tag, parse_index(digits))
 
 

@@ -22,9 +22,10 @@ EMPTY: MultiIndex = ()
 
 
 def mi(*indices: int) -> MultiIndex:
-    """Build a multi-index, validating entries and sorting them."""
+    """Build a multi-index, validating entries and sorting them; a label is
+    an int, so True and 1.0 are rejected although they equal 1."""
     for a in indices:
-        if a not in DIRECTIONS:
+        if type(a) is not int or a not in DIRECTIONS:
             raise ValueError(f"coordinate label out of range: {a!r}")
     return tuple(sorted(indices))
 

@@ -36,7 +36,7 @@ from .cochains import (
     Cochain, JET_RING, X_RING, _common_den, delta_terms, epsilon_cochain, insertion_sum,
     linear_combination, ring_class, slot_total,
 )
-from .jets import MODES, NABLA_PHI, PSI_NABLA_PHI, decode, is_psi, jet_order
+from .jets import MAX_ORDER, MODES, NABLA_PHI, PSI_NABLA_PHI, decode, is_psi, jet_order
 from .linsolve import ColumnReducer
 from .multiindex import MultiIndex, splits
 from .opo import concretize, enumerate_terms
@@ -397,15 +397,11 @@ def solve_opo(rhs: Cochain, columns: list[tuple[int, Cochain, Cochain]]) -> Coch
 
 GAUGES = ("base", "pivot", "unique", "opo")
 
-# The largest order built or loaded: the cost of a build and of a verify's
-# associator scan grows steeply with it.  A level-k term carries k phi jets of
-# order one or more within 3k derivatives, so at most 2k slot derivatives.
-MAX_ORDER = 8
-
 
 def _bounded(cochain: Cochain, what: str) -> Cochain:
     """The cochain, unless a term carries more slot derivatives than a
-    level of order MAX_ORDER can."""
+    level of order MAX_ORDER can: a level-k term carries k phi jets of order
+    one or more within 3k derivatives, so at most 2k slot derivatives."""
     for slots in cochain.terms:
         if slot_total(slots) > 2 * MAX_ORDER:
             raise ValueError(f"{what} has a term with {slot_total(slots)} slot "

@@ -2,14 +2,14 @@
 
 Nothing here reuses the constructor's solver or gauge machinery: the Moyal
 reference comes from its closed formula, associators from direct evaluation
-on explicit polynomials, the Jacobi residual from the curl formula.  The
-ring core and the insertion kernel are shared with the constructor; the
-independence is in the formulas, the symmetric-bracket right-hand side
-(one bracket per unordered pair of levels, each inserting both orders)
-against the constructor's one-sided sum, and the associator scan.  A
-verification run produces a machine-readable report whose failing entries
-each name a witness triple of polynomials, so a corrupted product is not
-just flagged but exhibited.
+of the levels on pairs of monomials, the Jacobi residual from the curl
+formula.  The ring core and the insertion kernel are shared with the
+constructor; the independence is in the formulas, the symmetric-bracket
+right-hand side (one bracket per unordered pair of levels, each inserting
+both orders) against the constructor's one-sided sum, and the associator
+scan.  A verification run produces a machine-readable report whose failing
+entries each name a witness triple of polynomials, so a corrupted product is
+not just flagged but exhibited.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import hashlib
 import json
 from fractions import Fraction
 from itertools import product as iproduct
-from math import factorial
+from math import factorial, perm, prod
 
 from .cochains import Cochain, X_RING, linear_combination
 from .jets import JetPolynomial, substitute_factor
@@ -87,129 +87,99 @@ def moyal_level(p: tuple, k: int) -> Cochain:
 
 # -- series evaluation ----------------------------------------------------------------
 
+def _falling(e, m) -> int:
+    """The coefficient prod e_i!/(e_i - m_i)! of d^m x^e, or 0 when some
+    m_i > e_i: a slot derivative of a monomial, from exponent triples."""
+    return perm(e[0], m[0]) * perm(e[1], m[1]) * perm(e[2], m[2])
+
+
 class _Evaluator:
-    """The levels of one product applied to explicit arguments.
+    """The levels of one product applied to pairs of monomials.
 
-    Arguments are registered under hashable keys.  Each slot derivative of
-    an argument is taken once, and each coefficient f *_b g of two registered
-    arguments is evaluated once and registered in turn under the key
-    (f key, g key, b), so every associator containing the pair on either side
-    shares it.  Each level's terms are grouped by left slot, and the rows
-    whose slot derivative of an argument is nonzero are listed once per
-    argument and level.  The memos grow with the arguments seen, so an
-    evaluator lives for one top-level call.
-
-    A term c d_s x d_t y vanishes unless |s| <= deg x and |t| <= deg y, and
-    otherwise has degree at most deg x + deg y + deg c - |s| - |t|.  Each
-    level keeps the slot lengths of its terms and the largest such excess,
-    and ``associator`` evaluates only the sides that these allow to be
-    nonzero: a skipped side looks up, evaluates and memoizes nothing.  No
-    coefficient is skipped, and each is the one a full evaluation gives.
+    On a monomial a slot derivative is one falling factorial, zero when the
+    slot asks for more of a variable than the monomial has, so a term
+    c d_s x d_t y of a level sends (x^e, x^f) to c k_s(e) k_t(f) x^(e-s+f-t):
+    each monomial of c is shifted, and nothing is differentiated or
+    multiplied as a polynomial.  Each level's terms are grouped into rows by
+    the exponents of their left slot, so a left slot that does not fit x^e
+    is rejected once per row.  ``pair`` memoizes M_b(x^e, x^f) over every
+    level b for each pair of exponents it is asked for; every associator
+    with that pair on either side shares it.  The memo grows with the pairs
+    seen, so an evaluator lives for one top-level call.
     """
 
-    def __init__(self, levels: list[Cochain], args):
-        self.rows: list[dict] = []  # per level: left slot -> [(right slot, coefficient)]
-        self._shapes: list[set] = []  # per level: the (|s|, |t|) of its terms
-        # per level: max of deg c - |s| - |t|, or None for an empty level,
-        # which fits no degrees, so its None is never read
-        self._excess: list = []
+    def __init__(self, levels: list[Cochain]):
+        self.rows: list[list] = []  # per level: [(left exponents, [(right exponents, c)])]
         for level in levels:
             if level.ring != X_RING or level.arity != 2:
                 raise ValueError("series evaluation needs bilinear x-ring levels")
             rows: dict = {}
             for (s, t), c in level.terms.items():
-                rows.setdefault(s, []).append((t, c))
-            self.rows.append(rows)
-            self._shapes.append({(len(s), len(t)) for s, t in level.terms})
-            self._excess.append(max((c.total_degree() - len(s) - len(t)
-                                     for (s, t), c in level.terms.items()), default=None))
-        self.args = dict(args)
-        self._derivatives: dict = {}
-        self._live: dict = {}
-        self._degrees: dict = {}
-        self._sides: dict = {}
+                rows.setdefault(multiplicities(s), []).append((multiplicities(t), c))
+            self.rows.append(list(rows.items()))
+        self._pairs: dict = {}
 
-    def _degree(self, key) -> int:
-        if key not in self._degrees:
-            self._degrees[key] = self.args[key].total_degree()
-        return self._degrees[key]
-
-    def _fits(self, b: int, dx: int, dy: int) -> bool:
-        """Whether some term of level b acts on arguments of degrees dx, dy."""
-        return any(ls <= dx and lt <= dy for ls, lt in self._shapes[b])
-
-    def _live_sides(self, j: int, df: int, dg: int, dh: int) -> list:
-        """(a, b, sign) for each side of coefficient j of the associator that
-        degrees allow to be nonzero: sign 1 for (f *_b g) *_a h, -1 for
-        f *_a (g *_b h)."""
-        key = (j, df, dg, dh)
-        if key not in self._sides:
-            sides = []
-            for a in range(j + 1):
-                b = j - a
-                if self._fits(b, df, dg) and self._fits(a, df + dg + self._excess[b], dh):
-                    sides.append((a, b, 1))
-                if self._fits(b, dg, dh) and self._fits(a, df, dg + dh + self._excess[b]):
-                    sides.append((a, b, -1))
-            self._sides[key] = sides
-        return self._sides[key]
-
-    def _derivative(self, key, slot) -> XPoly:
-        memo = self._derivatives
-        if (key, slot) not in memo:
-            memo[key, slot] = self.args[key].derivative(slot)
-        return memo[key, slot]
-
-    def _live_rows(self, key, b: int) -> list:
-        """(d_s arg, row) for each row of level b whose left slot s keeps arg."""
-        if (key, b) not in self._live:
-            self._live[key, b] = [(d, row) for s, row in self.rows[b].items()
-                                  if not (d := self._derivative(key, s)).is_zero]
-        return self._live[key, b]
-
-    def _add_level(self, out: RatVec, b: int, left, right, sign: int = 1) -> None:
-        """out += sign * M_b(left, right), in place."""
-        for dl, row in self._live_rows(left, b):
+    def level(self, b: int, e, f) -> XPoly:
+        """M_b(x^e, x^f) for exponent triples e and f."""
+        out = RatVec()
+        for s, row in self.rows[b]:
+            ks = _falling(e, s)
+            if not ks:
+                continue
+            u0, u1, u2 = e[0] - s[0] + f[0], e[1] - s[1] + f[1], e[2] - s[2] + f[2]
             for t, c in row:
-                dr = self._derivative(right, t)
-                if not dr.is_zero:
-                    value = c * dl * dr
-                    out.add(value.terms, value.den, sign)
-
-    def level(self, b: int, left, right) -> XPoly:
-        out = RatVec()
-        self._add_level(out, b, left, right)
+                kt = _falling(f, t)
+                if kt:
+                    v0, v1, v2 = u0 - t[0], u1 - t[1], u2 - t[2]
+                    terms = {(m[0] + v0, m[1] + v1, m[2] + v2): n for m, n in c.terms.items()}
+                    out.add(terms, c.den, ks * kt)
         return XPoly.from_numerators(out.terms, out.den)
 
-    def pair(self, left, right, b: int):
-        """The key of left *_b right, evaluated on first use."""
-        key = (left, right, b)
-        if key not in self.args:
-            self.args[key] = self.level(b, left, right)
-        return key
+    def pair(self, e, f) -> list[XPoly]:
+        """M_b(x^e, x^f) for every level b, evaluated on first use."""
+        if (e, f) not in self._pairs:
+            self._pairs[e, f] = [self.level(b, e, f) for b in range(len(self.rows))]
+        return self._pairs[e, f]
 
-    def associator(self, f, g, h, j: int) -> XPoly:
-        """Coefficient j of (f*g)*h - f*(g*h), from the sides that degrees
-        allow to be nonzero."""
-        out = RatVec()
-        for a, b, sign in self._live_sides(j, self._degree(f), self._degree(g), self._degree(h)):
-            if sign == 1:
-                self._add_level(out, a, self.pair(f, g, b), h)
-            else:
-                self._add_level(out, a, f, self.pair(g, h, b), -1)
-        return XPoly.from_numerators(out.terms, out.den)
+    def associator(self, f, g, h) -> list[XPoly]:
+        """Coefficients of (x^f * x^g) * x^h - x^f * (x^g * x^h), one per
+        level: order a + b collects M_a(M_b(x^f, x^g), x^h) over the
+        monomials of the inner coefficient, minus the mirror term."""
+        out = [RatVec() for _ in self.rows]
+        for b, (left, right) in enumerate(zip(self.pair(f, g), self.pair(g, h))):
+            tail = out[b:]
+            for m, c in left.terms.items():
+                _add_series(tail, self.pair(m, h), left.den, c)
+            for m, c in right.terms.items():
+                _add_series(tail, self.pair(f, m), right.den, -c)
+        return [XPoly.from_numerators(acc.terms, acc.den) for acc in out]
+
+
+def _add_series(out: list[RatVec], series: list[XPoly], den: int, mul: int) -> None:
+    """out[i] += (mul / den) * series[i] for each i < len(out), in place."""
+    for acc, p in zip(out, series):
+        if p.terms:
+            acc.add(p.terms, den * p.den, mul)
+
+
+def _multilinear(fn, top: int, *args: XPoly) -> list[XPoly]:
+    """fn, a multilinear map from monomials (given by exponents) to series of
+    ``top`` coefficients, extended to polynomial arguments."""
+    out = [RatVec() for _ in range(top)]
+    den = prod(p.den for p in args)
+    for terms in iproduct(*(p.terms.items() for p in args)):
+        _add_series(out, fn(*(m for m, _ in terms)), den, prod(c for _, c in terms))
+    return [XPoly.from_numerators(acc.terms, acc.den) for acc in out]
 
 
 def star_series(levels: list[Cochain], f: XPoly, g: XPoly) -> list[XPoly]:
     """Coefficients of the deformation parameter in f * g, one per level."""
-    series = _Evaluator(levels, {"f": f, "g": g})
-    return [series.level(b, "f", "g") for b in range(len(levels))]
+    return _multilinear(_Evaluator(levels).pair, len(levels), f, g)
 
 
 def associator(levels: list[Cochain], f: XPoly, g: XPoly, h: XPoly) -> list[XPoly]:
     """Coefficients of (f*g)*h - f*(g*h), one per level."""
-    series = _Evaluator(levels, {"f": f, "g": g, "h": h})
-    return [series.associator("f", "g", "h", j) for j in range(len(levels))]
+    return _multilinear(_Evaluator(levels).associator, len(levels), f, g, h)
 
 
 def associator_scan(levels: list[Cochain], bound: int):
@@ -218,19 +188,15 @@ def associator_scan(levels: list[Cochain], bound: int):
     None when every coefficient through the top level vanishes.
 
     Triples come in the order of ``_monomial_triples`` and, within a triple,
-    coefficients in increasing j; nothing past the first nonzero one is
-    computed.  Every triple and every j up to it is visited; only level
-    applications that degrees show to be zero are skipped (see
-    ``_Evaluator``), so the first nonzero coefficient is the one a full
-    evaluation finds.
+    coefficients in increasing j.  Every order of a triple is evaluated at
+    once from the pair memo of ``_Evaluator``; no triple past the first
+    failing one is evaluated.
     """
-    monos = monomials_up_to(bound)
-    series = _Evaluator(levels, enumerate(monos))
-    for f, g, h in _monomial_triples(monos, bound):
-        for j in range(len(levels)):
-            c = series.associator(f, g, h, j)
+    series = _Evaluator(levels)
+    for f, g, h in _monomial_triples(bound):
+        for j, c in enumerate(series.associator(f, g, h)):
             if not c.is_zero:
-                return monos[f], monos[g], monos[h], j, c
+                return (*map(XPoly.from_monomial, (f, g, h)), j, c)
     return None
 
 
@@ -319,15 +285,16 @@ def verify_star(star: StarProduct, degree: int | None = None) -> dict:
     return {"pass": all(c["pass"] for c in checks), "inputsDigest": digest, "checks": checks}
 
 
-def _monomial_triples(monos: list[XPoly], bound: int):
-    """Index triples into monos whose total degree is at most the bound."""
-    degrees = [m.total_degree() for m in monos]
-    for f, df in enumerate(degrees):
-        for g, dg in enumerate(degrees):
+def _monomial_triples(bound: int):
+    """Exponent triples of monic monomials whose total degree is at most the
+    bound, in the order of ``monomials_up_to``."""
+    exps = [(e, sum(e)) for m in monomials_up_to(bound) for e in m.terms]
+    for f, df in exps:
+        for g, dg in exps:
             dfg = df + dg
             if dfg > bound:
                 continue
-            for h, dh in enumerate(degrees):
+            for h, dh in exps:
                 if dfg + dh <= bound:
                     yield f, g, h
 
@@ -341,11 +308,11 @@ def _commutator_checks(star: StarProduct, check) -> None:
     probes = ((1, 2), (2, 3), (3, 1))
     pairs = [(XPoly.var(i), XPoly.var(j)) for i, j in probes]
     pairs += [(m, XPoly.var(1)) for m in monomials_up_to(2)[:6]]
-    # one evaluator for every probe: the arguments are their own keys
-    series = _Evaluator(star.levels, ((p, p) for pair in pairs for p in pair))
+    series = _Evaluator(star.levels)
 
     def commutator(f: XPoly, g: XPoly, b: int) -> XPoly:
-        return series.args[series.pair(f, g, b)] - series.args[series.pair(g, f, b)]
+        (e,), (e2,) = f.terms, g.terms  # monic monomials
+        return series.pair(e, e2)[b] - series.pair(e2, e)[b]
 
     for f, g in pairs:
         for b in range(0, len(star.levels), 2):

@@ -550,6 +550,9 @@ BAD_FACTORS = [
     ("x", 1, "expected string or bytes-like object, got 'int'"),
     ("x", ["x1"], "expected string or bytes-like object, got 'list'"),
     ("x", None, "expected string or bytes-like object, got 'NoneType'"),
+    # an index longer than any product of order MAX_ORDER carries is rejected
+    # before it is coded, so a long name costs no big-integer arithmetic
+    ("jet", "phi_" + "1" * 17, "jet index of 17 digits, above 16"),
 ]
 
 

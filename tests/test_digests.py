@@ -162,8 +162,9 @@ def test_mutant_verify_report_digest(name, request):
 # Verify reports of passing products: the explicit ones, those built as in
 # BUILDS among them, print every check of the associator scan and the probes;
 # the symbolic one prints the unit, parity and residual checks.  The Moyal
-# products at orders 6 and 8 and the cubic one at order 4 are where the
-# scan's degree skip leaves out the most level applications.
+# products at orders 6 and 8 are the largest scans pinned here, and the
+# cubic one at order 4 the largest whose levels have non-constant
+# coefficients.
 REPORTS = {
     "sym_star3": "9302d1b683fa469db1c52de3dc008ee56416fa00a44e2b3242b17250ebf4fb45",
     "x3_star4": "f8ef177724a29144e164d521b45fdb876ca40cd01280026619641c32cbfa0970",
@@ -173,6 +174,16 @@ REPORTS = {
     "moyal-order-8": "3d33324a2e481449a06b2dbc09db64feed49cdd82cf10af290322d4847763695",
     "cubic-order-4": "02f30eabbe1ce0d5d35d6bdaddc755b0c0c5675bb785fd50a4e2451ec696e144",
 }
+
+
+@pytest.mark.slow
+def test_cubic_order_5_json_and_verify_report_digests():
+    # the largest explicit product whose associator scan is pinned
+    star = build_star(NABLA_PHI, 5, phi=parse_poly("x1*x2*x3"))
+    assert _sha(json.dumps(star.to_json(), indent=2)) == (
+        "43cdbfb091d8dce905a9425de2da4a58abe10292926607cd8b596f462f49f007")
+    assert _sha(json.dumps(verify_star(star), indent=2)) == (
+        "0176b89e15e2357b20cf10e7ae48f22fd2bed89efa816f85683db909ed2beb93")
 
 
 def _product(name: str, request) -> StarProduct:
@@ -197,6 +208,11 @@ ASYMMETRIC_MUTANTS = {
     ("x3_star4", 2): "c2c315abc647edaf805bd52d357ef3d24e5d61ba3a918f407f60e83a7c37d99e",
     ("moyal-order-6", 1): "efdb9d07f2721d91452847f6d55c2dbcee6479e5ac5f7296b7ca85a7b7ebbf39",
     ("moyal-order-6", 2): "afcd622c46df72dec6e30a98433fd579e1a060615dc35201eb9aec225fbacd7b",
+    # the top levels of the cubic product at order 4: both mutants first fail
+    # at order 4, the level-3 one at (x2, x1, x1*x2), the level-4 one at
+    # (x1, x2, x1)
+    ("cubic-order-4", 3): "d8a8715d5e0e9ff15e2de78693369ab40d352dd65e8cccd93a4b857a077f269f",
+    ("cubic-order-4", 4): "eddbe03be564c9353b5845b386ef47a1aa064bcbfe7b4fcc106a509ddb30bab2",
 }
 
 

@@ -140,13 +140,16 @@ def test_cached_name_maps_agree_with_format_and_parse():
         name = format_var(v)
         assert var_name(code(v)) == name
         assert name_code(name) == code(parse_var(name)) == code(v)
+    longest = phi_jet(*[3] * (2 * MAX_ORDER))  # the longest index a stored name may carry
+    assert name_code(format_var(longest)) == code(longest)
     mono = monomial_key(variables[:6] + variables[-6:])
     names = [format_var(v) for v in sorted(map(var, mono), key=_var_key)]
     assert JetPolynomial._factors(mono) == names
     assert JetPolynomial._parse_factors(names) == mono
 
 
-@pytest.mark.parametrize("name", ["phi_", "phi_4", "chi_1", "phi1", "psi_0"])
+@pytest.mark.parametrize("name", ["phi_", "phi_4", "chi_1", "phi1", "psi_0",
+                                  "phi_" + "1" * (2 * MAX_ORDER + 1)])
 def test_invalid_names_raise_and_are_not_cached(name):
     before = name_code.cache_info().currsize
     with pytest.raises(ValueError):

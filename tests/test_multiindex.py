@@ -14,6 +14,9 @@ def test_mi_sorts_and_validates():
         mi(0)
     with pytest.raises(ValueError):
         mi(4)
+    for label in (True, 1.0):  # equal to 1, but not an int
+        with pytest.raises(ValueError):
+            mi(label)
 
 
 def test_merge_is_sorted_union_with_repeats():

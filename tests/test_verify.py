@@ -161,9 +161,11 @@ def _nonzero_fraction(rng: Random) -> Fraction:
 
 
 def _edge_level(rng: Random) -> Cochain:
-    """A level at an edge of the evaluator's degree skip: empty; constant
+    """A level at an edge of the evaluator's monomial rule: empty; constant
     coefficients on slots of length 4 or 5, longer than any scan bound drawn
-    here; or coefficients of higher degree than their slots differentiate."""
+    here, so every falling factorial of a scanned monomial is zero; or
+    coefficients of higher degree than their slots differentiate, so each
+    shift raises the degree."""
     level = Cochain(2, X_RING)
     kind = rng.randrange(3)
     for _ in range(rng.randint(1, 3) if kind else 0):
@@ -230,7 +232,8 @@ def _random_arg(rng: Random) -> XPoly:
 def test_evaluator_matches_reference_on_shared_left_slots(seed):
     # up to eight terms on slots of length at most two: many terms of a level
     # share a left slot, so each row of the evaluator holds several; some
-    # levels and arguments sit at the edges of the degree skip
+    # levels sit at the edges of the monomial rule, and some arguments are
+    # zero or have several monomials, which the evaluation expands over
     rng = Random(seed)
     levels = [Cochain.multiplication(X_RING)]
     for _ in range(rng.randint(1, 3)):
