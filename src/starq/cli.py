@@ -178,6 +178,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_jacobi(args: argparse.Namespace) -> int:
     if args.vector is not None:
+        if args.phi is not None or args.psi is not None:
+            raise ConfigError("--P takes no --phi or --psi")
         pieces = args.vector.split(",")
         if len(pieces) != 3:
             raise ConfigError("--P needs three comma-separated components")
@@ -186,8 +188,8 @@ def cmd_jacobi(args: argparse.Namespace) -> int:
             raise ConfigError("--P components must be explicit polynomials")
         p = polys
     else:
-        phi = _parse_expr(args.phi, "phi")
-        if isinstance(phi, str):
+        phi = None if args.phi is None else _parse_expr(args.phi, "phi")
+        if not isinstance(phi, XPoly):
             raise ConfigError("jacobi needs --P or an explicit --phi")
         psi = None if args.psi is None else _parse_expr(args.psi, "psi")
         if isinstance(psi, str):
@@ -277,8 +279,8 @@ def _build_parser() -> argparse.ArgumentParser:
     j = sub.add_parser("jacobi", help="integrability residual of a vector")
     j.add_argument("--P", dest="vector", default=None,
                    help="three comma-separated component polynomials")
-    j.add_argument("--phi", default="sym")
-    j.add_argument("--psi", default=None)
+    j.add_argument("--phi", default=None, help="explicit potential, instead of --P")
+    j.add_argument("--psi", default=None, help="explicit conformal factor, with --phi")
     j.set_defaults(run=cmd_jacobi)
 
     o = sub.add_parser("obstruction", help="alternating obstruction at a level")

@@ -1,6 +1,6 @@
 import pytest
 
-from starq.jets import NABLA_PHI
+from starq.jets import NABLA_PHI, PSI_NABLA_PHI
 from starq.polynomials import parse_poly
 from starq.star import ObstructionError, build_star
 
@@ -9,6 +9,12 @@ from starq.star import ObstructionError, build_star
 def sym_star3():
     """Symbolic gradient-mode product through level 3."""
     return build_star(NABLA_PHI, 3)
+
+
+@pytest.fixture(scope="session")
+def sym_conformal_star3():
+    """Symbolic conformal-family product through level 3."""
+    return build_star(PSI_NABLA_PHI, 3, "sym", "sym")
 
 
 @pytest.fixture(scope="session")

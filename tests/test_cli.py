@@ -64,6 +64,12 @@ def test_jacobi_rejects_bad_vector(capsys):
     assert main(["jacobi"]) == 2
     assert main(["jacobi", "--phi", "x1", "--psi", "sym"]) == 2
     assert "explicit --psi" in capsys.readouterr().err
+    assert main(["jacobi", "--psi", "x1"]) == 2
+    assert "explicit --phi" in capsys.readouterr().err
+    # potentials beside a vector would be ignored, so they are refused
+    for extra in (["--psi", "x1"], ["--phi", "x1"], ["--phi", "sym"]):
+        assert main(["jacobi", "--P", "x1,x2,x3", *extra]) == 2
+        assert "--P takes no --phi or --psi" in capsys.readouterr().err
 
 
 def test_obstruction_symbolic_parity(capsys):

@@ -35,8 +35,8 @@ PRODUCTS = {
 # Verify reports of a product whose level 2 has its first coefficient set to
 # 7/5: the failing residuals print ring elements of either ring.
 MUTANTS = {
-    "cubic_star": "f0973c8a7ce3be40666359a22755cd05e8934de976b1c245e4c7cb2cc02402c3",
-    "sym_star3": "b8c615f07608ab7281ce869a2423db0b3acf6649dbe393c97ba48fc30fbe79f5",
+    "cubic_star": "39c3fd52d97eaf269c2cb1250d295cd00f51552f7a6e9b2d9bdb059974e7fa1b",
+    "sym_star3": "06c38243b210f94da21143a8c4dce0dbb141a4a4bc453055719442e18ecc7673",
 }
 
 # JSON of builds through the restricted span at every level (the conformal
@@ -147,7 +147,7 @@ def test_record_digests(name):
 def test_verify_report_digest(cubic_star):
     report = verify_star(cubic_star)
     assert _sha(json.dumps(report, indent=2)) == (
-        "9f490d449b5c686536a8fecd026a4e165eebc9785a63f5f0b197312fc5a5197c")
+        "811a46e654f9843ad5ad1b6f0242b948ae45acc4268685ab2a4ff2f10ea549ca")
 
 
 @pytest.mark.parametrize("name", sorted(MUTANTS))
@@ -160,19 +160,19 @@ def test_mutant_verify_report_digest(name, request):
 
 
 # Verify reports of passing products: the explicit ones, those built as in
-# BUILDS among them, print every check of the associator scan and the probes;
-# the symbolic one prints the unit, parity and residual checks.  The Moyal
+# BUILDS among them, print every check, the associator scan included; the
+# symbolic one prints the unit, parity, residual and level-1 checks.  The Moyal
 # products at orders 6 and 8 are the largest scans pinned here, and the
 # cubic one at order 4 the largest whose levels have non-constant
 # coefficients.
 REPORTS = {
-    "sym_star3": "9302d1b683fa469db1c52de3dc008ee56416fa00a44e2b3242b17250ebf4fb45",
-    "x3_star4": "f8ef177724a29144e164d521b45fdb876ca40cd01280026619641c32cbfa0970",
-    "sphere_star": "8211460e391fef14ad14e457d993f153b81964d7249256304c5895d507518548",
-    "conformal": "2c3751c7bf26bd5301f8af45a483bd791675881b75672ccfff583f31ef4569ec",
-    "moyal-order-6": "fe5ec3a6d590fb466ad94b9f2fcec945d6ac176290cd90469909ad6010defd3b",
-    "moyal-order-8": "3d33324a2e481449a06b2dbc09db64feed49cdd82cf10af290322d4847763695",
-    "cubic-order-4": "02f30eabbe1ce0d5d35d6bdaddc755b0c0c5675bb785fd50a4e2451ec696e144",
+    "sym_star3": "8f665bd10524cfd21a7ffd2288646b307fda0b8b7b7c9e76c911b77f546dfcee",
+    "x3_star4": "77fd1a7f3c14537150dbf9511fe3b146041de04122540485ba45e8649eab2827",
+    "sphere_star": "c6285f43b5e393c5f3af490544d0122de4c1a5ab54eb014e3078bdbb1b813230",
+    "conformal": "7a76825b4a0b0c8097da64d6a14e4b87aeaab09bafc78941fa97c6fbfcf37f17",
+    "moyal-order-6": "59c2c81153b47f51e04154c720e9762ba56c53ff1f08c9b5882f7615bcea6f01",
+    "moyal-order-8": "080bf7a3942f73b8362e30ef09f03a8656eb974efdb68273b61c6e442555fb22",
+    "cubic-order-4": "3d961f3eefb93c74529209122ab7b2f23b4c9513cda6d7979880d2ecc9ae5ed6",
 }
 
 
@@ -183,7 +183,7 @@ def test_cubic_order_5_json_and_verify_report_digests():
     assert _sha(json.dumps(star.to_json(), indent=2)) == (
         "43cdbfb091d8dce905a9425de2da4a58abe10292926607cd8b596f462f49f007")
     assert _sha(json.dumps(verify_star(star), indent=2)) == (
-        "0176b89e15e2357b20cf10e7ae48f22fd2bed89efa816f85683db909ed2beb93")
+        "2b98c4b3d90c5cb315557891169b9000bf64219a3398f0a77ddcdea863f39b24")
 
 
 def _product(name: str, request) -> StarProduct:
@@ -202,17 +202,17 @@ def test_passing_verify_report_digests(name, request):
 # monomial of the first term of a level whose two slots differ, so the level
 # loses its parity and the scan stops at a failing triple.
 ASYMMETRIC_MUTANTS = {
-    ("cubic_star", 1): "1c44db15c7972d17bb096bcc9bc8b9535cdde62189986a13bb00aa7988f54b83",
-    ("cubic_star", 2): "e1011180df0aba99cb64068abea028ff7671014c52819b3b6265c48517ca0c07",
-    ("x3_star4", 1): "9e67d3844a79ff5f465d76953f5b1d6b017d124a7baac0433fb3f04f23e80e29",
-    ("x3_star4", 2): "c2c315abc647edaf805bd52d357ef3d24e5d61ba3a918f407f60e83a7c37d99e",
-    ("moyal-order-6", 1): "efdb9d07f2721d91452847f6d55c2dbcee6479e5ac5f7296b7ca85a7b7ebbf39",
-    ("moyal-order-6", 2): "afcd622c46df72dec6e30a98433fd579e1a060615dc35201eb9aec225fbacd7b",
+    ("cubic_star", 1): "f0ab7e774461626ac713f13962dbf2b2c2a02cb19a383f2b599ec73ff1a72d0c",
+    ("cubic_star", 2): "350d5b8a9cd351cc830fc9345922ece4ca4f56672a49f227f5271533821e9e7c",
+    ("x3_star4", 1): "1296d1de846a8d1605d6ffa75fb7a44e42743e4978b35f05b02d281e30ed0306",
+    ("x3_star4", 2): "0d12021ae8160ed4b32720d3f89c33699f8140b496b5c0512f6dc5fa305fc207",
+    ("moyal-order-6", 1): "6996d017c1f56df44f59905c6add9905b221b33ffa2de9aa750a684ada8a6ed9",
+    ("moyal-order-6", 2): "3e0a4abc90b6a4e05fb4ce287e2a3de944e31f6666453599a5758f84d4cfdf51",
     # the top levels of the cubic product at order 4: both mutants first fail
     # at order 4, the level-3 one at (x2, x1, x1*x2), the level-4 one at
     # (x1, x2, x1)
-    ("cubic-order-4", 3): "d8a8715d5e0e9ff15e2de78693369ab40d352dd65e8cccd93a4b857a077f269f",
-    ("cubic-order-4", 4): "eddbe03be564c9353b5845b386ef47a1aa064bcbfe7b4fcc106a509ddb30bab2",
+    ("cubic-order-4", 3): "50e0ca6149bd417cb85eee3473a6fa289c7657e62f897631e3c49d6976421a9a",
+    ("cubic-order-4", 4): "4adb3f3eeadfdf35b71eb8000dea9b8cc2c3fba0812b3ae3a77d7402a9cb75df",
 }
 
 
@@ -232,10 +232,11 @@ def test_asymmetric_mutant_verify_report_digests(name, level, request):
 
 
 # The same mutants of the symbolic product: the level loses its parity, and
-# both residuals print jet-ring coefficients.
+# both residuals print jet-ring coefficients; level 1 is no longer half the
+# Poisson bracket either.
 SYMBOLIC_MUTANTS = {
-    1: "31d8bfc2eff11e28e8c9ef2bf3fe0af6d664394d8e795d43b0e6e07385947f93",
-    2: "316444c3f83d9cf0ad99bd2740fea04b65bad563e0f5d8f1b47f855d8388314c",
+    1: "efc98283c3f343d5b030b8d46c563a245017fa7acdce4f967b8435bc7c3d00ff",
+    2: "a509b516df3eb43c21fe95d9df8411ad2e86b54a0d03c2dce486cfc26a062d80",
 }
 
 
@@ -243,7 +244,8 @@ SYMBOLIC_MUTANTS = {
 def test_symbolic_asymmetric_mutant_verify_report_digests(level, sym_star3):
     report = _asymmetric_mutant_report(sym_star3, level)
     failed = [c["name"] for c in report["checks"] if not c["pass"]]
-    assert failed == [f"parity-{level}", "residual-2", "residual-3"]
+    assert failed == [f"parity-{level}", "residual-2", "residual-3"] + (
+        ["commutator-bracket"] if level == 1 else [])
     assert _sha(json.dumps(report, indent=2)) == SYMBOLIC_MUTANTS[level]
 
 
@@ -260,7 +262,7 @@ CLI_OUTPUTS = [
     (["construct", "--phi", "x1*x2*x3", "--order", "3", "--out", "{star}"],
      "40dba278a4521c8b5c88544c3dc3d65959e458a8c78f1d557b878e3d27f16e47"),
     (["verify", "{star}"],
-     "707c4c31089efd47e7088895743e28aa2da93896429d54bc3105aabe72b29251"),
+     "17b113a1af28ecac3484d42f8ef6fbcba0393b7eb825661eece30d99c255a42c"),
     (["obstruction", "--phi", "sym", "--k", "4", "--emit", "json"],
      "9750c174134abba67eabf534aa9aff318e111fee24b73bc84091a1ae10a7f0f0"),
 ]

@@ -1,9 +1,11 @@
+import json
 from fractions import Fraction
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from starq.cli import main
 from starq.cochains import Cochain, X_RING
 from starq.jets import NABLA_PHI, PSI_NABLA_PHI
 from starq.polynomials import XPoly, parse_poly
@@ -77,7 +79,8 @@ def test_verify_star_accepts_genuine_products(cubic_star, sphere_star):
         assert report["pass"]
         names = {c["name"] for c in report["checks"]}
         assert {"units", "parity-1", "residual-2", "associator",
-                "commutator-evenness", "commutator-bracket"} <= names
+                "commutator-bracket"} <= names
+        assert report["checks"][-1]["name"] == "commutator-bracket"
         assert all(c["residual"] == "0" for c in report["checks"])
 
 
@@ -86,7 +89,7 @@ def test_verify_star_structural_checks_on_jet_ring(sym_star3):
     assert report["pass"]
     names = {c["name"] for c in report["checks"]}
     assert "associator" not in names  # no explicit arguments in the jet ring
-    assert "residual-3" in names
+    assert {"units", "parity-3", "residual-3", "commutator-bracket"} <= names
 
 
 def _mutate(star: StarProduct, level: int, slots, bump) -> StarProduct:
@@ -106,12 +109,16 @@ def test_mutation_of_unit_level_names_constant_triple(cubic_star):
 
 
 def test_mutation_off_diagonal_breaks_parity(cubic_star):
-    slots = ((1,), (2,))
-    bad = _mutate(cubic_star, 1, slots, XPoly.var(1))
-    report = verify_star(bad)
-    failing = next(c for c in report["checks"] if not c["pass"])
-    assert failing["name"] == "parity-1"
-    assert failing["witness"] is not None
+    # an odd level that is no longer antisymmetric, and an even level that is
+    # no longer symmetric, so its commutator on (x1, x2) is nonzero
+    for level, bump in ((1, XPoly.var(1)), (2, XPoly.const(Fraction(2, 5)))):
+        bad = StarProduct.from_json(cubic_star.to_json())
+        bad.levels[level].add_term(((1,), (2,)), bump)
+        report = verify_star(bad)
+        failing = next(c for c in report["checks"] if not c["pass"])
+        assert failing["name"] == f"parity-{level}"
+        assert failing["witness"] == ["x1", "x2", "1"]
+        assert failing["residual"] == str(bump)
 
 
 def test_mutation_on_diagonal_breaks_residual(cubic_star):
@@ -136,15 +143,46 @@ def test_mutated_residual_witness_is_a_real_associator_failure(cubic_star):
     assert any(not c.is_zero for c in coeffs)
 
 
-def test_commutator_evenness_names_the_first_failing_probe(cubic_star):
-    bad = StarProduct.from_json(cubic_star.to_json())
-    bad.levels[2].add_term(((1,), (2,)), XPoly.const(Fraction(2, 5)))
+def _rescaled(star: StarProduct) -> StarProduct:
+    """Every level k times 2^k: the star product of 2P, not of P."""
+    copy = StarProduct.from_json(star.to_json())
+    copy.levels = [level.scale(2 ** k) for k, level in enumerate(copy.levels)]
+    return copy
+
+
+def _tilted(star: StarProduct) -> StarProduct:
+    """Level 1 plus c (d_11 x d_2 - d_2 x d_11), with c a third of its
+    (x1, x2) coefficient: still antisymmetric, and zero on linear arguments."""
+    copy = StarProduct.from_json(star.to_json())
+    c = copy.levels[1].coefficient(((1,), (2,))).scale(Fraction(1, 3))
+    copy.levels[1].add_term(((1, 1), (2,)), c)
+    copy.levels[1].add_term(((2,), (1, 1)), -c)
+    return copy
+
+
+@pytest.mark.parametrize("mutate", [_rescaled, _tilted])
+@pytest.mark.parametrize("name", ["sym_star3", "sym_conformal_star3", "cubic_star"])
+def test_commutator_bracket_compares_level_one_exactly(name, mutate, request, tmp_path,
+                                                        capsys):
+    star = request.getfixturevalue(name)
+    bad = mutate(star)
     checks = {c["name"]: c for c in verify_star(bad)["checks"]}
-    series = commutator(bad.levels, XPoly.var(1), XPoly.var(2))
-    assert not series[2].is_zero
-    assert not checks["commutator-evenness"]["pass"]
-    assert checks["commutator-evenness"]["witness"] == ["x1", "x2", "1"]
-    assert checks["commutator-evenness"]["residual"] == str(series[2])
+    bracket = checks.pop("commutator-bracket")
+    assert not bracket["pass"]
+    c12 = star.levels[1].coefficient(((1,), (2,)))
+    if mutate is _rescaled:
+        # every other check holds: the levels are a genuine star product
+        assert all(c["pass"] for c in checks.values())
+        assert bracket["witness"] == ["x1", "x2", "1"]
+        assert bracket["residual"] == str(c12)
+    else:
+        assert checks["parity-1"]["pass"]
+        assert bracket["witness"] == ["x2", "x1^2", "1"]
+        assert bracket["residual"] == str(-c12.scale(Fraction(1, 3)))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad.to_json()))
+    assert main(["verify", str(path)]) == 3
+    assert "FAIL commutator-bracket  witness triple" in capsys.readouterr().out
 
 
 def test_report_shape(cubic_star):
