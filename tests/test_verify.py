@@ -109,16 +109,29 @@ def test_mutation_of_unit_level_names_constant_triple(cubic_star):
 
 
 def test_mutation_off_diagonal_breaks_parity(cubic_star):
-    # an odd level that is no longer antisymmetric, and an even level that is
-    # no longer symmetric, so its commutator on (x1, x2) is nonzero
-    for level, bump in ((1, XPoly.var(1)), (2, XPoly.const(Fraction(2, 5)))):
-        bad = StarProduct.from_json(cubic_star.to_json())
-        bad.levels[level].add_term(((1,), (2,)), bump)
-        report = verify_star(bad)
-        failing = next(c for c in report["checks"] if not c["pass"])
-        assert failing["name"] == f"parity-{level}"
-        assert failing["witness"] == ["x1", "x2", "1"]
-        assert failing["residual"] == str(bump)
+    # an odd level that is no longer antisymmetric
+    bump = XPoly.var(1)
+    bad = StarProduct.from_json(cubic_star.to_json())
+    bad.levels[1].add_term(((1,), (2,)), bump)
+    report = verify_star(bad)
+    failing = next(c for c in report["checks"] if not c["pass"])
+    assert failing["name"] == "parity-1"
+    assert failing["witness"] == ["x1", "x2", "1"]
+    assert failing["residual"] == str(bump)
+
+
+def test_commutator_evenness_names_the_first_failing_probe(cubic_star):
+    # an even level that is no longer symmetric has a nonzero commutator on
+    # (x1, x2); parity-2 is the check that names that probe first
+    bad = StarProduct.from_json(cubic_star.to_json())
+    bad.levels[2].add_term(((1,), (2,)), XPoly.const(Fraction(2, 5)))
+    series = commutator(bad.levels, XPoly.var(1), XPoly.var(2))
+    assert not series[2].is_zero
+    report = verify_star(bad)
+    failing = next(c for c in report["checks"] if not c["pass"])
+    assert failing["name"] == "parity-2"
+    assert failing["witness"] == ["x1", "x2", "1"]
+    assert failing["residual"] == str(series[2])
 
 
 def test_mutation_on_diagonal_breaks_residual(cubic_star):
