@@ -146,7 +146,9 @@ def _load_star(path: str) -> StarProduct:
         raise ConfigError(f"no such file: {path}")
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror or exc}")
-    except (json.JSONDecodeError, KeyError, RecursionError, TypeError, ValueError,
+    except KeyError as exc:
+        raise ConfigError(f"cannot load star product from {path}: missing field {exc}")
+    except (json.JSONDecodeError, RecursionError, TypeError, ValueError,
             ZeroDivisionError) as exc:
         raise ConfigError(f"cannot load star product from {path}: {exc}")
 

@@ -26,6 +26,7 @@ the structural antisymmetry that makes the following obstruction vanish.
 
 from __future__ import annotations
 
+import json
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -106,7 +107,7 @@ COORDINATE_SLOTS = (((1,), (2,), (3,)))
 @dataclass
 class ObstructionReport:
     """The alternating first-order part of R_k; the rest is derived from it,
-    from the level and from the shortcut witness (None when there is none).
+    from the level and from the shortcut witness.
 
     Over Weyl-type levels, M_l^rev = (-1)^l M_l, each insertion obeys
     (a o b)^rev = -(a^rev o b^rev), so R_k^rev = (-1)^(k+1) R_k: at odd k
@@ -114,14 +115,13 @@ class ObstructionReport:
     """
     level: int
     alternating: Cochain
-    shortcut_witness: object | None
+    shortcut_witness: object
 
     def __post_init__(self) -> None:
         self.coordinate_witness = determinant_witness(self.alternating)  # value on (x1, x2, x3)
         self.is_zero = self.alternating.is_zero
         self.parity_path = self.level % 2 == 1
-        self.shortcut_agrees = (None if self.shortcut_witness is None
-                                else proportional(self.coordinate_witness, self.shortcut_witness))
+        self.shortcut_agrees = proportional(self.coordinate_witness, self.shortcut_witness)
 
     def to_json(self) -> dict:
         return {
@@ -130,8 +130,7 @@ class ObstructionReport:
             "parityPath": self.parity_path,
             "coordinateWitness": self.coordinate_witness.to_json(),
             "alternating": self.alternating.to_json(),
-            "shortcutWitness": (None if self.shortcut_witness is None
-                                else self.shortcut_witness.to_json()),
+            "shortcutWitness": self.shortcut_witness.to_json(),
             "shortcutAgrees": self.shortcut_agrees,
         }
 
@@ -435,7 +434,12 @@ class StarProduct:
     @staticmethod
     def from_json(data: dict) -> "StarProduct":
         """Parse a stored product; raises ValueError (or KeyError, TypeError)
-        on one that is not well formed, so a verifier never meets it."""
+        on one that is not well formed, so a verifier never meets it.
+
+        A level exists only because its obstruction vanished, so a product
+        stores exactly the zero report of each level 2..order, as
+        ``build_star`` writes it; those reports are derived, not parsed.
+        """
         mode, ring, order = data["mode"], data["ring"], data["order"]
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
@@ -468,34 +472,11 @@ class StarProduct:
                 k in stored_levels and g in GAUGES for k, g in gauges.items()):
             raise ValueError(f"gauges must map levels 0..{order} to one of {GAUGES}, "
                              f"got {gauges!r}")
-        reports = []
-        stored_reports = data.get("obstructionReports", [])
-        if not isinstance(stored_reports, list):
-            raise ValueError("obstructionReports must be a list")
-        for item in stored_reports:
-            level = item["level"]
-            if type(level) is not int or not 2 <= level <= order:
-                raise ValueError(f"obstruction report level {level!r} is not in 2..{order}")
-            alternating = _bounded(Cochain.from_json(item["alternating"]),
-                                   f"level {level} obstruction")
-            if alternating.arity != 3 or alternating.ring != ring:
-                raise ValueError(f"level {level} obstruction is not trilinear in the {ring!r} ring")
-            agrees = item.get("shortcutAgrees")
-            if not (isinstance(item["isZero"], bool) and isinstance(item["parityPath"], bool)
-                    and isinstance(agrees, (bool, type(None)))):
-                raise ValueError(f"level {level} obstruction flags must be booleans")
-            witness = cls.from_json(item["coordinateWitness"])
-            shortcut = (None if item.get("shortcutWitness") is None
-                        else cls.from_json(item["shortcutWitness"]))
-            if alternating != alternating.degree_part((1, 1, 1)).antisymmetrize():
-                raise ValueError(f"level {level} obstruction is not an alternating "
-                                 "first-order operator")
-            report = ObstructionReport(level, alternating, shortcut)
-            if (report.is_zero, report.parity_path, report.coordinate_witness,
-                    report.shortcut_agrees) != (item["isZero"], item["parityPath"], witness, agrees):
-                raise ValueError(f"level {level} obstruction flags or witness do not "
-                                 "follow from its alternating part")
-            reports.append(report)
+        reports = [ObstructionReport(k, Cochain(3, ring), cls.zero()) for k in range(2, order + 1)]
+        if (json.dumps(data["obstructionReports"], sort_keys=True)
+                != json.dumps([r.to_json() for r in reports], sort_keys=True)):
+            raise ValueError(f"obstructionReports must be the zero report of each level "
+                             f"2..{order}")
         return StarProduct(
             mode=mode, ring=ring, order=order,
             levels=levels, obstruction_reports=reports,
@@ -556,6 +537,9 @@ def build_star(mode: str, order: int, phi: XPoly | str = "sym",
         reports.append(report)
         if not report.is_zero:
             raise ObstructionError(report)
+        if not report.shortcut_witness.is_zero:
+            raise AssertionError(f"level {k}: the insertion shortcut is nonzero "
+                                 "under a zero obstruction")
         level_k = None
         if family is not None and family.gauges.get(k) == "opo":
             # specialization is a ring map commuting with total derivatives,

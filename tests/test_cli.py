@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from starq.cli import MAX_DEGREE, MAX_K, MAX_ORDER, _build_parser, main
+from starq.cochains import X_RING, epsilon_cochain
 from starq.latex import star_latex
 from starq.polynomials import parse_poly
 from starq.star import GradingError, ObstructionError, ObstructionReport, StarProduct
@@ -412,13 +413,20 @@ def _first_coeff(data) -> dict:
 
 def _order_12(data) -> None:
     # zero levels up to order 12: the scan would run up to total degree 12
-    data["levels"] += [dict(data["levels"][2], terms=[]) for _ in range(10)]
+    data["levels"] += [dict(data["levels"][2], terms=[]) for _ in range(12 - data["order"])]
     data["order"] = 12
 
 
 # one slot with multiplicities (60, 60, 60): the coboundary splits it in
 # about 60^3 ways
 _SLOT_180 = [1] * 60 + [2] * 60 + [3] * 60
+
+
+def _forged_level_2(data) -> None:
+    # a nonzero level-2 obstruction, 5 times the determinant operator, whose
+    # flags and witnesses all follow from it
+    data["obstructionReports"][0] = ObstructionReport(
+        2, epsilon_cochain(X_RING).scale(5), parse_poly("5")).to_json()
 
 
 MALFORMED = {
@@ -463,13 +471,31 @@ MALFORMED = {
     "report-slot-total-180": _edit(
         lambda d: d["obstructionReports"][0]["alternating"]["terms"].append(
             {"coeff": [{"coeff": "1", "factors": []}], "slots": [_SLOT_180, [1], [2]]})),
+    # every level stands on a zero obstruction, so exactly those reports are stored
+    "report-forged-nonzero": _edit(_forged_level_2),
+    "reports-missing": _edit(lambda d: d.pop("obstructionReports")),
+    "report-level-3-missing": _edit(lambda d: d["obstructionReports"].pop(1)),
+    "reports-swapped": _edit(lambda d: d["obstructionReports"].reverse()),
+    "report-duplicated": _edit(
+        lambda d: d["obstructionReports"].insert(1, d["obstructionReports"][0])),
+    "phi-number": _edit(lambda d: d.update(phi=3)),
+    "psi-list": _edit(lambda d: d.update(psi=["x1"])),
+}
+
+# the reason given for a malformed file, where it is pinned
+REASONS = {
+    "missing-mode": "missing field 'mode'",
+    "reports-missing": "missing field 'obstructionReports'",
+    "report-forged-nonzero": "obstructionReports must be the zero report of each level 2..3",
+    "phi-number": "phi and psi must be expression strings",
+    "psi-list": "phi and psi must be expression strings",
 }
 
 
 @pytest.fixture(scope="module")
 def weyl_text(tmp_path_factory):
     out = tmp_path_factory.mktemp("weyl") / "star.json"
-    assert main(["construct", "--phi", "x3", "--order", "2", "--out", str(out)]) == 0
+    assert main(["construct", "--phi", "x3", "--order", "3", "--out", str(out)]) == 0
     return out.read_text()
 
 
@@ -478,21 +504,20 @@ def test_verify_rejects_malformed_star_files(name, weyl_text, tmp_path, capsys):
     bad = tmp_path / f"{name}.json"
     bad.write_text(MALFORMED[name](weyl_text))
     assert main(["verify", str(bad)]) == 2
-    assert "cannot load star product" in capsys.readouterr().err
+    reason = REASONS.get(name, "")
+    assert f"cannot load star product from {bad}: {reason}" in capsys.readouterr().err
 
 
-def test_verify_accepts_reports_without_shortcut(weyl_text, tmp_path, capsys):
-    """A report stored with no shortcut witness loads, as long as it does not
-    claim that the shortcut agrees."""
+def test_verify_rejects_reports_without_shortcut(weyl_text, tmp_path, capsys):
+    """A build always computes the shortcut witness, so a report stored
+    without one is refused, whether or not it claims that the shortcut agrees."""
     data = json.loads(weyl_text)
-    data["obstructionReports"][0].update(shortcutWitness=None, shortcutAgrees=None)
     path = tmp_path / "star.json"
-    path.write_text(json.dumps(data))
-    assert main(["verify", str(path)]) == 0
-    data["obstructionReports"][0].update(shortcutAgrees=True)
-    path.write_text(json.dumps(data))
-    assert main(["verify", str(path)]) == 2
-    assert "do not follow from its alternating part" in capsys.readouterr().err
+    for agrees in (None, True):
+        data["obstructionReports"][0].update(shortcutWitness=None, shortcutAgrees=agrees)
+        path.write_text(json.dumps(data))
+        assert main(["verify", str(path)]) == 2
+        assert "must be the zero report" in capsys.readouterr().err
 
 
 def _json_paths(node, path=()):

@@ -384,6 +384,7 @@ def test_obstruction_reports_roundtrip(sym_star3):
 
 def test_star_json_roundtrip(cubic_star):
     again = StarProduct.from_json(cubic_star.to_json())
+    assert again.to_json() == cubic_star.to_json()
     assert again.gauges == cubic_star.gauges
     assert again.phi_source == cubic_star.phi_source
     for a, b in zip(again.levels, cubic_star.levels):
@@ -451,3 +452,14 @@ def test_obstruction_asserts_odd_reversal_symmetry():
     assert rhs.reverse_args() != rhs
     with pytest.raises(AssertionError, match="not reversal-symmetric"):
         obstruction(rhs, 3, build_star(NABLA_PHI, 2).levels)
+
+
+def test_build_refuses_a_nonzero_shortcut_under_a_zero_obstruction(monkeypatch):
+    # a product stores only zero reports with zero shortcuts, so a build that
+    # met any other would write a file its loader refuses
+    def disagreeing(rhs, k, levels):
+        return ObstructionReport(k, Cochain(3, JET_RING), JetPolynomial.one())
+
+    monkeypatch.setattr(starq.star, "obstruction", disagreeing)
+    with pytest.raises(AssertionError, match="shortcut is nonzero"):
+        build_star(NABLA_PHI, 2)
