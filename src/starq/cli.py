@@ -18,9 +18,9 @@ import tempfile
 from .jets import MODES, NABLA_PHI
 from .latex import star_latex
 from .opo import is_opo, parse_term, term_to_text
-from .polynomials import XPoly, parse_poly
+from .polynomials import XPoly
 from .star import (MAX_ORDER, GradingError, InfeasibleError, ObstructionError,
-                   StarProduct, build_star, level_equation)
+                   StarProduct, build_star, level_equation, parse_potential)
 from .verify import jacobi_residual, poisson_vector, verify_star
 
 EXIT_OK = 0
@@ -28,11 +28,11 @@ EXIT_CONFIG = 2
 EXIT_FINDING = 3
 EXIT_GRADING = 4
 
-# Resource bounds, checked before any work: the cost of a build, of an
-# obstruction (which builds every level below it) and of the associator scan
-# grows steeply with these values (MAX_ORDER also bounds a loaded product).
-MAX_K = 9
-MAX_DEGREE = 8
+# Resource bounds, checked before any work.  The cost of a build, of an obstruction
+# (which builds every level below it) and of the associator scan (by default up to
+# a loaded product's order, which MAX_ORDER bounds) grows steeply with these values.
+MAX_K = MAX_ORDER + 1
+MAX_DEGREE = MAX_ORDER
 # option -> (least, greatest, what the message calls it)
 BOUNDS = {"order": (1, MAX_ORDER, "order"),
           "k": (2, MAX_K, "obstruction level"),
@@ -89,11 +89,9 @@ def _json_text(args: argparse.Namespace, payload) -> str | None:
     return json.dumps(payload(), indent=2) if args.out or args.emit == "json" else None
 
 
-def _parse_expr(text: str, what: str) -> XPoly | str:
-    if text == "sym":
-        return "sym"
+def _parse_expr(text: str | None, what: str) -> XPoly | str | None:
     try:
-        return parse_poly(text)
+        return parse_potential(text)
     except Exception as exc:
         raise ConfigError(f"cannot parse {what} expression {text!r}: {exc}")
 
@@ -102,8 +100,7 @@ def _parse_expr(text: str, what: str) -> XPoly | str:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    phi = _parse_expr(args.phi, "phi")
-    psi = None if args.psi is None else _parse_expr(args.psi, "psi")
+    phi, psi = _parse_expr(args.phi, "phi"), _parse_expr(args.psi, "psi")
     try:
         star = build_star(args.mode, args.order, phi=phi, psi=psi,
                           opo_restrict=args.opo_restrict)
@@ -123,12 +120,10 @@ def cmd_construct(args: argparse.Namespace) -> int:
         else:
             counts = ", ".join(f"{k}:{len(level.terms)}"
                                for k, level in enumerate(star.levels))
-            print(f"constructed mode={star.mode} ring={star.ring} "
-                  f"order={star.order}")
+            print(f"constructed mode={star.mode} ring={star.ring} order={star.order}")
             print(f"level term counts: {counts}")
             print(f"gauges: {star.gauges}")
-            print("obstructions zero:",
-                  all(r.is_zero for r in star.obstruction_reports))
+            print("obstructions zero:", all(r.is_zero for r in star.obstruction_reports))
         return EXIT_OK
     text = json.dumps(payload, indent=2)
     if _to_stdout(args, text):
@@ -185,15 +180,14 @@ def cmd_jacobi(args: argparse.Namespace) -> int:
         pieces = args.vector.split(",")
         if len(pieces) != 3:
             raise ConfigError("--P needs three comma-separated components")
-        polys = [_parse_expr(p.strip(), "component") for p in pieces]
-        if any(isinstance(p, str) for p in polys):
+        p = [_parse_expr(c.strip(), "component") for c in pieces]
+        if any(isinstance(c, str) for c in p):
             raise ConfigError("--P components must be explicit polynomials")
-        p = polys
     else:
-        phi = None if args.phi is None else _parse_expr(args.phi, "phi")
+        phi = _parse_expr(args.phi, "phi")
         if not isinstance(phi, XPoly):
             raise ConfigError("jacobi needs --P or an explicit --phi")
-        psi = None if args.psi is None else _parse_expr(args.psi, "psi")
+        psi = _parse_expr(args.psi, "psi")
         if isinstance(psi, str):
             raise ConfigError("jacobi needs an explicit --psi")
         p = poisson_vector(phi, psi)
@@ -203,8 +197,7 @@ def cmd_jacobi(args: argparse.Namespace) -> int:
 
 
 def cmd_obstruction(args: argparse.Namespace) -> int:
-    phi = _parse_expr(args.phi, "phi")
-    psi = None if args.psi is None else _parse_expr(args.psi, "psi")
+    phi, psi = _parse_expr(args.phi, "phi"), _parse_expr(args.psi, "psi")
     try:
         star = build_star(args.mode, args.k - 1, phi=phi, psi=psi)
         _, report = level_equation(star.levels, args.k, args.mode)

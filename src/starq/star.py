@@ -37,7 +37,7 @@ from .cochains import (
     Cochain, JET_RING, X_RING, _common_den, delta_terms, epsilon_cochain, insertion_sum,
     linear_combination, ring_class, slot_total,
 )
-from .jets import MAX_ORDER, MODES, NABLA_PHI, PSI_NABLA_PHI, decode, is_psi, jet_order
+from .jets import MAX_ORDER, MODES, PSI_NABLA_PHI, decode, is_psi, jet_order
 from .linsolve import ColumnReducer
 from .multiindex import MultiIndex, splits
 from .opo import concretize, enumerate_terms
@@ -70,7 +70,7 @@ def parity_sign(k: int) -> int:
 
 # -- level 0 and 1 -------------------------------------------------------------
 
-def base_levels(mode: str, ring: str, phi: XPoly | None, psi: XPoly | None) -> list[Cochain]:
+def base_levels(mode: str, ring: str, phi: XPoly | str, psi: XPoly | str | None) -> list[Cochain]:
     """[M_0, M_1] in the requested coefficient ring.  M_1 is half the Poisson
     bracket, the one one-factor diagram P^{ij} d_i f d_j g concretized."""
     m1 = concretize(enumerate_terms(1, require_opo=True), mode).scale(Fraction(1, 2))
@@ -408,24 +408,60 @@ def _bounded(cochain: Cochain, what: str) -> Cochain:
     return cochain
 
 
+def parse_potential(text: str | None) -> XPoly | str | None:
+    """A potential's text: "sym" (symbolic) or None (absent), else a polynomial."""
+    return text if text in (None, "sym") else parse_poly(text)
+
+
+def product_ring(mode: str, phi: XPoly | str, psi: XPoly | str | None) -> str:
+    """The ring of the family-``mode`` product of these potentials, the jet ring
+    for "sym" and the x ring for polynomials; ValueError when they make no
+    product.  Only the conformal family takes psi, in the regime of phi."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    symbolic = phi == "sym"
+    if not (symbolic or isinstance(phi, XPoly)):
+        raise ValueError(f"phi must be a polynomial or 'sym', got {phi!r}")
+    if mode == PSI_NABLA_PHI:
+        if not (psi == "sym" if symbolic else isinstance(psi, XPoly)):
+            raise ValueError("phi and psi must both be symbolic or both explicit")
+    elif psi is not None:
+        raise ValueError("psi is only meaningful in the conformal family")
+    return JET_RING if symbolic else X_RING
+
+
 @dataclass
 class StarProduct:
+    """A star product: its family, potentials, levels 0..order and gauges.  The
+    ring, order and obstruction reports are derived: a level exists only because
+    its obstruction and shortcut vanished, so each level 2..order has the zero report."""
     mode: str
-    ring: str
-    order: int
+    phi: XPoly | str
+    psi: XPoly | str | None
     levels: list[Cochain]
-    obstruction_reports: list[ObstructionReport]
-    phi_source: str
-    psi_source: str | None
     gauges: dict[int, str]
+
+    @property
+    def ring(self) -> str:
+        return product_ring(self.mode, self.phi, self.psi)
+
+    @property
+    def order(self) -> int:
+        return len(self.levels) - 1
+
+    @property
+    def obstruction_reports(self) -> list[ObstructionReport]:
+        ring = self.ring
+        return [ObstructionReport(k, Cochain(3, ring), ring_class(ring).zero())
+                for k in range(2, self.order + 1)]
 
     def to_json(self) -> dict:
         return {
             "mode": self.mode,
             "ring": self.ring,
             "order": self.order,
-            "phi": self.phi_source,
-            "psi": self.psi_source,
+            "phi": str(self.phi),
+            "psi": None if self.psi is None else str(self.psi),
             "levels": [c.to_json() for c in self.levels],
             "obstructionReports": [r.to_json() for r in self.obstruction_reports],
             "gauges": {str(k): g for k, g in self.gauges.items()},
@@ -436,16 +472,20 @@ class StarProduct:
         """Parse a stored product; raises ValueError (or KeyError, TypeError)
         on one that is not well formed, so a verifier never meets it.
 
-        A level exists only because its obstruction vanished, so a product
-        stores exactly the zero report of each level 2..order, as
-        ``build_star`` writes it; those reports are derived, not parsed.
+        The potentials are parsed here, once, and the stored ring, order and
+        obstruction reports must equal the ones derived from the product.
         """
-        mode, ring, order = data["mode"], data["ring"], data["order"]
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}")
+        mode, order = data["mode"], data["order"]
         if type(order) is not int or not 1 <= order <= MAX_ORDER:
             raise ValueError(f"order {order!r} is not in 1..{MAX_ORDER}")
-        cls = ring_class(ring)
+        phi_text, psi_text = data.get("phi", "sym"), data.get("psi")
+        if not isinstance(phi_text, str) or not isinstance(psi_text, (str, type(None))):
+            raise ValueError("phi and psi must be expression strings")
+        phi, psi = parse_potential(phi_text), parse_potential(psi_text)
+        ring = product_ring(mode, phi, psi)
+        if data["ring"] != ring:
+            raise ValueError(f"phi {phi_text!r} and psi {psi_text!r} do not fit mode {mode!r} "
+                             f"in the {data['ring']!r} ring")
         levels = []
         for k, item in enumerate(data["levels"]):
             level = _bounded(Cochain.from_json(item), f"level {k}")
@@ -454,34 +494,18 @@ class StarProduct:
             levels.append(level)
         if order != len(levels) - 1:
             raise ValueError(f"order {order!r} does not match {len(levels)} stored levels")
-        phi, psi = data.get("phi", "sym"), data.get("psi")
-        if not isinstance(phi, str) or not isinstance(psi, (str, type(None))):
-            raise ValueError("phi and psi must be expression strings")
-        if phi != "sym":
-            parse_poly(phi)
-        if psi not in (None, "sym"):
-            parse_poly(psi)
-        symbolic = ring == JET_RING
-        if ((phi == "sym") != symbolic or (psi is None) != (mode == NABLA_PHI)
-                or (mode == PSI_NABLA_PHI and (psi == "sym") != symbolic)):
-            raise ValueError(f"phi {phi!r} and psi {psi!r} do not fit mode {mode!r} "
-                             f"in the {ring!r} ring")
         gauges = data.get("gauges", {})
         stored_levels = {str(k) for k in range(order + 1)}
         if not isinstance(gauges, dict) or not all(
                 k in stored_levels and g in GAUGES for k, g in gauges.items()):
             raise ValueError(f"gauges must map levels 0..{order} to one of {GAUGES}, "
                              f"got {gauges!r}")
-        reports = [ObstructionReport(k, Cochain(3, ring), cls.zero()) for k in range(2, order + 1)]
+        star = StarProduct(mode, phi, psi, levels, {int(k): g for k, g in gauges.items()})
         if (json.dumps(data["obstructionReports"], sort_keys=True)
-                != json.dumps([r.to_json() for r in reports], sort_keys=True)):
+                != json.dumps([r.to_json() for r in star.obstruction_reports], sort_keys=True)):
             raise ValueError(f"obstructionReports must be the zero report of each level "
                              f"2..{order}")
-        return StarProduct(
-            mode=mode, ring=ring, order=order,
-            levels=levels, obstruction_reports=reports,
-            phi_source=phi, psi_source=psi,
-            gauges={int(k): g for k, g in gauges.items()})
+        return star
 
 
 def build_star(mode: str, order: int, phi: XPoly | str = "sym",
@@ -490,8 +514,7 @@ def build_star(mode: str, order: int, phi: XPoly | str = "sym",
                opo_restrict: bool = False) -> StarProduct:
     """Construct levels 0..order with obstruction checks at every step.
 
-    phi may be "sym" for the symbolic jet regime or an explicit polynomial;
-    the conformal family needs psi as well, in the same regime.  Raises
+    phi and psi are potentials as ``product_ring`` admits them.  Raises
     ObstructionError with the offending report when an obstruction is
     nonzero, and InfeasibleError when a block cannot be cobounded.
 
@@ -507,21 +530,10 @@ def build_star(mode: str, order: int, phi: XPoly | str = "sym",
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    symbolic = isinstance(phi, str)
-    if symbolic and phi != "sym":
-        raise ValueError(f"phi must be a polynomial or 'sym', got {phi!r}")
-    if mode == PSI_NABLA_PHI:
-        if psi is None or symbolic != isinstance(psi, str):
-            raise ValueError("phi and psi must both be symbolic or both explicit")
-    elif psi is not None:
-        raise ValueError("psi is only meaningful in the conformal family")
-    ring = JET_RING if symbolic else X_RING
-    phi_poly = None if symbolic else phi
-    psi_poly = None if symbolic or psi is None else psi
+    ring = product_ring(mode, phi, psi)
+    symbolic = ring == JET_RING
 
-    levels = base_levels(mode, ring, phi_poly, psi_poly)
+    levels = base_levels(mode, ring, phi, psi)
     # an explicit build specializes its family's re-selected levels, so it
     # builds the family up to top, the last level that may be re-selected
     top = order if opo_restrict else min(order, opo_gauge_limit) // 2 * 2
@@ -530,11 +542,9 @@ def build_star(mode: str, order: int, phi: XPoly | str = "sym",
         family = build_star(mode, top, "sym", "sym" if mode == PSI_NABLA_PHI else None,
                             opo_gauge_limit, opo_restrict)
     solver = DeltaSolver()
-    reports: list[ObstructionReport] = []
     gauges = {0: "base", 1: "base"}
     for k in range(2, order + 1):
         rhs, report = level_equation(levels, k, mode)
-        reports.append(report)
         if not report.is_zero:
             raise ObstructionError(report)
         if not report.shortcut_witness.is_zero:
@@ -544,7 +554,7 @@ def build_star(mode: str, order: int, phi: XPoly | str = "sym",
         if family is not None and family.gauges.get(k) == "opo":
             # specialization is a ring map commuting with total derivatives,
             # so the family's solution specializes to a solution of the explicit step
-            level_k = family.levels[k].specialize(phi_poly, psi_poly)
+            level_k = family.levels[k].specialize(phi, psi)
             if level_k.hochschild_delta() != rhs:
                 raise AssertionError("specialized orderable solution fails the explicit recursion")
         elif symbolic and (opo_restrict or (k % 2 == 0 and k <= opo_gauge_limit)):
@@ -559,7 +569,4 @@ def build_star(mode: str, order: int, phi: XPoly | str = "sym",
         else:
             gauges[k] = "opo"
         levels.append(level_k)
-    return StarProduct(
-        mode=mode, ring=ring, order=order, levels=levels,
-        obstruction_reports=reports, phi_source=str(phi),
-        psi_source=None if psi is None else str(psi), gauges=gauges)
+    return StarProduct(mode, phi, psi, levels, gauges)

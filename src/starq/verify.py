@@ -25,7 +25,7 @@ from math import factorial, perm, prod
 from .cochains import Cochain, X_RING, linear_combination
 from .jets import MODES, PSI_NABLA_PHI, JetPolynomial, phi_jet, psi_jet
 from .multiindex import multiplicities
-from .polynomials import RatVec, XPoly, monomials_up_to, parse_poly
+from .polynomials import RatVec, XPoly, monomials_up_to
 from .star import StarProduct
 
 
@@ -258,11 +258,11 @@ def verify_star(star: StarProduct, degree: int | None = None) -> dict:
     """Full independent re-check of a star product; returns a report whose
     failing checks each name a witness triple.
 
-    Structural checks (units, parity, level residuals) and the exact
-    level-1 check against half the Poisson bracket of the stored potentials
-    (``commutator-bracket``, last) run in either ring.  The associator scan
-    runs in the explicit ring over every monomial triple with total degree
-    bounded by `degree` (default: the constructed order).
+    Structural checks (units, parity, level residuals) and the exact level-1
+    check (``commutator-bracket``, last) against half the Poisson bracket of
+    ``star.phi`` and ``star.psi``, parsed once at load, run in either ring.
+    The associator scan runs in the x ring over every monomial triple of
+    total degree at most `degree` (default: ``star.order``).
     """
     levels = star.levels
     digest = _digest(star.to_json())
@@ -302,9 +302,8 @@ def verify_star(star: StarProduct, degree: int | None = None) -> dict:
         else:
             check("associator", True)
 
-    phi, psi = (s if s in (None, "sym") else parse_poly(s)
-                for s in (star.phi_source, star.psi_source))
-    compare("commutator-bracket", levels[1], half_bracket(poisson_vector(phi, psi), star.ring))
+    compare("commutator-bracket", levels[1],
+            half_bracket(poisson_vector(star.phi, star.psi), star.ring))
 
     return {"pass": all(c["pass"] for c in checks), "inputsDigest": digest, "checks": checks}
 

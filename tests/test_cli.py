@@ -21,7 +21,7 @@ def test_construct_writes_star_file(tmp_path, capsys):
     assert rc == 0
     star = StarProduct.from_json(json.loads(out.read_text()))
     assert star.order == 3
-    assert star.phi_source == "x1*x2*x3"
+    assert star.phi == parse_poly("x1*x2*x3")
 
 
 def test_construct_rejects_zero_order(capsys):
@@ -506,6 +506,37 @@ def test_verify_rejects_malformed_star_files(name, weyl_text, tmp_path, capsys):
     assert main(["verify", str(bad)]) == 2
     reason = REASONS.get(name, "")
     assert f"cannot load star product from {bad}: {reason}" in capsys.readouterr().err
+
+
+def _coefficient_2_4(data) -> None:
+    # level 1's first coefficient is 1/2 or -1/2
+    first = _first_coeff(data)
+    first["coeff"] = first["coeff"].replace("1/2", "2/4")
+
+
+# a stored product spelled otherwise than construct writes it
+RESPELLED = {
+    "phi-trailing-space": lambda d: d.update(phi="x3 "),
+    "phi-unit-factor": lambda d: d.update(phi="1*x3"),
+    "coefficient-2/4": _coefficient_2_4,
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESPELLED))
+def test_respelled_product_loads_in_canonical_form(name, weyl_text, tmp_path, capsys):
+    """Potentials and coefficients are read into canonical form, so a
+    respelled product re-serializes to construct's bytes and its digest."""
+    path = tmp_path / "star.json"
+    path.write_text(weyl_text)
+    assert main(["verify", str(path), "--emit", "json"]) == 0
+    digest = json.loads(capsys.readouterr().out)["inputsDigest"]
+    data = json.loads(weyl_text)
+    RESPELLED[name](data)
+    path.write_text(json.dumps(data, indent=2))
+    assert path.read_text() != weyl_text
+    assert json.dumps(StarProduct.from_json(data).to_json(), indent=2) == weyl_text
+    assert main(["verify", str(path), "--emit", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["inputsDigest"] == digest
 
 
 def test_verify_rejects_reports_without_shortcut(weyl_text, tmp_path, capsys):

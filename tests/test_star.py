@@ -386,7 +386,7 @@ def test_star_json_roundtrip(cubic_star):
     again = StarProduct.from_json(cubic_star.to_json())
     assert again.to_json() == cubic_star.to_json()
     assert again.gauges == cubic_star.gauges
-    assert again.phi_source == cubic_star.phi_source
+    assert again.phi == cubic_star.phi == parse_poly("x1*x2*x3")
     for a, b in zip(again.levels, cubic_star.levels):
         assert (a - b).is_zero
 
@@ -402,6 +402,10 @@ def test_build_star_input_validation():
         build_star("bogus-mode", 2)
     with pytest.raises(ValueError):
         build_star(PSI_NABLA_PHI, 2, phi=parse_poly("x1"), psi="sym")
+    with pytest.raises(ValueError):
+        build_star(PSI_NABLA_PHI, 1, "sym", "foo")  # a potential string is only "sym"
+    with pytest.raises(ValueError):
+        build_star(NABLA_PHI, 1, "x3")
 
 
 def test_orderable_gauge_is_the_unique_solution(sym_star3):
