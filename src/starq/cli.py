@@ -4,7 +4,8 @@ Exit statuses are a total function of the computed report: 0 for a clean
 result, 2 for configuration or parse problems, 3 for a negative finding
 (nonzero residual or obstruction, failed verification, non-orderable term,
 infeasible restricted solve), 4 for an internal grading violation.  Output
-files are written atomically.
+files are written atomically, and every JSON document goes through one
+streaming renderer, ``write_json``.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import json
 import os
 import sys
 import tempfile
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Callable
 
 from .jets import MODES, NABLA_PHI
 from .latex import star_latex
@@ -59,12 +62,13 @@ def _directory(path: str) -> str:
     return os.path.dirname(os.path.abspath(path))
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, render: Callable) -> None:
+    """Write render's chunks to a temporary file beside path, then move it there."""
     try:
         fd, tmp = tempfile.mkstemp(dir=_directory(path), prefix=".starq-")
         try:
             with os.fdopen(fd, "w") as handle:
-                handle.write(text)
+                render(handle.write)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -74,19 +78,87 @@ def _atomic_write(path: str, text: str) -> None:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}")
 
 
-def _to_stdout(args: argparse.Namespace, text: str | None) -> bool:
-    """Write text to --out if one is given; True when there is none, so the
-    text belongs on stdout (for JSON, only under --emit json)."""
+def _to_stdout(args: argparse.Namespace, render: Callable) -> bool:
+    """Write render's chunks to --out if one is given; True when there is none,
+    so they belong on stdout (for JSON, only under --emit json)."""
     if args.out:
-        _atomic_write(args.out, text)
+        _atomic_write(args.out, render)
         return False
     return True
 
 
-def _json_text(args: argparse.Namespace, payload) -> str | None:
-    """The indented JSON of payload() when it is written, to --out or under
-    --emit json; None otherwise, so an unused document is never rendered."""
-    return json.dumps(payload(), indent=2) if args.out or args.emit == "json" else None
+def _print(render: Callable) -> None:
+    """render's chunks on stdout, ended by a newline as print ends a line."""
+    render(sys.stdout.write)
+    sys.stdout.write("\n")
+
+
+def _json(payload: Callable[[], object]) -> Callable:
+    """The rendering of payload()'s JSON; payload is called only when it is
+    rendered, so an unused document is never built."""
+    return lambda write: write_json(payload(), write)
+
+
+def write_json(doc, write: Callable[[str], object]) -> None:
+    """Write doc in the bytes of json.dumps(doc, indent=2), chunk by chunk.
+
+    doc is built of dicts with str keys, lists, str, int, bool and None, the
+    values starq writes.  Strings are escaped as the stdlib's default
+    ensure_ascii does.  Each chunk goes to write as it is made, so neither
+    the document's text nor a list of its pieces is ever held whole.
+    """
+    _write_value(doc, write, "\n")
+
+
+def _write_value(value, write: Callable[[str], object], newline: str) -> None:
+    """value at the indentation that newline (a line break and its indent) sets."""
+    kind = type(value)
+    if kind is dict:
+        if not value:
+            write("{}")
+            return
+        inner = newline + "  "
+        sep, comma = "{" + inner, "," + inner
+        for key, item in value.items():
+            kind = type(item)
+            if kind is dict or kind is list:
+                write(sep + _quote(key) + ": ")
+                _write_value(item, write, inner)
+            else:
+                write(sep + _quote(key) + ": " + _scalar(item))
+            sep = comma
+        write(newline + "}")
+    elif kind is list:
+        if not value:
+            write("[]")
+            return
+        inner = newline + "  "
+        sep, comma = "[" + inner, "," + inner
+        for item in value:
+            kind = type(item)
+            if kind is dict or kind is list:
+                write(sep)
+                _write_value(item, write, inner)
+            else:
+                write(sep + _scalar(item))
+            sep = comma
+        write(newline + "]")
+    else:
+        write(_scalar(value))
+
+
+def _scalar(value) -> str:
+    if type(value) is str:
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if type(value) is int:
+        return str(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _parse_expr(text: str | None, what: str) -> XPoly | str | None:
@@ -112,9 +184,9 @@ def cmd_construct(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc))
     else:
-        text = _json_text(args, star.to_json)
-        if _to_stdout(args, text) and args.emit == "json":
-            print(text)
+        render = _json(star.to_json)
+        if _to_stdout(args, render) and args.emit == "json":
+            _print(render)
         elif args.emit == "latex":
             print(star_latex(star))
         else:
@@ -125,9 +197,9 @@ def cmd_construct(args: argparse.Namespace) -> int:
             print(f"gauges: {star.gauges}")
             print("obstructions zero:", all(r.is_zero for r in star.obstruction_reports))
         return EXIT_OK
-    text = json.dumps(payload, indent=2)
-    if _to_stdout(args, text):
-        print(text)
+    render = _json(lambda: payload)
+    if _to_stdout(args, render):
+        _print(render)
     print(message, file=sys.stderr)
     return EXIT_FINDING
 
@@ -151,10 +223,10 @@ def _load_star(path: str) -> StarProduct:
 def cmd_verify(args: argparse.Namespace) -> int:
     star = _load_star(args.star)
     report = verify_star(star, degree=args.degree)
-    text = _json_text(args, lambda: report)
-    shown = _to_stdout(args, text) and args.emit == "json"
+    render = _json(lambda: report)
+    shown = _to_stdout(args, render) and args.emit == "json"
     if shown:
-        print(text)
+        _print(render)
     else:
         for check in report["checks"]:
             status = "ok" if check["pass"] else "FAIL"
@@ -205,14 +277,14 @@ def cmd_obstruction(args: argparse.Namespace) -> int:
         report = exc.report
     except (InfeasibleError, ValueError) as exc:
         raise ConfigError(str(exc))
-    text = _json_text(args, report.to_json)
-    shown = _to_stdout(args, text) and args.emit == "json"
+    render = _json(report.to_json)
+    shown = _to_stdout(args, render) and args.emit == "json"
     print(f"level {report.level}: " +
           ("zero (parity)" if report.is_zero and report.parity_path
            else "zero" if report.is_zero else "NONZERO"),
           file=sys.stderr if shown else sys.stdout)
     if shown:
-        print(text)
+        _print(render)
     return EXIT_OK if report.is_zero else EXIT_FINDING
 
 
@@ -232,7 +304,7 @@ def cmd_opo_check(args: argparse.Namespace) -> int:
 
 def cmd_export_latex(args: argparse.Namespace) -> int:
     text = star_latex(_load_star(args.star))
-    if _to_stdout(args, text):
+    if _to_stdout(args, lambda write: write(text)):
         print(text)
     return EXIT_OK
 

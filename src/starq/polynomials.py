@@ -6,7 +6,8 @@ FLINT's ``fmpq_poly``), kept reduced: the denominator shares no factor with
 all numerators together, and zero has denominator 1.  Equality of
 polynomials is therefore equality of dicts and denominators, and no floating
 point appears anywhere.  ``Fraction`` appears only where a coefficient
-leaves the core: ``monomials``, ``coefficient``, printing and JSON.
+leaves the core: ``monomials``, ``coefficient`` and printing.  JSON writes
+each coefficient's text from its integers and reads it back with ``int``.
 ``RatVec`` is the running sum the kernels accumulate into.
 
 The ring classes say what a monomial is: ``XPoly`` here, with exponent
@@ -219,16 +220,26 @@ class SparsePoly:
     __repr__ = __str__
 
     def to_json(self) -> list[dict]:
-        return [{"coeff": str(c), "factors": self._factors(m)} for m, c in self.monomials()]
+        """Terms in the canonical order; each coefficient is written as
+        str(Fraction) writes it, from its numerator and the denominator
+        reduced by one gcd."""
+        terms, den, factors = self.terms, self.den, self._factors
+        out = []
+        for m in sorted(terms, key=self._term_key):
+            n = terms[m]
+            g = gcd(n, den)
+            out.append({"coeff": str(n // g) if g == den else f"{n // g}/{den // g}",
+                        "factors": factors(m)})
+        return out
 
     @classmethod
     def from_json(cls, data: list[dict]):
         total = RatVec()
         for item in data:
             key = cls._parse_factors(item["factors"])
-            q = json_coefficient(item["coeff"])
-            if q:
-                total.add({key: q.numerator}, q.denominator)
+            n, d = json_coefficient(item["coeff"])
+            if n:
+                total.add({key: n}, d)
         return cls.from_numerators(total.terms, total.den)
 
 
@@ -301,16 +312,21 @@ class XPoly(SparsePoly):
 _COEFFICIENT_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
-def json_coefficient(text) -> Fraction:
+def json_coefficient(text) -> tuple[int, int]:
     """A stored rational coefficient, in the form str(Fraction) writes, such
-    as "-3/4".  A JSON number is rejected rather than converted, and any
-    other string before Fraction parses it, so an exponent such as
-    "1e999999" costs nothing."""
+    as "-3/4", as its numerator and positive denominator (not necessarily
+    reduced).  A JSON number is rejected rather than converted, and any
+    other string before int parses it, so an exponent such as "1e999999"
+    costs nothing."""
     if not isinstance(text, str):
         raise ValueError(f"coefficients are stored as strings, got {text!r}")
     if not _COEFFICIENT_RE.fullmatch(text):
         raise ValueError(f"coefficient {text!r} is not an integer or a fraction such as '-3/4'")
-    return Fraction(text)
+    num, _, den = text.partition("/")
+    n, d = int(num), int(den or 1)
+    if not d:
+        raise ZeroDivisionError(f"Fraction({n}, 0)")  # as Fraction(text) words it
+    return n, d
 
 
 def monomials_up_to(total_degree: int) -> list[XPoly]:

@@ -394,7 +394,11 @@ def solve_opo(rhs: Cochain, columns: list[tuple[int, Cochain, Cochain]]) -> Coch
 
 # -- the full construction -------------------------------------------------------------
 
-GAUGES = ("base", "pivot", "unique", "opo")
+def gauges_at(k: int) -> tuple[str, ...]:
+    """The gauges a build records at level k: "base" at levels 0 and 1; from
+    level 2 on "opo" (the orderable-diagram span) or, where the level is the
+    DeltaSolver's, "unique" at odd and "pivot" at even levels."""
+    return ("base",) if k < 2 else ("opo", "unique" if k % 2 else "pivot")
 
 
 def _bounded(cochain: Cochain, what: str) -> Cochain:
@@ -494,12 +498,14 @@ class StarProduct:
             levels.append(level)
         if order != len(levels) - 1:
             raise ValueError(f"order {order!r} does not match {len(levels)} stored levels")
-        gauges = data.get("gauges", {})
-        stored_levels = {str(k) for k in range(order + 1)}
-        if not isinstance(gauges, dict) or not all(
-                k in stored_levels and g in GAUGES for k, g in gauges.items()):
-            raise ValueError(f"gauges must map levels 0..{order} to one of {GAUGES}, "
+        gauges = data["gauges"]
+        if not isinstance(gauges, dict) or set(gauges) != {str(k) for k in range(order + 1)}:
+            raise ValueError(f"gauges must name one gauge for each level 0..{order}, "
                              f"got {gauges!r}")
+        for k in range(order + 1):
+            if gauges[str(k)] not in gauges_at(k):
+                raise ValueError(f"level {k} has gauge {gauges[str(k)]!r}, not one of "
+                                 f"{gauges_at(k)}")
         star = StarProduct(mode, phi, psi, levels, {int(k): g for k, g in gauges.items()})
         if (json.dumps(data["obstructionReports"], sort_keys=True)
                 != json.dumps([r.to_json() for r in star.obstruction_reports], sort_keys=True)):
@@ -564,7 +570,7 @@ def build_star(mode: str, order: int, phi: XPoly | str = "sym",
                     f"level {k}: orderable-diagram span cannot cobound the "
                     "recursion right-hand side")
         if level_k is None:
-            gauges[k] = "unique" if k % 2 else "pivot"
+            gauges[k] = gauges_at(k)[-1]  # the DeltaSolver's gauge
             level_k = solver.solve(rhs, k)
         else:
             gauges[k] = "opo"

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from starq.cli import MAX_DEGREE, MAX_K, MAX_ORDER, _build_parser, main
+from starq.cli import MAX_DEGREE, MAX_K, MAX_ORDER, _build_parser, main, write_json
 from starq.cochains import X_RING, epsilon_cochain
 from starq.latex import star_latex
 from starq.polynomials import parse_poly
@@ -340,6 +340,31 @@ def test_emit_json_prints_one_document(tmp_path, capsys):
     assert err == "level 3: zero (parity)\n"
 
 
+# strings with quotes, backslashes, control, non-ASCII and surrogate characters
+_JSON_STRINGS = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7fé€\U0001f600\ud800a ')
+                        | st.characters(exclude_categories=()), max_size=8)
+# the values starq writes: dicts with str keys, lists, str, int, bool and None
+_JSON_DOCUMENTS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-10 ** 40, 10 ** 40)
+    | _JSON_STRINGS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_JSON_STRINGS, inner, max_size=4),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_DOCUMENTS)
+def test_json_renderer_writes_the_stdlib_indent_2_text(doc):
+    chunks = []
+    write_json(doc, chunks.append)
+    assert "".join(chunks) == json.dumps(doc, indent=2)
+
+
+def test_json_renderer_refuses_what_starq_does_not_write():
+    for value in (0.5, (1, 2), {1: "one"}):
+        with pytest.raises(TypeError):
+            write_json({"value": value}, [].append)
+
+
 def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -463,6 +488,13 @@ MALFORMED = {
             {"coeff": [{"coeff": "1", "factors": []}], "slots": [[1], [1], [2]]})),
     "gauge-level-99": _edit(lambda d: d["gauges"].update({"99": "opo"})),
     "gauge-name-unknown": _edit(lambda d: d["gauges"].update({"2": "banana"})),
+    # a gauge no build records: each level has exactly one, "base" at levels
+    # 0 and 1, then "opo" or the solver's "unique" (odd) or "pivot" (even)
+    "gauges-missing": _edit(lambda d: d.pop("gauges")),
+    "gauges-empty": _edit(lambda d: d.update(gauges={})),
+    "gauge-level-0-opo": _edit(lambda d: d["gauges"].update({"0": "opo"})),
+    "gauge-level-1-pivot": _edit(lambda d: d["gauges"].update({"1": "pivot"})),
+    "gauge-level-2-unique": _edit(lambda d: d["gauges"].update({"2": "unique"})),
     "conformal-mode-without-psi": _edit(lambda d: d.update(mode="psi-nabla-phi")),
     "psi-in-gradient-mode": _edit(lambda d: d.update(psi="x1")),
     "symbolic-phi-in-x-ring": _edit(lambda d: d.update(phi="sym")),
@@ -489,6 +521,7 @@ REASONS = {
     "report-forged-nonzero": "obstructionReports must be the zero report of each level 2..3",
     "phi-number": "phi and psi must be expression strings",
     "psi-list": "phi and psi must be expression strings",
+    "gauge-level-2-unique": "level 2 has gauge 'unique', not one of ('opo', 'pivot')",
 }
 
 

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import gcd
 from random import Random
@@ -102,6 +103,18 @@ def test_from_json_sums_duplicates_and_drops_zeros():
         XPoly.from_json([{"coeff": 0.5, "factors": []}])
 
 
+@pytest.mark.parametrize("text", ["2/4", "-6/3", "-0", "0/5", "007/014", "-12", "1/0",
+                                  "-3/0", "0/0"])
+def test_stored_coefficient_reads_as_fraction_reads_it(text):
+    try:
+        expected = XPoly.const(Fraction(text))
+    except ZeroDivisionError as exc:
+        with pytest.raises(ZeroDivisionError, match=re.escape(str(exc))):
+            XPoly.from_json([{"coeff": text, "factors": []}])
+    else:
+        assert XPoly.from_json([{"coeff": text, "factors": []}]) == expected
+
+
 def test_parser_rejects_degrees_beyond_the_cap():
     # only the rejection is exercised: it happens before any expansion
     assert parse_poly(f"x1^{MAX_PARSE_DEGREE}").total_degree() == MAX_PARSE_DEGREE
@@ -174,9 +187,33 @@ def test_integer_core_matches_fraction_arithmetic(seed, ring):
         assert _fractions(result) == expected
         assert result == poly(ring, expected)
         assert hash(result) == hash(poly(ring, expected))
+        assert_json_text(result)
     for mono, c in a.items():
         assert pa.coefficient(mono) == c
-    assert ring.from_json(pa.to_json()) == pa
+
+
+def assert_json_text(p) -> None:
+    """Each JSON coefficient is the text of its Fraction, and the JSON reads back."""
+    data = p.to_json()
+    assert [item["coeff"] for item in data] == [str(p.coefficient(m)) for m, _ in p.monomials()]
+    assert type(p).from_json(data) == p
+
+
+@pytest.mark.parametrize("ring", (XPoly, JetPolynomial))
+@pytest.mark.parametrize("numerators, den, texts", [
+    ((3, 2), 6, ["1/2", "1/3"]),  # one shared denominator, each reduced alone
+    ((-3, 2), 6, ["-1/2", "1/3"]),
+    ((-9, 4), 6, ["-3/2", "2/3"]),
+    ((-4, 12), 4, ["-1", "3"]),
+    ((5, -7), 1, ["5", "-7"]),
+    ((6, 3), 9, ["2/3", "1/3"]),
+])
+def test_coefficient_text_reduces_each_coefficient(ring, numerators, den, texts):
+    monos = sorted({_random_mono(Random(seed), ring) for seed in range(40)},
+                   key=ring._term_key)[:2]
+    p = ring.from_numerators(dict(zip(monos, numerators)), den)
+    assert [item["coeff"] for item in p.to_json()] == texts
+    assert_json_text(p)
 
 
 def test_canonical_form_of_zero_and_cancellation():
