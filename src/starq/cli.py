@@ -69,6 +69,8 @@ def _atomic_write(path: str, render: Callable) -> None:
         try:
             with os.fdopen(fd, "w") as handle:
                 render(handle.write)
+            os.umask(umask := os.umask(0))  # read the umask: mkstemp made the file 0600
+            os.chmod(tmp, 0o666 & ~umask)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

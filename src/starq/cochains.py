@@ -16,7 +16,8 @@ alternating average over the arguments of a trilinear operator.  The
 kernels accumulate into ``RatVec`` running sums of integer numerators, one
 per output slot, all over one denominator common to the call (the lcm of
 the input coefficients' denominators, times the weights'), so each
-contribution is an integer multiple; each coefficient is built once.
+contribution is an integer multiple, and an insertion's products are left
+unreduced; each coefficient is built and reduced once.
 
 Empty slots (an argument multiplied without differentiation) occur in the
 bare multiplication, in insertions with it, and in terms that carry one.
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 from math import lcm
 from typing import Iterable, Iterator
@@ -172,6 +174,13 @@ class Cochain:
         return sorted(self.terms.items(),
                       key=lambda kv: (_lengths(kv[0]), kv[0]))
 
+    def first_difference(self, other: "Cochain") -> tuple:
+        """(self - other).sorted_terms()[0], self != other, from one coefficient."""
+        a, b = self.terms, other.terms
+        slots = min((s for s in a.keys() | b.keys() if a.get(s) != b.get(s)),
+                    key=lambda s: (_lengths(s), s))
+        return slots, self.coefficient(slots) - other.coefficient(slots)
+
     # -- structure of slots -------------------------------------------------
 
     def is_normalized(self) -> bool:
@@ -215,11 +224,12 @@ class Cochain:
                              [(1, self, other)], degrees)
 
     def bracket(self, other: "Cochain", degrees: tuple[int, ...] | None = None) -> "Cochain":
-        """Gerstenhaber bracket on shifted degrees (arity minus one); with
-        ``degrees``, only its part with those slot lengths."""
+        """Gerstenhaber bracket on shifted degrees (arity minus one), [a, a] by
+        one insertion; with ``degrees``, only its part with those slot lengths."""
         sign = (-1) ** ((self.arity - 1) * (other.arity - 1))
-        return insertion_sum(self.arity + other.arity - 1, self.ring,
-                             [(1, self, other), (-sign, other, self)], degrees)
+        pairs = ([(1 - sign, self, self)] if other is self
+                 else [(1, self, other), (-sign, other, self)])
+        return insertion_sum(self.arity + other.arity - 1, self.ring, pairs, degrees)
 
     # -- trilinear alternation ------------------------------------------------
 
@@ -299,13 +309,13 @@ def insertion_sum(arity: int, ring: str, insertions: Iterable[tuple],
     triples, accumulated in place into one running sum per output slot.
 
     A slot of the outer operator distributes over the composite argument:
-    one piece differentiates the inner coefficient, the others land on the
-    inner slots, with multinomial multiplicities.  Splits are grouped by
-    that first piece, so each product c_outer * d(c_inner) is formed once
-    per (outer term, piece, inner term), with its integer multiple of the
-    common denominator.  With target slot lengths ``degrees`` the result is
-    the sum's ``degree_part(degrees)``, and outer terms and inner slot
-    shapes that cannot land there are never visited.
+    one piece differentiates the inner coefficient, the others (a spread)
+    land on the inner slots, with multinomial multiplicities.  Per outer
+    term, each product c_outer * d(c_inner) is formed once per (piece, inner
+    term), unreduced, and kept by the inner term's position; each spread has
+    one list of the inner positions it lands on, with the merged slots.  With
+    target slot lengths ``degrees`` the result is the sum's
+    ``degree_part(degrees)``, and nothing that cannot land there is visited.
     """
     if degrees is not None:
         degrees = tuple(degrees)
@@ -317,9 +327,7 @@ def insertion_sum(arity: int, ring: str, insertions: Iterable[tuple],
                 for weight, outer, inner in insertions))
     sums = _sums(den)
     groups: dict = {}  # (outer slot, parts) -> its splits grouped by the first piece
-    merged: dict = {}  # (inner slots, spread pieces) -> the inner slots they land on
     for weight, outer, inner in insertions:
-        w_den = weight.denominator
         if outer.ring != ring or inner.ring != ring:
             raise ValueError("cochain ring mismatch")
         p, q = outer.arity, inner.arity
@@ -327,19 +335,17 @@ def insertion_sum(arity: int, ring: str, insertions: Iterable[tuple],
             raise ValueError("insertion arity does not match")
         if not weight:
             continue
-        if degrees is not None:
-            by_shape: dict[tuple[int, ...], list] = {}
-            for slots_n, c_n in inner.terms.items():
-                by_shape.setdefault(_lengths(slots_n), []).append((slots_n, c_n))
-        derivatives: dict = {}  # (inner slots, piece) -> derivative of that coefficient
+        inner_slots, inner_coeffs = list(inner.terms), list(inner.terms.values())
+        spreads: dict = {}  # (spread, inner degrees) -> [(inner position, merged slots)]
+        derivative = cache(lambda j, piece: inner_coeffs[j].derivative(piece))
         for slots_m, c_m in outer.terms.items():
-            products: dict = {}  # (piece, inner slots) -> (c_m * derivative, its multiple)
+            m_den = den // (c_m.den * weight.denominator)
+            products = defaultdict(lambda: [None] * len(inner_slots))  # piece -> by position
             for i in range(p):
                 head, tail = slots_m[:i], slots_m[i + 1:]
-                if degrees is not None:
-                    if _lengths(head) != degrees[:i] or _lengths(tail) != degrees[i + q:]:
-                        continue
-                    inner_degrees = degrees[i:i + q]
+                inner_degrees = None if degrees is None else degrees[i:i + q]
+                if degrees and _lengths(head) + inner_degrees + _lengths(tail) != degrees:
+                    continue
                 scale = weight.numerator * (-1) ** (i * (q - 1))
                 key = (slots_m[i], q + 1)
                 grouped = groups.get(key)
@@ -348,30 +354,23 @@ def insertion_sum(arity: int, ring: str, insertions: Iterable[tuple],
                     for pieces, count in splits(slots_m[i], q + 1):
                         grouped.setdefault(pieces[0], []).append((pieces[1:], count))
                 for on_coeff, spread in grouped.items():
+                    row = products[on_coeff]
                     for on_slots, count in spread:
-                        if degrees is None:
-                            inner_terms = inner.terms.items()
-                        else:
-                            shape = tuple(d - len(s) for d, s in zip(inner_degrees, on_slots))
-                            inner_terms = by_shape.get(shape, ())
-                        for slots_n, c_n in inner_terms:
-                            hit = products.get((on_coeff, slots_n))
+                        targets = spreads.get((on_slots, inner_degrees))
+                        if targets is None:
+                            middles = (tuple(map(merge, n, on_slots)) for n in inner_slots)
+                            targets = spreads[on_slots, inner_degrees] = [
+                                (j, middle) for j, middle in enumerate(middles)
+                                if inner_degrees is None or _lengths(middle) == inner_degrees]
+                        mul = scale * count
+                        for j, middle in targets:
+                            hit = row[j]
                             if hit is None:
-                                d_key = (slots_n, on_coeff)
-                                d_n = derivatives.get(d_key)
-                                if d_n is None:
-                                    d_n = derivatives[d_key] = c_n.derivative(on_coeff)
-                                product = c_m * d_n
-                                hit = products[on_coeff, slots_n] = (
-                                    product.terms, den // (product.den * w_den))
-                            terms, mul = hit
-                            if not terms:
-                                continue
-                            middle = merged.get((slots_n, on_slots))
-                            if middle is None:
-                                middle = merged[slots_n, on_slots] = tuple(
-                                    merge(t, d) for t, d in zip(slots_n, on_slots))
-                            sums[head + middle + tail].add_scaled(terms, mul * scale * count)
+                                d_n = derivative(j, on_coeff)
+                                hit = row[j] = (c_m.product_terms(d_n), m_den // d_n.den)
+                            terms, m_mul = hit
+                            if terms:
+                                sums[head + middle + tail].add_scaled(terms, m_mul * mul)
     return Cochain._from_sums(arity, ring, sums)
 
 

@@ -112,6 +112,15 @@ def jet_order(c: int) -> int:
     return len(var(c)[1])
 
 
+@cache
+def rank(c: int) -> int:
+    """An int that orders jet variables as their (tag, index) pairs compare."""
+    index = "".join(map(str, var(c)[1]))
+    if len(index) > 2 * MAX_ORDER:
+        raise ValueError(f"jet index of {len(index)} digits, above {2 * MAX_ORDER}")
+    return int(str(is_psi(c)) + index.ljust(2 * MAX_ORDER, "0"), 4)
+
+
 def decode(mono: Monomial) -> tuple[JetVar, ...]:
     """The factors of a monomial, phi before psi; the codes of one tag
     already sort by index length, then by index."""
@@ -160,8 +169,8 @@ class JetPolynomial(SparsePoly):
         return tuple(sorted(m1 + m2))
 
     @staticmethod
-    def _term_key(mono: Monomial):
-        return (len(mono), decode(mono))  # factor count, then factor keys
+    def _term_key(mono: Monomial):  # factor count, then decode's factors by rank
+        return (len(mono), tuple(map(rank, sorted(mono, key=is_psi))))
 
     _text_key = _term_key
 

@@ -151,18 +151,27 @@ class SparsePoly:
         return self.from_numerators({m: -c for m, c in self.terms.items()}, self.den)
 
     def __mul__(self, other):
-        mono_mul = self._mono_mul
+        return self.from_numerators(self.product_terms(other), self.den * other.den)
+
+    def product_terms(self, other) -> dict:
+        """self * other as nonzero numerators over self.den * other.den, unreduced."""
+        mono_mul, rest, short = self._mono_mul, self.terms, other.terms
+        if len(rest) < len(short):  # the ring is commutative
+            rest, short = short, rest
+        if len(short) == 1:  # multiplying by one monomial is injective: nothing cancels
+            [(m2, c2)] = short.items()
+            return {mono_mul(m1, m2): c1 * c2 for m1, c1 in rest.items()}
         out: dict = {}
         get = out.get
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+        for m1, c1 in rest.items():
+            for m2, c2 in short.items():
                 key = mono_mul(m1, m2)
                 s = get(key, 0) + c1 * c2
                 if s:
                     out[key] = s
                 else:
                     del out[key]
-        return self.from_numerators(out, self.den * other.den)
+        return out
 
     def scale(self, q: Fraction | int):
         n = q.numerator

@@ -7,11 +7,10 @@ formula, and level 1 is compared exactly, in either ring, with half the
 Poisson bracket of the stored potentials, P = psi grad phi.  The ring core
 and the insertion kernel are shared with the constructor; the independence
 is in the formulas, the symmetric-bracket right-hand side (one bracket per
-unordered pair of levels, each inserting both orders) against the
-constructor's one-sided sum, and the associator scan.  A verification run
-produces a machine-readable report whose failing entries each name a
-witness triple of polynomials, so a corrupted product is not just flagged
-but exhibited.
+unordered pair of levels) against the constructor's one-sided sum, and the
+associator scan.  A verification run produces a machine-readable report
+whose failing entries each name a witness triple of polynomials, so a
+corrupted product is not just flagged but exhibited.
 """
 
 from __future__ import annotations
@@ -243,10 +242,10 @@ def _rhs(levels: list[Cochain], k: int) -> Cochain:
 
     For bilinear levels the bracket is symmetric, [a, b] = a∘b + b∘a = [b, a],
     so the sum runs over unordered pairs: each [M_l, M_{k-l}] with l < k - l
-    once, and half of [M_{k/2}, M_{k/2}] for even k, floor(k/2) brackets in
-    all.  Every bracket still inserts both orders of its pair, so this
-    re-derives R_k by another formula than the constructor's one-sided sum;
-    the brackets are added into one accumulator.
+    once, and half of [M_{k/2}, M_{k/2}] (one insertion) for even k,
+    floor(k/2) brackets in all.  A bracket of two levels inserts both orders,
+    so this re-derives R_k by another formula than the constructor's
+    one-sided sum; the brackets are added into one accumulator.
     """
     return linear_combination(
         3, levels[1].ring,
@@ -285,7 +284,7 @@ def verify_star(star: StarProduct, degree: int | None = None) -> dict:
         if a == b:
             check(name, True)
         else:
-            slots, coeff = (a - b).sorted_terms()[0]
+            slots, coeff = a.first_difference(b)
             check(name, False, residual=coeff, witness=_witness_from_slots(slots))
 
     for k in range(1, len(levels)):

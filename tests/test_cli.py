@@ -309,6 +309,20 @@ def test_export_latex(tmp_path, capsys):
     assert "\\otimes" in text
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_out_files_follow_the_umask(umask, tmp_path, capsys):
+    star, report, tex = (tmp_path / name for name in ("star.json", "report.json", "star.tex"))
+    old = os.umask(umask)
+    try:
+        assert main(["construct", "--phi", "x3", "--order", "1", "--out", str(star)]) == 0
+        assert main(["verify", str(star), "--emit", "json", "--out", str(report)]) == 0
+        assert main(["export-latex", str(star), "--out", str(tex)]) == 0
+    finally:
+        os.umask(old)
+    for path in (star, report, tex):
+        assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
 def test_export_latex_prints_without_out(weyl_text, tmp_path, capsys):
     star = tmp_path / "star.json"
     star.write_text(weyl_text)

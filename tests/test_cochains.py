@@ -4,8 +4,9 @@ from random import Random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from starq import cochains
 from starq.cochains import (Cochain, JET_RING, X_RING, delta_terms, epsilon_cochain,
-                            insertion_sum, linear_combination, slot_total)
+                            insertion_sum, linear_combination, ring_class, slot_total)
 from starq.polynomials import XPoly, parse_poly
 
 from helpers import (eval_args, random_cochain, reference_antisymmetrize,
@@ -222,6 +223,47 @@ def test_bracket_and_insertion_sum_match_reference(seed, ring, p, q, weights):
         assert insertion_sum(p + q - 1, ring, triples, degrees) == folded.degree_part(degrees)
 
 
+def _one_monomial(c: Cochain) -> Cochain:
+    """c with each coefficient cut to its first monomial."""
+    cls = ring_class(c.ring)
+    return Cochain(c.arity, c.ring, {
+        slots: cls.from_numerators(dict(list(coeff.terms.items())[:1]), coeff.den)
+        for slots, coeff in c.terms.items()})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), RINGS, st.sampled_from((2, 3)), st.sampled_from((2, 3)))
+def test_insertion_sum_of_one_monomial_coefficients_matches_reference(seed, ring, p, q):
+    # every product then takes the one-term path of SparsePoly.product_terms
+    rng = Random(seed)
+    a, b = _one_monomial(_operand(rng, p, ring)), _one_monomial(_operand(rng, q, ring))
+    weight = Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
+    full = reference_insert(a, b).scale(weight)
+    assert insertion_sum(p + q - 1, ring, [(weight, a, b)]) == full
+    for degrees in {tuple(len(s) for s in slots) for slots in full.terms}:
+        assert insertion_sum(p + q - 1, ring, [(weight, a, b)], degrees) == \
+            full.degree_part(degrees)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32), RINGS, st.sampled_from((2, 3)))
+def test_self_bracket_is_one_insertion(seed, ring, p):
+    a = _operand(Random(seed), p, ring)
+    counted = []
+
+    def counting(arity, ring, insertions, degrees=None):
+        insertions = list(insertions)
+        counted.append(len(insertions))
+        return insertion_sum(arity, ring, insertions, degrees)
+
+    sign = (-1) ** ((p - 1) * (p - 1))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cochains, "insertion_sum", counting)
+        assert a.bracket(a) == reference_insert(a, a) - reference_insert(a, a).scale(sign)
+        assert a.bracket(a, (1,) * (2 * p - 1)) == a.bracket(a).degree_part((1,) * (2 * p - 1))
+    assert counted == [1, 1, 1]  # one insertion per bracket
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 32), RINGS, st.sampled_from((1, 2, 3)))
 def test_hochschild_delta_matches_reference(seed, ring, arity):
@@ -246,6 +288,28 @@ def test_antisymmetrize_and_combination_match_reference(seed, ring, weights):
     for q, term in pairs:
         folded = folded + term.scale(q)
     assert linear_combination(2, ring, pairs) == folded
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), RINGS)
+def test_first_difference_is_the_first_term_of_the_difference(seed, ring):
+    # b shares some of a's slot tuples, with the same or another coefficient,
+    # and has slot tuples of its own, so keys on one side only occur
+    rng = Random(seed)
+    a = random_cochain(rng, rng.choice((2, 3)), ring=ring, max_slot_degree=2,
+                       terms=rng.randint(0, 5))
+    b = random_cochain(rng, a.arity, ring=ring, max_slot_degree=2, terms=rng.randint(0, 3))
+    for slots, c in a.terms.items():
+        roll = rng.random()
+        if roll < 0.4:
+            b.terms[slots] = c
+        elif roll < 0.6:
+            b.terms[slots] = c + c
+    if a == b:
+        return
+    assert a.first_difference(b) == (a - b).sorted_terms()[0]
+    slots, coeff = b.first_difference(a)
+    assert (slots, -coeff) == a.first_difference(b)
 
 
 def test_insert_rejects_degree_tuple_of_wrong_length():

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from starq.cli import MAX_ORDER
-from starq.jets import (NABLA_PHI, PHI, PSI, PSI_NABLA_PHI, JetPolynomial, code, format_var,
-                        is_psi, jet_order, jet_var, lift, monomial_key, name_code, parse_var,
-                        phi_jet, psi_jet, substitute_factor, var, var_name)
+from starq.jets import (NABLA_PHI, PHI, PSI, PSI_NABLA_PHI, JetPolynomial, code, decode,
+                        format_var, is_psi, jet_order, jet_var, lift, monomial_key, name_code,
+                        parse_var, phi_jet, psi_jet, rank, substitute_factor, var, var_name)
 from starq.cochains import JET_RING
 from starq.latex import _SYMBOLS, _frac_latex, _join, ring_latex
 from starq.multiindex import all_indices, merge
@@ -117,6 +117,27 @@ def test_codes_decode_and_order_like_var_key():
     for tag in (PHI, PSI):
         same_tag = [v for v in variables if v[0] == tag]
         assert sorted(same_tag, key=code) == sorted(same_tag, key=_var_key)
+
+
+def test_rank_orders_jet_variables_as_tag_and_index_compare():
+    variables = _all_vars(2 * MAX_ORDER)
+    ranks = [rank(code(v)) for v in sorted(variables)]
+    assert ranks == sorted(set(ranks))  # strictly increasing
+    with pytest.raises(ValueError):
+        rank(code(phi_jet(*(1,) * (2 * MAX_ORDER + 1))))
+
+
+_INDICES = st.lists(st.sampled_from((1, 2, 3)), max_size=2 * MAX_ORDER).map(sorted)
+_VARS = st.one_of(_INDICES.filter(bool).map(lambda i: phi_jet(*i)),
+                  _INDICES.map(lambda i: psi_jet(*i)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(_VARS, max_size=4).map(monomial_key), min_size=2, max_size=12))
+def test_term_key_orders_monomials_as_decode_does(monos):
+    # indices share prefixes often enough that a key by length first would fail
+    assert (sorted(monos, key=JetPolynomial._term_key)
+            == sorted(monos, key=lambda m: (len(m), decode(m))))
 
 
 def test_term_order_is_by_tag_and_index_not_by_code():

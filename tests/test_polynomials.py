@@ -192,6 +192,37 @@ def test_integer_core_matches_fraction_arithmetic(seed, ring):
         assert pa.coefficient(mono) == c
 
 
+def _product_cases(ring) -> tuple:
+    """Pinned operand pairs for the unreduced product: a one-term factor, and
+    (u + v)(u - v), whose u*v terms cancel."""
+    if ring is XPoly:
+        one, u, v = (0, 0, 0), (1, 0, 0), (0, 1, 0)
+    else:
+        one, u, v = (), monomial_key([phi_jet(1)]), monomial_key([psi_jet(2)])
+    return (({u: Fraction(1, 2)}, {v: Fraction(3, 4), one: 2}),
+            ({u: 1, v: 1}, {u: 1, v: -1}))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from((XPoly, JetPolynomial)),
+       st.sampled_from((None, "left", "right", "pinned")))
+def test_unreduced_product_matches_the_product(seed, ring, case):
+    rng = Random(seed)
+    a, b = _random_terms(rng, ring), _random_terms(rng, ring)
+    if case == "left":
+        a = dict(list(a.items())[:1])
+    elif case == "right":
+        b = dict(list(b.items())[:1])
+    elif case == "pinned":
+        a, b = rng.choice(_product_cases(ring))
+    pa, pb = poly(ring, a), poly(ring, b)
+    terms = pa.product_terms(pb)
+    assert all(type(c) is int and c for c in terms.values())
+    den = pa.den * pb.den
+    assert {m: Fraction(c, den) for m, c in terms.items()} == fraction_mul(a, b, ring._mono_mul)
+    assert ring.from_numerators(terms, den) == pa * pb == pb * pa
+
+
 def assert_json_text(p) -> None:
     """Each JSON coefficient is the text of its Fraction, and the JSON reads back."""
     data = p.to_json()
