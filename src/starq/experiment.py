@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cochains import Cochain, JET_RING, linear_combination
-from .jets import PSI_NABLA_PHI, JetPolynomial
+from .jets import PSI_NABLA_PHI, JetPolynomial, factor_codes
 from .linsolve import ColumnReducer
 from .opo import concretize, enumerate_terms, is_opo, term_to_text
 from .polynomials import RatVec
@@ -103,11 +103,11 @@ def _solvable(solver: DeltaSolver, rhs: Cochain, k: int) -> bool:
 
 def _combined_rows(lhs: Cochain, witness: JetPolynomial, sign: int) -> RatVec:
     """One vector of the combined system: the coefficients of lhs on
-    ("delta", monomial, slots) rows and sign times the witness on
-    ("ar", monomial) rows."""
+    ("delta", monomial codes, slots) rows and sign times the witness on
+    ("ar", monomial codes) rows."""
     flat = _flatten(lhs)
     vec = RatVec({("delta",) + row: c for row, c in flat.terms.items()}, flat.den)
-    vec.add({("ar", mono): c for mono, c in witness.terms.items()}, witness.den, sign)
+    vec.add({("ar", factor_codes(m)): c for m, c in witness.terms.items()}, witness.den, sign)
     return vec
 
 

@@ -9,14 +9,16 @@ is the symmetry of mixed partials, enforced by keeping multi-indices sorted.
 
 A JetPolynomial is a sparse rational polynomial in jet variables, a ring
 class on the sparse core of ``starq.polynomials`` (integer numerators over
-one denominator).  Inside a monomial each jet variable is its small int
-``code``, and a monomial is the sorted tuple of its factors' codes, so
-multiplying monomials merges int tuples and structural equality is dict and
-denominator equality.  ``var`` decodes a code back to the public
-``(tag, index)`` pair; names, JSON, printing and LaTeX list a monomial's
-factors phi before psi, then by index length, then by index.  At the JSON
-boundary a code's name and a name's code are each worked out once and
-looked up after (``var_name``, ``name_code``).
+one denominator).  Each jet variable is its small int ``code``, and a
+monomial an int id into the monomial table, the ring's one cache, which only
+grows: ``factor_codes`` gives an id's sorted codes, ``intern`` the id of such
+a tuple; id 0 is the constant.  Products of ids, x-derivatives of an id and
+each id's term key and names are memoized.  Ids follow the order monomials
+were first met, so no output, sort or pivot may depend on an id's value.
+``var`` decodes a code back to the public ``(tag, index)`` pair; names,
+JSON, printing and LaTeX list a monomial's factors phi before psi, then by
+index length, then by index.  At the JSON boundary a code's name, a name's
+code and a name list's id are each worked out once and looked up after.
 The total x-derivative acts by prolongation, d/dx_a phi_I = phi_{I+a},
 extended as a derivation to products; ``lift`` prolongs a code.
 """
@@ -44,7 +46,7 @@ MODES = (NABLA_PHI, PSI_NABLA_PHI)
 MAX_ORDER = 8
 
 JetVar = tuple[str, MultiIndex]
-Monomial = tuple[int, ...]  # sorted codes of the factors
+Monomial = int  # an id into the monomial table
 
 
 def jet_var(tag: str, index: MultiIndex) -> JetVar:
@@ -96,8 +98,22 @@ def lift(c: int, direction: int) -> int:
     return code((tag, merge(index, (direction,))))
 
 
+_codes: list[tuple[int, ...]] = [()]  # the monomial table: id -> sorted codes
+_ids: dict[tuple[int, ...], Monomial] = {(): 0}  # and back
+_loaded: dict[tuple, Monomial] = {}  # a list of JSON names already read -> id
+factor_codes = _codes.__getitem__  # the sorted codes of a monomial's factors
+
+
+def intern(codes: tuple[int, ...]) -> Monomial:
+    """The id of the monomial with these sorted codes, appended if new."""
+    if codes not in _ids:
+        _ids[codes] = len(_codes)
+        _codes.append(codes)
+    return _ids[codes]
+
+
 def monomial_key(factors: Iterable[JetVar]) -> Monomial:
-    return tuple(sorted(map(code, factors)))
+    return intern(tuple(sorted(map(code, factors))))
 
 
 @cache
@@ -124,7 +140,7 @@ def rank(c: int) -> int:
 def decode(mono: Monomial) -> tuple[JetVar, ...]:
     """The factors of a monomial, phi before psi; the codes of one tag
     already sort by index length, then by index."""
-    return tuple(map(var, sorted(mono, key=is_psi)))
+    return tuple(map(var, sorted(_codes[mono], key=is_psi)))
 
 
 def format_var(v: JetVar) -> str:
@@ -157,53 +173,59 @@ def name_code(text: str) -> int:
 
 
 class JetPolynomial(SparsePoly):
-    """Sparse rational polynomial in jet variables; a monomial is the sorted
-    tuple of its factors' codes."""
+    """Sparse rational polynomial in jet variables; a monomial is an id into
+    the monomial table."""
 
     __slots__ = ()
 
-    _unit: Monomial = ()
+    _unit: Monomial = 0
 
     @staticmethod
+    @cache
     def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-        return tuple(sorted(m1 + m2))
+        return intern(tuple(sorted(_codes[m1] + _codes[m2])))
 
     @staticmethod
+    @cache
     def _term_key(mono: Monomial):  # factor count, then decode's factors by rank
-        return (len(mono), tuple(map(rank, sorted(mono, key=is_psi))))
+        return (len(_codes[mono]), tuple(map(rank, sorted(_codes[mono], key=is_psi))))
 
     _text_key = _term_key
 
     @staticmethod
+    @cache
     def _factors(mono: Monomial) -> list[str]:
-        return [var_name(c) for c in sorted(mono, key=is_psi)]
+        return [var_name(c) for c in sorted(_codes[mono], key=is_psi)]
 
     @staticmethod
     def _parse_factors(names) -> Monomial:
-        codes = []
-        for name in names:
-            if not isinstance(name, str):
-                raise ValueError(f"malformed jet variable {name!r}")
-            codes.append(name_code(name))
-        return tuple(sorted(codes))
+        names = tuple(names)
+        try:
+            return _loaded[names]
+        except (KeyError, TypeError):  # names not read before; parse_var rejects a non-string
+            codes = [name_code(n) if isinstance(n, str) else parse_var(n) for n in names]
+        return _loaded.setdefault(names, intern(tuple(sorted(codes))))
 
     @staticmethod
     def variable(v: JetVar) -> "JetPolynomial":
-        return JetPolynomial.from_numerators({(code(v),): 1})
+        return JetPolynomial.from_numerators({intern((code(v),)): 1})
+
+    @staticmethod
+    @cache
+    def _leibniz(mono: Monomial, direction: int) -> dict[Monomial, int]:
+        """d/dx_direction of a monomial, one term per factor, as {id: multiplicity}."""
+        codes, out = _codes[mono], {}
+        for pos, c in enumerate(codes):
+            key = intern(tuple(sorted(codes[:pos] + (lift(c, direction),) + codes[pos + 1:])))
+            out[key] = out.get(key, 0) + 1
+        return out
 
     def x_derivative(self, direction: int) -> "JetPolynomial":
         """Total derivative: prolongation on each factor, Leibniz over products."""
-        out: dict[Monomial, int] = {}
-        get = out.get
+        out, leibniz = RatVec(), self._leibniz
         for mono, c in self.terms.items():
-            for pos, v in enumerate(mono):
-                key = tuple(sorted(mono[:pos] + (lift(v, direction),) + mono[pos + 1:]))
-                s = get(key, 0) + c
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-        return JetPolynomial.from_numerators(out, self.den)
+            out.add_scaled(leibniz(mono, direction), c)
+        return JetPolynomial.from_numerators(out.terms, self.den)
 
     def eval_jets(self, phi: XPoly | None, psi: XPoly | None) -> XPoly:
         """Substitute explicit potentials for the jet variables.
@@ -215,7 +237,7 @@ class JetPolynomial(SparsePoly):
         total = RatVec()
         for mono, c in self.terms.items():
             value = XPoly.const(c)
-            for tag, index in map(var, mono):
+            for tag, index in map(var, _codes[mono]):
                 if value.is_zero:
                     break
                 if tag == PHI:
@@ -228,10 +250,6 @@ class JetPolynomial(SparsePoly):
                     value = value * psi.derivative(index)
             total.add(value.terms, value.den)
         return XPoly.from_numerators(total.terms, total.den * self.den)
-
-    def max_jet_order(self) -> int:
-        """Largest derivative order among all jet factors; 0 if constant."""
-        return max((jet_order(c) for mono in self.terms for c in mono), default=0)
 
 
 _EPSILON = {

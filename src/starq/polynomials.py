@@ -231,14 +231,14 @@ class SparsePoly:
     def to_json(self) -> list[dict]:
         """Terms in the canonical order; each coefficient is written as
         str(Fraction) writes it, from its numerator and the denominator
-        reduced by one gcd."""
+        reduced by one gcd; each factor list is a copy, as a ring may cache it."""
         terms, den, factors = self.terms, self.den, self._factors
         out = []
         for m in sorted(terms, key=self._term_key):
             n = terms[m]
             g = gcd(n, den)
             out.append({"coeff": str(n // g) if g == den else f"{n // g}/{den // g}",
-                        "factors": factors(m)})
+                        "factors": list(factors(m))})
         return out
 
     @classmethod

@@ -37,7 +37,7 @@ from .cochains import (
     Cochain, JET_RING, X_RING, _common_den, delta_terms, epsilon_cochain, insertion_sum,
     linear_combination, ring_class, slot_total,
 )
-from .jets import MAX_ORDER, MODES, PSI_NABLA_PHI, decode, is_psi, jet_order
+from .jets import MAX_ORDER, MODES, PSI_NABLA_PHI, decode, factor_codes, is_psi, jet_order
 from .linsolve import ColumnReducer
 from .multiindex import MultiIndex, splits
 from .opo import concretize, enumerate_terms
@@ -198,9 +198,10 @@ def check_grading(cochain: Cochain, k: int, mode: str) -> None:
     for slots, coeff in cochain.terms.items():
         s_total = slot_total(slots)
         for mono in coeff.terms:
-            n_psi = sum(map(is_psi, mono))
-            n_phi = len(mono) - n_psi
-            jet_total = sum(map(jet_order, mono))
+            codes = factor_codes(mono)
+            n_psi = sum(map(is_psi, codes))
+            n_phi = len(codes) - n_psi
+            jet_total = sum(map(jet_order, codes))
             if n_phi != k or n_psi != (k if want_psi else 0):
                 raise GradingError(
                     f"level {k}: factor counts ({n_phi} phi, {n_psi} psi) in {decode(mono)}")
@@ -323,8 +324,8 @@ class DeltaSolver:
 # -- gauge re-selection inside the orderable-diagram span ------------------------------
 
 # Even levels above this stay in the pivot gauge, since raising it changes their
-# outputs.  The diagram layer allows more: opo_projections(4) takes about 1 s,
-# and an order-4 build with limit 4 about 5 s (2-core machine, Python 3.11).
+# outputs.  The diagram layer allows more: opo_projections(4) takes about 0.4 s,
+# and an order-4 build with limit 4 about 1.0 s (2-core machine, Python 3.11).
 OPO_GAUGE_LIMIT = 2
 
 
@@ -349,13 +350,14 @@ def opo_projections(k: int, mode: str) -> list[tuple[int, Cochain, Cochain]]:
 
 
 def _flatten(cochain: Cochain) -> RatVec:
-    """The coefficients of a cochain as one vector over (monomial, slots) rows."""
+    """The coefficients as one vector over (monomial, slots) rows, jets by their codes."""
     den = _common_den(cochain)
+    key = factor_codes if cochain.ring == JET_RING else tuple
     rows = {}
     for slots, coeff in cochain.terms.items():
         mul = den // coeff.den
         for mono, c in coeff.terms.items():
-            rows[mono, slots] = c * mul
+            rows[key(mono), slots] = c * mul
     return RatVec(rows, den)
 
 

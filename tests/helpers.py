@@ -7,7 +7,8 @@ from math import lcm
 from random import Random
 
 from starq.cochains import Cochain, JET_RING, X_RING, ring_class, slot_total
-from starq.jets import JetPolynomial, monomial_key, phi_jet, psi_jet, substitute_factor, var
+from starq.jets import (JetPolynomial, code, decode, format_var, lift, monomial_key, phi_jet,
+                        psi_jet, substitute_factor, var)
 from starq.multiindex import all_indices, merge, splits
 from starq.opo import ARG, FAC, AbstractTerm, canonical_term, is_opo
 from starq.polynomials import RatVec, XPoly, monomials_up_to
@@ -228,11 +229,50 @@ def fraction_x_derivative(a: dict, direction: int, ring) -> dict:
                 key = tuple(e - (i == direction - 1) for i, e in enumerate(mono))
                 _put(out, key, c * mono[direction - 1])
         else:
-            factors = [var(code) for code in mono]
+            factors = list(decode(mono))
             for pos, (tag, index) in enumerate(factors):
                 lifted = (tag, merge(index, (direction,)))
                 _put(out, monomial_key(factors[:pos] + [lifted] + factors[pos + 1:]), c)
     return out
+
+
+def max_jet_order(p: JetPolynomial) -> int:
+    """Largest derivative order among the jet factors of p; 0 if constant."""
+    return max((len(index) for mono in p.terms for _, index in decode(mono)), default=0)
+
+
+# -- reference jet monomials ----------------------------------------------------------
+# A monomial as the sorted tuple of its factors' codes, merged, sorted and
+# decoded again on every use: the representation the monomial table interns.
+
+def random_codes(rng: Random, max_factors: int = 4, max_len: int = 3) -> tuple[int, ...]:
+    """The sorted codes of a random monomial with phi and psi factors."""
+    factors = [phi_jet(*random_index(rng, max_len, min_len=1)) if rng.random() < 0.5
+               else psi_jet(*random_index(rng, max_len)) for _ in range(rng.randint(0, max_factors))]
+    return tuple(sorted(map(code, factors)))
+
+
+def tuple_mono_mul(a: tuple, b: tuple) -> tuple:
+    return tuple(sorted(a + b))
+
+
+def tuple_leibniz(codes: tuple, direction: int) -> list[tuple]:
+    """The monomials of d/dx_direction of a monomial, one per factor."""
+    return [tuple(sorted(codes[:pos] + (lift(c, direction),) + codes[pos + 1:]))
+            for pos, c in enumerate(codes)]
+
+
+def _shown_vars(codes: tuple) -> list:
+    """The factors in printed order: phi before psi, then by index length and index."""
+    return sorted(map(var, codes), key=lambda v: (v[0], len(v[1]), v[1]))
+
+
+def tuple_term_key(codes: tuple) -> tuple:
+    return (len(codes), tuple(_shown_vars(codes)))
+
+
+def tuple_factors(codes: tuple) -> list[str]:
+    return [format_var(v) for v in _shown_vars(codes)]
 
 
 # -- reference linear solver ----------------------------------------------------------

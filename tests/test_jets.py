@@ -1,16 +1,22 @@
+from collections import Counter
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from starq.cli import MAX_ORDER
 from starq.jets import (NABLA_PHI, PHI, PSI, PSI_NABLA_PHI, JetPolynomial, code, decode,
-                        format_var, is_psi, jet_order, jet_var, lift, monomial_key, name_code,
-                        parse_var, phi_jet, psi_jet, rank, substitute_factor, var, var_name)
+                        factor_codes, format_var, intern, is_psi, jet_order, jet_var, lift,
+                        monomial_key, name_code, parse_var, phi_jet, psi_jet, rank,
+                        substitute_factor, var, var_name)
 from starq.cochains import JET_RING
 from starq.latex import _SYMBOLS, _frac_latex, _join, ring_latex
 from starq.multiindex import all_indices, merge
 from starq.polynomials import XPoly, parse_poly
+
+from helpers import (max_jet_order, random_codes, tuple_factors, tuple_leibniz, tuple_mono_mul,
+                     tuple_term_key)
 
 
 def test_jet_var_validation():
@@ -68,7 +74,7 @@ def test_eval_jets_specializes_to_explicit_polynomials():
 def test_factor_counts_and_jet_order():
     mono = (phi_jet(1), phi_jet(2, 3), psi_jet())
     p = JetPolynomial.from_monomial(monomial_key(mono), Fraction(1))
-    assert p.max_jet_order() == 2
+    assert max_jet_order(p) == 2
 
 
 def test_json_roundtrip():
@@ -137,7 +143,7 @@ _VARS = st.one_of(_INDICES.filter(bool).map(lambda i: phi_jet(*i)),
 def test_term_key_orders_monomials_as_decode_does(monos):
     # indices share prefixes often enough that a key by length first would fail
     assert (sorted(monos, key=JetPolynomial._term_key)
-            == sorted(monos, key=lambda m: (len(m), decode(m))))
+            == sorted(monos, key=lambda m: (len(factor_codes(m)), decode(m))))
 
 
 def test_term_order_is_by_tag_and_index_not_by_code():
@@ -164,9 +170,41 @@ def test_cached_name_maps_agree_with_format_and_parse():
     longest = phi_jet(*[3] * (2 * MAX_ORDER))  # the longest index a stored name may carry
     assert name_code(format_var(longest)) == code(longest)
     mono = monomial_key(variables[:6] + variables[-6:])
-    names = [format_var(v) for v in sorted(map(var, mono), key=_var_key)]
+    names = [format_var(v) for v in sorted(map(var, factor_codes(mono)), key=_var_key)]
     assert JetPolynomial._factors(mono) == names
     assert JetPolynomial._parse_factors(names) == mono
+
+
+# -- the monomial table against the tuple-merge reference ------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_table_matches_tuple_merge(seed):
+    rng = Random(seed)
+    tuples = [random_codes(rng) for _ in range(6)]
+    monos = [intern(t) for t in tuples]
+    assert monomial_key(map(var, tuples[0])) == monos[0]
+    for a, m in zip(tuples, monos):
+        assert factor_codes(m) == a
+        for b, n in zip(tuples, monos):
+            for _ in range(2):  # the merge, then the memo
+                assert factor_codes(JetPolynomial._mono_mul(m, n)) == tuple_mono_mul(a, b)
+        for direction in (1, 2, 3):
+            for _ in range(2):
+                d = JetPolynomial.from_monomial(m).x_derivative(direction)
+                assert ({factor_codes(k): c for k, c in d.terms.items()}
+                        == Counter(tuple_leibniz(a, direction)))
+        for _ in range(2):  # worked out, then kept; a document's lists are copies
+            JetPolynomial.from_monomial(m).to_json()[0]["factors"].append("phi_1")
+            assert JetPolynomial._factors(m) == tuple_factors(a)
+            names = tuple_factors(a)
+            assert JetPolynomial._parse_factors(names) == m
+            assert JetPolynomial._parse_factors(rng.sample(names, len(names))) == m
+        if a:  # a list of codes is no list of names, though its tuple is in the table
+            with pytest.raises(ValueError, match="malformed jet variable"):
+                JetPolynomial._parse_factors(list(a))
+    assert (sorted(monos, key=JetPolynomial._term_key)
+            == sorted(monos, key=lambda m: tuple_term_key(factor_codes(m))))
 
 
 @pytest.mark.parametrize("name", ["phi_", "phi_4", "chi_1", "phi1", "psi_0",

@@ -198,7 +198,7 @@ def _product_cases(ring) -> tuple:
     if ring is XPoly:
         one, u, v = (0, 0, 0), (1, 0, 0), (0, 1, 0)
     else:
-        one, u, v = (), monomial_key([phi_jet(1)]), monomial_key([psi_jet(2)])
+        one, u, v = monomial_key([]), monomial_key([phi_jet(1)]), monomial_key([psi_jet(2)])
     return (({u: Fraction(1, 2)}, {v: Fraction(3, 4), one: 2}),
             ({u: 1, v: 1}, {u: 1, v: -1}))
 

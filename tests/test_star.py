@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 import starq.cochains
 import starq.star
 from starq.cochains import Cochain, JET_RING, X_RING, epsilon_cochain, linear_combination
-from starq.jets import (NABLA_PHI, PSI_NABLA_PHI, JetPolynomial, phi_jet, substitute_factor,
-                        var)
+from starq.jets import (NABLA_PHI, PSI_NABLA_PHI, JetPolynomial, decode, phi_jet,
+                        substitute_factor)
 from starq.multiindex import all_indices, merge
 from starq.polynomials import XPoly, parse_poly
 from starq.star import (ClosureError, DeltaSolver, GradingError, InfeasibleError,
@@ -261,7 +261,7 @@ def test_right_hand_sides_fill_every_slot(mode, k, request):
     rhs, _ = level_equation(star.levels, k, mode)
     assert rhs.terms and all(all(slots) for slots in rhs.terms)
     orders = [len(index) for coeff in rhs.terms.values()
-              for mono in coeff.terms for _, index in map(var, mono)]
+              for mono in coeff.terms for _, index in decode(mono)]
     assert max(orders) <= 2 * k - 2
 
 
