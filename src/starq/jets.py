@@ -13,8 +13,9 @@ one denominator).  Each jet variable is its small int ``code``, and a
 monomial an int id into the monomial table, the ring's one cache, which only
 grows: ``factor_codes`` gives an id's sorted codes, ``intern`` the id of such
 a tuple; id 0 is the constant.  Products of ids, x-derivatives of an id and
-each id's term key and names are memoized.  Ids follow the order monomials
-were first met, so no output, sort or pivot may depend on an id's value.
+each id's term key, names and grading are memoized.  Ids follow the order
+monomials were first met, so no output, sort or pivot may depend on an id's
+value.
 ``var`` decodes a code back to the public ``(tag, index)`` pair; names,
 JSON, printing and LaTeX list a monomial's factors phi before psi, then by
 index length, then by index.  At the JSON boundary a code's name, a name's
@@ -123,9 +124,12 @@ def is_psi(c: int) -> int:
 
 
 @cache
-def jet_order(c: int) -> int:
-    """The derivative order of the jet variable of a code."""
-    return len(var(c)[1])
+def grading(mono: Monomial) -> tuple[int, int, int]:
+    """The phi count, the psi count and the jet-order total of a monomial,
+    worked out once per id."""
+    codes = _codes[mono]
+    n_psi = sum(map(is_psi, codes))
+    return len(codes) - n_psi, n_psi, sum(len(var(c)[1]) for c in codes)
 
 
 @cache

@@ -14,12 +14,13 @@ Orderability is a property of the representation: a term is rightward
 orderable when the factors admit a total order in which every factor's
 uppers land only on later factors or on arguments.  That holds exactly
 when the factor-to-factor contraction graph is acyclic, and the witness
-arrangement is its smallest topological order; enumeration generates the
-orderable diagrams in such a labeling instead of filtering all of them.
-The Hochschild coboundary and the insertion product act on diagrams,
-treating every upper endpoint as an individually reassignable wire;
-multiplicities reappear when diagrams are concretized over the coordinate
-index assignments that eps^{ijk} does not kill.
+arrangement is its smallest topological order.  Enumeration yields only
+orderable diagrams, generated in such a labeling instead of filtered out of
+every wiring: they span the levels the construction re-selects.
+Concretization expands a diagram over the coordinate index assignments that
+eps^{ijk} does not kill.  The diagram-level coboundary and insertion, the
+full enumeration and the named example diagrams are test oracles, and live
+in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations, permutations, product
 import re
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .cochains import Cochain, JET_RING
 from .jets import JetPolynomial, substitute_factor
@@ -121,25 +122,6 @@ def canonical_term(coeff: Fraction | int, raw_pairs: Sequence[tuple[Target, Targ
     return AbstractTerm(coeff * best_sign, best, n_args)
 
 
-def combine(terms: Iterable[AbstractTerm]) -> list[AbstractTerm]:
-    """Merge canonical terms with equal diagrams, dropping cancellations."""
-    acc: dict[tuple, AbstractTerm] = {}
-    for t in terms:
-        if t is None or not t.coeff:
-            continue
-        key = t.key()
-        hit = acc.get(key)
-        if hit is None:
-            acc[key] = AbstractTerm(t.coeff, t.pairs, t.n_args)
-        else:
-            total = hit.coeff + t.coeff
-            if total:
-                acc[key] = AbstractTerm(total, t.pairs, t.n_args)
-            else:
-                del acc[key]
-    return [acc[k] for k in sorted(acc)]
-
-
 # -- orderability -------------------------------------------------------------
 
 def is_opo(term: AbstractTerm) -> tuple[bool, tuple[int, ...] | None]:
@@ -174,72 +156,6 @@ def is_opo(term: AbstractTerm) -> tuple[bool, tuple[int, ...] | None]:
     if len(order) != n:
         return False, None
     return True, tuple(order)
-
-
-# -- diagram-level Hochschild coboundary and insertion ------------------------
-
-def _retarget(pairs: Sequence[Pair], mapping) -> list[tuple[Target, Target]]:
-    return [(mapping(a), mapping(b)) for a, b in pairs]
-
-
-def _endpoint_choices(pairs: Sequence[Pair], hits) -> Iterator[list[tuple[Target, Target]]]:
-    """All rewirings of the endpoints selected by hits(target) -> list of
-    replacement targets; other endpoints stay put."""
-    slots: list[list[Target]] = []
-    for a, b in pairs:
-        slots.append(hits(a))
-        slots.append(hits(b))
-    for choice in product(*slots):
-        it = iter(choice)
-        yield [(next(it), next(it)) for _ in pairs]
-
-
-def abstract_delta(term: AbstractTerm) -> list[AbstractTerm]:
-    """Hochschild coboundary of a diagram, one arity higher: -[D, m] for the
-    multiplication diagram m, which has no factors and two arguments."""
-    return [t.scale(-1) for t in abstract_bracket(term, AbstractTerm(Fraction(1), (), 2))]
-
-
-def abstract_insert(outer: AbstractTerm, inner: AbstractTerm) -> list[AbstractTerm]:
-    """Insertion product on diagrams: inner replaces one argument of outer,
-    and every outer endpoint on that argument reattaches to an inner factor
-    or an inner argument."""
-    m_args, n_args = outer.n_args, inner.n_args
-    offset = outer.n_factors
-    inner_degree = n_args - 1
-    results: list[AbstractTerm] = []
-    for i in range(m_args):
-        sign = Fraction((-1) ** (i * inner_degree))
-
-        def inner_map(t: Target, i=i) -> Target:
-            if t[0] == FAC:
-                return (FAC, t[1] + offset)
-            return (ARG, t[1] + i)
-
-        inner_pairs = _retarget(inner.pairs, inner_map)
-        landing: list[Target] = [(FAC, offset + v) for v in range(inner.n_factors)]
-        landing += [(ARG, i + a) for a in range(n_args)]
-
-        def hits(t: Target, i=i, landing=landing) -> list[Target]:
-            if t[0] == ARG:
-                if t[1] == i:
-                    return landing
-                if t[1] > i:
-                    return [(ARG, t[1] + n_args - 1)]
-            return [t]
-
-        for rewired in _endpoint_choices(outer.pairs, hits):
-            results.append(canonical_term(
-                outer.coeff * inner.coeff * sign, rewired + inner_pairs,
-                m_args + n_args - 1))
-    return combine(results)
-
-
-def abstract_bracket(left: AbstractTerm, right: AbstractTerm) -> list[AbstractTerm]:
-    m, n = left.n_args - 1, right.n_args - 1
-    swap_sign = -Fraction((-1) ** (m * n))
-    swapped = [t.scale(swap_sign) for t in abstract_insert(right, left)]
-    return combine(list(abstract_insert(left, right)) + swapped)
 
 
 # -- concretization ------------------------------------------------------------
@@ -294,19 +210,19 @@ def concretize(terms: Iterable[AbstractTerm], mode: str) -> Cochain:
 
 # -- enumeration ----------------------------------------------------------------
 
-def enumerate_terms(n_factors: int, require_opo: bool = False) -> list[AbstractTerm]:
-    """All canonical unit-coefficient bidifferential diagrams with the given
-    factor count, sorted by key.
+def enumerate_terms(n_factors: int) -> list[AbstractTerm]:
+    """All canonical unit-coefficient rightward-orderable bidifferential
+    diagrams with the given factor count, sorted by key.
 
     Diagrams are deduplicated under factor relabeling; each argument must
-    receive at least one wire.  With require_opo only rightward-orderable
-    diagrams are generated: each has a labeling in which factor u points
-    only at the arguments and at factors v > u, so factor u picks its pair
-    among those C(n + 1 - u, 2) targets and every candidate is acyclic.
+    receive at least one wire.  Each is generated in a labeling in which
+    factor u points only at the arguments and at factors v > u, so factor u
+    picks its pair among those C(n + 1 - u, 2) targets and every candidate
+    is acyclic.
     """
     def pairs(u: int) -> list[Pair]:
-        later = range(u + 1, n_factors) if require_opo else range(n_factors)
-        return list(combinations([(ARG, 0), (ARG, 1)] + [(FAC, v) for v in later], 2))
+        later = [(FAC, v) for v in range(u + 1, n_factors)]
+        return list(combinations([(ARG, 0), (ARG, 1)] + later, 2))
 
     seen: dict[tuple, AbstractTerm] = {}
     for assignment in product(*(pairs(u) for u in range(n_factors))):
@@ -425,51 +341,3 @@ def term_to_text(term: AbstractTerm) -> str:
         mine = ",".join(lowers.get((ARG, a), []))
         chunks.append(f"@{a + 1}({mine})")
     return " ".join(chunks)
-
-
-# -- reference diagrams -------------------------------------------------------------
-
-def poisson_term() -> AbstractTerm:
-    """P^{ij} d_i f d_j g."""
-    return parse_term("P(i,j) @1(i) @2(j)")
-
-
-def non_orderable_example() -> AbstractTerm:
-    """d_r P^{is} d_s P^{jr} d_i f d_j g: mutually leftward in every arrangement."""
-    return parse_term("dP(r;i,s) dP(s;j,r) @1(i) @2(j)")
-
-
-def double_bracket_terms() -> list[AbstractTerm]:
-    """The three diagrams of the iterated bracket {{f,g},h}."""
-    return [
-        parse_term("dP(k;i,j) P(k,l) @1(i) @2(j) @3(l)"),
-        parse_term("P(i,j) P(k,l) @1(i,k) @2(j) @3(l)"),
-        parse_term("P(i,j) P(k,l) @1(i) @2(j,k) @3(l)"),
-    ]
-
-
-def jacobi_example_terms() -> list[AbstractTerm]:
-    """Six diagrams of the contracted-Jacobi operator that sums to zero.
-
-    The cyclic combination P^{kr} d_r P^{lm} + P^{lr} d_r P^{mk}
-    + P^{mr} d_r P^{kl} is differentiated by d_i coming from d_k P^{ij},
-    with d_j d_l f d_m g; the Leibniz expansion gives two diagrams per
-    cyclic summand.
-    """
-    texts = [
-        # cycl. 1: d_k P^{ij} * d_i(P^{kr} d_r P^{lm}) * d_j d_l f * d_m g
-        "dP(k;i,j) dP(i;k,r) dP(r;l,m) @1(j,l) @2(m)",
-        "dP(k;i,j) P(k,r) dP(r,i;l,m) @1(j,l) @2(m)",
-        # cycl. 2: d_k P^{ij} * d_i(P^{lr} d_r P^{mk}) * d_j d_l f * d_m g
-        "dP(k;i,j) dP(i;l,r) dP(r;m,k) @1(j,l) @2(m)",
-        "dP(k;i,j) P(l,r) dP(r,i;m,k) @1(j,l) @2(m)",
-        # cycl. 3: d_k P^{ij} * d_i(P^{mr} d_r P^{kl}) * d_j d_l f * d_m g
-        "dP(k;i,j) dP(i;m,r) dP(r;k,l) @1(j,l) @2(m)",
-        "dP(k;i,j) P(m,r) dP(r,i;k,l) @1(j,l) @2(m)",
-    ]
-    return [parse_term(t) for t in texts]
-
-
-def jacobi_example_opo_term() -> AbstractTerm:
-    """The single rightward-orderable diagram among the six."""
-    return parse_term("dP(k;i,j) P(k,r) dP(r,i;l,m) @1(j,l) @2(m)")

@@ -37,7 +37,7 @@ from .cochains import (
     Cochain, JET_RING, X_RING, _common_den, delta_terms, epsilon_cochain, insertion_sum,
     linear_combination, ring_class, slot_total,
 )
-from .jets import MAX_ORDER, MODES, PSI_NABLA_PHI, decode, factor_codes, is_psi, jet_order
+from .jets import MAX_ORDER, MODES, PSI_NABLA_PHI, decode, factor_codes, grading
 from .linsolve import ColumnReducer
 from .multiindex import MultiIndex, splits
 from .opo import concretize, enumerate_terms
@@ -73,7 +73,7 @@ def parity_sign(k: int) -> int:
 def base_levels(mode: str, ring: str, phi: XPoly | str, psi: XPoly | str | None) -> list[Cochain]:
     """[M_0, M_1] in the requested coefficient ring.  M_1 is half the Poisson
     bracket, the one one-factor diagram P^{ij} d_i f d_j g concretized."""
-    m1 = concretize(enumerate_terms(1, require_opo=True), mode).scale(Fraction(1, 2))
+    m1 = concretize(enumerate_terms(1), mode).scale(Fraction(1, 2))
     if ring == X_RING:
         m1 = m1.specialize(phi, psi)
     return [Cochain.multiplication(ring), m1]
@@ -198,10 +198,7 @@ def check_grading(cochain: Cochain, k: int, mode: str) -> None:
     for slots, coeff in cochain.terms.items():
         s_total = slot_total(slots)
         for mono in coeff.terms:
-            codes = factor_codes(mono)
-            n_psi = sum(map(is_psi, codes))
-            n_phi = len(codes) - n_psi
-            jet_total = sum(map(jet_order, codes))
+            n_phi, n_psi, jet_total = grading(mono)
             if n_phi != k or n_psi != (k if want_psi else 0):
                 raise GradingError(
                     f"level {k}: factor counts ({n_phi} phi, {n_psi} psi) in {decode(mono)}")
@@ -341,7 +338,7 @@ def opo_projections(k: int, mode: str) -> list[tuple[int, Cochain, Cochain]]:
     half = Fraction(1, 2)
     weights = (half, half * parity_sign(k))
     out = []
-    for idx, term in enumerate(enumerate_terms(k, require_opo=True)):
+    for idx, term in enumerate(enumerate_terms(k)):
         c = concretize([term], mode)
         proj = linear_combination(2, JET_RING, zip(weights, (c, c.reverse_args())))
         if not proj.is_zero:

@@ -1,16 +1,16 @@
 """Independent checks for constructed star products.
 
-Nothing here reuses the constructor's solver or gauge machinery: the Moyal
-reference comes from its closed formula, associators from direct evaluation
-of the levels on pairs of monomials, the Jacobi residual from the curl
-formula, and level 1 is compared exactly, in either ring, with half the
-Poisson bracket of the stored potentials, P = psi grad phi.  The ring core
-and the insertion kernel are shared with the constructor; the independence
-is in the formulas, the symmetric-bracket right-hand side (one bracket per
-unordered pair of levels) against the constructor's one-sided sum, and the
-associator scan.  A verification run produces a machine-readable report
-whose failing entries each name a witness triple of polynomials, so a
-corrupted product is not just flagged but exhibited.
+Nothing here reuses the constructor's solver or gauge machinery: associators
+come from direct evaluation of the levels on pairs of monomials, the Jacobi
+residual from the curl formula, and level 1 is compared exactly, in either
+ring, with half the Poisson bracket of the stored potentials, P = psi grad
+phi.  The ring core and the insertion kernel are shared with the
+constructor; the independence is in the formulas, the symmetric-bracket
+right-hand side (one bracket per unordered pair of levels) against the
+constructor's one-sided sum, and the associator scan, the one evaluation
+entry point.  A verification run produces a machine-readable report whose
+failing entries each name a witness triple of polynomials, so a corrupted
+product is not just flagged but exhibited.
 """
 
 from __future__ import annotations
@@ -18,11 +18,10 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
-from itertools import product as iproduct
-from math import factorial, perm, prod
+from math import perm
 
 from .cochains import Cochain, X_RING, linear_combination
-from .jets import MODES, PSI_NABLA_PHI, JetPolynomial, phi_jet, psi_jet
+from .jets import JetPolynomial, phi_jet, psi_jet
 from .multiindex import multiplicities
 from .polynomials import RatVec, XPoly, monomials_up_to
 from .star import StarProduct
@@ -61,14 +60,6 @@ def jacobi_residual(p: tuple) -> XPoly:
     return c1 * curl1 + c2 * curl2 + c3 * curl3
 
 
-def gradient_jacobi_residual(mode: str) -> JetPolynomial:
-    """Same residual with the potentials symbolic, proving the identity for
-    every gradient (or conformal-gradient) vector at once."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    return jacobi_residual(poisson_vector("sym", "sym" if mode == PSI_NABLA_PHI else None))
-
-
 def half_bracket(p: tuple, ring: str) -> Cochain:
     """(1/2) sum over the pairs (i, j) of P^{ij} (d_i x d_j - d_j x d_i), for
     a vector (P^{23}, P^{31}, P^{12}) of either ring: half the Poisson
@@ -77,34 +68,6 @@ def half_bracket(p: tuple, ring: str) -> Cochain:
     for (i, j), c in zip(POISSON_PAIRS, p):
         out.add_term(((i,), (j,)), c.scale(_HALF))
         out.add_term(((j,), (i,)), c.scale(-_HALF))
-    return out
-
-
-# -- the Moyal reference -------------------------------------------------------------
-
-def moyal_level(p: tuple, k: int) -> Cochain:
-    """Level k of the Weyl product for a constant vector (P^{23}, P^{31},
-    P^{12}), from the closed exponential formula: all index chains of
-    length k, weight 1/(2^k k!)."""
-    comps = {}
-    for (i, j), c in zip(POISSON_PAIRS, p):
-        if c.total_degree() > 0:
-            raise ValueError("the closed formula needs a constant vector")
-        q = c.coefficient((0, 0, 0))
-        if q:
-            comps[(i, j)] = q
-            comps[(j, i)] = -q
-    out = Cochain(2, X_RING)
-    if k == 0:
-        return Cochain.multiplication(X_RING)
-    weight = Fraction(1, 2 ** k * factorial(k))
-    for chain in iproduct(sorted(comps), repeat=k):
-        coeff = weight
-        for pair in chain:
-            coeff *= comps[pair]
-        left = tuple(sorted(i for i, _ in chain))
-        right = tuple(sorted(j for _, j in chain))
-        out.add_term((left, right), XPoly.const(coeff))
     return out
 
 
@@ -183,26 +146,6 @@ def _add_series(out: list[RatVec], series: list[XPoly], den: int, mul: int) -> N
     for acc, p in zip(out, series):
         if p.terms:
             acc.add(p.terms, den * p.den, mul)
-
-
-def _multilinear(fn, top: int, *args: XPoly) -> list[XPoly]:
-    """fn, a multilinear map from monomials (given by exponents) to series of
-    ``top`` coefficients, extended to polynomial arguments."""
-    out = [RatVec() for _ in range(top)]
-    den = prod(p.den for p in args)
-    for terms in iproduct(*(p.terms.items() for p in args)):
-        _add_series(out, fn(*(m for m, _ in terms)), den, prod(c for _, c in terms))
-    return [XPoly.from_numerators(acc.terms, acc.den) for acc in out]
-
-
-def star_series(levels: list[Cochain], f: XPoly, g: XPoly) -> list[XPoly]:
-    """Coefficients of the deformation parameter in f * g, one per level."""
-    return _multilinear(_Evaluator(levels).pair, len(levels), f, g)
-
-
-def associator(levels: list[Cochain], f: XPoly, g: XPoly, h: XPoly) -> list[XPoly]:
-    """Coefficients of (f*g)*h - f*(g*h), one per level."""
-    return _multilinear(_Evaluator(levels).associator, len(levels), f, g, h)
 
 
 def associator_scan(levels: list[Cochain], bound: int):

@@ -12,6 +12,12 @@ def sym_star3():
 
 
 @pytest.fixture(scope="session")
+def sym_star5():
+    """Symbolic gradient-mode product through level 5, for the slow tests."""
+    return build_star(NABLA_PHI, 5)
+
+
+@pytest.fixture(scope="session")
 def sym_conformal_star3():
     """Symbolic conformal-family product through level 3."""
     return build_star(PSI_NABLA_PHI, 3, "sym", "sym")

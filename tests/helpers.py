@@ -1,18 +1,20 @@
-"""Shared generators for randomized tests."""
+"""Shared generators for randomized tests, and the reference kernels and
+oracles the tests compare the package against."""
 
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations, product
-from math import lcm
+from math import factorial, lcm
 from random import Random
+from typing import Iterable, Iterator, Sequence
 
 from starq.cochains import Cochain, JET_RING, X_RING, ring_class, slot_total
 from starq.jets import (JetPolynomial, code, decode, format_var, lift, monomial_key, phi_jet,
                         psi_jet, substitute_factor, var)
 from starq.multiindex import all_indices, merge, splits
-from starq.opo import ARG, FAC, AbstractTerm, canonical_term, is_opo
+from starq.opo import ARG, FAC, AbstractTerm, Pair, Target, canonical_term, is_opo, parse_term
 from starq.polynomials import RatVec, XPoly, monomials_up_to
-from starq.verify import star_series
+from starq.verify import POISSON_PAIRS
 
 _DIRS = (1, 2, 3)
 
@@ -174,7 +176,35 @@ def reference_scan(levels, bound: int):
 def commutator(levels, f: XPoly, g: XPoly) -> list[XPoly]:
     """Coefficients of f * g - g * f; odd levels double, even levels cancel
     when the parity invariant holds."""
-    return [a - b for a, b in zip(star_series(levels, f, g), star_series(levels, g, f))]
+    return [eval_args(level, (f, g)) - eval_args(level, (g, f)) for level in levels]
+
+
+# -- the Moyal reference -------------------------------------------------------------
+
+def moyal_level(p: tuple, k: int) -> Cochain:
+    """Level k of the Weyl product for a constant vector (P^{23}, P^{31},
+    P^{12}), from the closed exponential formula: all index chains of
+    length k, weight 1/(2^k k!)."""
+    comps = {}
+    for (i, j), c in zip(POISSON_PAIRS, p):
+        if c.total_degree() > 0:
+            raise ValueError("the closed formula needs a constant vector")
+        q = c.coefficient((0, 0, 0))
+        if q:
+            comps[(i, j)] = q
+            comps[(j, i)] = -q
+    out = Cochain(2, X_RING)
+    if k == 0:
+        return Cochain.multiplication(X_RING)
+    weight = Fraction(1, 2 ** k * factorial(k))
+    for chain in product(sorted(comps), repeat=k):
+        coeff = weight
+        for pair in chain:
+            coeff *= comps[pair]
+        left = tuple(sorted(i for i, _ in chain))
+        right = tuple(sorted(j for _, j in chain))
+        out.add_term((left, right), XPoly.const(coeff))
+    return out
 
 
 # -- reference ring arithmetic on Fraction coefficient dicts ---------------------------
@@ -273,6 +303,13 @@ def tuple_term_key(codes: tuple) -> tuple:
 
 def tuple_factors(codes: tuple) -> list[str]:
     return [format_var(v) for v in _shown_vars(codes)]
+
+
+def tuple_grading(codes: tuple) -> tuple[int, int, int]:
+    """The phi count, psi count and jet-order total, recounted from the factors."""
+    factors = list(map(var, codes))
+    return (sum(tag == "phi" for tag, _ in factors), sum(tag == "psi" for tag, _ in factors),
+            sum(len(index) for _, index in factors))
 
 
 # -- reference linear solver ----------------------------------------------------------
@@ -408,3 +445,139 @@ def reference_concretize(terms, mode: str) -> Cochain:
                 coeff = coeff * substitute_factor.__wrapped__(tuple(lowers[u]), i, j, mode)
             out.add_term(tuple(tuple(s) for s in slots), coeff)
     return out
+
+
+# -- diagram-level Hochschild coboundary and insertion ----------------------------
+# The coboundary and the insertion product on diagrams, treating every upper
+# endpoint as an individually reassignable wire: the closure of the
+# orderable span is checked with them, before any concretization.
+
+def combine(terms: Iterable[AbstractTerm]) -> list[AbstractTerm]:
+    """Merge canonical terms with equal diagrams, dropping cancellations."""
+    acc: dict[tuple, AbstractTerm] = {}
+    for t in terms:
+        if t is None or not t.coeff:
+            continue
+        key = t.key()
+        hit = acc.get(key)
+        if hit is None:
+            acc[key] = AbstractTerm(t.coeff, t.pairs, t.n_args)
+        else:
+            total = hit.coeff + t.coeff
+            if total:
+                acc[key] = AbstractTerm(total, t.pairs, t.n_args)
+            else:
+                del acc[key]
+    return [acc[k] for k in sorted(acc)]
+
+
+def _retarget(pairs: Sequence[Pair], mapping) -> list[tuple[Target, Target]]:
+    return [(mapping(a), mapping(b)) for a, b in pairs]
+
+
+def _endpoint_choices(pairs: Sequence[Pair], hits) -> Iterator[list[tuple[Target, Target]]]:
+    """All rewirings of the endpoints selected by hits(target) -> list of
+    replacement targets; other endpoints stay put."""
+    slots: list[list[Target]] = []
+    for a, b in pairs:
+        slots.append(hits(a))
+        slots.append(hits(b))
+    for choice in product(*slots):
+        it = iter(choice)
+        yield [(next(it), next(it)) for _ in pairs]
+
+
+def abstract_delta(term: AbstractTerm) -> list[AbstractTerm]:
+    """Hochschild coboundary of a diagram, one arity higher: -[D, m] for the
+    multiplication diagram m, which has no factors and two arguments."""
+    return [t.scale(-1) for t in abstract_bracket(term, AbstractTerm(Fraction(1), (), 2))]
+
+
+def abstract_insert(outer: AbstractTerm, inner: AbstractTerm) -> list[AbstractTerm]:
+    """Insertion product on diagrams: inner replaces one argument of outer,
+    and every outer endpoint on that argument reattaches to an inner factor
+    or an inner argument."""
+    m_args, n_args = outer.n_args, inner.n_args
+    offset = outer.n_factors
+    inner_degree = n_args - 1
+    results: list[AbstractTerm] = []
+    for i in range(m_args):
+        sign = Fraction((-1) ** (i * inner_degree))
+
+        def inner_map(t: Target, i=i) -> Target:
+            if t[0] == FAC:
+                return (FAC, t[1] + offset)
+            return (ARG, t[1] + i)
+
+        inner_pairs = _retarget(inner.pairs, inner_map)
+        landing: list[Target] = [(FAC, offset + v) for v in range(inner.n_factors)]
+        landing += [(ARG, i + a) for a in range(n_args)]
+
+        def hits(t: Target, i=i, landing=landing) -> list[Target]:
+            if t[0] == ARG:
+                if t[1] == i:
+                    return landing
+                if t[1] > i:
+                    return [(ARG, t[1] + n_args - 1)]
+            return [t]
+
+        for rewired in _endpoint_choices(outer.pairs, hits):
+            results.append(canonical_term(
+                outer.coeff * inner.coeff * sign, rewired + inner_pairs,
+                m_args + n_args - 1))
+    return combine(results)
+
+
+def abstract_bracket(left: AbstractTerm, right: AbstractTerm) -> list[AbstractTerm]:
+    m, n = left.n_args - 1, right.n_args - 1
+    swap_sign = -Fraction((-1) ** (m * n))
+    swapped = [t.scale(swap_sign) for t in abstract_insert(right, left)]
+    return combine(list(abstract_insert(left, right)) + swapped)
+
+
+# -- reference diagrams -------------------------------------------------------------
+
+def poisson_term() -> AbstractTerm:
+    """P^{ij} d_i f d_j g."""
+    return parse_term("P(i,j) @1(i) @2(j)")
+
+
+def non_orderable_example() -> AbstractTerm:
+    """d_r P^{is} d_s P^{jr} d_i f d_j g: mutually leftward in every arrangement."""
+    return parse_term("dP(r;i,s) dP(s;j,r) @1(i) @2(j)")
+
+
+def double_bracket_terms() -> list[AbstractTerm]:
+    """The three diagrams of the iterated bracket {{f,g},h}."""
+    return [
+        parse_term("dP(k;i,j) P(k,l) @1(i) @2(j) @3(l)"),
+        parse_term("P(i,j) P(k,l) @1(i,k) @2(j) @3(l)"),
+        parse_term("P(i,j) P(k,l) @1(i) @2(j,k) @3(l)"),
+    ]
+
+
+def jacobi_example_terms() -> list[AbstractTerm]:
+    """Six diagrams of the contracted-Jacobi operator that sums to zero.
+
+    The cyclic combination P^{kr} d_r P^{lm} + P^{lr} d_r P^{mk}
+    + P^{mr} d_r P^{kl} is differentiated by d_i coming from d_k P^{ij},
+    with d_j d_l f d_m g; the Leibniz expansion gives two diagrams per
+    cyclic summand.
+    """
+    texts = [
+        # cycl. 1: d_k P^{ij} * d_i(P^{kr} d_r P^{lm}) * d_j d_l f * d_m g
+        "dP(k;i,j) dP(i;k,r) dP(r;l,m) @1(j,l) @2(m)",
+        "dP(k;i,j) P(k,r) dP(r,i;l,m) @1(j,l) @2(m)",
+        # cycl. 2: d_k P^{ij} * d_i(P^{lr} d_r P^{mk}) * d_j d_l f * d_m g
+        "dP(k;i,j) dP(i;l,r) dP(r;m,k) @1(j,l) @2(m)",
+        "dP(k;i,j) P(l,r) dP(r,i;m,k) @1(j,l) @2(m)",
+        # cycl. 3: d_k P^{ij} * d_i(P^{mr} d_r P^{kl}) * d_j d_l f * d_m g
+        "dP(k;i,j) dP(i;m,r) dP(r;k,l) @1(j,l) @2(m)",
+        "dP(k;i,j) P(m,r) dP(r,i;k,l) @1(j,l) @2(m)",
+    ]
+    return [parse_term(t) for t in texts]
+
+
+def jacobi_example_opo_term() -> AbstractTerm:
+    """The single rightward-orderable diagram among the six."""
+    return parse_term("dP(k;i,j) P(k,r) dP(r,i;l,m) @1(j,l) @2(m)")

@@ -1,4 +1,5 @@
-"""Diagram-span audits and the conformal-family rank experiment.
+"""Research records: diagram-span audits and the conformal-family rank
+experiment.
 
 Two questions about a constructed star product go beyond the level
 equations themselves.  First, whether each level is a combination of
@@ -8,22 +9,25 @@ over the orderable span, a lift that needs non-orderable diagrams, and no
 diagram lift at all.  Second, for the conformal family P = psi * grad(phi),
 whether an orderable level 3 can also kill the level-4 obstruction; that is
 a finite exact feasibility question, settled here by rank computations over
-the rationals.
+the rationals.  No command runs either one; the tests pin each record's JSON
+digest, and ``pytest tests/test_digests.py -k record`` reproduces them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .cochains import Cochain, JET_RING, linear_combination
-from .jets import PSI_NABLA_PHI, JetPolynomial, factor_codes
-from .linsolve import ColumnReducer
-from .opo import concretize, enumerate_terms, is_opo, term_to_text
-from .polynomials import RatVec
-from .star import (
+from starq.cochains import Cochain, JET_RING, linear_combination
+from starq.jets import PSI_NABLA_PHI, JetPolynomial, factor_codes
+from starq.linsolve import ColumnReducer
+from starq.opo import concretize, is_opo, term_to_text
+from starq.polynomials import RatVec
+from starq.star import (
     DeltaSolver, InfeasibleError, StarProduct, _flatten, build_star, determinant_witness,
     level_equation, opo_projections, solve_opo, span_combination,
 )
+
+from helpers import reference_enumerate
 
 OPO_LIFT = "opo-lift"
 NON_OPO_LIFT = "non-opo-lift"
@@ -54,7 +58,7 @@ def audit_level(level: Cochain, k: int, mode: str) -> dict:
     """
     if k == 0:
         return _level_dict(0, OPO_LIFT, {}, {}, [])
-    all_terms = enumerate_terms(k)
+    all_terms = reference_enumerate(k)
     columns = {i: concretize([t], mode) for i, t in enumerate(all_terms) if is_opo(t)[0]}
     combo = span_combination(level, columns.items())
     if combo is not None:

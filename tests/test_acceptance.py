@@ -15,16 +15,14 @@ import pytest
 from starq.cli import main as cli_main
 from starq.cochains import Cochain, JET_RING
 from starq.jets import NABLA_PHI, PSI_NABLA_PHI
-from starq.opo import (abstract_bracket, abstract_delta, concretize,
-                       double_bracket_terms, enumerate_terms, is_opo,
-                       jacobi_example_opo_term, jacobi_example_terms,
-                       non_orderable_example, poisson_term)
+from starq.opo import concretize, enumerate_terms, is_opo
 from starq.polynomials import XPoly, parse_poly
 from starq.star import StarProduct, build_star, level_equation
-from starq.verify import (associator_scan, gradient_jacobi_residual, jacobi_residual,
-                          poisson_vector)
+from starq.verify import associator_scan, jacobi_residual, poisson_vector
 
-from helpers import commutator, max_jet_order, random_cochain
+from helpers import (abstract_bracket, abstract_delta, commutator, double_bracket_terms,
+                     jacobi_example_opo_term, jacobi_example_terms, max_jet_order,
+                     non_orderable_example, poisson_term, random_cochain)
 
 
 def _report(number: int, label: str, ok: bool, elapsed: float | None = None,
@@ -59,8 +57,8 @@ def test_criterion_2_jacobi_residuals():
     # the symbolic computation involves jets of order <= 2, so exact
     # vanishing proves the identity at truncation 4 (and any deeper one)
     curl_entry = substitute_factor((), 1, 2, NABLA_PHI).x_derivative(3)
-    symbolic_ok = (gradient_jacobi_residual(NABLA_PHI).is_zero
-                   and gradient_jacobi_residual(PSI_NABLA_PHI).is_zero
+    symbolic_ok = (jacobi_residual(poisson_vector("sym", None)).is_zero
+                   and jacobi_residual(poisson_vector("sym", "sym")).is_zero
                    and max_jet_order(curl_entry) <= 4)
     rng = Random(202)
     explicit_ok = True
@@ -133,7 +131,7 @@ def test_criterion_7_orderability_reference_suite():
 
 def test_criterion_8_orderable_closure_randomized():
     rng = Random(808)
-    pools = {n: enumerate_terms(n, require_opo=True) for n in (1, 2, 3)}
+    pools = {n: enumerate_terms(n) for n in (1, 2, 3)}
     sample = [rng.choice(pools[rng.choice((1, 2, 3))]) for _ in range(100)]
     ok = True
     delta_terms_seen = 0
@@ -157,7 +155,7 @@ def test_criterion_8_orderable_closure_randomized():
 
 
 def test_criterion_9_conformal_family_experiment(tmp_path):
-    from starq.experiment import psi_opo_experiment
+    from records import psi_opo_experiment
 
     start = time.monotonic()
     payload = psi_opo_experiment()

@@ -22,7 +22,7 @@ import contextlib, io, json, sys
 from pathlib import Path
 from starq import jets
 from starq.cli import main
-from starq.experiment import psi_opo_experiment
+from records import psi_opo_experiment
 
 for codes in json.load(sys.stdin):
     jets.intern(tuple(codes))
@@ -55,8 +55,8 @@ print(json.dumps({"outputs": outputs, "table": jets._codes}))
 
 
 def _child(work: Path, seed_codes: list, hash_seed: str) -> dict:
-    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
-               PYTHONPATH=str(Path(starq.__file__).resolve().parents[1]))
+    paths = [Path(starq.__file__).resolve().parents[1], Path(__file__).resolve().parent]  # src, tests
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(map(str, paths)))
     work.mkdir()
     done = subprocess.run([sys.executable, "-c", _CHILD, str(work)], input=json.dumps(seed_codes),
                           capture_output=True, text=True, env=env, timeout=300)

@@ -9,13 +9,14 @@ from fractions import Fraction
 import pytest
 
 from starq.cli import main
-from starq.experiment import opo_audit, psi_opo_experiment
 from starq.jets import NABLA_PHI, PSI_NABLA_PHI
 from starq.latex import star_latex
 from starq.opo import enumerate_terms
 from starq.polynomials import parse_poly
 from starq.star import StarProduct, build_star, opo_projections
 from starq.verify import verify_star
+
+from records import opo_audit, psi_opo_experiment
 
 PRODUCTS = {
     "sym_star3": (
@@ -97,14 +98,14 @@ def test_build_json_digests(name):
 
 
 @pytest.mark.slow
-def test_symbolic_order_5_json_digest():
+def test_symbolic_order_5_json_digest(sym_star5):
     # level 5 is solved by the shape solver from its 43,895-term right-hand side
-    assert _sha(json.dumps(build_star(NABLA_PHI, 5).to_json(), indent=2)) == (
+    assert _sha(json.dumps(sym_star5.to_json(), indent=2)) == (
         "9c33c4e613d353554f05cc9ddf1250cc3b0bf823334a30bb6f40adfb14fb2108")
 
 
 def test_orderable_enumeration_digest():
-    keys = [term.key() for term in enumerate_terms(4, require_opo=True)]
+    keys = [term.key() for term in enumerate_terms(4)]
     assert _sha(repr(keys)) == (
         "d68157cc64d4bdb2f338db3a0dbb9f9e228b8600dafc83b86ed29a3c64174bd4")
 

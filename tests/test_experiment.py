@@ -2,13 +2,14 @@ import json
 
 import pytest
 
-import starq.experiment
 from starq.cochains import Cochain, JET_RING
-from starq.experiment import (NO_LIFT, NON_OPO_LIFT, OPO_LIFT, SKIPPED,
-                              _solvable, audit_level, opo_audit)
 from starq.jets import NABLA_PHI, PSI_NABLA_PHI
-from starq.opo import concretize, non_orderable_example, term_to_text
+from starq.opo import concretize, term_to_text
 from starq.star import InfeasibleError, build_star
+
+import records
+from helpers import non_orderable_example
+from records import NO_LIFT, NON_OPO_LIFT, OPO_LIFT, SKIPPED, _solvable, audit_level, opo_audit
 
 
 def test_audit_of_orderable_gauge_star(sym_star3):
@@ -35,13 +36,13 @@ def test_audit_concretizes_each_diagram_once(monkeypatch):
     # also searches the full span there
     star = build_star(NABLA_PHI, 3, opo_gauge_limit=0)
     seen = []
-    concretize = starq.experiment.concretize
+    concretize = records.concretize
 
     def counted(terms, mode):
         seen.extend(term.key() for term in terms)
         return concretize(terms, mode)
 
-    monkeypatch.setattr(starq.experiment, "concretize", counted)
+    monkeypatch.setattr(records, "concretize", counted)
     report = opo_audit(star)
     assert [a["status"] for a in report["levels"]] == [OPO_LIFT, OPO_LIFT, NO_LIFT, NO_LIFT]
     assert len(seen) == len(set(seen))

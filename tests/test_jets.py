@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from starq.cli import MAX_ORDER
 from starq.jets import (NABLA_PHI, PHI, PSI, PSI_NABLA_PHI, JetPolynomial, code, decode,
-                        factor_codes, format_var, intern, is_psi, jet_order, jet_var, lift,
+                        factor_codes, format_var, grading, intern, is_psi, jet_var, lift,
                         monomial_key, name_code, parse_var, phi_jet, psi_jet, rank,
                         substitute_factor, var, var_name)
 from starq.cochains import JET_RING
@@ -15,8 +15,8 @@ from starq.latex import _SYMBOLS, _frac_latex, _join, ring_latex
 from starq.multiindex import all_indices, merge
 from starq.polynomials import XPoly, parse_poly
 
-from helpers import (max_jet_order, random_codes, tuple_factors, tuple_leibniz, tuple_mono_mul,
-                     tuple_term_key)
+from helpers import (max_jet_order, random_codes, tuple_factors, tuple_grading, tuple_leibniz,
+                     tuple_mono_mul, tuple_term_key)
 
 
 def test_jet_var_validation():
@@ -117,7 +117,8 @@ def test_codes_decode_and_order_like_var_key():
     assert len({code(v) for v in variables}) == len(variables)
     for v in variables:
         assert var(code(v)) == v
-        assert is_psi(code(v)) == (v[0] == PSI) and jet_order(code(v)) == len(v[1])
+        assert is_psi(code(v)) == (v[0] == PSI)
+        assert grading(intern((code(v),))) == (int(v[0] == PHI), int(v[0] == PSI), len(v[1]))
         for a in (1, 2, 3):
             assert var(lift(code(v), a)) == (v[0], merge(v[1], (a,)))
     for tag in (PHI, PSI):
@@ -176,6 +177,16 @@ def test_cached_name_maps_agree_with_format_and_parse():
 
 
 # -- the monomial table against the tuple-merge reference ------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_grading_matches_a_recount(seed):
+    rng = Random(seed)
+    for codes in (random_codes(rng) for _ in range(6)):
+        mono = intern(codes)
+        for _ in range(2):  # worked out, then kept
+            assert grading(mono) == tuple_grading(codes)
+
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))

@@ -5,15 +5,13 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import reference_concretize, reference_enumerate
-from starq.cochains import X_RING
+from helpers import (abstract_bracket, abstract_delta, double_bracket_terms,
+                     jacobi_example_opo_term, jacobi_example_terms, non_orderable_example,
+                     poisson_term, reference_concretize, reference_enumerate)
 from starq.jets import NABLA_PHI, PSI_NABLA_PHI, substitute_factor
 from starq.multiindex import all_indices
-from starq.opo import (MAX_TERM_FACTORS, AbstractTerm, abstract_bracket, abstract_delta,
-                       canonical_term, concretize, double_bracket_terms,
-                       enumerate_terms, is_opo, jacobi_example_opo_term,
-                       jacobi_example_terms, non_orderable_example, parse_term,
-                       poisson_term, term_to_text)
+from starq.opo import (MAX_TERM_FACTORS, concretize, enumerate_terms, is_opo, parse_term,
+                       term_to_text)
 
 
 def test_reference_terms_orderability():
@@ -77,15 +75,15 @@ def test_parse_bounds_the_factor_count():
 
 
 def test_enumeration_counts():
-    assert [len(enumerate_terms(n)) for n in (1, 2, 3)] == [1, 10, 108]
-    assert [len(enumerate_terms(n, require_opo=True)) for n in (1, 2, 3)] == [1, 3, 12]
+    assert [len(reference_enumerate(n)) for n in (1, 2, 3)] == [1, 10, 108]
+    assert [len(enumerate_terms(n)) for n in (1, 2, 3)] == [1, 3, 12]
 
 
 def test_orderable_subset_consistency():
     for n in (1, 2, 3):
-        everything = enumerate_terms(n)
+        everything = reference_enumerate(n)
         orderable = [t for t in everything if is_opo(t)[0]]
-        assert len(orderable) == len(enumerate_terms(n, require_opo=True))
+        assert len(orderable) == len(enumerate_terms(n))
 
 
 def test_jacobi_analogue_concretizes_to_zero_in_both_modes():
@@ -112,7 +110,7 @@ def test_poisson_term_concretizes_to_bracket():
 
 def test_delta_closure_spot_checks():
     rng = Random(3)
-    pool = enumerate_terms(2, require_opo=True) + enumerate_terms(3, require_opo=True)
+    pool = enumerate_terms(2) + enumerate_terms(3)
     nonempty = 0
     for term in pool:
         expansion = abstract_delta(term)
@@ -124,7 +122,7 @@ def test_delta_closure_spot_checks():
 
 def test_bracket_closure_spot_checks():
     one = poisson_term()
-    twos = enumerate_terms(2, require_opo=True)
+    twos = enumerate_terms(2)
     produced = 0
     for t in twos:
         for piece in abstract_bracket(one, t) + abstract_bracket(t, one):
@@ -136,7 +134,7 @@ def test_bracket_closure_spot_checks():
 # -- the fast kernels against the brute-force references in tests/helpers.py -----------
 
 MODES = st.sampled_from((NABLA_PHI, PSI_NABLA_PHI))
-POOL = [t for n in (1, 2, 3) for t in enumerate_terms(n)]  # non-orderable ones included
+POOL = [t for n in (1, 2, 3) for t in reference_enumerate(n)]  # non-orderable ones included
 COEFFS = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
 
 
@@ -161,14 +159,13 @@ def test_concretize_matches_reference(terms, mode):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_generated_enumeration_matches_filtered_reference(n):
-    for require_opo in (True, False):
-        fast, slow = enumerate_terms(n, require_opo), reference_enumerate(n, require_opo)
-        assert [(t.coeff, t.key()) for t in fast] == [(t.coeff, t.key()) for t in slow]
+    fast, slow = enumerate_terms(n), reference_enumerate(n, require_opo=True)
+    assert [(t.coeff, t.key()) for t in fast] == [(t.coeff, t.key()) for t in slow]
 
 
 def test_generated_diagrams_are_orderable():
     for n in (1, 2, 3, 4):
-        assert all(is_opo(t)[0] for t in enumerate_terms(n, require_opo=True))
+        assert all(is_opo(t)[0] for t in enumerate_terms(n))
 
 
 @settings(max_examples=20, deadline=None)
@@ -184,7 +181,7 @@ def test_memoized_substitution_shares_nothing_mutable(terms, mode):
 
 @pytest.mark.slow
 def test_four_factor_diagrams_match_references():
-    orderable = enumerate_terms(4, require_opo=True)
+    orderable = enumerate_terms(4)
     assert len(orderable) == 74
     assert [t.key() for t in orderable] == [t.key() for t in reference_enumerate(4, True)]
     for mode in (NABLA_PHI, PSI_NABLA_PHI):

@@ -17,10 +17,10 @@ from starq.star import (ClosureError, DeltaSolver, GradingError, InfeasibleError
                         ObstructionError, ObstructionReport, StarProduct, _flatten, assemble_rhs,
                         base_levels, build_star, check_grading, level_equation, obstruction,
                         parity_sign, proportional, shape_pairs)
-from starq.verify import _rhs, associator_scan, moyal_level, poisson_vector
+from starq.verify import _rhs, associator_scan, poisson_vector
 
-from helpers import (random_cochain, random_index, random_jet_coeff, random_x_coeff,
-                     reference_delta_solve, reference_rhs, reference_shape_pairs,
+from helpers import (moyal_level, random_cochain, random_index, random_jet_coeff,
+                     random_x_coeff, reference_delta_solve, reference_rhs, reference_shape_pairs,
                      reference_shape_system)
 
 
@@ -274,6 +274,19 @@ def test_explicit_build_is_specialization(sym_star3, cubic_star):
     assert len(restricted.levels) == len(family.levels) == 4
     for sym_level, level in zip(family.levels, restricted.levels):
         assert (sym_level.specialize(phi, None) - level).is_zero
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("potential", ["x1*x2*x3", "x1^2*x2 + x3^3 - x1*x3"])
+def test_explicit_order_5_build_is_specialization(sym_star5, potential):
+    # every level, the pivot level 4 and the unique levels 3 and 5 included:
+    # a shape system depends only on the content and the parity, and each
+    # block's canonical solution is linear in its right-hand side
+    phi = parse_poly(potential)
+    explicit = build_star(NABLA_PHI, 5, phi=phi)
+    assert len(explicit.levels) == len(sym_star5.levels) == 6
+    for sym_level, level in zip(sym_star5.levels, explicit.levels):
+        assert sym_level.specialize(phi, None) == level
 
 
 def test_constant_vector_levels_match_closed_formula(x3_star4):
