@@ -140,18 +140,6 @@ class Cochain:
 
     # -- linear structure --------------------------------------------------
 
-    def _check_compatible(self, other: "Cochain") -> None:
-        if self.arity != other.arity or self.ring != other.ring:
-            raise ValueError("cochain arity or ring mismatch")
-
-    def __add__(self, other: "Cochain") -> "Cochain":
-        self._check_compatible(other)
-        return linear_combination(self.arity, self.ring, ((1, self), (1, other)))
-
-    def __sub__(self, other: "Cochain") -> "Cochain":
-        self._check_compatible(other)
-        return linear_combination(self.arity, self.ring, ((1, self), (-1, other)))
-
     def scale(self, q: Fraction | int) -> "Cochain":
         if not q:
             return Cochain(self.arity, self.ring)

@@ -12,14 +12,17 @@ class on the sparse core of ``starq.polynomials`` (integer numerators over
 one denominator).  Each jet variable is its small int ``code``, and a
 monomial an int id into the monomial table, the ring's one cache, which only
 grows: ``factor_codes`` gives an id's sorted codes, ``intern`` the id of such
-a tuple; id 0 is the constant.  Products of ids, x-derivatives of an id and
-each id's term key, names and grading are memoized.  Ids follow the order
-monomials were first met, so no output, sort or pivot may depend on an id's
-value.
-``var`` decodes a code back to the public ``(tag, index)`` pair; names,
-JSON, printing and LaTeX list a monomial's factors phi before psi, then by
-index length, then by index.  At the JSON boundary a code's name, a name's
-code and a name list's id are each worked out once and looked up after.
+a tuple; id 0 is the constant.  Products of ids and x-derivatives of an id
+are memoized.  Ids follow the order monomials were first met, so no output,
+sort or pivot may depend on an id's value.
+``var`` decodes a code back to the public ``(tag, index)`` pair, and
+``decode`` an id to its factors, phi before psi, then by index length, then
+by index.  That decoding is worked out once per id and read by all the
+rest: the term key (the factor count, then the decoded factors as
+``(tag, index)`` pairs compare), the factor names that JSON and printing
+use and the grading, each also kept per id, and LaTeX.  At the JSON
+boundary a name's code and a name list's id are each worked out once and
+looked up after.
 The total x-derivative acts by prolongation, d/dx_a phi_I = phi_{I+a},
 extended as a derivation to products; ``lift`` prolongs a code.
 """
@@ -117,34 +120,24 @@ def monomial_key(factors: Iterable[JetVar]) -> Monomial:
     return intern(tuple(sorted(map(code, factors))))
 
 
-@cache
 def is_psi(c: int) -> int:
     """1 for the code of a psi jet, 0 for a phi jet."""
     return c & 1
 
 
 @cache
-def grading(mono: Monomial) -> tuple[int, int, int]:
-    """The phi count, the psi count and the jet-order total of a monomial,
-    worked out once per id."""
-    codes = _codes[mono]
-    n_psi = sum(map(is_psi, codes))
-    return len(codes) - n_psi, n_psi, sum(len(var(c)[1]) for c in codes)
+def decode(mono: Monomial) -> tuple[JetVar, ...]:
+    """The factors of a monomial, phi before psi, worked out once per id; the
+    codes of one tag already sort by index length, then by index."""
+    return tuple(map(var, sorted(_codes[mono], key=is_psi)))
 
 
 @cache
-def rank(c: int) -> int:
-    """An int that orders jet variables as their (tag, index) pairs compare."""
-    index = "".join(map(str, var(c)[1]))
-    if len(index) > 2 * MAX_ORDER:
-        raise ValueError(f"jet index of {len(index)} digits, above {2 * MAX_ORDER}")
-    return int(str(is_psi(c)) + index.ljust(2 * MAX_ORDER, "0"), 4)
-
-
-def decode(mono: Monomial) -> tuple[JetVar, ...]:
-    """The factors of a monomial, phi before psi; the codes of one tag
-    already sort by index length, then by index."""
-    return tuple(map(var, sorted(_codes[mono], key=is_psi)))
+def grading(mono: Monomial) -> tuple[int, int, int]:
+    """The phi count, the psi count and the jet-order total of a monomial."""
+    factors = decode(mono)
+    n_psi = sum(tag == PSI for tag, _ in factors)
+    return len(factors) - n_psi, n_psi, sum(len(index) for _, index in factors)
 
 
 def format_var(v: JetVar) -> str:
@@ -161,12 +154,6 @@ def parse_var(text: str) -> JetVar:
     if len(digits) > 2 * MAX_ORDER:
         raise ValueError(f"jet index of {len(digits)} digits, above {2 * MAX_ORDER}")
     return jet_var(tag, parse_index(digits))
-
-
-@cache
-def var_name(c: int) -> str:
-    """The JSON name of the jet variable of a code."""
-    return format_var(var(c))
 
 
 @cache
@@ -191,15 +178,16 @@ class JetPolynomial(SparsePoly):
 
     @staticmethod
     @cache
-    def _term_key(mono: Monomial):  # factor count, then decode's factors by rank
-        return (len(_codes[mono]), tuple(map(rank, sorted(_codes[mono], key=is_psi))))
+    def _term_key(mono: Monomial):  # factor count, then the decoded factors
+        factors = decode(mono)
+        return len(factors), factors
 
     _text_key = _term_key
 
     @staticmethod
     @cache
     def _factors(mono: Monomial) -> list[str]:
-        return [var_name(c) for c in sorted(_codes[mono], key=is_psi)]
+        return list(map(format_var, decode(mono)))
 
     @staticmethod
     def _parse_factors(names) -> Monomial:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping
 
-from .multiindex import all_indices, mi, multiplicities
+from .multiindex import mi, multiplicities
 
 Exponent = tuple[int, int, int]
 
@@ -336,12 +336,6 @@ def json_coefficient(text) -> tuple[int, int]:
     if not d:
         raise ZeroDivisionError(f"Fraction({n}, 0)")  # as Fraction(text) words it
     return n, d
-
-
-def monomials_up_to(total_degree: int) -> list[XPoly]:
-    """All monic monomials of total degree <= total_degree, constants first."""
-    return [XPoly.from_monomial(exp) for exp in sorted(
-        multiplicities(index) for d in range(total_degree + 1) for index in all_indices(d))]
 
 
 # Largest total degree (and exponent) a parsed expression may reach; a power

@@ -22,8 +22,8 @@ from math import perm
 
 from .cochains import Cochain, X_RING, linear_combination
 from .jets import JetPolynomial, phi_jet, psi_jet
-from .multiindex import multiplicities
-from .polynomials import RatVec, XPoly, monomials_up_to
+from .multiindex import all_indices, multiplicities
+from .polynomials import RatVec, XPoly
 from .star import StarProduct
 
 
@@ -251,9 +251,10 @@ def verify_star(star: StarProduct, degree: int | None = None) -> dict:
 
 
 def _monomial_triples(bound: int):
-    """Exponent triples of monic monomials whose total degree is at most the
-    bound, in the order of ``monomials_up_to``."""
-    exps = [(e, sum(e)) for m in monomials_up_to(bound) for e in m.terms]
+    """The exponents (f, g, h) of monic monomials whose degrees sum to at most
+    the bound, each of f, g and h running over the exponents in sorted order."""
+    exps = [(e, sum(e)) for e in sorted(
+        multiplicities(index) for d in range(bound + 1) for index in all_indices(d))]
     for f, df in exps:
         for g, dg in exps:
             dfg = df + dg

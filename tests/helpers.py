@@ -11,9 +11,9 @@ from typing import Iterable, Iterator, Sequence
 from starq.cochains import Cochain, JET_RING, X_RING, ring_class, slot_total
 from starq.jets import (JetPolynomial, code, decode, format_var, lift, monomial_key, phi_jet,
                         psi_jet, substitute_factor, var)
-from starq.multiindex import all_indices, merge, splits
+from starq.multiindex import all_indices, merge, multiplicities, splits
 from starq.opo import ARG, FAC, AbstractTerm, Pair, Target, canonical_term, is_opo, parse_term
-from starq.polynomials import RatVec, XPoly, monomials_up_to
+from starq.polynomials import RatVec, XPoly
 from starq.verify import POISSON_PAIRS
 
 _DIRS = (1, 2, 3)
@@ -25,6 +25,12 @@ def random_index(rng: Random, max_len: int, min_len: int = 0):
 
 def random_fraction(rng: Random) -> Fraction:
     return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+
+def monomials_up_to(total_degree: int) -> list[XPoly]:
+    """All monic monomials of total degree <= total_degree, constants first."""
+    return [XPoly.from_monomial(exp) for exp in sorted(
+        multiplicities(index) for d in range(total_degree + 1) for index in all_indices(d))]
 
 
 def random_jet_coeff(rng: Random, max_factors: int = 2) -> JetPolynomial:
@@ -88,6 +94,16 @@ def reference_hochschild_delta(c: Cochain) -> Cochain:
     return out
 
 
+def reference_combination(arity: int, ring: str, pairs) -> Cochain:
+    """Sum of q * cochain over (q, cochain) pairs, added one scaled term at a
+    time with add_term: the formula linear_combination accumulates in place."""
+    total = Cochain(arity, ring)
+    for q, cochain in pairs:
+        for slots, c in cochain.terms.items():
+            total.add_term(slots, c.scale(q))
+    return total
+
+
 def reference_insert(a: Cochain, b: Cochain) -> Cochain:
     p, q = a.arity, b.arity
     out = Cochain(p + q - 1, a.ring)
@@ -111,10 +127,8 @@ def reference_rhs(levels, k: int) -> Cochain:
     """(1/2) sum over l of [M_l, M_{k-l}], the sum folded copy by copy and
     halved at the end: the verifier's formula before it added half of every
     bracket into one accumulator."""
-    total = Cochain(3, levels[1].ring)
-    for l in range(1, k):
-        total = total + levels[l].bracket(levels[k - l])
-    return total.scale(Fraction(1, 2))
+    brackets = [(1, levels[l].bracket(levels[k - l])) for l in range(1, k)]
+    return reference_combination(3, levels[1].ring, brackets).scale(Fraction(1, 2))
 
 
 def reference_antisymmetrize(c: Cochain) -> Cochain:

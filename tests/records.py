@@ -168,7 +168,8 @@ def psi_opo_experiment() -> dict:
     obstruction_witness = None
     if orderable_m3 is not None:
         # degree_part and antisymmetrize are linear, so the constant part is reused
-        alt = m1.bracket(orderable_m3, (1, 1, 1)).antisymmetrize() + base_alt
+        alt = linear_combination(
+            3, JET_RING, ((1, m1.bracket(orderable_m3, (1, 1, 1)).antisymmetrize()), (1, base_alt)))
         obstruction_witness = determinant_witness(alt)
 
     # contrast: the unconstrained level equation is solvable (shape ansatz)

@@ -285,6 +285,25 @@ def test_verify_roundtrip_and_mutation(tmp_path, capsys):
     assert "witness" in captured.err or "witness" in captured.out
 
 
+@pytest.mark.parametrize("emit", ["text", "json"])
+def test_verify_reports_jets_past_the_longest_stored_index(emit, tmp_path, capsys):
+    # the stored jet loads; the residuals differentiate it one digit further
+    star = tmp_path / "star.json"
+    assert main(["construct", "--phi", "sym", "--order", "2", "--out", str(star)]) == 0
+    data = json.loads(star.read_text())
+    data["levels"][1]["terms"][0]["coeff"][0]["factors"] = ["phi_" + "1" * (2 * MAX_ORDER)]
+    star.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(star), "--emit", emit]) == 3
+    out = capsys.readouterr().out
+    if emit == "text":
+        assert "FAIL residual-2" in out
+    else:
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert not checks["residual-2"]["pass"]
+        assert re.search(rf"phi_\d{{{2 * MAX_ORDER + 1}}}\b", checks["residual-2"]["residual"])
+
+
 def test_verify_missing_and_corrupt_files(tmp_path, capsys):
     assert main(["verify", str(tmp_path / "nope.json")]) == 2
     bad = tmp_path / "corrupt.json"

@@ -9,7 +9,7 @@ from starq.cochains import (Cochain, JET_RING, X_RING, delta_terms, epsilon_coch
                             insertion_sum, linear_combination, ring_class, slot_total)
 from starq.polynomials import XPoly, parse_poly
 
-from helpers import (eval_args, random_cochain, reference_antisymmetrize,
+from helpers import (eval_args, random_cochain, reference_antisymmetrize, reference_combination,
                      reference_delta_terms, reference_hochschild_delta, reference_insert)
 
 
@@ -89,7 +89,7 @@ def test_bracket_of_odd_pair_is_symmetric():
     rng = Random(7)
     a = random_cochain(rng, 2, max_slot_degree=2, terms=2)
     b = random_cochain(rng, 2, max_slot_degree=2, terms=2)
-    assert (a.bracket(b) - b.bracket(a)).is_zero
+    assert a.bracket(b) == b.bracket(a)
 
 
 def test_insert_composition_on_explicit_args():
@@ -106,8 +106,8 @@ def test_insert_composition_on_explicit_args():
 def test_reverse_and_scale_define_parity():
     rng = Random(5)
     c = random_cochain(rng, 2, terms=3)
-    sym = c + c.reverse_args()
-    assert (sym.reverse_args() - sym).is_zero
+    sym = linear_combination(2, c.ring, ((1, c), (1, c.reverse_args())))
+    assert sym.reverse_args() == sym
 
 
 def test_antisymmetrize_kills_symmetric_part():
@@ -132,7 +132,7 @@ def test_specialize_commutes_with_delta():
     c = random_cochain(rng, 2, ring=JET_RING, max_slot_degree=3, terms=3)
     left = c.hochschild_delta().specialize(phi, psi)
     right = c.specialize(phi, psi).hochschild_delta()
-    assert (left - right).is_zero
+    assert left == right
 
 
 def test_json_roundtrip_both_rings():
@@ -143,12 +143,8 @@ def test_json_roundtrip_both_rings():
 
 
 def test_arity_mismatch_rejected():
-    a = Cochain(2, X_RING)
-    b = Cochain(3, X_RING)
     with pytest.raises(ValueError):
-        _ = a + b
-    with pytest.raises(ValueError):
-        eval_args(a, (XPoly.one(),))
+        eval_args(Cochain(2, X_RING), (XPoly.one(),))
 
 
 # -- accumulating kernels against the add_term formulas they replace ---------------
@@ -207,7 +203,8 @@ def test_bracket_and_insertion_sum_match_reference(seed, ring, p, q, weights):
     rng = Random(seed)
     a, b = _operand(rng, p, ring), _operand(rng, q, ring)
     sign = (-1) ** ((p - 1) * (q - 1))
-    assert a.bracket(b) == reference_insert(a, b) - reference_insert(b, a).scale(sign)
+    assert a.bracket(b) == reference_combination(
+        p + q - 1, ring, ((1, reference_insert(a, b)), (-sign, reference_insert(b, a))))
     # weighted insertions of several pairs, against copies folded one by one
     if weights is None:
         triples = [(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
@@ -215,9 +212,8 @@ def test_bracket_and_insertion_sum_match_reference(seed, ring, p, q, weights):
                    for _ in range(rng.randint(0, 3))]
     else:
         triples = [(weight, a, b) for weight in weights]
-    folded = Cochain(p + q - 1, ring)
-    for weight, outer, inner in triples:
-        folded = folded + reference_insert(outer, inner).scale(weight)
+    folded = reference_combination(p + q - 1, ring, [(weight, reference_insert(outer, inner))
+                                                     for weight, outer, inner in triples])
     assert insertion_sum(p + q - 1, ring, triples) == folded
     for degrees in {tuple(len(s) for s in slots) for slots in folded.terms}:
         assert insertion_sum(p + q - 1, ring, triples, degrees) == folded.degree_part(degrees)
@@ -259,7 +255,7 @@ def test_self_bracket_is_one_insertion(seed, ring, p):
     sign = (-1) ** ((p - 1) * (p - 1))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cochains, "insertion_sum", counting)
-        assert a.bracket(a) == reference_insert(a, a) - reference_insert(a, a).scale(sign)
+        assert a.bracket(a) == reference_insert(a, a).scale(1 - sign)
         assert a.bracket(a, (1,) * (2 * p - 1)) == a.bracket(a).degree_part((1,) * (2 * p - 1))
     assert counted == [1, 1, 1]  # one insertion per bracket
 
@@ -284,10 +280,7 @@ def test_antisymmetrize_and_combination_match_reference(seed, ring, weights):
     else:
         term = _operand(rng, 2, ring)
         pairs = [(weight, term) for weight in weights]
-    folded = Cochain(2, ring)
-    for q, term in pairs:
-        folded = folded + term.scale(q)
-    assert linear_combination(2, ring, pairs) == folded
+    assert linear_combination(2, ring, pairs) == reference_combination(2, ring, pairs)
 
 
 @settings(max_examples=60, deadline=None)
@@ -307,7 +300,8 @@ def test_first_difference_is_the_first_term_of_the_difference(seed, ring):
             b.terms[slots] = c + c
     if a == b:
         return
-    assert a.first_difference(b) == (a - b).sorted_terms()[0]
+    difference = linear_combination(a.arity, ring, ((1, a), (-1, b)))
+    assert a.first_difference(b) == difference.sorted_terms()[0]
     slots, coeff = b.first_difference(a)
     assert (slots, -coeff) == a.first_difference(b)
 

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from starq.jets import JetPolynomial, monomial_key, phi_jet, psi_jet
-from starq.polynomials import MAX_PARSE_DEGREE, XPoly, monomials_up_to, parse_poly
+from starq.polynomials import MAX_PARSE_DEGREE, XPoly, parse_poly
 
 from helpers import (fraction_add, fraction_mul, fraction_scale, fraction_x_derivative,
-                     poly, random_index)
+                     monomials_up_to, poly, random_index)
 
 
 def small_polys():
