@@ -9,15 +9,17 @@ equality is structural equality.
 
 The module implements the operations the deformation recursion needs: the
 Hochschild coboundary, whose middle terms expand argument products by the
-Leibniz rule; the Gerstenhaber insertion product and bracket, whose
-insertions differentiate inner coefficients through the total x-derivative
-of the ring; argument-degree filtering; argument reversal; and the
-alternating average over the arguments of a trilinear operator.  The
-kernels accumulate into ``RatVec`` running sums of integer numerators, one
-per output slot, all over one denominator common to the call (the lcm of
-the input coefficients' denominators, times the weights'), so each
-contribution is an integer multiple, and an insertion's products are left
-unreduced; each coefficient is built and reduced once.
+Leibniz rule; the Gerstenhaber insertion product, whose insertions
+differentiate inner coefficients through the total x-derivative of the
+ring; argument-degree filtering; argument reversal; and the alternating
+average over the arguments of a trilinear operator.  Coboundaries,
+combinations and insertion sums accumulate into one ``RatVec`` running sum
+of integer numerators per output slot, over one denominator common to the
+call (the lcm of the inputs' and weights'), so each contribution is an
+integer multiple and an insertion's products stay unreduced.  A cochain
+reduces each coefficient once; an equation delta(m) = target + insertions
+is checked as one running difference (``coboundary_defect``), neither side
+built.
 
 Empty slots (an argument multiplied without differentiation) occur in the
 bare multiplication, in insertions with it, and in terms that carry one.
@@ -67,11 +69,6 @@ def slot_total(slots: Slots) -> int:
 
 def _common_den(cochain: "Cochain") -> int:
     return lcm(*(c.den for c in cochain.terms.values()))
-
-
-def _sums(den: int) -> dict[Slots, RatVec]:
-    """Per-slot running sums, all over the denominator ``den``."""
-    return defaultdict(lambda: RatVec(None, den))
 
 
 def delta_terms(slots: Slots) -> Iterator[tuple[Slots, int]]:
@@ -162,12 +159,14 @@ class Cochain:
         return sorted(self.terms.items(),
                       key=lambda kv: (_lengths(kv[0]), kv[0]))
 
-    def first_difference(self, other: "Cochain") -> tuple:
-        """(self - other).sorted_terms()[0], self != other, from one coefficient."""
+    def first_difference(self, other: "Cochain") -> tuple | None:
+        """(self - other).sorted_terms()[0] from one coefficient, for a cochain
+        of the same arity and ring; None when the two are equal."""
         a, b = self.terms, other.terms
         slots = min((s for s in a.keys() | b.keys() if a.get(s) != b.get(s)),
-                    key=lambda s: (_lengths(s), s))
-        return slots, self.coefficient(slots) - other.coefficient(slots)
+                    key=lambda s: (_lengths(s), s), default=None)
+        return None if slots is None else (
+            slots, self.coefficient(slots) - other.coefficient(slots))
 
     # -- structure of slots -------------------------------------------------
 
@@ -193,31 +192,8 @@ class Cochain:
 
     def hochschild_delta(self) -> "Cochain":
         """Hochschild coboundary; raises arity by one, never touches coefficients."""
-        den = _common_den(self)
-        sums = _sums(den)
-        for slots, c in self.terms.items():
-            terms, mul = c.terms, den // c.den
-            for new_slots, q in delta_terms(slots):
-                sums[new_slots].add_scaled(terms, q * mul)
+        sums, _ = _running_sums(self.arity + 1, self.ring, self)
         return Cochain._from_sums(self.arity + 1, self.ring, sums)
-
-    def insert(self, other: "Cochain", degrees: tuple[int, ...] | None = None) -> "Cochain":
-        """Gerstenhaber insertion product: sum over compositions of self with
-        other placed into one argument, with alternating degree signs.
-
-        With target slot lengths ``degrees`` the result is
-        ``insert(other).degree_part(degrees)``; see ``insertion_sum``.
-        """
-        return insertion_sum(self.arity + other.arity - 1, self.ring,
-                             [(1, self, other)], degrees)
-
-    def bracket(self, other: "Cochain", degrees: tuple[int, ...] | None = None) -> "Cochain":
-        """Gerstenhaber bracket on shifted degrees (arity minus one), [a, a] by
-        one insertion; with ``degrees``, only its part with those slot lengths."""
-        sign = (-1) ** ((self.arity - 1) * (other.arity - 1))
-        pairs = ([(1 - sign, self, self)] if other is self
-                 else [(1, self, other), (-sign, other, self)])
-        return insertion_sum(self.arity + other.arity - 1, self.ring, pairs, degrees)
 
     # -- trilinear alternation ------------------------------------------------
 
@@ -226,7 +202,7 @@ class Cochain:
         if self.arity != 3:
             raise ValueError("alternation is defined for trilinear operators")
         den = _common_den(self)
-        sums = _sums(6 * den)
+        sums = defaultdict(lambda: RatVec(None, 6 * den))
         for slots, c in self.terms.items():
             terms, mul = c.terms, den // c.den
             for perm, sign in _S3:
@@ -281,39 +257,63 @@ class Cochain:
 def linear_combination(arity: int, ring: str,
                        pairs: Iterable[tuple[Fraction | int, "Cochain"]]) -> "Cochain":
     """Sum of q * cochain over (q, cochain) pairs, accumulated in place."""
-    pairs = [(q, cochain) for q, cochain in pairs if q]
-    den = lcm(*(q.denominator * _common_den(cochain) for q, cochain in pairs))
-    sums = _sums(den)
-    for q, cochain in pairs:
-        num, q_den = q.numerator, q.denominator
-        for slots, c in cochain.terms.items():
-            sums[slots].add_scaled(c.terms, num * (den // (q_den * c.den)))
-    return Cochain._from_sums(arity, ring, sums)
+    return Cochain._from_sums(arity, ring, _running_sums(arity, ring, pairs=pairs)[0])
 
 
 def insertion_sum(arity: int, ring: str, insertions: Iterable[tuple],
                   degrees: tuple[int, ...] | None = None) -> "Cochain":
-    """Sum of weight * outer.insert(inner) over (weight, outer, inner)
-    triples, accumulated in place into one running sum per output slot.
+    """Sum of weight * outer o inner (the Gerstenhaber insertion) over (weight,
+    outer, inner) triples; with slot lengths ``degrees``, its degree_part."""
+    if degrees is not None and len(degrees) != arity:
+        raise ValueError("degree tuple does not match arity")
+    sums, _ = _running_sums(arity, ring, insertions=insertions, degrees=degrees)
+    return Cochain._from_sums(arity, ring, sums)
+
+
+def coboundary_defect(m: Cochain, target: Cochain | None = None,
+                      insertions: Iterable[tuple] = ()) -> tuple | None:
+    """The first term of delta(m) - target - sum of weight * outer o inner over
+    (weight, outer, inner) insertion triples, in ``sorted_terms`` order, as
+    (slots, coefficient); None when that difference is zero.  No side is
+    built as a cochain: only the returned coefficient becomes a ring element."""
+    if target is not None and (target.arity, target.ring) != (m.arity + 1, m.ring):
+        raise ValueError("target does not match the coboundary's arity and ring")
+    sums, den = _running_sums(m.arity + 1, m.ring, m, [] if target is None else [(-1, target)],
+                              [(-weight, outer, inner) for weight, outer, inner in insertions])
+    slots = min((s for s, acc in sums.items() if acc.terms),
+                key=lambda s: (_lengths(s), s), default=None)
+    return None if slots is None else (
+        slots, ring_class(m.ring).from_numerators(sums[slots].terms, den))
+
+
+def _running_sums(arity: int, ring: str, delta_of: Cochain | None = None, pairs=(),
+                  insertions=(), degrees: tuple[int, ...] | None = None) -> tuple[dict, int]:
+    """One running sum per output slot of delta(delta_of), of q * c over (q, c)
+    pairs and of weight * outer o inner over (weight, outer, inner)
+    insertions, with their one denominator, the lcm of the parts'.  With
+    ``degrees`` an insertion visits only what lands on those slot lengths.
 
     A slot of the outer operator distributes over the composite argument:
     one piece differentiates the inner coefficient, the others (a spread)
     land on the inner slots, with multinomial multiplicities.  Per outer
     term, each product c_outer * d(c_inner) is formed once per (piece, inner
     term), unreduced, and kept by the inner term's position; each spread has
-    one list of the inner positions it lands on, with the merged slots.  With
-    target slot lengths ``degrees`` the result is the sum's
-    ``degree_part(degrees)``, and nothing that cannot land there is visited.
-    """
-    if degrees is not None:
-        degrees = tuple(degrees)
-        if len(degrees) != arity:
-            raise ValueError("degree tuple does not match arity")
-    insertions = list(insertions)
+    one list of the inner positions it lands on, with the merged slots."""
+    pairs, insertions = [(q, c) for q, c in pairs if q], list(insertions)
     # a product c_outer * d(c_inner) has a denominator dividing the product of theirs
-    den = lcm(*(weight.denominator * _common_den(outer) * _common_den(inner)
+    den = lcm(1 if delta_of is None else _common_den(delta_of),
+              *(q.denominator * _common_den(c) for q, c in pairs),
+              *(weight.denominator * _common_den(outer) * _common_den(inner)
                 for weight, outer, inner in insertions))
-    sums = _sums(den)
+    sums = defaultdict(lambda: RatVec(None, den))  # per-slot running sums over den
+    for slots, c in () if delta_of is None else delta_of.terms.items():
+        terms, mul = c.terms, den // c.den
+        for new_slots, q in delta_terms(slots):
+            sums[new_slots].add_scaled(terms, q * mul)
+    for q, cochain in pairs:
+        num, q_den = q.numerator, q.denominator
+        for slots, c in cochain.terms.items():
+            sums[slots].add_scaled(c.terms, num * (den // (q_den * c.den)))
     groups: dict = {}  # (outer slot, parts) -> its splits grouped by the first piece
     for weight, outer, inner in insertions:
         if outer.ring != ring or inner.ring != ring:
@@ -359,7 +359,7 @@ def insertion_sum(arity: int, ring: str, insertions: Iterable[tuple],
                             terms, m_mul = hit
                             if terms:
                                 sums[head + middle + tail].add_scaled(terms, m_mul * mul)
-    return Cochain._from_sums(arity, ring, sums)
+    return sums, den
 
 
 def epsilon_cochain(ring: str) -> "Cochain":

@@ -4,13 +4,14 @@ Nothing here reuses the constructor's solver or gauge machinery: associators
 come from direct evaluation of the levels on pairs of monomials, the Jacobi
 residual from the curl formula, and level 1 is compared exactly, in either
 ring, with half the Poisson bracket of the stored potentials, P = psi grad
-phi.  The ring core and the insertion kernel are shared with the
+phi.  The ring core and the running-sum kernel are shared with the
 constructor; the independence is in the formulas, the symmetric-bracket
-right-hand side (one bracket per unordered pair of levels) against the
+right-hand side (both orders of each unordered pair of levels) against the
 constructor's one-sided sum, and the associator scan, the one evaluation
-entry point.  A verification run produces a machine-readable report whose
-failing entries each name a witness triple of polynomials, so a corrupted
-product is not just flagged but exhibited.
+entry point.  Each residual delta(M_k) - R_k is one running difference, and
+neither side is built.  A verification run produces a machine-readable
+report whose failing entries each name a witness triple of polynomials, so
+a corrupted product is not just flagged but exhibited.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import json
 from fractions import Fraction
 from math import perm
 
-from .cochains import Cochain, X_RING, linear_combination
+from .cochains import Cochain, X_RING, coboundary_defect
 from .jets import JetPolynomial, phi_jet, psi_jet
 from .multiindex import all_indices, multiplicities
 from .polynomials import RatVec, XPoly
@@ -180,20 +181,17 @@ def _witness_from_slots(slots) -> list[str]:
     return (args + ["1", "1", "1"])[:3]
 
 
-def _rhs(levels: list[Cochain], k: int) -> Cochain:
-    """(1/2) sum over l of [M_l, M_{k-l}], the symmetric bracket form.
-
-    For bilinear levels the bracket is symmetric, [a, b] = a∘b + b∘a = [b, a],
-    so the sum runs over unordered pairs: each [M_l, M_{k-l}] with l < k - l
-    once, and half of [M_{k/2}, M_{k/2}] (one insertion) for even k,
-    floor(k/2) brackets in all.  A bracket of two levels inserts both orders,
-    so this re-derives R_k by another formula than the constructor's
-    one-sided sum; the brackets are added into one accumulator.
-    """
-    return linear_combination(
-        3, levels[1].ring,
-        ((1 if 2 * l < k else _HALF, levels[l].bracket(levels[k - l]))
-         for l in range(1, k // 2 + 1)))
+def _bracket_form(levels: list[Cochain], k: int) -> list[tuple]:
+    """R_k = (1/2) sum over l of [M_l, M_{k-l}], the symmetric bracket form,
+    as (weight, outer, inner) insertion triples.  For bilinear levels
+    [a, b] = a o b + b o a = [b, a], so the sum runs over the floor(k/2)
+    unordered pairs: [M_l, M_{k-l}] with l < k - l inserts both orders, and
+    (1/2)[M_{k/2}, M_{k/2}] is the one insertion M_{k/2} o M_{k/2}."""
+    triples = []
+    for l in range(1, k // 2 + 1):
+        a, b = levels[l], levels[k - l]
+        triples += [(1, a, b), (1, b, a)] if 2 * l < k else [(1, a, a)]
+    return triples
 
 
 def verify_star(star: StarProduct, degree: int | None = None) -> dict:
@@ -221,19 +219,21 @@ def verify_star(star: StarProduct, degree: int | None = None) -> dict:
           residual="levels " + ",".join(map(str, degenerate)) if degenerate else "0",
           witness=None if unit_ok and not degenerate else ["1", "1", "1"])
 
-    def compare(name: str, a: Cochain, b: Cochain):
-        """Pass when a == b; otherwise the first sorted term of a - b is the
-        residual, and its slots name the witness."""
-        if a == b:
+    def compare(name: str, difference):
+        """Pass when there is no difference; else the coefficient of its first
+        sorted term is the residual, and that term's slots name the witness."""
+        if difference is None:
             check(name, True)
         else:
-            slots, coeff = a.first_difference(b)
+            slots, coeff = difference
             check(name, False, residual=coeff, witness=_witness_from_slots(slots))
 
     for k in range(1, len(levels)):
-        compare(f"parity-{k}", levels[k], levels[k].reverse_args().scale((-1) ** k))
+        mirror = levels[k].reverse_args().scale((-1) ** k)
+        compare(f"parity-{k}", levels[k].first_difference(mirror))
     for k in range(2, len(levels)):
-        compare(f"residual-{k}", levels[k].hochschild_delta(), _rhs(levels, k))
+        # delta(M_k) - R_k as one running sum; neither side is built
+        compare(f"residual-{k}", coboundary_defect(levels[k], insertions=_bracket_form(levels, k)))
 
     if star.ring == X_RING:
         bound = star.order if degree is None else degree
@@ -244,8 +244,8 @@ def verify_star(star: StarProduct, degree: int | None = None) -> dict:
         else:
             check("associator", True)
 
-    compare("commutator-bracket", levels[1],
-            half_bracket(poisson_vector(star.phi, star.psi), star.ring))
+    compare("commutator-bracket", levels[1].first_difference(
+        half_bracket(poisson_vector(star.phi, star.psi), star.ring)))
 
     return {"pass": all(c["pass"] for c in checks), "inputsDigest": digest, "checks": checks}
 

@@ -12,6 +12,12 @@ def sym_star3():
 
 
 @pytest.fixture(scope="session")
+def sym_star4():
+    """Symbolic gradient-mode product through level 4."""
+    return build_star(NABLA_PHI, 4)
+
+
+@pytest.fixture(scope="session")
 def sym_star5():
     """Symbolic gradient-mode product through level 5, for the slow tests."""
     return build_star(NABLA_PHI, 5)

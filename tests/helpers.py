@@ -8,6 +8,7 @@ from math import factorial, lcm
 from random import Random
 from typing import Iterable, Iterator, Sequence
 
+from starq import cochains
 from starq.cochains import Cochain, JET_RING, X_RING, ring_class, slot_total
 from starq.jets import (JetPolynomial, code, decode, format_var, lift, monomial_key, phi_jet,
                         psi_jet, substitute_factor, var)
@@ -71,6 +72,24 @@ def random_cochain(rng: Random, arity: int, ring: str = JET_RING,
     return out
 
 
+# -- the insertion product and the Gerstenhaber bracket -----------------------------
+# Both go through the package's insertion kernel, looked up on the module at
+# each call so that a test can count its calls.
+
+def insert(a: Cochain, b: Cochain, degrees: tuple[int, ...] | None = None) -> Cochain:
+    """The Gerstenhaber insertion a o b; with slot lengths ``degrees``, its
+    part with those slot lengths."""
+    return cochains.insertion_sum(a.arity + b.arity - 1, a.ring, [(1, a, b)], degrees)
+
+
+def bracket(a: Cochain, b: Cochain, degrees: tuple[int, ...] | None = None) -> Cochain:
+    """Gerstenhaber bracket on shifted degrees (arity minus one), [a, a] by
+    one insertion; with ``degrees``, only its part with those slot lengths."""
+    sign = (-1) ** ((a.arity - 1) * (b.arity - 1))
+    pairs = [(1 - sign, a, a)] if b is a else [(1, a, b), (-sign, b, a)]
+    return cochains.insertion_sum(a.arity + b.arity - 1, a.ring, pairs, degrees)
+
+
 # -- reference cochain kernels --------------------------------------------------------
 # Each contribution is a scaled copy added term by term through add_term: the
 # formulas the accumulating kernels in starq.cochains replace.
@@ -124,10 +143,10 @@ def reference_insert(a: Cochain, b: Cochain) -> Cochain:
 
 
 def reference_rhs(levels, k: int) -> Cochain:
-    """(1/2) sum over l of [M_l, M_{k-l}], the sum folded copy by copy and
-    halved at the end: the verifier's formula before it added half of every
-    bracket into one accumulator."""
-    brackets = [(1, levels[l].bracket(levels[k - l])) for l in range(1, k)]
+    """(1/2) sum over l of [M_l, M_{k-l}], every bracket built and the sum
+    folded copy by copy and halved at the end: the copy-based form of the
+    right-hand side the verifier checks as one running difference."""
+    brackets = [(1, bracket(levels[l], levels[k - l])) for l in range(1, k)]
     return reference_combination(3, levels[1].ring, brackets).scale(Fraction(1, 2))
 
 

@@ -27,7 +27,7 @@ from starq.star import (
     level_equation, opo_projections, solve_opo, span_combination,
 )
 
-from helpers import reference_enumerate
+from helpers import bracket, reference_enumerate
 
 OPO_LIFT = "opo-lift"
 NON_OPO_LIFT = "non-opo-lift"
@@ -141,13 +141,13 @@ def psi_opo_experiment() -> dict:
     columns = {idx: proj for idx, proj, _ in projections}
 
     # constant part of the level-4 obstruction: half the self-bracket of level 2
-    base_alt = m2.bracket(m2, (1, 1, 1)).scale(Fraction(1, 2)).antisymmetrize()
+    base_alt = bracket(m2, m2, (1, 1, 1)).scale(Fraction(1, 2)).antisymmetrize()
     base_witness = determinant_witness(base_alt)
 
     combined = ColumnReducer()
     rows: set = set()
     for idx, proj, delta in projections:
-        witness = determinant_witness(m1.bracket(proj, (1, 1, 1)).antisymmetrize())
+        witness = determinant_witness(bracket(m1, proj, (1, 1, 1)).antisymmetrize())
         column = _combined_rows(delta, witness, 1)
         rows.update(column.terms)
         combined.add_column(idx, column)
@@ -168,8 +168,8 @@ def psi_opo_experiment() -> dict:
     obstruction_witness = None
     if orderable_m3 is not None:
         # degree_part and antisymmetrize are linear, so the constant part is reused
-        alt = linear_combination(
-            3, JET_RING, ((1, m1.bracket(orderable_m3, (1, 1, 1)).antisymmetrize()), (1, base_alt)))
+        alt = linear_combination(3, JET_RING, (
+            (1, bracket(m1, orderable_m3, (1, 1, 1)).antisymmetrize()), (1, base_alt)))
         obstruction_witness = determinant_witness(alt)
 
     # contrast: the unconstrained level equation is solvable (shape ansatz)

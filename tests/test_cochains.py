@@ -5,12 +5,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from starq import cochains
-from starq.cochains import (Cochain, JET_RING, X_RING, delta_terms, epsilon_cochain,
-                            insertion_sum, linear_combination, ring_class, slot_total)
+from starq.cochains import (Cochain, JET_RING, X_RING, coboundary_defect, delta_terms,
+                            epsilon_cochain, insertion_sum, linear_combination, ring_class,
+                            slot_total)
 from starq.polynomials import XPoly, parse_poly
 
-from helpers import (eval_args, random_cochain, reference_antisymmetrize, reference_combination,
-                     reference_delta_terms, reference_hochschild_delta, reference_insert)
+from helpers import (bracket, eval_args, insert, random_cochain, reference_antisymmetrize,
+                     reference_combination, reference_delta_terms, reference_hochschild_delta,
+                     reference_insert)
 
 
 def test_delta_terms_preserve_slot_totals():
@@ -89,7 +91,7 @@ def test_bracket_of_odd_pair_is_symmetric():
     rng = Random(7)
     a = random_cochain(rng, 2, max_slot_degree=2, terms=2)
     b = random_cochain(rng, 2, max_slot_degree=2, terms=2)
-    assert a.bracket(b) == b.bracket(a)
+    assert bracket(a, b) == bracket(b, a)
 
 
 def test_insert_composition_on_explicit_args():
@@ -97,7 +99,7 @@ def test_insert_composition_on_explicit_args():
     a = random_cochain(rng, 2, ring=X_RING, max_slot_degree=2, terms=2)
     b = random_cochain(rng, 2, ring=X_RING, max_slot_degree=2, terms=2)
     f, g, h = parse_poly("x1^2*x2"), parse_poly("x3^2"), parse_poly("x1*x2*x3")
-    composed = a.insert(b)
+    composed = insert(a, b)
     direct = (eval_args(a, (eval_args(b, (f, g)), h))
               - eval_args(a, (f, eval_args(b, (g, h)))))
     assert eval_args(composed, (f, g, h)) == direct
@@ -167,14 +169,14 @@ def test_insert_matches_reference(seed, ring, p, q):
     rng = Random(seed)
     a, b = _operand(rng, p, ring), _operand(rng, q, ring)
     full = reference_insert(a, b)
-    assert a.insert(b) == full
+    assert insert(a, b) == full
     # every shape of the full product, plus one that never occurs in it
     shapes = {tuple(len(s) for s in slots) for slots in full.terms}
     shapes.add((9,) * (p + q - 1))
     for degrees in shapes:
-        assert a.insert(b, degrees) == full.degree_part(degrees)
+        assert insert(a, b, degrees) == full.degree_part(degrees)
     if p == q == 2:
-        assert a.bracket(b, (1, 1, 1)) == a.bracket(b).degree_part((1, 1, 1))
+        assert bracket(a, b, (1, 1, 1)) == bracket(a, b).degree_part((1, 1, 1))
 
 
 # Weights pinned on one operand pair: a weight of 0, alone or beside another,
@@ -203,7 +205,7 @@ def test_bracket_and_insertion_sum_match_reference(seed, ring, p, q, weights):
     rng = Random(seed)
     a, b = _operand(rng, p, ring), _operand(rng, q, ring)
     sign = (-1) ** ((p - 1) * (q - 1))
-    assert a.bracket(b) == reference_combination(
+    assert bracket(a, b) == reference_combination(
         p + q - 1, ring, ((1, reference_insert(a, b)), (-sign, reference_insert(b, a))))
     # weighted insertions of several pairs, against copies folded one by one
     if weights is None:
@@ -255,8 +257,9 @@ def test_self_bracket_is_one_insertion(seed, ring, p):
     sign = (-1) ** ((p - 1) * (p - 1))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cochains, "insertion_sum", counting)
-        assert a.bracket(a) == reference_insert(a, a).scale(1 - sign)
-        assert a.bracket(a, (1,) * (2 * p - 1)) == a.bracket(a).degree_part((1,) * (2 * p - 1))
+        assert bracket(a, a) == reference_insert(a, a).scale(1 - sign)
+        ones = (1,) * (2 * p - 1)
+        assert bracket(a, a, ones) == bracket(a, a).degree_part(ones)
     assert counted == [1, 1, 1]  # one insertion per bracket
 
 
@@ -265,6 +268,55 @@ def test_self_bracket_is_one_insertion(seed, ring, p):
 def test_hochschild_delta_matches_reference(seed, ring, arity):
     c = _operand(Random(seed), arity, ring)
     assert c.hochschild_delta() == reference_hochschild_delta(c)
+
+
+def _off_by_one_coefficient(c: Cochain, rng: Random) -> Cochain:
+    """c with one coefficient doubled, or with a unit term added when c is zero."""
+    out = Cochain(c.arity, c.ring, dict(c.terms))
+    if not c.terms:
+        out.add_term(((1,),) * c.arity, ring_class(c.ring).one())
+    else:
+        slots, coeff = c.sorted_terms()[rng.randrange(len(c.terms))]
+        out.terms[slots] = coeff + coeff
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), RINGS, st.sampled_from((1, 2, 3)))
+def test_coboundary_defect_is_the_first_difference_of_the_two_sides(seed, ring, arity):
+    """delta(m) - target as one running difference: None exactly when
+    delta(m) == target, else the first term of the difference of the sides
+    built as cochains, for random targets, delta(m) itself and delta(m) off
+    in one coefficient."""
+    rng = Random(seed)
+    m = _operand(rng, arity, ring)
+    delta = m.hochschild_delta()
+    zero = Cochain(arity + 1, ring)
+    for target in (_operand(rng, arity + 1, ring), delta, _off_by_one_coefficient(delta, rng),
+                   zero):
+        defect = coboundary_defect(m, target)
+        assert (defect is None) == (delta == target)
+        assert defect == delta.first_difference(target)
+    assert coboundary_defect(m) == delta.first_difference(zero)
+    with pytest.raises(ValueError):
+        coboundary_defect(m, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), RINGS)
+def test_coboundary_defect_subtracts_weighted_insertions(seed, ring):
+    rng = Random(seed)
+    m, target = _operand(rng, 2, ring), _operand(rng, 3, ring)
+    triples = [(rng.choice((1, -1, Fraction(rng.randint(-3, 3), rng.randint(1, 3)))),
+                _operand(rng, 2, ring), _operand(rng, 2, ring))
+               for _ in range(rng.randint(1, 3))]
+    rhs = reference_combination(3, ring, [(1, target)] + [
+        (weight, reference_insert(outer, inner)) for weight, outer, inner in triples])
+    assert coboundary_defect(m, target, triples) == m.hochschild_delta().first_difference(rhs)
+    # the insertions that make delta(m) exactly: the defect vanishes
+    rest = linear_combination(3, ring, ((1, m.hochschild_delta()), (-1, insertion_sum(
+        3, ring, triples))))
+    assert coboundary_defect(m, rest, triples) is None
 
 
 @settings(max_examples=30, deadline=None)
@@ -298,7 +350,9 @@ def test_first_difference_is_the_first_term_of_the_difference(seed, ring):
             b.terms[slots] = c
         elif roll < 0.6:
             b.terms[slots] = c + c
+    assert a.first_difference(a) is None
     if a == b:
+        assert a.first_difference(b) is None
         return
     difference = linear_combination(a.arity, ring, ((1, a), (-1, b)))
     assert a.first_difference(b) == difference.sorted_terms()[0]
@@ -309,4 +363,4 @@ def test_first_difference_is_the_first_term_of_the_difference(seed, ring):
 def test_insert_rejects_degree_tuple_of_wrong_length():
     a = Cochain.multiplication(X_RING)
     with pytest.raises(ValueError):
-        a.insert(a, (1, 1))
+        insert(a, a, (1, 1))

@@ -162,12 +162,14 @@ def test_mutant_verify_report_digest(name, request):
 
 # Verify reports of passing products: the explicit ones, those built as in
 # BUILDS among them, print every check, the associator scan included; the
-# symbolic one prints the unit, parity, residual and level-1 checks.  The Moyal
+# symbolic ones print the unit, parity, residual and level-1 checks, and at
+# order 4 residual-4 brackets the pair (1, 3) and the self pair (2, 2).  The Moyal
 # products at orders 6 and 8 are the largest scans pinned here, and the
 # cubic one at order 4 the largest whose levels have non-constant
 # coefficients.
 REPORTS = {
     "sym_star3": "8f665bd10524cfd21a7ffd2288646b307fda0b8b7b7c9e76c911b77f546dfcee",
+    "sym_star4": "3f9ae942784f19edefb3c40abf8c5806728e8f3cca517282ce7200489bfddbe8",
     "x3_star4": "77fd1a7f3c14537150dbf9511fe3b146041de04122540485ba45e8649eab2827",
     "sphere_star": "c6285f43b5e393c5f3af490544d0122de4c1a5ab54eb014e3078bdbb1b813230",
     "conformal": "7a76825b4a0b0c8097da64d6a14e4b87aeaab09bafc78941fa97c6fbfcf37f17",
@@ -248,6 +250,25 @@ def test_symbolic_asymmetric_mutant_verify_report_digests(level, sym_star3):
     assert failed == [f"parity-{level}", "residual-2", "residual-3"] + (
         ["commutator-bracket"] if level == 1 else [])
     assert _sha(json.dumps(report, indent=2)) == SYMBOLIC_MUTANTS[level]
+
+
+# Mutants of the symbolic order-4 product at its top two levels: residual-4
+# fails in both, on the side of delta(M_4) for the level-4 mutant and on the
+# side of the brackets [M_1, M_3] for the level-3 one.
+SYMBOLIC_ORDER_4_MUTANTS = {
+    3: (["parity-3", "residual-3", "residual-4"],
+        "cad24962192387dca119087ee9c244b296fdcb393c6016b354e47b016dd91672"),
+    4: (["parity-4", "residual-4"],
+        "5ff9625043ff11b2edc0fa5784c1ddb58960e4b33c06f2a2e83f42e5ed8d69e3"),
+}
+
+
+@pytest.mark.parametrize("level", sorted(SYMBOLIC_ORDER_4_MUTANTS))
+def test_symbolic_order_4_mutant_verify_report_digests(level, sym_star4):
+    report = _asymmetric_mutant_report(sym_star4, level)
+    failed, digest = SYMBOLIC_ORDER_4_MUTANTS[level]
+    assert [c["name"] for c in report["checks"] if not c["pass"]] == failed
+    assert _sha(json.dumps(report, indent=2)) == digest
 
 
 def test_symbolic_json_reloads_byte_for_byte(sym_star3):

@@ -8,16 +8,18 @@ from hypothesis import given, settings, strategies as st
 
 import starq.cochains
 import starq.star
-from starq.cochains import Cochain, JET_RING, X_RING, epsilon_cochain, linear_combination
+from starq.cochains import (Cochain, JET_RING, X_RING, coboundary_defect, epsilon_cochain,
+                            insertion_sum, linear_combination, slot_total)
 from starq.jets import (NABLA_PHI, PSI_NABLA_PHI, JetPolynomial, decode, phi_jet,
                         substitute_factor)
+from starq.linsolve import ColumnReducer
 from starq.multiindex import all_indices, merge
 from starq.polynomials import XPoly, parse_poly
 from starq.star import (ClosureError, DeltaSolver, GradingError, InfeasibleError,
                         ObstructionError, ObstructionReport, StarProduct, _flatten, assemble_rhs,
                         base_levels, build_star, check_grading, level_equation, obstruction,
-                        parity_sign, proportional, shape_pairs)
-from starq.verify import _rhs, associator_scan, poisson_vector
+                        opo_projections, parity_sign, proportional, shape_pairs, solve_opo)
+from starq.verify import _bracket_form, associator_scan, poisson_vector, verify_star
 
 from helpers import (moyal_level, random_cochain, random_index, random_jet_coeff,
                      random_x_coeff, reference_delta_solve, reference_rhs, reference_shape_pairs,
@@ -68,21 +70,30 @@ def test_levels_satisfy_parity(sym_star3):
         assert level.reverse_args() == level.scale(parity_sign(k))
 
 
+def _random_levels(rng: Random, ring: str) -> list[Cochain]:
+    """The multiplication and two to four random bilinear levels."""
+    return [Cochain.multiplication(ring)] + [
+        random_cochain(rng, 2, ring, max_slot_degree=rng.randint(1, 3), terms=rng.randint(1, 3))
+        for _ in range(rng.randint(2, 4))]
+
+
+def _bracket_sum(levels, k: int) -> Cochain:
+    """The verifier's symmetric bracket form of R_k, summed as a cochain."""
+    return insertion_sum(3, levels[1].ring, _bracket_form(levels, k))
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2 ** 32), st.sampled_from((JET_RING, X_RING)))
 def test_one_sided_rhs_equals_symmetric_bracket_form(seed, ring):
-    rng = Random(seed)
-    levels = [Cochain.multiplication(ring)] + [
-        random_cochain(rng, 2, ring, max_slot_degree=rng.randint(1, 3), terms=rng.randint(1, 3))
-        for _ in range(rng.randint(2, 4))]
+    levels = _random_levels(Random(seed), ring)
     for k in range(2, len(levels) + 1):
-        assert assemble_rhs(levels, k) == _rhs(levels, k)
+        assert assemble_rhs(levels, k) == _bracket_sum(levels, k)
 
 
 @pytest.fixture(scope="module")
 def sym_rhs(sym_star3):
     """The verifier's R_k of the symbolic levels, computed once for the module."""
-    return {k: _rhs(sym_star3.levels, k) for k in (2, 3, 4)}
+    return {k: _bracket_sum(sym_star3.levels, k) for k in (2, 3, 4)}
 
 
 def test_one_sided_rhs_on_symbolic_levels(sym_star3, sym_rhs):
@@ -90,34 +101,58 @@ def test_one_sided_rhs_on_symbolic_levels(sym_star3, sym_rhs):
         assert assemble_rhs(sym_star3.levels, k) == sym_rhs[k]
 
 
+def _forbidden(*args, **kwargs):
+    raise AssertionError("the verifier's residual builds a side or inserts one-sidedly")
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2 ** 32), st.sampled_from((JET_RING, X_RING)))
 def test_verifier_rhs_matches_copy_based_form(seed, ring):
     """[a, b] = [b, a] for bilinear a and b, so R_k brackets each unordered
-    pair of levels once: floor(k/2) brackets and no one-sided insertion."""
-    rng = Random(seed)
-    levels = [Cochain.multiplication(ring)] + [
-        random_cochain(rng, 2, ring, max_slot_degree=rng.randint(1, 3), terms=rng.randint(1, 3))
-        for _ in range(rng.randint(2, 4))]
-    bracket = Cochain.bracket
+    pair of levels once: floor(k/2) pairs, both orders of a pair of distinct
+    levels and one insertion of weight 1 for the self pair.  The residual
+    delta(M_k) - R_k is the first term of the difference of the copy-based
+    sides, and it is found without building either side, without the
+    one-sided sum and without any cochain-valued insertion."""
+    levels = _random_levels(Random(seed), ring)
+    position = {id(level): l for l, level in enumerate(levels)}
+    for k in range(2, len(levels)):
+        triples = _bracket_form(levels, k)
+        pairs = {frozenset((position[id(outer)], position[id(inner)]))
+                 for _, outer, inner in triples}
+        assert pairs == {frozenset((l, k - l)) for l in range(1, k // 2 + 1)}
+        assert len(pairs) == k // 2
+        assert sorted((position[id(outer)], position[id(inner)], weight)
+                      for weight, outer, inner in triples) == sorted(
+            [(l, k - l, 1) for l in range(1, k)])
+        assert all(type(weight) is int for weight, _, _ in triples)
+        expected = levels[k].hochschild_delta().first_difference(reference_rhs(levels, k))
+        with mock.patch("starq.star.assemble_rhs", _forbidden), \
+                mock.patch("starq.cochains.insertion_sum", _forbidden), \
+                mock.patch("starq.cochains.linear_combination", _forbidden), \
+                mock.patch.object(Cochain, "hochschild_delta", _forbidden):
+            assert coboundary_defect(levels[k], insertions=triples) == expected
+
+
+def test_verifier_residuals_are_the_bracket_forms_defects(sym_star3):
+    """verify_star checks residual-k by coboundary_defect on the bracket form
+    and nothing else: no R_k, one-sided or not, is assembled."""
     calls = []
 
-    def counted(self, other, degrees=None):
-        calls.append(other)
-        return bracket(self, other, degrees)
+    def recording(m, target=None, insertions=()):
+        insertions = list(insertions)
+        calls.append((m, target, insertions))
+        return coboundary_defect(m, target, insertions)
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the verifier's right-hand side inserts one-sidedly")
-
-    for k in range(2, len(levels) + 1):
-        calls.clear()
-        with mock.patch.object(Cochain, "bracket", counted), \
-                mock.patch.object(Cochain, "insert", forbidden), \
-                mock.patch("starq.star.assemble_rhs", forbidden):
-            rhs = _rhs(levels, k)
-        assert len(calls) == k // 2
-        assert rhs == reference_rhs(levels, k)
-
+    levels = sym_star3.levels
+    with mock.patch("starq.verify.coboundary_defect", recording), \
+            mock.patch("starq.star.assemble_rhs", _forbidden), \
+            mock.patch("starq.cochains.insertion_sum", _forbidden):
+        assert verify_star(sym_star3)["pass"]
+    assert [(m, target) for m, target, _ in calls] == [(levels[2], None), (levels[3], None)]
+    for k, (_, _, insertions) in zip((2, 3), calls):
+        assert [(w, id(a), id(b)) for w, a, b in insertions] == [
+            (w, id(a), id(b)) for w, a, b in _bracket_form(levels, k)]
 
 
 def test_rhs_reversal_parity(sym_star3, sym_rhs):
@@ -129,14 +164,20 @@ def test_rhs_reversal_parity(sym_star3, sym_rhs):
 
 
 def test_verifier_rhs_on_symbolic_levels(sym_star3, sym_rhs):
+    levels = sym_star3.levels
     for k in (2, 3, 4):
-        assert sym_rhs[k] == reference_rhs(sym_star3.levels, k)
+        assert sym_rhs[k] == reference_rhs(levels, k)
+    for k in (2, 3):
+        assert coboundary_defect(levels[k], insertions=_bracket_form(levels, k)) is None
+        assert coboundary_defect(levels[k], sym_rhs[k]) is None
 
 
 def test_hot_kernels_construct_no_fraction(sym_star3, cubic_star, monkeypatch):
-    """The coboundary, the insertion kernel, the verifier's bracket form of
-    R_k, the grading check, the level solver, the flattened rows of the
-    span solver and the associator scan run on integer numerators."""
+    """The coboundary, the insertion kernel, the verifier's residuals (the
+    running difference of delta(M_k) and the bracket form of R_k, passing
+    and failing), the constructor's coboundary checks, the grading check, the
+    level solver, the flattened rows of the span solver and the associator
+    scan run on integer numerators."""
     made = []
     original = Fraction.__new__
 
@@ -147,9 +188,13 @@ def test_hot_kernels_construct_no_fraction(sym_star3, cubic_star, monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
     assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6) and made  # the wrapper counts
     made.clear()
-    sym_star3.levels[3].hochschild_delta()
-    rhs = assemble_rhs(sym_star3.levels, 3)
-    assert _rhs(sym_star3.levels, 3) == rhs
+    levels = sym_star3.levels
+    levels[3].hochschild_delta()
+    rhs = assemble_rhs(levels, 3)
+    assert coboundary_defect(levels[3], insertions=_bracket_form(levels, 3)) is None
+    slots, coeff = coboundary_defect(levels[3], insertions=_bracket_form(levels, 3)[:1])
+    assert slots and not coeff.is_zero
+    assert coboundary_defect(rhs) is None and coboundary_defect(levels[3], rhs) is None
     check_grading(rhs, 3, NABLA_PHI)
     for star in (sym_star3, cubic_star):
         r3 = assemble_rhs(star.levels, 3)
@@ -481,3 +526,55 @@ def test_build_refuses_a_nonzero_shortcut_under_a_zero_obstruction(monkeypatch):
     monkeypatch.setattr(starq.star, "obstruction", disagreeing)
     with pytest.raises(AssertionError, match="shortcut is nonzero"):
         build_star(NABLA_PHI, 2)
+
+
+# The constructor's post-assertions: each check of delta(M_k) = R_k on a
+# computed level that is off in one coefficient raises its own message.
+
+def test_solver_refuses_a_wrong_coboundary(sym_star3, monkeypatch):
+    solve = ColumnReducer.solve
+    bumped = []
+
+    def off_by_one(self, rhs):
+        combo = solve(self, rhs)
+        if combo is not None and combo.terms and not bumped:
+            key = next(iter(combo.terms))
+            combo.terms[key] += combo.den  # one coefficient of one block, plus 1
+            bumped.append(key)
+        return combo
+
+    monkeypatch.setattr(ColumnReducer, "solve", off_by_one)
+    with pytest.raises(AssertionError, match="^solver produced a wrong coboundary$"):
+        DeltaSolver().solve(assemble_rhs(sym_star3.levels, 3), 3)
+    assert bumped
+
+
+def test_span_solver_refuses_a_wrong_coboundary(sym_star3, monkeypatch):
+    span = starq.star.span_combination
+
+    def off_by_one(target, columns):
+        combo = span(target, columns)
+        first = min(combo)
+        return {**combo, first: combo[first] + 1}
+
+    monkeypatch.setattr(starq.star, "span_combination", off_by_one)
+    rhs = assemble_rhs(sym_star3.levels, 2)
+    with pytest.raises(AssertionError,
+                       match="^diagram-span solver produced a wrong coboundary$"):
+        solve_opo(rhs, opo_projections(2, NABLA_PHI))
+
+
+def test_explicit_build_refuses_a_wrong_specialization(monkeypatch):
+    specialize = Cochain.specialize
+
+    def off_by_one(self, phi, psi):
+        image = specialize(self, phi, psi)
+        if max(map(slot_total, self.terms)) > 2:  # a re-selected level, not level 1
+            slots, coeff = image.sorted_terms()[0]
+            image.terms[slots] = coeff + XPoly.one()
+        return image
+
+    monkeypatch.setattr(Cochain, "specialize", off_by_one)
+    with pytest.raises(AssertionError,
+                       match="^specialized orderable solution fails the explicit recursion$"):
+        build_star(NABLA_PHI, 2, phi=parse_poly("x1*x2*x3"))
