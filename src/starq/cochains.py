@@ -63,6 +63,11 @@ def _lengths(slots: Slots) -> tuple[int, ...]:
     return tuple(len(s) for s in slots)
 
 
+def _slot_order(slots: Slots) -> tuple:
+    """The canonical order of slot tuples: by slot lengths, then by the slots."""
+    return (_lengths(slots), slots)
+
+
 def slot_total(slots: Slots) -> int:
     return sum(len(s) for s in slots)
 
@@ -76,7 +81,7 @@ def delta_terms(slots: Slots) -> Iterator[tuple[Slots, int]]:
     signed integer multiplicities.
 
     Coefficients are untouched by the coboundary, so the expansion depends
-    on the slots alone; the solver reuses this to build shape systems.
+    on the slots alone; ``star.shape_system`` builds its columns from it.
 
     When every slot is nonempty, the items with an empty slot cancel in
     pairs: ``((),) + slots`` with the ``((), s_0)`` split, the ``(s_i, ())``
@@ -156,15 +161,14 @@ class Cochain:
         return self.terms.get(slots, ring_class(self.ring).zero())
 
     def sorted_terms(self) -> list[tuple[Slots, object]]:
-        return sorted(self.terms.items(),
-                      key=lambda kv: (_lengths(kv[0]), kv[0]))
+        return sorted(self.terms.items(), key=lambda kv: _slot_order(kv[0]))
 
     def first_difference(self, other: "Cochain") -> tuple | None:
         """(self - other).sorted_terms()[0] from one coefficient, for a cochain
         of the same arity and ring; None when the two are equal."""
         a, b = self.terms, other.terms
         slots = min((s for s in a.keys() | b.keys() if a.get(s) != b.get(s)),
-                    key=lambda s: (_lengths(s), s), default=None)
+                    key=_slot_order, default=None)
         return None if slots is None else (
             slots, self.coefficient(slots) - other.coefficient(slots))
 
@@ -201,13 +205,10 @@ class Cochain:
         """Signed average over all orderings of the three arguments."""
         if self.arity != 3:
             raise ValueError("alternation is defined for trilinear operators")
-        den = _common_den(self)
-        sums = defaultdict(lambda: RatVec(None, 6 * den))
-        for slots, c in self.terms.items():
-            terms, mul = c.terms, den // c.den
-            for perm, sign in _S3:
-                sums[tuple(slots[p] for p in perm)].add_scaled(terms, sign * mul)
-        return Cochain._from_sums(3, self.ring, sums)
+        return linear_combination(3, self.ring, (
+            (Fraction(sign, 6), Cochain(3, self.ring, {tuple(slots[p] for p in perm): c
+                                                       for slots, c in self.terms.items()}))
+            for perm, sign in _S3))
 
     # -- evaluation -----------------------------------------------------------
 
@@ -280,8 +281,7 @@ def coboundary_defect(m: Cochain, target: Cochain | None = None,
         raise ValueError("target does not match the coboundary's arity and ring")
     sums, den = _running_sums(m.arity + 1, m.ring, m, [] if target is None else [(-1, target)],
                               [(-weight, outer, inner) for weight, outer, inner in insertions])
-    slots = min((s for s, acc in sums.items() if acc.terms),
-                key=lambda s: (_lengths(s), s), default=None)
+    slots = min((s for s, acc in sums.items() if acc.terms), key=_slot_order, default=None)
     return None if slots is None else (
         slots, ring_class(m.ring).from_numerators(sums[slots].terms, den))
 
@@ -314,7 +314,6 @@ def _running_sums(arity: int, ring: str, delta_of: Cochain | None = None, pairs=
         num, q_den = q.numerator, q.denominator
         for slots, c in cochain.terms.items():
             sums[slots].add_scaled(c.terms, num * (den // (q_den * c.den)))
-    groups: dict = {}  # (outer slot, parts) -> its splits grouped by the first piece
     for weight, outer, inner in insertions:
         if outer.ring != ring or inner.ring != ring:
             raise ValueError("cochain ring mismatch")
@@ -335,13 +334,7 @@ def _running_sums(arity: int, ring: str, delta_of: Cochain | None = None, pairs=
                 if degrees and _lengths(head) + inner_degrees + _lengths(tail) != degrees:
                     continue
                 scale = weight.numerator * (-1) ** (i * (q - 1))
-                key = (slots_m[i], q + 1)
-                grouped = groups.get(key)
-                if grouped is None:
-                    grouped = groups[key] = {}
-                    for pieces, count in splits(slots_m[i], q + 1):
-                        grouped.setdefault(pieces[0], []).append((pieces[1:], count))
-                for on_coeff, spread in grouped.items():
+                for on_coeff, spread in _split_groups(slots_m[i], q + 1):
                     row = products[on_coeff]
                     for on_slots, count in spread:
                         targets = spreads.get((on_slots, inner_degrees))
@@ -360,6 +353,16 @@ def _running_sums(arity: int, ring: str, delta_of: Cochain | None = None, pairs=
                             if terms:
                                 sums[head + middle + tail].add_scaled(terms, m_mul * mul)
     return sums, den
+
+
+@cache
+def _split_groups(index: MultiIndex, parts: int) -> tuple:
+    """``splits(index, parts)`` grouped by the first piece, in first-seen
+    order: (first piece, ((the other pieces, count), ...)) pairs."""
+    grouped: dict = {}
+    for pieces, count in splits(index, parts):
+        grouped.setdefault(pieces[0], []).append((pieces[1:], count))
+    return tuple((first, tuple(rest)) for first, rest in grouped.items())
 
 
 def epsilon_cochain(ring: str) -> "Cochain":

@@ -10,9 +10,9 @@ Two coefficient regimes share all code paths: the jet ring (potentials kept
 symbolic, which proves identities for every potential at once) and the
 explicit polynomial ring.  In the gradient family every level-k term
 carries exactly k potential jets and a total of 3k derivatives split
-between jets and argument slots, which lets the solver decompose the
-cohomological equation into small per-monomial blocks sharing one cached
-echelon system per derivative content and parity.
+between jets and argument slots, which lets ``solve_level`` decompose the
+cohomological equation into small per-monomial blocks, each solved against
+the memoized echelon system of its derivative content and parity.
 
 Solutions of the level equation are not unique at even levels: they may
 differ by coboundaries of one-slot operators, and the obstruction
@@ -30,6 +30,7 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -225,7 +226,7 @@ def level_equation(levels: Sequence[Cochain], k: int,
     return rhs, obstruction(rhs, k, levels)
 
 
-# -- the ansatz and the solver -------------------------------------------------------
+# -- the ansatz and the level solve ------------------------------------------------
 
 def _graded(index: MultiIndex) -> tuple[int, MultiIndex]:
     return (len(index), index)
@@ -245,77 +246,67 @@ def shape_pairs(content: MultiIndex, parity: int) -> list[tuple[MultiIndex, Mult
     return out
 
 
-class DeltaSolver:
-    """Exact solver for delta(M_k) = R_k over the graded, parity-pure ansatz.
+@cache
+def shape_system(content: MultiIndex, parity: int) -> ColumnReducer:
+    """The echelonized coboundaries of the ``shape_pairs`` of this content and
+    parity, each pair with its mirror times parity.  A pure function of its
+    key, so memoized, and only read by the solves in either ring."""
+    reducer = ColumnReducer()
+    for a, b in shape_pairs(content, parity):
+        vec: dict = {}
+        for new_slots, q in delta_terms((a, b)):
+            vec[new_slots] = vec.get(new_slots, 0) + q
+        if a != b:
+            for new_slots, q in delta_terms((b, a)):
+                vec[new_slots] = vec.get(new_slots, 0) + q * parity
+        reducer.add_column((a, b), RatVec({s: q for s, q in vec.items() if q}))
+    return reducer
+
+
+def solve_level(rhs: Cochain, k: int) -> Cochain:
+    """Canonical M_k with delta(M_k) = R_k over the graded, parity-pure ansatz,
+    exact; raises InfeasibleError when some block cannot be generated.
 
     The coboundary never touches coefficients and only splits slots or adds
     empty ones, so it keeps the multiset of all derivatives in a term, its
     content.  The equation therefore splits into independent blocks per
-    coefficient monomial and content; all blocks with the same content and
-    parity share a single echelonized shape system, built the first time a
-    block needs it and cached.  Within each block the canonical solution
-    sets free coefficients to zero.
+    coefficient monomial and content, each solved against the shape system
+    of its content and parity; within a block the canonical solution sets
+    free coefficients to zero.  Each entry of R_k lands in one block, and
+    each entry of a block's solution in one slot sum, as does its mirror (a
+    canonical pair is never another's mirror), so entries move by
+    assignment over one common denominator and nothing is summed.
     """
-
-    def __init__(self):
-        self._systems: dict[tuple[MultiIndex, int], ColumnReducer] = {}
-
-    def system(self, content: MultiIndex, parity: int) -> ColumnReducer:
-        key = (content, parity)
-        hit = self._systems.get(key)
-        if hit is not None:
-            return hit
-        reducer = ColumnReducer()
-        for a, b in shape_pairs(content, parity):
-            vec: dict = {}
-            for new_slots, q in delta_terms((a, b)):
-                vec[new_slots] = vec.get(new_slots, 0) + q
+    parity = parity_sign(k)
+    den = _common_den(rhs)
+    blocks: dict[tuple, dict] = defaultdict(dict)
+    for slots, coeff in rhs.terms.items():
+        content, mul = tuple(sorted(sum(slots, ()))), den // coeff.den
+        for mono, c in coeff.terms.items():
+            blocks[content, mono][slots] = c * mul
+    combos = []
+    # blocks in the order and with the names of their public monomials
+    shown = decode if rhs.ring == JET_RING else tuple
+    for content, mono in sorted(blocks, key=lambda b: (len(b[0]), shown(b[1]), b[0])):
+        combo = shape_system(content, parity).solve(RatVec(blocks[content, mono], den))
+        if combo is None:
+            raise InfeasibleError(
+                f"level {k}: block (slot total {len(content)}, monomial {shown(mono)}) "
+                f"is outside the coboundary span")
+        combos.append((mono, combo))
+    common = lcm(*(combo.den for _, combo in combos))
+    sums: dict = defaultdict(dict)
+    for mono, combo in combos:
+        mul = common // combo.den
+        for (a, b), c in combo.terms.items():
+            sums[a, b][mono] = c * mul
             if a != b:
-                for new_slots, q in delta_terms((b, a)):
-                    vec[new_slots] = vec.get(new_slots, 0) + q * parity
-            reducer.add_column((a, b), RatVec({s: q for s, q in vec.items() if q}))
-        self._systems[key] = reducer
-        return reducer
-
-    def solve(self, rhs: Cochain, k: int) -> Cochain:
-        """Canonical M_k with delta(M_k) = R_k, exact; raises InfeasibleError
-        when some block cannot be generated.
-
-        Each entry of R_k lands in one block, and each entry of a block's
-        solution in one slot sum, as does its mirror (a canonical pair is
-        never another's mirror), so entries move by assignment over one
-        common denominator and nothing is summed.
-        """
-        parity = parity_sign(k)
-        den = _common_den(rhs)
-        blocks: dict[tuple, dict] = defaultdict(dict)
-        for slots, coeff in rhs.terms.items():
-            content, mul = tuple(sorted(sum(slots, ()))), den // coeff.den
-            for mono, c in coeff.terms.items():
-                blocks[content, mono][slots] = c * mul
-        combos = []
-        # blocks in the order and with the names of their public monomials
-        shown = decode if rhs.ring == JET_RING else tuple
-        for content, mono in sorted(blocks, key=lambda b: (len(b[0]), shown(b[1]), b[0])):
-            combo = self.system(content, parity).solve(RatVec(blocks[content, mono], den))
-            if combo is None:
-                raise InfeasibleError(
-                    f"level {k}: block (slot total {len(content)}, monomial {shown(mono)}) "
-                    f"is outside the coboundary span")
-            combos.append((mono, combo))
-        common = lcm(*(combo.den for _, combo in combos))
-        sums: dict = defaultdict(dict)
-        for mono, combo in combos:
-            mul = common // combo.den
-            for (a, b), c in combo.terms.items():
-                sums[a, b][mono] = c * mul
-                if a != b:
-                    sums[b, a][mono] = c * mul * parity
-        make = ring_class(rhs.ring).from_numerators
-        result = Cochain(2, rhs.ring, {slots: make(terms, common) for slots, terms in sums.items()})
-        if coboundary_defect(result, rhs) is not None:
-            raise AssertionError("solver produced a wrong coboundary")
-        return result
+                sums[b, a][mono] = c * mul * parity
+    make = ring_class(rhs.ring).from_numerators
+    result = Cochain(2, rhs.ring, {slots: make(terms, common) for slots, terms in sums.items()})
+    if coboundary_defect(result, rhs) is not None:
+        raise AssertionError("solver produced a wrong coboundary")
+    return result
 
 
 # -- gauge re-selection inside the orderable-diagram span ------------------------------
@@ -395,8 +386,8 @@ def solve_opo(rhs: Cochain, columns: list[tuple[int, Cochain, Cochain]]) -> Coch
 
 def gauges_at(k: int) -> tuple[str, ...]:
     """The gauges a build records at level k: "base" at levels 0 and 1; from
-    level 2 on "opo" (the orderable-diagram span) or, where the level is the
-    DeltaSolver's, "unique" at odd and "pivot" at even levels."""
+    level 2 on "opo" (the orderable-diagram span) or, where ``solve_level``
+    solves the level, "unique" at odd and "pivot" at even levels."""
     return ("base",) if k < 2 else ("opo", "unique" if k % 2 else "pivot")
 
 
@@ -546,7 +537,6 @@ def build_star(mode: str, order: int, phi: XPoly | str = "sym",
     if not symbolic and top >= 2:
         family = build_star(mode, top, "sym", "sym" if mode == PSI_NABLA_PHI else None,
                             opo_gauge_limit, opo_restrict)
-    solver = DeltaSolver()
     gauges = {0: "base", 1: "base"}
     for k in range(2, order + 1):
         rhs, report = level_equation(levels, k, mode)
@@ -569,8 +559,8 @@ def build_star(mode: str, order: int, phi: XPoly | str = "sym",
                     f"level {k}: orderable-diagram span cannot cobound the "
                     "recursion right-hand side")
         if level_k is None:
-            gauges[k] = gauges_at(k)[-1]  # the DeltaSolver's gauge
-            level_k = solver.solve(rhs, k)
+            gauges[k] = gauges_at(k)[-1]  # solve_level's gauge
+            level_k = solve_level(rhs, k)
         else:
             gauges[k] = "opo"
         levels.append(level_k)

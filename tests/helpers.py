@@ -392,7 +392,7 @@ class FractionReducer:
 
 # -- reference shape solver -----------------------------------------------------------
 # One shape system per slot total and parity over every canonical pair of that
-# total, solved in Fractions: the systems the per-content ones of DeltaSolver split.
+# total, solved in Fractions: the systems that star.shape_system splits by content.
 
 def reference_shape_pairs(total: int, parity: int) -> list:
     out = []

@@ -23,8 +23,8 @@ from starq.linsolve import ColumnReducer
 from starq.opo import concretize, is_opo, term_to_text
 from starq.polynomials import RatVec
 from starq.star import (
-    DeltaSolver, InfeasibleError, StarProduct, _flatten, build_star, determinant_witness,
-    level_equation, opo_projections, solve_opo, span_combination,
+    InfeasibleError, StarProduct, _flatten, build_star, determinant_witness, level_equation,
+    opo_projections, solve_level, solve_opo, span_combination,
 )
 
 from helpers import bracket, reference_enumerate
@@ -96,10 +96,10 @@ def opo_audit(star: StarProduct, max_factors: int = 3) -> dict:
 
 # -- the conformal-family experiment ---------------------------------------------
 
-def _solvable(solver: DeltaSolver, rhs: Cochain, k: int) -> bool:
+def _solvable(rhs: Cochain, k: int) -> bool:
     """Whether the shape ansatz cobounds rhs at level k."""
     try:
-        solver.solve(rhs, k)
+        solve_level(rhs, k)
     except InfeasibleError:
         return False
     return True
@@ -173,7 +173,7 @@ def psi_opo_experiment() -> dict:
         obstruction_witness = determinant_witness(alt)
 
     # contrast: the unconstrained level equation is solvable (shape ansatz)
-    unrestricted_feasible = _solvable(DeltaSolver(), r3, 3)
+    unrestricted_feasible = _solvable(r3, 3)
 
     return {
         "mode": PSI_NABLA_PHI,

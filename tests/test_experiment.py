@@ -76,17 +76,17 @@ def test_audit_report_serializes(sym_star3):
     assert blob  # fully JSON-serializable
 
 
-class _StubSolver:
-    def __init__(self, feasible: bool):
-        self.feasible = feasible
-
-    def solve(self, rhs, k):
-        if not self.feasible:
+def _stub_solve(feasible: bool):
+    def solve(rhs, k):
+        if not feasible:
             raise InfeasibleError(f"level {k}: no ansatz combination")
         return Cochain(2, JET_RING)
+    return solve
 
 
-def test_infeasible_unrestricted_solve_is_recorded_not_raised():
+def test_infeasible_unrestricted_solve_is_recorded_not_raised(monkeypatch):
     rhs = Cochain(3, JET_RING)
-    assert _solvable(_StubSolver(True), rhs, 3) is True
-    assert _solvable(_StubSolver(False), rhs, 3) is False
+    monkeypatch.setattr(records, "solve_level", _stub_solve(True))
+    assert _solvable(rhs, 3) is True
+    monkeypatch.setattr(records, "solve_level", _stub_solve(False))
+    assert _solvable(rhs, 3) is False

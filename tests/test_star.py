@@ -1,3 +1,4 @@
+import json
 import re
 from fractions import Fraction
 from random import Random
@@ -15,10 +16,11 @@ from starq.jets import (NABLA_PHI, PSI_NABLA_PHI, JetPolynomial, decode, phi_jet
 from starq.linsolve import ColumnReducer
 from starq.multiindex import all_indices, merge
 from starq.polynomials import XPoly, parse_poly
-from starq.star import (ClosureError, DeltaSolver, GradingError, InfeasibleError,
-                        ObstructionError, ObstructionReport, StarProduct, _flatten, assemble_rhs,
-                        base_levels, build_star, check_grading, level_equation, obstruction,
-                        opo_projections, parity_sign, proportional, shape_pairs, solve_opo)
+from starq.star import (ClosureError, GradingError, InfeasibleError, ObstructionError,
+                        ObstructionReport, StarProduct, _flatten, assemble_rhs, base_levels,
+                        build_star, check_grading, level_equation, obstruction, opo_projections,
+                        parity_sign, proportional, shape_pairs, shape_system, solve_level,
+                        solve_opo)
 from starq.verify import _bracket_form, associator_scan, poisson_vector, verify_star
 
 from helpers import (moyal_level, random_cochain, random_index, random_jet_coeff,
@@ -196,9 +198,10 @@ def test_hot_kernels_construct_no_fraction(sym_star3, cubic_star, monkeypatch):
     assert slots and not coeff.is_zero
     assert coboundary_defect(rhs) is None and coboundary_defect(levels[3], rhs) is None
     check_grading(rhs, 3, NABLA_PHI)
+    shape_system.cache_clear()  # the level solver builds its shape systems here too
     for star in (sym_star3, cubic_star):
         r3 = assemble_rhs(star.levels, 3)
-        assert DeltaSolver().solve(r3, 3) == star.levels[3]
+        assert solve_level(r3, 3) == star.levels[3]
         assert _flatten(r3).terms
     assert associator_scan(cubic_star.levels, 3) is None
     assert made == []
@@ -211,7 +214,7 @@ def test_infeasible_solve_names_the_first_block_in_decoded_order():
     rhs = Cochain(3, JET_RING, {slots: sign * jets for slots, sign
                                 in epsilon_cochain(JET_RING).terms.items()})
     with pytest.raises(InfeasibleError, match=re.escape("monomial (('phi', (1, 1, 1)),)")):
-        DeltaSolver().solve(rhs, 3)
+        solve_level(rhs, 3)
 
 
 def test_levels_satisfy_recursion(sym_star3):
@@ -360,7 +363,7 @@ def test_solve_delta_inverts_coboundaries():
     seed = linear_combination(2, JET_RING, ((half, raw), (-half, raw.reverse_args())))
     rhs = seed.hochschild_delta()
     check_grading(rhs, 3, NABLA_PHI)
-    solved = DeltaSolver().solve(rhs, 3)
+    solved = solve_level(rhs, 3)
     assert solved.hochschild_delta() == rhs
     assert solved.reverse_args() == solved.scale(-1)
 
@@ -369,14 +372,14 @@ def test_solve_delta_inverts_coboundaries():
 @pytest.mark.parametrize("total", range(2, 8))
 def test_content_systems_split_the_slot_total_system(total, parity):
     reference = reference_shape_pairs(total, parity)
-    solver = DeltaSolver()
+    shape_system.cache_clear()  # systems built here, not ones an earlier solve used
     listed, rank, pivots = 0, 0, {}
     for content in all_indices(total):
         pairs = shape_pairs(content, parity)
         # the reference's pairs of this content, in the reference's order
         assert pairs == [p for p in reference if merge(*p) == content]
         listed += len(pairs)
-        system = solver.system(content, parity)
+        system = shape_system(content, parity)
         rank += len(system.pivots)
         pivots.update(system.pivots)
     assert listed == len(reference)
@@ -402,6 +405,7 @@ def test_build_forms_no_empty_slot_in_a_coboundary(monkeypatch):
 
     monkeypatch.setattr(starq.cochains, "delta_terms", counted)
     monkeypatch.setattr(starq.star, "delta_terms", counted)
+    shape_system.cache_clear()  # the build forms its shape systems' coboundaries too
     build_star(NABLA_PHI, 3)
     assert seen
     assert [slots for slots in seen if not all(slots)] == []
@@ -418,19 +422,43 @@ def test_content_solve_matches_one_slot_total_system(seed, ring, k):
     half = Fraction(1, 2)
     level = linear_combination(2, ring, ((half, raw), (half * parity_sign(k), raw.reverse_args())))
     rhs = level.hochschild_delta()
-    assert DeltaSolver().solve(rhs, k) == reference_delta_solve(rhs, k)
+    assert solve_level(rhs, k) == reference_delta_solve(rhs, k)
 
 
-def test_moyal_solve_builds_only_the_contents_of_its_rhs(x3_star4):
+def test_moyal_solve_builds_only_the_contents_of_its_rhs(x3_star4, monkeypatch):
     # the potential x3 puts derivatives in x1 and x2 only
     levels = x3_star4.levels
+    built = []
+    pairs = starq.star.shape_pairs
+
+    def recorded(content, parity):  # called once per shape system built
+        built.append((content, parity))
+        return pairs(content, parity)
+
+    monkeypatch.setattr(starq.star, "shape_pairs", recorded)
     for k in (3, 4):
         rhs, _ = level_equation(levels[:k], k, NABLA_PHI)
-        solver = DeltaSolver()
-        assert solver.solve(rhs, k) == levels[k]
+        shape_system.cache_clear()
+        built.clear()
+        assert solve_level(rhs, k) == levels[k]
         contents = {tuple(sorted(sum(slots, ()))) for slots in rhs.terms}
-        assert sorted(solver._systems) == sorted((c, parity_sign(k)) for c in contents)
-        assert not any(3 in content for content, _ in solver._systems)
+        assert sorted(built) == sorted((c, parity_sign(k)) for c in contents)
+        assert not any(3 in content for content, _ in built)
+
+
+def test_a_warm_shape_memo_changes_no_output():
+    # systems depend on their key alone, so builds in both rings share them
+    cubic = parse_poly("x1*x2*x3")
+    shape_system.cache_clear()
+    first = json.dumps(build_star(NABLA_PHI, 3, phi=cubic).to_json(), indent=2)
+    build_star(NABLA_PHI, 4)
+    build_star(NABLA_PHI, 4, phi=parse_poly("x3"))
+    build_star(PSI_NABLA_PHI, 3, cubic, parse_poly("1+x1"))
+    misses = shape_system.cache_info().misses
+    again = json.dumps(build_star(NABLA_PHI, 3, phi=cubic).to_json(), indent=2)
+    assert again == first
+    assert shape_system.cache_info().hits > 0
+    assert shape_system.cache_info().misses == misses  # the rebuild built no system
 
 
 def test_obstruction_reports_roundtrip(sym_star3):
@@ -545,7 +573,7 @@ def test_solver_refuses_a_wrong_coboundary(sym_star3, monkeypatch):
 
     monkeypatch.setattr(ColumnReducer, "solve", off_by_one)
     with pytest.raises(AssertionError, match="^solver produced a wrong coboundary$"):
-        DeltaSolver().solve(assemble_rhs(sym_star3.levels, 3), 3)
+        solve_level(assemble_rhs(sym_star3.levels, 3), 3)
     assert bumped
 
 
