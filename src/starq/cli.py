@@ -23,7 +23,7 @@ from .latex import star_latex
 from .opo import is_opo, parse_term, term_to_text
 from .polynomials import XPoly
 from .star import (MAX_ORDER, GradingError, InfeasibleError, ObstructionError,
-                   StarProduct, build_star, level_equation, parse_potential)
+                   StarProduct, build_star, check_closed, level_equation, parse_potential)
 from .verify import jacobi_residual, poisson_vector, verify_star
 
 EXIT_OK = 0
@@ -274,7 +274,8 @@ def cmd_obstruction(args: argparse.Namespace) -> int:
     phi, psi = _parse_expr(args.phi, "phi"), _parse_expr(args.psi, "psi")
     try:
         star = build_star(args.mode, args.k - 1, phi=phi, psi=psi)
-        _, report = level_equation(star.levels, args.k, args.mode)
+        rhs, report = level_equation(star.levels, args.k, args.mode)
+        check_closed(rhs, args.k)  # no solve at level k implies it
     except ObstructionError as exc:
         report = exc.report
     except (InfeasibleError, ValueError) as exc:

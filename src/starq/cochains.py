@@ -60,7 +60,7 @@ def ring_class(ring: str):
 
 
 def _lengths(slots: Slots) -> tuple[int, ...]:
-    return tuple(len(s) for s in slots)
+    return tuple(map(len, slots))
 
 
 def _slot_order(slots: Slots) -> tuple:
@@ -262,10 +262,11 @@ def linear_combination(arity: int, ring: str,
 
 
 def insertion_sum(arity: int, ring: str, insertions: Iterable[tuple],
-                  degrees: tuple[int, ...] | None = None) -> "Cochain":
+                  degrees: set[tuple[int, ...]] | None = None) -> "Cochain":
     """Sum of weight * outer o inner (the Gerstenhaber insertion) over (weight,
-    outer, inner) triples; with slot lengths ``degrees``, its degree_part."""
-    if degrees is not None and len(degrees) != arity:
+    outer, inner) triples; with a set ``degrees`` of slot-length tuples, the
+    sum of its degree_part on each, from one pass that shares its memos."""
+    if degrees is not None and any(len(d) != arity for d in degrees):
         raise ValueError("degree tuple does not match arity")
     sums, _ = _running_sums(arity, ring, insertions=insertions, degrees=degrees)
     return Cochain._from_sums(arity, ring, sums)
@@ -287,11 +288,13 @@ def coboundary_defect(m: Cochain, target: Cochain | None = None,
 
 
 def _running_sums(arity: int, ring: str, delta_of: Cochain | None = None, pairs=(),
-                  insertions=(), degrees: tuple[int, ...] | None = None) -> tuple[dict, int]:
+                  insertions=(), degrees: set[tuple[int, ...]] | None = None) -> tuple[dict, int]:
     """One running sum per output slot of delta(delta_of), of q * c over (q, c)
     pairs and of weight * outer o inner over (weight, outer, inner)
-    insertions, with their one denominator, the lcm of the parts'.  With
-    ``degrees`` an insertion visits only what lands on those slot lengths.
+    insertions, with their one denominator, the lcm of the parts'.  With a
+    set ``degrees`` of slot-length tuples an insertion visits only what lands
+    on one of them: at each outer position, the inner slot lengths that
+    complete the lengths of the outer slots around it to a tuple of the set.
 
     A slot of the outer operator distributes over the composite argument:
     one piece differentiates the inner coefficient, the others (a spread)
@@ -323,26 +326,42 @@ def _running_sums(arity: int, ring: str, delta_of: Cochain | None = None, pairs=
         if not weight:
             continue
         inner_slots, inner_coeffs = list(inner.terms), list(inner.terms.values())
-        spreads: dict = {}  # (spread, inner degrees) -> [(inner position, merged slots)]
+        merged: dict = {}  # spread -> [(inner position, merged slots)]
+        spreads: dict = {}  # (spread, inner degrees) -> the part of that list landing there
         derivative = cache(lambda j, piece: inner_coeffs[j].derivative(piece))
+        if degrees is not None:
+            # (position, head lengths, tail lengths) -> the inner lengths that complete them
+            completions = defaultdict(set)
+            for d in degrees:
+                for i in range(p):
+                    completions[i, d[:i], d[i + q:]].add(d[i:i + q])
+            completions = {key: frozenset(inner) for key, inner in completions.items()}
         for slots_m, c_m in outer.terms.items():
             m_den = den // (c_m.den * weight.denominator)
             products = defaultdict(lambda: [None] * len(inner_slots))  # piece -> by position
+            lengths_m = _lengths(slots_m)
             for i in range(p):
                 head, tail = slots_m[:i], slots_m[i + 1:]
-                inner_degrees = None if degrees is None else degrees[i:i + q]
-                if degrees and _lengths(head) + inner_degrees + _lengths(tail) != degrees:
-                    continue
+                inner_degrees = None
+                if degrees is not None:
+                    inner_degrees = completions.get((i, lengths_m[:i], lengths_m[i + 1:]))
+                    if inner_degrees is None:
+                        continue
                 scale = weight.numerator * (-1) ** (i * (q - 1))
                 for on_coeff, spread in _split_groups(slots_m[i], q + 1):
                     row = products[on_coeff]
                     for on_slots, count in spread:
                         targets = spreads.get((on_slots, inner_degrees))
                         if targets is None:
-                            middles = (tuple(map(merge, n, on_slots)) for n in inner_slots)
-                            targets = spreads[on_slots, inner_degrees] = [
-                                (j, middle) for j, middle in enumerate(middles)
-                                if inner_degrees is None or _lengths(middle) == inner_degrees]
+                            middles = merged.get(on_slots)
+                            if middles is None:
+                                middles = merged[on_slots] = [
+                                    (j, tuple(map(merge, n, on_slots)))
+                                    for j, n in enumerate(inner_slots)]
+                            targets = spreads[on_slots, inner_degrees] = middles if (
+                                inner_degrees is None) else [
+                                (j, middle) for j, middle in middles
+                                if _lengths(middle) in inner_degrees]
                         mul = scale * count
                         for j, middle in targets:
                             hit = row[j]

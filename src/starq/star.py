@@ -4,7 +4,10 @@ The product is a formal series m(f,g) + sum_k nu^k M_k(f,g).  Associativity
 at order k reads delta(M_k) = R_k with R_k assembled from lower levels via
 the Gerstenhaber bracket; the construction solves this exactly over the
 rationals after checking that the obstruction, the alternating first-order
-part of R_k, vanishes.
+part of R_k, vanishes.  R_k is closed when the lower levels solve their own
+equations (Gerstenhaber's obstruction lemma); every solve checks
+delta(M_k) = R_k exactly, which implies it, so closure is checked only
+where a step fails.
 
 Two coefficient regimes share all code paths: the jet ring (potentials kept
 symbolic, which proves identities for every potential at once) and the
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -88,7 +92,12 @@ def assemble_rhs(levels: Sequence[Cochain], k: int) -> Cochain:
     Levels are indexed by their order, levels[0] being the multiplication.
     For bilinear levels the Gerstenhaber bracket is [a, b] = a o b + b o a,
     so this one-sided sum equals (1/2) sum over l of [M_l, M_{k-l}] with half
-    the insertions.  ``level_equation`` checks that the result is closed.
+    the insertions.  Each insertion obeys (a o b)^rev = -(a^rev o b^rev), so
+    over lower levels of Weyl parity, M_l^rev = (-1)^l M_l, the sum obeys
+    R_k^rev = (-1)^(k+1) R_k.  Only the terms whose first slot is no longer
+    than the last are therefore inserted, and each one with a shorter first
+    slot is mirrored with that sign.  The parity of every lower level is
+    checked first: a level that lost it raises AssertionError.
     """
     if k < 2:
         raise ValueError("right-hand sides start at level 2")
@@ -96,8 +105,20 @@ def assemble_rhs(levels: Sequence[Cochain], k: int) -> Cochain:
         raise ValueError(f"level {k} needs all lower levels, have {len(levels) - 1}")
     if any(levels[l].arity != 2 for l in range(1, k)):
         raise ValueError("right-hand sides are assembled from bilinear levels")
-    return insertion_sum(3, levels[1].ring,
-                         ((1, levels[l], levels[k - l]) for l in range(1, k)))
+    for l in range(1, k):
+        if levels[l].reverse_args() != (levels[l].scale(-1) if l % 2 else levels[l]):
+            raise AssertionError(f"M_{l}^rev != (-1)^{l} M_{l}; level {l} lost its parity")
+    # a term of M_l o M_{k-l} carries at most the slot derivatives of both factors
+    totals = [max(map(slot_total, level.terms), default=0) for level in levels[:k]]
+    top = max(totals[l] + totals[k - l] for l in range(1, k))
+    half = {(a, b, c) for a in range(top + 1) for c in range(a, top + 1 - a)
+            for b in range(top + 1 - a - c)}
+    rhs = insertion_sum(3, levels[1].ring,
+                        ((1, levels[l], levels[k - l]) for l in range(1, k)), half)
+    odd = k % 2 == 1  # the mirror's sign (-1)^(k+1) is +1
+    rhs.terms.update([(slots[::-1], c if odd else -c) for slots, c in rhs.terms.items()
+                      if len(slots[0]) < len(slots[2])])
+    return rhs
 
 
 # -- obstruction -----------------------------------------------------------------
@@ -177,7 +198,7 @@ def obstruction(rhs: Cochain, k: int, levels: Sequence[Cochain]) -> ObstructionR
     if k % 2 == 1 and rhs.reverse_args() != rhs:
         raise AssertionError(f"R_{k} is not reversal-symmetric; a lower level lost its parity")
     alternating = rhs.degree_part((1, 1, 1)).antisymmetrize()
-    shortcut = insertion_sum(3, rhs.ring, [(1, levels[k - 1], levels[1])], (1, 1, 1))
+    shortcut = insertion_sum(3, rhs.ring, [(1, levels[k - 1], levels[1])], {(1, 1, 1)})
     return ObstructionReport(k, alternating, determinant_witness(shortcut.antisymmetrize()))
 
 
@@ -210,20 +231,38 @@ def check_grading(cochain: Cochain, k: int, mode: str) -> None:
 
 # -- the level step ------------------------------------------------------------------
 
-def level_equation(levels: Sequence[Cochain], k: int,
-                   mode: str) -> tuple[Cochain, ObstructionReport]:
-    """The checked right-hand side of delta(M_k) = R_k and its obstruction.
-
-    R_k is assembled from the lower levels and must be closed, which holds
-    when they solve their own equations; that is verified here rather than
-    assumed.  In the jet ring R_k is also graded.  Whether the report's
-    obstruction blocks the step is left to the caller.
-    """
-    rhs = assemble_rhs(levels, k)
+def check_closed(rhs: Cochain, k: int) -> None:
+    """Raise ClosureError unless delta(R_k) = 0, as it is whenever the lower
+    levels solve their own equations (the obstruction lemma)."""
     if coboundary_defect(rhs) is not None:
         raise ClosureError(f"delta(R_{k}) is nonzero; lower levels are inconsistent")
-    check_grading(rhs, k, mode)
-    return rhs, obstruction(rhs, k, levels)
+
+
+@contextmanager
+def closure_first(rhs: Cochain, k: int):
+    """Run part of the level-k step on R_k; if it fails, a corrupt lower
+    level is reported first, as ClosureError."""
+    try:
+        yield
+    except (GradingError, ObstructionError, InfeasibleError, AssertionError):
+        check_closed(rhs, k)
+        raise
+
+
+def level_equation(levels: Sequence[Cochain], k: int,
+                   mode: str) -> tuple[Cochain, ObstructionReport]:
+    """The right-hand side of delta(M_k) = R_k and its obstruction.
+
+    R_k is assembled from the lower levels, graded in the jet ring and
+    reported on; it is checked closed only if that fails.  A caller that
+    solves the level relies on its exact solve for closure, one that solves
+    nothing calls ``check_closed``.  Whether the report's obstruction blocks
+    the step is left to the caller.
+    """
+    rhs = assemble_rhs(levels, k)
+    with closure_first(rhs, k):
+        check_grading(rhs, k, mode)
+        return rhs, obstruction(rhs, k, levels)
 
 
 # -- the ansatz and the level solve ------------------------------------------------
@@ -504,6 +543,38 @@ class StarProduct:
         return star
 
 
+def level_step(levels: Sequence[Cochain], k: int, mode: str, specialized: Cochain | None,
+               span: bool, restrict: bool) -> tuple[Cochain, str]:
+    """M_k over the lower levels and its gauge, one step of ``build_star``.
+
+    Raises ObstructionError when the obstruction of R_k is nonzero.  M_k is
+    the ``specialized`` family level when one is given, else the solution in
+    the orderable-diagram span when ``span`` asks for it and the span reaches
+    R_k (with ``restrict``, InfeasibleError when it does not), else the
+    ``solve_level`` solution.  Each of the three is checked exactly against
+    R_k, so R_k is checked closed only when the step fails.
+    """
+    rhs, report = level_equation(levels, k, mode)
+    with closure_first(rhs, k):
+        if not report.is_zero:
+            raise ObstructionError(report)
+        if not report.shortcut_witness.is_zero:
+            raise AssertionError(f"level {k}: the insertion shortcut is nonzero "
+                                 "under a zero obstruction")
+        if specialized is not None:
+            if coboundary_defect(specialized, rhs) is not None:
+                raise AssertionError("specialized orderable solution fails the explicit recursion")
+            return specialized, "opo"
+        if span:
+            level_k = solve_opo(rhs, opo_projections(k, mode))
+            if level_k is not None:
+                return level_k, "opo"
+            if restrict:
+                raise InfeasibleError(f"level {k}: orderable-diagram span cannot cobound the "
+                                      "recursion right-hand side")
+        return solve_level(rhs, k), gauges_at(k)[-1]
+
+
 def build_star(mode: str, order: int, phi: XPoly | str = "sym",
                psi: XPoly | str | None = None,
                opo_gauge_limit: int = OPO_GAUGE_LIMIT,
@@ -539,29 +610,11 @@ def build_star(mode: str, order: int, phi: XPoly | str = "sym",
                             opo_gauge_limit, opo_restrict)
     gauges = {0: "base", 1: "base"}
     for k in range(2, order + 1):
-        rhs, report = level_equation(levels, k, mode)
-        if not report.is_zero:
-            raise ObstructionError(report)
-        if not report.shortcut_witness.is_zero:
-            raise AssertionError(f"level {k}: the insertion shortcut is nonzero "
-                                 "under a zero obstruction")
-        level_k = None
-        if family is not None and family.gauges.get(k) == "opo":
-            # specialization is a ring map commuting with total derivatives,
-            # so the family's solution specializes to a solution of the explicit step
-            level_k = family.levels[k].specialize(phi, psi)
-            if coboundary_defect(level_k, rhs) is not None:
-                raise AssertionError("specialized orderable solution fails the explicit recursion")
-        elif symbolic and (opo_restrict or (k % 2 == 0 and k <= opo_gauge_limit)):
-            level_k = solve_opo(rhs, opo_projections(k, mode))
-            if level_k is None and opo_restrict:
-                raise InfeasibleError(
-                    f"level {k}: orderable-diagram span cannot cobound the "
-                    "recursion right-hand side")
-        if level_k is None:
-            gauges[k] = gauges_at(k)[-1]  # solve_level's gauge
-            level_k = solve_level(rhs, k)
-        else:
-            gauges[k] = "opo"
+        # specialization is a ring map commuting with total derivatives, so the
+        # family's solution specializes to a solution of the explicit step
+        specialized = (family.levels[k].specialize(phi, psi)
+                       if family is not None and family.gauges.get(k) == "opo" else None)
+        span = symbolic and (opo_restrict or (k % 2 == 0 and k <= opo_gauge_limit))
+        level_k, gauges[k] = level_step(levels, k, mode, specialized, span, opo_restrict)
         levels.append(level_k)
     return StarProduct(mode, phi, psi, levels, gauges)

@@ -79,7 +79,8 @@ def random_cochain(rng: Random, arity: int, ring: str = JET_RING,
 def insert(a: Cochain, b: Cochain, degrees: tuple[int, ...] | None = None) -> Cochain:
     """The Gerstenhaber insertion a o b; with slot lengths ``degrees``, its
     part with those slot lengths."""
-    return cochains.insertion_sum(a.arity + b.arity - 1, a.ring, [(1, a, b)], degrees)
+    return cochains.insertion_sum(a.arity + b.arity - 1, a.ring, [(1, a, b)],
+                                  None if degrees is None else {degrees})
 
 
 def bracket(a: Cochain, b: Cochain, degrees: tuple[int, ...] | None = None) -> Cochain:
@@ -87,7 +88,8 @@ def bracket(a: Cochain, b: Cochain, degrees: tuple[int, ...] | None = None) -> C
     one insertion; with ``degrees``, only its part with those slot lengths."""
     sign = (-1) ** ((a.arity - 1) * (b.arity - 1))
     pairs = [(1 - sign, a, a)] if b is a else [(1, a, b), (-sign, b, a)]
-    return cochains.insertion_sum(a.arity + b.arity - 1, a.ring, pairs, degrees)
+    return cochains.insertion_sum(a.arity + b.arity - 1, a.ring, pairs,
+                                  None if degrees is None else {degrees})
 
 
 # -- reference cochain kernels --------------------------------------------------------

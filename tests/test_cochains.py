@@ -179,6 +179,31 @@ def test_insert_matches_reference(seed, ring, p, q):
         assert bracket(a, b, (1, 1, 1)) == bracket(a, b).degree_part((1, 1, 1))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), RINGS, st.sampled_from((2, 3)), st.sampled_from((2, 3)))
+def test_insertion_sum_on_a_set_of_degree_tuples_sums_their_parts(seed, ring, p, q):
+    # one pass over several slot-length tuples, one of them never hit, gives
+    # the sum of each tuple's part
+    rng = Random(seed)
+    triples = [(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                _operand(rng, p, ring), _operand(rng, q, ring)) for _ in range(rng.randint(1, 3))]
+    full = insertion_sum(p + q - 1, ring, triples)
+    shapes = sorted({tuple(len(s) for s in slots) for slots in full.terms})
+    degrees = set(rng.sample(shapes, rng.randint(0, len(shapes)))) | {(9,) * (p + q - 1)}
+    assert insertion_sum(p + q - 1, ring, triples, degrees) == linear_combination(
+        p + q - 1, ring, ((1, full.degree_part(d)) for d in degrees))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), RINGS)
+def test_reversal_of_an_insertion_is_minus_the_insertion_of_the_reversals(seed, ring):
+    # (a o b)^rev = -(a^rev o b^rev) for bilinear a and b: the identity that
+    # lets star.assemble_rhs mirror half of R_k
+    rng = Random(seed)
+    a, b = _operand(rng, 2, ring), _operand(rng, 2, ring)
+    assert insert(a, b).reverse_args() == insert(a.reverse_args(), b.reverse_args()).scale(-1)
+
+
 # Weights pinned on one operand pair: a weight of 0, alone or beside another,
 # gives contributions with multiplier 0, and weights that cancel give sums
 # that cancel exactly.  Random weights seldom produce either.
@@ -218,7 +243,7 @@ def test_bracket_and_insertion_sum_match_reference(seed, ring, p, q, weights):
                                                      for weight, outer, inner in triples])
     assert insertion_sum(p + q - 1, ring, triples) == folded
     for degrees in {tuple(len(s) for s in slots) for slots in folded.terms}:
-        assert insertion_sum(p + q - 1, ring, triples, degrees) == folded.degree_part(degrees)
+        assert insertion_sum(p + q - 1, ring, triples, {degrees}) == folded.degree_part(degrees)
 
 
 def _one_monomial(c: Cochain) -> Cochain:
@@ -239,7 +264,7 @@ def test_insertion_sum_of_one_monomial_coefficients_matches_reference(seed, ring
     full = reference_insert(a, b).scale(weight)
     assert insertion_sum(p + q - 1, ring, [(weight, a, b)]) == full
     for degrees in {tuple(len(s) for s in slots) for slots in full.terms}:
-        assert insertion_sum(p + q - 1, ring, [(weight, a, b)], degrees) == \
+        assert insertion_sum(p + q - 1, ring, [(weight, a, b)], {degrees}) == \
             full.degree_part(degrees)
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import starq.cochains
 import starq.star
+from starq.cli import main
 from starq.cochains import (Cochain, JET_RING, X_RING, coboundary_defect, epsilon_cochain,
                             insertion_sum, linear_combination, slot_total)
 from starq.jets import (NABLA_PHI, PSI_NABLA_PHI, JetPolynomial, decode, phi_jet,
@@ -18,9 +19,9 @@ from starq.multiindex import all_indices, merge
 from starq.polynomials import XPoly, parse_poly
 from starq.star import (ClosureError, GradingError, InfeasibleError, ObstructionError,
                         ObstructionReport, StarProduct, _flatten, assemble_rhs, base_levels,
-                        build_star, check_grading, level_equation, obstruction, opo_projections,
-                        parity_sign, proportional, shape_pairs, shape_system, solve_level,
-                        solve_opo)
+                        build_star, check_grading, level_equation, level_step, obstruction,
+                        opo_projections, parity_sign, proportional, shape_pairs, shape_system,
+                        solve_level, solve_opo)
 from starq.verify import _bracket_form, associator_scan, poisson_vector, verify_star
 
 from helpers import (moyal_level, random_cochain, random_index, random_jet_coeff,
@@ -84,12 +85,42 @@ def _bracket_sum(levels, k: int) -> Cochain:
     return insertion_sum(3, levels[1].ring, _bracket_form(levels, k))
 
 
+def _weyl_levels(rng: Random, ring: str) -> list[Cochain]:
+    """Random levels projected to Weyl parity, (1/2)(c + (-1)^l c^rev) at level l."""
+    half = Fraction(1, 2)
+    return [level if l == 0 else linear_combination(
+        2, ring, ((half, level), (half * parity_sign(l), level.reverse_args())))
+        for l, level in enumerate(_random_levels(rng, ring))]
+
+
+def _lost_parity(levels, k: int) -> list[int]:
+    return [l for l in range(1, k)
+            if levels[l].reverse_args() != levels[l].scale(parity_sign(l))]
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2 ** 32), st.sampled_from((JET_RING, X_RING)))
 def test_one_sided_rhs_equals_symmetric_bracket_form(seed, ring):
+    # the half assembly and its mirror, over levels of Weyl parity
+    levels = _weyl_levels(Random(seed), ring)
+    for k in range(2, len(levels) + 1):
+        assert not _lost_parity(levels, k)
+        assert assemble_rhs(levels, k) == _bracket_sum(levels, k)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from((JET_RING, X_RING)))
+def test_rhs_refuses_a_lower_level_without_parity(seed, ring):
+    # the mirror holds over levels of Weyl parity only, so the assembly names
+    # the first lower level without it
     levels = _random_levels(Random(seed), ring)
     for k in range(2, len(levels) + 1):
-        assert assemble_rhs(levels, k) == _bracket_sum(levels, k)
+        lost = _lost_parity(levels, k)
+        if lost:
+            with pytest.raises(AssertionError, match=f"; level {lost[0]} lost its parity$"):
+                assemble_rhs(levels, k)
+        else:
+            assert assemble_rhs(levels, k) == _bracket_sum(levels, k)
 
 
 @pytest.fixture(scope="module")
@@ -232,8 +263,33 @@ def test_level_step_rejects_a_perturbed_lower_level(name, request):
     slots, coeff = bumped.sorted_terms()[0]
     bumped.terms[slots] = coeff.scale(2)  # keeps the grading, breaks the equation
     levels[2] = bumped
+    # bumped on one side only, level 2 also lost its parity, which R_3 refuses
+    with pytest.raises(AssertionError, match="level 2 lost its parity"):
+        level_step(levels, 3, star.mode, None, False, False)
+    bumped.terms[slots[::-1]] = bumped.terms[slots]  # the mirror too: parity kept
     with pytest.raises(ClosureError):
-        level_equation(levels, 3, star.mode)
+        level_step(levels, 3, star.mode, None, False, False)
+
+
+def test_closure_is_checked_only_where_no_solve_implies_it(monkeypatch, capsys):
+    closures = []
+
+    def counting(m, target=None, insertions=()):
+        if target is None and not insertions:
+            closures.append((m.arity, m.ring))
+        return coboundary_defect(m, target, insertions)
+
+    monkeypatch.setattr("starq.star.coboundary_defect", counting)
+    build_star(NABLA_PHI, 4)  # every step succeeds: its exact solve implies closure
+    assert closures == []
+    assert main(["obstruction", "--phi", "sym", "--k", "4"]) == 0  # solves nothing at 4
+    assert capsys.readouterr().out == "level 4: zero\n"
+    assert closures == [(3, JET_RING)]
+    closures.clear()
+    with pytest.raises(ObstructionError) as caught:
+        build_star(NABLA_PHI, 4, opo_gauge_limit=0)  # a failing step checks closure first
+    assert caught.value.report.level == 4
+    assert closures == [(3, JET_RING)]
 
 
 def test_symbolic_build_grades_each_level_once(monkeypatch):
