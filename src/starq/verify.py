@@ -9,7 +9,11 @@ constructor; the independence is in the formulas, the symmetric-bracket
 right-hand side (both orders of each unordered pair of levels) against the
 constructor's one-sided sum, and the associator scan, the one evaluation
 entry point.  Each residual delta(M_k) - R_k is one running difference, and
-neither side is built.  A verification run produces a machine-readable
+neither side is built.  The scan skips the triples that cannot fail first:
+those with a constant argument when the product is unital, and the later of
+each mirror pair when every level has Weyl parity.  It reads both facts off
+the levels itself, and the report checks them directly, as ``units`` and
+``parity-k``.  A verification run produces a machine-readable
 report whose failing entries each name a witness triple of polynomials, so
 a corrupted product is not just flagged but exhibited.
 """
@@ -157,14 +161,46 @@ def associator_scan(levels: list[Cochain], bound: int):
     Triples come in the order of ``_monomial_triples`` and, within a triple,
     coefficients in increasing j.  Every order of a triple is evaluated at
     once from the pair memo of ``_Evaluator``; no triple past the first
-    failing one is evaluated.
+    failing one is evaluated.  Two kinds of triple cannot be the first to
+    fail, and are not evaluated:
+
+    - when the product is unital (level 0 is the multiplication, and every
+      higher level is normalized), a triple with a constant argument:
+      A_j(1, g, h) = M_j(g, h) - M_j(g, h) = 0, and alike with 1 in the
+      middle or last slot;
+    - when every level has Weyl parity, M_k(g, f) = (-1)^k M_k(f, g), a
+      triple (f, g, h) with f after h: A_j(h, g, f) = -(-1)^j A_j(f, g, h),
+      so its mirror (h, g, f), which comes first, fails with it.
+
+    Both facts are read off the levels on every call, so the result is that
+    of the full scan on any levels, with or without them; ``verify_star``
+    checks the same facts directly, as ``units`` and ``parity-k``.
     """
     series = _Evaluator(levels)
+    unital = _is_unital(levels)
+    weyl = _has_weyl_parity(levels)
     for f, g, h in _monomial_triples(bound):
+        if (unital and _ONE in (f, g, h)) or (weyl and f > h):
+            continue
         for j, c in enumerate(series.associator(f, g, h)):
             if not c.is_zero:
                 return (*map(XPoly.from_monomial, (f, g, h)), j, c)
     return None
+
+
+_ONE = (0, 0, 0)  # the exponents of the constant monomial
+
+
+def _is_unital(levels: list[Cochain]) -> bool:
+    """Level 0 is the multiplication and every higher level kills constants."""
+    return (bool(levels) and levels[0] == Cochain.multiplication(X_RING)
+            and all(level.is_normalized() for level in levels[1:]))
+
+
+def _has_weyl_parity(levels: list[Cochain]) -> bool:
+    """M_k(g, f) = (-1)^k M_k(f, g) at every level k."""
+    return all(level.reverse_args().scale((-1) ** k) == level
+               for k, level in enumerate(levels))
 
 
 # -- the report -------------------------------------------------------------------
@@ -201,8 +237,9 @@ def verify_star(star: StarProduct, degree: int | None = None) -> dict:
     Structural checks (units, parity, level residuals) and the exact level-1
     check (``commutator-bracket``, last) against half the Poisson bracket of
     ``star.phi`` and ``star.psi``, parsed once at load, run in either ring.
-    The associator scan runs in the x ring over every monomial triple of
-    total degree at most `degree` (default: ``star.order``).
+    The associator scan runs in the x ring over the monomial triples of
+    total degree at most `degree` (default: ``star.order``) that can hold
+    its first failure (``associator_scan``).
     """
     levels = star.levels
     digest = _digest(star.to_json())

@@ -36,6 +36,19 @@ def cubic_star():
 
 
 @pytest.fixture(scope="session")
+def cubic_star4():
+    """Explicit product for the cubic potential through level 4."""
+    return build_star(NABLA_PHI, 4, phi=parse_poly("x1*x2*x3"))
+
+
+@pytest.fixture(scope="session")
+def conformal_star3():
+    """Explicit conformal-family product, phi = x1*x2*x3 and psi = 1 + x1,
+    through level 3."""
+    return build_star(PSI_NABLA_PHI, 3, phi=parse_poly("x1*x2*x3"), psi=parse_poly("1+x1"))
+
+
+@pytest.fixture(scope="session")
 def x3_star4():
     """Explicit product for the linear potential through level 4."""
     return build_star(NABLA_PHI, 4, phi=parse_poly("x3"))

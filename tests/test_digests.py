@@ -295,3 +295,50 @@ def test_cli_stdout_digests(tmp_path, capsys):
     for argv, digest in CLI_OUTPUTS:
         assert main([a.format(star=star) for a in argv]) == 0
         assert _sha(capsys.readouterr().out) == digest, argv[0]
+
+
+# Verify reports of mutants that keep the Weyl parity: 3/7 added to the first
+# monomial of the first term of a level whose two slots differ, and
+# (-1)^k 3/7 to the same monomial of its mirror term, so every parity check
+# passes and the scan's mirror skip stays on; and one mutant that adds the
+# pair 3/7 (d_12 x 1 + 1 x d_12) to level 2, which keeps the parity and breaks
+# the unit law, so the scan's unit skip is off.
+SYMMETRIC_MUTANTS = {
+    ("cubic_star", 2, False):
+        "d48c4d7993dab1a7529471ff9f2522727a959a0db643a08c49c1feee79e2cf6e",
+    ("cubic_star", 3, False):
+        "e3d1b44dd371536ea12be40f28119d31c18e1c2dd5df8e8b4ccdcf42e964045f",
+    ("cubic_star4", 3, False):
+        "bc75445c1ea8fc6eaa26a0c4bc55a06f65df83827361d946edfdc4770b5146f7",
+    ("cubic_star4", 4, False):
+        "81273794fba3038c0ed8a81e6308febfbfc0cde9d25ebef7d0ceaee75242685c",
+    ("cubic_star", 2, True):
+        "cc2c73329202b24be1864d827f216701d2c4d72b74365a0b9766aa35d517f58f",
+}
+
+
+def _symmetric_mutant(star: StarProduct, level: int, empty_slot: bool) -> StarProduct:
+    data = star.to_json()
+    terms = data["levels"][level]["terms"]
+    step = Fraction(3, 7)
+    if empty_slot:
+        for slots in ([[], [1, 2]], [[1, 2], []]):
+            terms.append({"slots": slots, "coeff": [{"coeff": str(step), "factors": []}]})
+        return StarProduct.from_json(data)
+    term = next(t for t in terms if t["slots"][0] != t["slots"][1])
+    mirror = next(t for t in terms if t["slots"] == term["slots"][::-1])
+    factors = term["coeff"][0]["factors"]
+    for t, bump in ((term, step), (mirror, (-1) ** level * step)):
+        mono = next(m for m in t["coeff"] if m["factors"] == factors)
+        mono["coeff"] = str(Fraction(mono["coeff"]) + bump)
+    return StarProduct.from_json(data)
+
+
+@pytest.mark.parametrize("name, level, empty_slot", sorted(SYMMETRIC_MUTANTS))
+def test_symmetric_mutant_verify_report_digests(name, level, empty_slot, request):
+    report = verify_star(_symmetric_mutant(_product(name, request), level, empty_slot))
+    checks = {c["name"]: c for c in report["checks"]}
+    assert all(c["pass"] for n, c in checks.items() if n.startswith("parity-"))
+    assert checks["units"]["pass"] is not empty_slot
+    assert not checks["associator"]["pass"]
+    assert _sha(json.dumps(report, indent=2)) == SYMMETRIC_MUTANTS[name, level, empty_slot]

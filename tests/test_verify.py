@@ -9,8 +9,8 @@ from starq.cli import main
 from starq.cochains import Cochain, X_RING
 from starq.polynomials import XPoly, parse_poly
 from starq.star import StarProduct
-from starq.verify import (_Evaluator, associator_scan, jacobi_residual, poisson_vector,
-                          verify_star)
+from starq.verify import (_ONE, _Evaluator, _has_weyl_parity, _is_unital, _monomial_triples,
+                          associator_scan, jacobi_residual, poisson_vector, verify_star)
 
 from helpers import (commutator, eval_args, moyal_level, random_cochain, random_index,
                      random_x_coeff, reference_associator, reference_scan)
@@ -309,3 +309,56 @@ def test_evaluator_matches_reference_on_shared_left_slots(seed):
     assert associator_scan(levels, bound) == reference_scan(levels, bound)
     f, g, h = (_random_arg(rng) for _ in range(3))
     _assert_evaluator_matches(levels, f, g, h)
+
+
+@pytest.mark.parametrize("name", ["cubic_star", "x3_star4", "conformal_star3", "cubic_star4"])
+def test_triples_the_scan_skips_vanish_on_built_products(name, request):
+    # every triple with a constant argument, and every triple (f, g, h) with
+    # f after h, has a zero associator through the top level
+    star = request.getfixturevalue(name)
+    assert _is_unital(star.levels) and _has_weyl_parity(star.levels)
+    series = _Evaluator(star.levels)
+    skipped = [(f, g, h) for f, g, h in _monomial_triples(star.order) if _ONE in (f, g, h) or f > h]
+    assert len(skipped) > len(list(_monomial_triples(star.order))) // 2
+    for triple in skipped:
+        assert all(c.is_zero for c in series.associator(*triple)), triple
+
+
+def _weyl_level(rng: Random, k: int) -> Cochain:
+    """L + (-1)^k L^rev for a random normalized L: a level with Weyl parity
+    that kills constants."""
+    level = Cochain(2, X_RING)
+    for _ in range(rng.randint(1, 4)):
+        slots = (random_index(rng, 2, min_len=1), random_index(rng, 2, min_len=1))
+        coeff = random_x_coeff(rng)
+        level.add_term(slots, coeff)
+        level.add_term(slots[::-1], coeff.scale((-1) ** k))
+    return level
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_scan_matches_reference_on_unital_weyl_levels(seed):
+    # unital levels with Weyl parity, where the scan skips both kinds of
+    # triple, and one perturbation of them: a term changed with its mirror
+    # (parity kept), one term changed (parity broken), or a term with an
+    # empty slot added (units broken)
+    rng = Random(seed)
+    levels = [Cochain.multiplication(X_RING)]
+    levels += [_weyl_level(rng, k) for k in range(1, rng.randint(2, 4))]
+    assert _is_unital(levels) and _has_weyl_parity(levels)
+    kind = rng.randrange(4)
+    if kind:
+        k = rng.randrange(1, len(levels))
+        left = () if kind == 3 else random_index(rng, 2, min_len=1)
+        slots = (left, random_index(rng, 2, min_len=1))
+        bump = XPoly.from_monomial(tuple(rng.randint(0, 1) for _ in range(3)),
+                                   _nonzero_fraction(rng))
+        levels[k].add_term(slots, bump)
+        if kind == 1:
+            levels[k].add_term(slots[::-1], bump.scale((-1) ** k))
+            assert _has_weyl_parity(levels)
+        if kind == 3:
+            assert not _is_unital(levels)
+    bound = rng.randint(1, 3)
+    assert associator_scan(levels, bound) == reference_scan(levels, bound)
