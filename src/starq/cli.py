@@ -40,6 +40,11 @@ MAX_DEGREE = MAX_ORDER
 BOUNDS = {"order": (1, MAX_ORDER, "order"),
           "k": (2, MAX_K, "obstruction level"),
           "degree": (1, MAX_DEGREE, "degree bound")}
+# A symbolic build's size depends only on its family and order, and order 6
+# (or the R_6 of obstruction level 6) runs out of memory.  So where the
+# symbolic product is built to the full order (--phi sym) or the family of an
+# explicit one is (--opo-restrict), orders and obstruction levels go up to this.
+MAX_SYMBOLIC_ORDER = 5
 
 
 class ConfigError(Exception):
@@ -52,6 +57,11 @@ def _check(args: argparse.Namespace) -> None:
     for name, (least, greatest, what) in BOUNDS.items():
         if given.get(name) is not None and not least <= given[name] <= greatest:
             raise ConfigError(f"{what} must be between {least} and {greatest}")
+    for name in ("order", "k"):
+        if ((given.get("phi") == "sym" or given.get("opo_restrict"))
+                and (given.get(name) or 0) > MAX_SYMBOLIC_ORDER):
+            raise ConfigError(f"{BOUNDS[name][2]} must be at most {MAX_SYMBOLIC_ORDER} "
+                              "where it is built symbolically (--phi sym or --opo-restrict)")
     if given.get("out") == "":
         raise ConfigError("--out needs a file name")
     if given.get("out") is not None and not os.path.isdir(_directory(args.out)):

@@ -24,7 +24,9 @@ use and the grading, each also kept per id, and LaTeX.  At the JSON
 boundary a name's code and a name list's id are each worked out once and
 looked up after.
 The total x-derivative acts by prolongation, d/dx_a phi_I = phi_{I+a},
-extended as a derivation to products; ``lift`` prolongs a code.
+extended as a derivation to products; ``lift`` prolongs a code, and
+``relabelings`` gives a code's images under the permutations of the
+coordinate indices 1..3 (``S3``).
 """
 
 from __future__ import annotations
@@ -253,6 +255,27 @@ _EPSILON = {
 def epsilon(i: int, j: int, k: int) -> int:
     """Totally antisymmetric symbol on {1,2,3}, normalized to eps(1,2,3)=1."""
     return _EPSILON.get((i, j, k), 0)
+
+
+# The relabelings sigma of the coordinate indices, as (sigma(1), sigma(2),
+# sigma(3)) with their signs, the identity first: eps^{sigma(i) sigma(j) sigma(k)}
+# is sign * eps^{ijk}.
+S3 = tuple(_EPSILON.items())
+
+
+@cache
+def index_relabelings(index: MultiIndex) -> tuple[MultiIndex, ...]:
+    """The multi-index with every a replaced by sigma(a), one per sigma of S3,
+    in its order."""
+    return tuple(tuple(sorted(sigma[a - 1] for a in index)) for sigma, _ in S3)
+
+
+@cache
+def relabelings(c: int) -> tuple[int, ...]:
+    """The codes of a jet variable with its index relabeled by each sigma of
+    S3, in its order."""
+    tag, index = var(c)
+    return tuple(code((tag, image)) for image in index_relabelings(index))
 
 
 @cache

@@ -18,9 +18,11 @@ arrangement is its smallest topological order.  Enumeration yields only
 orderable diagrams, generated in such a labeling instead of filtered out of
 every wiring: they span the levels the construction re-selects.
 Concretization expands a diagram over the coordinate index assignments that
-eps^{ijk} does not kill.  The diagram-level coboundary and insertion, the
-full enumeration and the named example diagrams are test oracles, and live
-in ``tests/helpers.py``.
+eps^{ijk} does not kill, walking one assignment per orbit of the relabelings
+of the indices 1..3 and adding the rest by relabeling; ``mirror_term``
+reverses a diagram's argument wiring.  The diagram-level coboundary and
+insertion, the full enumeration and the named example diagrams are test
+oracles, and live in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ import re
 from typing import Iterable, Sequence
 
 from .cochains import Cochain, JET_RING
-from .jets import JetPolynomial, substitute_factor
+from .jets import (S3, JetPolynomial, factor_codes, index_relabelings, intern, relabelings,
+                   substitute_factor)
 from .polynomials import RatVec
 
 # A target is ("arg", argument position) or ("fac", factor position).
@@ -165,12 +168,19 @@ def concretize(terms: Iterable[AbstractTerm], mode: str) -> Cochain:
 
     Each factor's upper pair runs over the six (i, j) with i != j, where
     eps^{ijk} picks one k, so every walked assignment is nonzero and the
-    others vanish.  The walk is depth first, along a witnessing order if
-    there is one, and multiplies a factor in once its uppers and every wire
-    onto it are fixed; assignments add into one running sum per slot tuple.
+    others vanish.  Relabeling every index of an assignment by a permutation
+    sigma of 1..3 multiplies each factor's eps by sgn(sigma) and relabels
+    its jets (``jets.relabelings``) in both families, so the assignments fall
+    into free orbits of six, each with one member in which the first walked
+    factor has uppers (1, 2).  Only those are walked, depth first, along a
+    witnessing order if there is one, multiplying a factor in once its
+    uppers and every wire onto it are fixed; they add into one running sum
+    per slot tuple and per parity of the factor count n, which is then added
+    relabeled by each sigma, with sign sgn(sigma)^n.
     """
     arity = None
     sums: dict[tuple, RatVec] = defaultdict(RatVec)
+    orbit_sums: tuple[dict[tuple, RatVec], ...] = (defaultdict(RatVec), defaultdict(RatVec))
     for term in terms:
         if arity is None:
             arity = term.n_args
@@ -184,14 +194,16 @@ def concretize(terms: Iterable[AbstractTerm], mode: str) -> Cochain:
                       if u == w or (FAC, w) in term.pairs[u])].append(w)
         lowers, slots = [[] for _ in range(n)], [[] for _ in range(arity)]
         uppers: list[tuple[int, int]] = [(0, 0)] * n
+        target = orbit_sums[n % 2] if n else sums  # a factorless term has no orbit
 
         def walk(step: int, coeff: JetPolynomial) -> None:
             if step == n:
-                sums[tuple(tuple(sorted(s)) for s in slots)].add(coeff.terms, coeff.den * den, num)
+                target[tuple(tuple(sorted(s)) for s in slots)].add(
+                    coeff.terms, coeff.den * den, num)
                 return
             u = order[step]
             ends = [(lowers if kind == FAC else slots)[pos] for kind, pos in term.pairs[u]]
-            for i, j in _UPPER_PAIRS:
+            for i, j in _UPPER_PAIRS if step else _UPPER_PAIRS[:1]:
                 uppers[u] = (i, j)
                 ends[0].append(i)
                 ends[1].append(j)
@@ -205,7 +217,34 @@ def concretize(terms: Iterable[AbstractTerm], mode: str) -> Cochain:
         walk(0, JetPolynomial.one())
     if arity is None:
         raise ValueError("no terms to concretize")
+    images_of: dict[int, tuple[int, ...]] = {}  # a monomial's images, one per sigma
+    for odd, partial in enumerate(orbit_sums):
+        for slots, acc in partial.items():
+            images: list[dict] = [{} for _ in S3]
+            for mono, c in acc.terms.items():
+                if mono not in images_of:  # every monomial here has a factor
+                    images_of[mono] = tuple(intern(tuple(sorted(codes))) for codes
+                                            in zip(*map(relabelings, factor_codes(mono))))
+                for image, out in zip(images_of[mono], images):
+                    out[image] = c
+            for relabeled, (_, sign), out in zip(zip(*map(index_relabelings, slots)), S3, images):
+                sums[relabeled].add(out, acc.den, sign if odd else 1)
     return Cochain._from_sums(arity, JET_RING, sums)
+
+
+def mirror_term(term: AbstractTerm) -> AbstractTerm:
+    """The diagram with its argument wiring reversed, in canonical form.
+
+    Its coefficient is term.coeff times the sign eps the canonical form
+    absorbs, so it concretizes to the term's concretization with the
+    arguments reversed.  Reversal is an involution that commutes with
+    factor relabelings, so the mirror of a nonzero canonical diagram is
+    nonzero, and the mirror's own mirror is the term, with the same eps.
+    """
+    last = term.n_args - 1
+    flip = [tuple((kind, last - pos) if kind == ARG else (kind, pos) for kind, pos in pair)
+            for pair in term.pairs]
+    return canonical_term(term.coeff, flip, term.n_args)
 
 
 # -- enumeration ----------------------------------------------------------------

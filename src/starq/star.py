@@ -45,7 +45,7 @@ from .cochains import (
 from .jets import MAX_ORDER, MODES, PSI_NABLA_PHI, decode, factor_codes, grading
 from .linsolve import ColumnReducer
 from .multiindex import MultiIndex, splits
-from .opo import concretize, enumerate_terms
+from .opo import concretize, enumerate_terms, mirror_term
 from .polynomials import RatVec, XPoly, parse_poly
 
 
@@ -351,8 +351,10 @@ def solve_level(rhs: Cochain, k: int) -> Cochain:
 # -- gauge re-selection inside the orderable-diagram span ------------------------------
 
 # Even levels above this stay in the pivot gauge, since raising it changes their
-# outputs.  The diagram layer allows more: opo_projections(4) takes about 0.4 s,
-# and an order-4 build with limit 4 about 1.0 s (2-core machine, Python 3.11).
+# outputs.  The diagram layer allows more: in a fresh process opo_projections(4)
+# takes about 0.25 s of CPU in the gradient family and 0.85 s in the conformal
+# one, and a symbolic order-4 build about 0.97 s with limit 4, against 0.46 s
+# with limit 2 (2 shared vCPUs, Python 3.11).
 OPO_GAUGE_LIMIT = 2
 
 
@@ -360,19 +362,36 @@ def opo_projections(k: int, mode: str) -> list[tuple[int, Cochain, Cochain]]:
     """Parity-projected jet concretizations of the k-factor orderable diagrams,
     each as (diagram index, projection, its coboundary).
 
-    Reversing a diagram's argument wiring is again a diagram, so the
-    projections stay inside the orderable span.  Projections that collapse
-    to zero (or duplicate a mirror partner, which the solver detects as a
-    dependent column) are harmless and simply dropped or ignored.
+    Reversing a diagram's argument wiring is again a diagram (its
+    ``mirror_term``, eps times a canonical one), so the projections stay
+    inside the orderable span, and the mirror's projection is eps * (-1)^k
+    times the diagram's.  Only the first diagram of each mirror pair is
+    concretized; the later one's projection and coboundary are derived from
+    its partner's (the same cochains where eps * (-1)^k = 1, negated copies
+    where it is -1), and a diagram that is its own mirror with
+    eps * (-1)^k = -1 projects to zero.  Projections that collapse to zero are
+    dropped, and dependent ones are ignored by the solver.
     """
     half = Fraction(1, 2)
     weights = (half, half * parity_sign(k))
-    out = []
-    for idx, term in enumerate(enumerate_terms(k)):
+    terms = enumerate_terms(k)
+    index = {term.key(): idx for idx, term in enumerate(terms)}
+    out, done = [], {}
+    for idx, term in enumerate(terms):
+        mirror = mirror_term(term)
+        partner, sign = index[mirror.key()], mirror.coeff * parity_sign(k)
+        if partner < idx:
+            if partner in done:
+                pair = done[partner]
+                out.append((idx, *(pair if sign > 0 else (c.scale(-1) for c in pair))))
+            continue
+        if partner == idx and sign < 0:
+            continue
         c = concretize([term], mode)
         proj = linear_combination(2, JET_RING, zip(weights, (c, c.reverse_args())))
         if not proj.is_zero:
-            out.append((idx, proj, proj.hochschild_delta()))
+            done[idx] = proj, proj.hochschild_delta()
+            out.append((idx, *done[idx]))
     return out
 
 

@@ -9,11 +9,12 @@ from random import Random
 from typing import Iterable, Iterator, Sequence
 
 from starq import cochains
-from starq.cochains import Cochain, JET_RING, X_RING, ring_class, slot_total
+from starq.cochains import Cochain, JET_RING, X_RING, linear_combination, ring_class, slot_total
 from starq.jets import (JetPolynomial, code, decode, format_var, lift, monomial_key, phi_jet,
                         psi_jet, substitute_factor, var)
 from starq.multiindex import all_indices, merge, multiplicities, splits
-from starq.opo import ARG, FAC, AbstractTerm, Pair, Target, canonical_term, is_opo, parse_term
+from starq.opo import (ARG, FAC, AbstractTerm, Pair, Target, canonical_term, concretize,
+                       enumerate_terms, is_opo, parse_term)
 from starq.polynomials import RatVec, XPoly
 from starq.verify import POISSON_PAIRS
 
@@ -479,6 +480,20 @@ def reference_concretize(terms, mode: str) -> Cochain:
                 i, j = uppers[u]
                 coeff = coeff * substitute_factor.__wrapped__(tuple(lowers[u]), i, j, mode)
             out.add_term(tuple(tuple(s) for s in slots), coeff)
+    return out
+
+
+def reference_projections(k: int, mode: str) -> list:
+    """star.opo_projections without the mirror rule: every diagram concretized,
+    projected and cobounded on its own."""
+    half = Fraction(1, 2)
+    weights = (half, half * (-1) ** k)
+    out = []
+    for idx, term in enumerate(enumerate_terms(k)):
+        c = concretize([term], mode)
+        proj = linear_combination(2, JET_RING, zip(weights, (c, c.reverse_args())))
+        if not proj.is_zero:
+            out.append((idx, proj, proj.hochschild_delta()))
     return out
 
 

@@ -2,12 +2,14 @@ import argparse
 import json
 import os
 import re
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from starq.cli import MAX_DEGREE, MAX_K, MAX_ORDER, _build_parser, main, write_json
+from starq.cli import (MAX_DEGREE, MAX_K, MAX_ORDER, MAX_SYMBOLIC_ORDER, _build_parser, main,
+                       write_json)
 from starq.cochains import X_RING, epsilon_cochain
 from starq.latex import star_latex
 from starq.polynomials import parse_poly
@@ -451,6 +453,22 @@ def test_resource_bounds_are_rejected_before_any_work(argv, what, monkeypatch, c
     monkeypatch.setattr("starq.cli.verify_star", _no_build)
     assert main(argv) == 2
     assert what in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["construct", "--phi", "sym", "--order", "7"], "order"),
+    (["construct", "--mode", "psi-nabla-phi", "--phi", "sym", "--psi", "sym",
+      "--order", str(MAX_SYMBOLIC_ORDER + 1)], "order"),
+    (["obstruction", "--phi", "sym", "--k", "9"], "obstruction level"),
+    # a restricted explicit build builds its symbolic family to the full order
+    (["construct", "--phi", "x3", "--order", "6", "--opo-restrict"], "order"),
+])
+def test_symbolic_orders_are_bounded_before_any_work(argv, what, capsys):
+    # nothing is stubbed: the real command must refuse at once
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1
+    assert f"{what} must be at most {MAX_SYMBOLIC_ORDER} where" in capsys.readouterr().err
 
 
 def _truncate(text: str) -> str:

@@ -123,6 +123,25 @@ def test_projection_digests(mode):
     assert _sha(json.dumps(columns, indent=2)) == PROJECTIONS[mode]
 
 
+# The same for the 4-factor columns, 40 of the 74 diagrams concretized and the
+# rest derived from their mirror partners.
+PROJECTIONS_4 = {
+    NABLA_PHI: "b94e2b32ebca0e8d043b0f2dba9e6a9d050c8d267bdbfcc696d336cd8307922b",
+    PSI_NABLA_PHI: "58c813b0cb8ec29b357a2e5e72deeef0b17eba2c47b861b8ec69040dd2366a92",
+}
+
+
+@pytest.mark.parametrize("mode", [NABLA_PHI, pytest.param(PSI_NABLA_PHI, marks=pytest.mark.slow)])
+def test_four_factor_projection_digests(mode):
+    # the text of json.dumps(columns, indent=2), hashed as it is encoded: the
+    # conformal one is 151 MB and takes seconds
+    columns = [[idx, proj.to_json()] for idx, proj, _ in opo_projections(4, mode)]
+    digest = hashlib.sha256()
+    for chunk in json.JSONEncoder(indent=2).iterencode(columns):
+        digest.update(chunk.encode())
+    assert digest.hexdigest() == PROJECTIONS_4[mode]
+
+
 # JSON of the diagram audits of the symbolic order-3 product, in the
 # orderable gauge and in the pivot gauge (no lift at levels 2 and 3, so the
 # full span is searched), and of the conformal experiment record.

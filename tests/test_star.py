@@ -16,6 +16,7 @@ from starq.jets import (NABLA_PHI, PSI_NABLA_PHI, JetPolynomial, decode, phi_jet
                         substitute_factor)
 from starq.linsolve import ColumnReducer
 from starq.multiindex import all_indices, merge
+from starq.opo import AbstractTerm, concretize, enumerate_terms, mirror_term
 from starq.polynomials import XPoly, parse_poly
 from starq.star import (ClosureError, GradingError, InfeasibleError, ObstructionError,
                         ObstructionReport, StarProduct, _flatten, assemble_rhs, base_levels,
@@ -25,8 +26,8 @@ from starq.star import (ClosureError, GradingError, InfeasibleError, Obstruction
 from starq.verify import _bracket_form, associator_scan, poisson_vector, verify_star
 
 from helpers import (moyal_level, random_cochain, random_index, random_jet_coeff,
-                     random_x_coeff, reference_delta_solve, reference_rhs, reference_shape_pairs,
-                     reference_shape_system)
+                     random_x_coeff, reference_delta_solve, reference_projections, reference_rhs,
+                     reference_shape_pairs, reference_shape_system)
 
 
 def test_base_levels_are_multiplication_and_half_bracket():
@@ -556,6 +557,36 @@ def test_orderable_gauge_is_the_unique_solution(sym_star3):
     assert restricted.gauges == {0: "base", 1: "base", 2: "opo", 3: "opo"}
     for a, b in zip(restricted.levels, sym_star3.levels):
         assert a == b
+
+
+# -- the mirror rule of opo_projections ------------------------------------------------
+
+@pytest.mark.parametrize("mode", [NABLA_PHI, PSI_NABLA_PHI])
+@pytest.mark.parametrize("k", [2, 3])
+def test_mirror_partner_projects_to_eps_parity_times_the_diagram(k, mode):
+    # the identity opo_projections derives each later partner's column from
+    half = Fraction(1, 2)
+
+    def project(term):
+        c = concretize([term], mode)
+        return linear_combination(2, JET_RING,
+                                  [(half, c), (half * parity_sign(k), c.reverse_args())])
+
+    terms = enumerate_terms(k)
+    keys = {term.key() for term in terms}
+    for term in terms:
+        mirror = mirror_term(term)
+        assert mirror.key() in keys and mirror.coeff in (1, -1)
+        assert concretize([mirror], mode) == concretize([term], mode).reverse_args()
+        partner = AbstractTerm(Fraction(1), mirror.pairs, mirror.n_args)
+        assert project(partner) == project(term).scale(mirror.coeff * parity_sign(k))
+        assert mirror_term(partner).key() == term.key()
+
+
+@pytest.mark.parametrize("mode", [NABLA_PHI, PSI_NABLA_PHI])
+@pytest.mark.parametrize("k", [2, 3, pytest.param(4, marks=pytest.mark.slow)])
+def test_projections_match_the_per_diagram_loop(k, mode):
+    assert opo_projections(k, mode) == reference_projections(k, mode)
 
 
 @pytest.mark.slow
