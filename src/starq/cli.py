@@ -31,15 +31,14 @@ EXIT_CONFIG = 2
 EXIT_FINDING = 3
 EXIT_GRADING = 4
 
-# Resource bounds, checked before any work.  The cost of a build, of an obstruction
-# (which builds every level below it) and of the associator scan (by default up to
-# a loaded product's order, which MAX_ORDER bounds) grows steeply with these values.
+# Resource bounds, checked before any work.  The cost of a build and of an
+# obstruction (which builds every level below it) grows steeply with these
+# values; so does the associator scan's, which runs up to a loaded product's
+# order, bounded by MAX_ORDER at load.
 MAX_K = MAX_ORDER + 1
-MAX_DEGREE = MAX_ORDER
 # option -> (least, greatest, what the message calls it)
 BOUNDS = {"order": (1, MAX_ORDER, "order"),
-          "k": (2, MAX_K, "obstruction level"),
-          "degree": (1, MAX_DEGREE, "degree bound")}
+          "k": (2, MAX_K, "obstruction level")}
 # A symbolic build's size depends only on its family and order, and order 6
 # (or the R_6 of obstruction level 6) runs out of memory.  So where the
 # symbolic product is built to the full order (--phi sym) or the family of an
@@ -234,7 +233,7 @@ def _load_star(path: str) -> StarProduct:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     star = _load_star(args.star)
-    report = verify_star(star, degree=args.degree)
+    report = verify_star(star)
     render = _json(lambda: report)
     shown = _to_stdout(args, render) and args.emit == "json"
     if shown:
@@ -349,9 +348,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="independent re-check of a stored product")
     v.add_argument("star", help="path to a star-product JSON file")
-    v.add_argument("--degree", type=int, default=None,
-                   help="associator scan degree bound; a symbolic product runs "
-                        "no scan, so it does nothing there")
     v.add_argument("--out", default=None)
     v.add_argument("--emit", choices=("text", "json"), default="text")
     v.set_defaults(run=cmd_verify)

@@ -301,7 +301,9 @@ def _running_sums(arity: int, ring: str, delta_of: Cochain | None = None, pairs=
     land on the inner slots, with multinomial multiplicities.  Per outer
     term, each product c_outer * d(c_inner) is formed once per (piece, inner
     term), unreduced, and kept by the inner term's position; each spread has
-    one list of the inner positions it lands on, with the merged slots."""
+    one list of the inner positions it lands on, with the merged slots and
+    their lengths, and with ``degrees`` an outer position passes over the
+    entries whose lengths do not complete it."""
     pairs, insertions = [(q, c) for q, c in pairs if q], list(insertions)
     # a product c_outer * d(c_inner) has a denominator dividing the product of theirs
     den = lcm(1 if delta_of is None else _common_den(delta_of),
@@ -326,8 +328,7 @@ def _running_sums(arity: int, ring: str, delta_of: Cochain | None = None, pairs=
         if not weight:
             continue
         inner_slots, inner_coeffs = list(inner.terms), list(inner.terms.values())
-        merged: dict = {}  # spread -> [(inner position, merged slots)]
-        spreads: dict = {}  # (spread, inner degrees) -> the part of that list landing there
+        merged: dict = {}  # spread -> [(inner position, merged slots, their lengths)]
         derivative = cache(lambda j, piece: inner_coeffs[j].derivative(piece))
         if degrees is not None:
             # (position, head lengths, tail lengths) -> the inner lengths that complete them
@@ -351,19 +352,16 @@ def _running_sums(arity: int, ring: str, delta_of: Cochain | None = None, pairs=
                 for on_coeff, spread in _split_groups(slots_m[i], q + 1):
                     row = products[on_coeff]
                     for on_slots, count in spread:
-                        targets = spreads.get((on_slots, inner_degrees))
+                        targets = merged.get(on_slots)
                         if targets is None:
-                            middles = merged.get(on_slots)
-                            if middles is None:
-                                middles = merged[on_slots] = [
-                                    (j, tuple(map(merge, n, on_slots)))
-                                    for j, n in enumerate(inner_slots)]
-                            targets = spreads[on_slots, inner_degrees] = middles if (
-                                inner_degrees is None) else [
-                                (j, middle) for j, middle in middles
-                                if _lengths(middle) in inner_degrees]
+                            targets = merged[on_slots] = []
+                            for j, n in enumerate(inner_slots):
+                                middle = tuple(map(merge, n, on_slots))
+                                targets.append((j, middle, _lengths(middle)))
                         mul = scale * count
-                        for j, middle in targets:
+                        for j, middle, lengths in targets:
+                            if inner_degrees is not None and lengths not in inner_degrees:
+                                continue
                             hit = row[j]
                             if hit is None:
                                 d_n = derivative(j, on_coeff)

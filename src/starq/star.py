@@ -352,8 +352,8 @@ def solve_level(rhs: Cochain, k: int) -> Cochain:
 
 # Even levels above this stay in the pivot gauge, since raising it changes their
 # outputs.  The diagram layer allows more: in a fresh process opo_projections(4)
-# takes about 0.25 s of CPU in the gradient family and 0.85 s in the conformal
-# one, and a symbolic order-4 build about 0.97 s with limit 4, against 0.46 s
+# takes about 0.2 s of CPU in the gradient family and 0.6 s in the conformal
+# one, and a symbolic order-4 build about 0.87 s with limit 4, against 0.48 s
 # with limit 2 (2 shared vCPUs, Python 3.11).
 OPO_GAUGE_LIMIT = 2
 
@@ -365,33 +365,24 @@ def opo_projections(k: int, mode: str) -> list[tuple[int, Cochain, Cochain]]:
     Reversing a diagram's argument wiring is again a diagram (its
     ``mirror_term``, eps times a canonical one), so the projections stay
     inside the orderable span, and the mirror's projection is eps * (-1)^k
-    times the diagram's.  Only the first diagram of each mirror pair is
-    concretized; the later one's projection and coboundary are derived from
-    its partner's (the same cochains where eps * (-1)^k = 1, negated copies
-    where it is -1), and a diagram that is its own mirror with
-    eps * (-1)^k = -1 projects to zero.  Projections that collapse to zero are
+    times the diagram's.  So there is one column per mirror pair, that of
+    its first diagram: the later one would only repeat it up to sign, and
+    the span is the same without it.  Projections that collapse to zero,
+    such as a diagram's that is its own mirror with eps * (-1)^k = -1, are
     dropped, and dependent ones are ignored by the solver.
     """
     half = Fraction(1, 2)
     weights = (half, half * parity_sign(k))
     terms = enumerate_terms(k)
     index = {term.key(): idx for idx, term in enumerate(terms)}
-    out, done = [], {}
+    out = []
     for idx, term in enumerate(terms):
-        mirror = mirror_term(term)
-        partner, sign = index[mirror.key()], mirror.coeff * parity_sign(k)
-        if partner < idx:
-            if partner in done:
-                pair = done[partner]
-                out.append((idx, *(pair if sign > 0 else (c.scale(-1) for c in pair))))
-            continue
-        if partner == idx and sign < 0:
+        if index[mirror_term(term).key()] < idx:
             continue
         c = concretize([term], mode)
         proj = linear_combination(2, JET_RING, zip(weights, (c, c.reverse_args())))
         if not proj.is_zero:
-            done[idx] = proj, proj.hochschild_delta()
-            out.append((idx, *done[idx]))
+            out.append((idx, proj, proj.hochschild_delta()))
     return out
 
 

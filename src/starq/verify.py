@@ -230,7 +230,7 @@ def _bracket_form(levels: list[Cochain], k: int) -> list[tuple]:
     return triples
 
 
-def verify_star(star: StarProduct, degree: int | None = None) -> dict:
+def verify_star(star: StarProduct) -> dict:
     """Full independent re-check of a star product; returns a report whose
     failing checks each name a witness triple.
 
@@ -238,8 +238,8 @@ def verify_star(star: StarProduct, degree: int | None = None) -> dict:
     check (``commutator-bracket``, last) against half the Poisson bracket of
     ``star.phi`` and ``star.psi``, parsed once at load, run in either ring.
     The associator scan runs in the x ring over the monomial triples of
-    total degree at most `degree` (default: ``star.order``) that can hold
-    its first failure (``associator_scan``).
+    total degree at most ``star.order`` that can hold its first failure
+    (``associator_scan``).
     """
     levels = star.levels
     digest = _digest(star.to_json())
@@ -273,8 +273,7 @@ def verify_star(star: StarProduct, degree: int | None = None) -> dict:
         compare(f"residual-{k}", coboundary_defect(levels[k], insertions=_bracket_form(levels, k)))
 
     if star.ring == X_RING:
-        bound = star.order if degree is None else degree
-        failed = associator_scan(levels, bound)
+        failed = associator_scan(levels, star.order)
         if failed:
             f, g, h, j, c = failed
             check("associator", False, residual=c, witness=[str(f), str(g), str(h)])

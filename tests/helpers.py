@@ -484,8 +484,8 @@ def reference_concretize(terms, mode: str) -> Cochain:
 
 
 def reference_projections(k: int, mode: str) -> list:
-    """star.opo_projections without the mirror rule: every diagram concretized,
-    projected and cobounded on its own."""
+    """star.opo_projections without the mirror rule: every diagram, mirror
+    partners included, concretized, projected and cobounded on its own."""
     half = Fraction(1, 2)
     weights = (half, half * (-1) ** k)
     out = []

@@ -120,7 +120,9 @@ def psi_opo_experiment() -> dict:
     obstruction, in the conformal family.
 
     Both constraints are linear over the odd-parity projections of the
-    3-factor orderable diagrams: the level equation row-set comes from the
+    3-factor orderable diagrams, one column per mirror pair (a partner's
+    projection is plus or minus its pair's, so neither constraint sees it;
+    7 of the 12 diagrams): the level equation row-set comes from the
     coboundary, the obstruction row-set from the coordinate witness of the
     alternating first-order part, which depends affinely on the level-3
     choice through the bracket with the Poisson level.  Restricting to

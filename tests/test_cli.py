@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from starq.cli import (MAX_DEGREE, MAX_K, MAX_ORDER, MAX_SYMBOLIC_ORDER, _build_parser, main,
+from starq.cli import (MAX_K, MAX_ORDER, MAX_SYMBOLIC_ORDER, _build_parser, main,
                        write_json)
 from starq.cochains import X_RING, epsilon_cochain
 from starq.latex import star_latex
@@ -445,7 +445,6 @@ def test_failed_write_exits_two(tmp_path, capsys):
 @pytest.mark.parametrize("argv, what", [
     (["construct", "--order", str(MAX_ORDER + 1)], "order"),
     (["obstruction", "--k", str(MAX_K + 1)], "obstruction level"),
-    (["verify", "star.json", "--degree", str(MAX_DEGREE + 1)], "degree"),
 ])
 def test_resource_bounds_are_rejected_before_any_work(argv, what, monkeypatch, capsys):
     # only the rejection is exercised; nothing is computed at or near a cap
@@ -453,6 +452,17 @@ def test_resource_bounds_are_rejected_before_any_work(argv, what, monkeypatch, c
     monkeypatch.setattr("starq.cli.verify_star", _no_build)
     assert main(argv) == 2
     assert what in capsys.readouterr().err
+
+
+def test_verify_takes_no_degree(monkeypatch, capsys):
+    # the associator scan always runs to the product's order; the option is
+    # refused before the file is even opened
+    monkeypatch.setattr("starq.cli._load_star", _no_build)
+    monkeypatch.setattr("starq.cli.verify_star", _no_build)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "star.json", "--degree", "3"])
+    assert exc.value.code == 2
+    assert "--degree" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, what", [

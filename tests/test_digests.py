@@ -110,10 +110,11 @@ def test_orderable_enumeration_digest():
         "d68157cc64d4bdb2f338db3a0dbb9f9e228b8600dafc83b86ed29a3c64174bd4")
 
 
-# JSON of every parity-projected 3-factor column, with its diagram index.
+# JSON of every parity-projected 3-factor column, one per mirror pair (7 of
+# the 12 diagrams), with its diagram index.
 PROJECTIONS = {
-    NABLA_PHI: "d8a9c7256ed23ea5d99f22a2bad7057e57b9c2609cb76db1d6c496b3a3231250",
-    PSI_NABLA_PHI: "a2fbe4936c05363291f5a664727717ff17d54c6dcf7e6ebeb15fc39123c2d1e1",
+    NABLA_PHI: "cd3e86dcc2fee6c05ab404a280745711b9ce1726a25b42376932b7bb7128d11a",
+    PSI_NABLA_PHI: "d8d9fb77b8d6c02c707346c7793d58f9a6a4c8d08a8e789f3629e92c7ef1da36",
 }
 
 
@@ -123,11 +124,10 @@ def test_projection_digests(mode):
     assert _sha(json.dumps(columns, indent=2)) == PROJECTIONS[mode]
 
 
-# The same for the 4-factor columns, 40 of the 74 diagrams concretized and the
-# rest derived from their mirror partners.
+# The same for the 4-factor columns, one per mirror pair (40 of the 74 diagrams).
 PROJECTIONS_4 = {
-    NABLA_PHI: "b94e2b32ebca0e8d043b0f2dba9e6a9d050c8d267bdbfcc696d336cd8307922b",
-    PSI_NABLA_PHI: "58c813b0cb8ec29b357a2e5e72deeef0b17eba2c47b861b8ec69040dd2366a92",
+    NABLA_PHI: "37d02fa2e73a264865347b3375adfff4d958cd9bdeb76416ab860ba0b975d08e",
+    PSI_NABLA_PHI: "58f5555be92c69d685c9f3c8ed428915dfc4127ca125820479fb310b7522947f",
 }
 
 
@@ -154,7 +154,7 @@ RECORDS = {
         "ca4e0d1cc153779f81f329990c8be73a406cc72981a9c83f74eda509d26a39e2"),
     "experiment": (
         psi_opo_experiment,
-        "c5b87b626d35da5a3b2b0a93364579db801b10f3ea1d7ae1007421d955b229f7"),
+        "b4fe46c07ceeaa5f1c2f684d2dd963583910f544d093d826d91d104f2a806119"),
 }
 
 
