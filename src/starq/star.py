@@ -15,7 +15,11 @@ explicit polynomial ring.  In the gradient family every level-k term
 carries exactly k potential jets and a total of 3k derivatives split
 between jets and argument slots, which lets ``solve_level`` decompose the
 cohomological equation into small per-monomial blocks, each solved against
-the memoized echelon system of its derivative content and parity.
+the memoized echelon system of its derivative content and parity.  Every
+column of such a system, and R_k itself, obeys X^rev = (-1)^(k+1) X, so a
+slot tuple's entry fixes its mirror's; the systems and the blocks keep only
+the first slot tuple of each mirror pair, a restriction that is injective
+on vectors of that parity and so changes no solution.
 
 Solutions of the level equation are not unique at even levels: they may
 differ by coboundaries of one-slot operators, and the obstruction
@@ -73,6 +77,11 @@ def parity_sign(k: int) -> int:
     return (-1) ** k
 
 
+def has_parity(cochain: Cochain, sign: int) -> bool:
+    """Whether cochain^rev = sign * cochain."""
+    return cochain.reverse_args() == (cochain if sign > 0 else cochain.scale(-1))
+
+
 # -- level 0 and 1 -------------------------------------------------------------
 
 def base_levels(mode: str, ring: str, phi: XPoly | str, psi: XPoly | str | None) -> list[Cochain]:
@@ -106,7 +115,7 @@ def assemble_rhs(levels: Sequence[Cochain], k: int) -> Cochain:
     if any(levels[l].arity != 2 for l in range(1, k)):
         raise ValueError("right-hand sides are assembled from bilinear levels")
     for l in range(1, k):
-        if levels[l].reverse_args() != (levels[l].scale(-1) if l % 2 else levels[l]):
+        if not has_parity(levels[l], parity_sign(l)):
             raise AssertionError(f"M_{l}^rev != (-1)^{l} M_{l}; level {l} lost its parity")
     # a term of M_l o M_{k-l} carries at most the slot derivatives of both factors
     totals = [max(map(slot_total, level.terms), default=0) for level in levels[:k]]
@@ -195,7 +204,7 @@ def obstruction(rhs: Cochain, k: int, levels: Sequence[Cochain]) -> ObstructionR
     is computed as a cross-check; it must be zero together with the direct
     result, or a rational multiple of it.
     """
-    if k % 2 == 1 and rhs.reverse_args() != rhs:
+    if k % 2 == 1 and not has_parity(rhs, 1):
         raise AssertionError(f"R_{k} is not reversal-symmetric; a lower level lost its parity")
     alternating = rhs.degree_part((1, 1, 1)).antisymmetrize()
     shortcut = insertion_sum(3, rhs.ring, [(1, levels[k - 1], levels[1])], {(1, 1, 1)})
@@ -271,6 +280,12 @@ def _graded(index: MultiIndex) -> tuple[int, MultiIndex]:
     return (len(index), index)
 
 
+def _kept(slots: tuple[MultiIndex, ...]) -> bool:
+    """Whether a slot tuple is the first of its mirror pair in the canonical
+    slot order: its first slot comes no later than its last."""
+    return _graded(slots[0]) <= _graded(slots[-1])
+
+
 def shape_pairs(content: MultiIndex, parity: int) -> list[tuple[MultiIndex, MultiIndex]]:
     """Canonical slot-pair shapes whose derivatives together are ``content``,
     in the given parity class.
@@ -288,8 +303,14 @@ def shape_pairs(content: MultiIndex, parity: int) -> list[tuple[MultiIndex, Mult
 @cache
 def shape_system(content: MultiIndex, parity: int) -> ColumnReducer:
     """The echelonized coboundaries of the ``shape_pairs`` of this content and
-    parity, each pair with its mirror times parity.  A pure function of its
-    key, so memoized, and only read by the solves in either ring."""
+    parity, each pair with its mirror times parity, on the ``_kept`` rows only.
+
+    A pair's operator X has X^rev = parity * X, and (delta X)^rev =
+    -delta(X^rev), so each column obeys Y^rev = -parity * Y: a dropped row
+    holds its kept mirror's entry times -parity.  Restriction to the kept
+    rows is therefore injective on the columns' span, and it keeps every
+    linear dependence among them.  A pure function of its key, so memoized,
+    and only read by the solves in either ring."""
     reducer = ColumnReducer()
     for a, b in shape_pairs(content, parity):
         vec: dict = {}
@@ -298,7 +319,7 @@ def shape_system(content: MultiIndex, parity: int) -> ColumnReducer:
         if a != b:
             for new_slots, q in delta_terms((b, a)):
                 vec[new_slots] = vec.get(new_slots, 0) + q * parity
-        reducer.add_column((a, b), RatVec({s: q for s, q in vec.items() if q}))
+        reducer.add_column((a, b), RatVec({s: q for s, q in vec.items() if q and _kept(s)}))
     return reducer
 
 
@@ -315,11 +336,24 @@ def solve_level(rhs: Cochain, k: int) -> Cochain:
     each entry of a block's solution in one slot sum, as does its mirror (a
     canonical pair is never another's mirror), so entries move by
     assignment over one common denominator and nothing is summed.
+
+    Only R_k's ``_kept`` rows enter the blocks, as only they are in the shape
+    systems.  Restriction to them is injective on vectors X with
+    X^rev = (-1)^(k+1) X, where the columns lie, so it keeps every linear
+    dependence among the columns: the pivot columns, and the one combination
+    of them that reproduces an R_k of that parity, are those of the full
+    rows.  An R_k without the parity lies outside the span even where its
+    kept rows do not, so when R_k as a whole lacks it, each block's parity is
+    checked before the block is solved, and the first block that fails is
+    the one the full rows would name.
     """
     parity = parity_sign(k)
+    mirrored = has_parity(rhs, -parity)
     den = _common_den(rhs)
     blocks: dict[tuple, dict] = defaultdict(dict)
     for slots, coeff in rhs.terms.items():
+        if mirrored and not _kept(slots):
+            continue
         content, mul = tuple(sorted(sum(slots, ()))), den // coeff.den
         for mono, c in coeff.terms.items():
             blocks[content, mono][slots] = c * mul
@@ -327,7 +361,11 @@ def solve_level(rhs: Cochain, k: int) -> Cochain:
     # blocks in the order and with the names of their public monomials
     shown = decode if rhs.ring == JET_RING else tuple
     for content, mono in sorted(blocks, key=lambda b: (len(b[0]), shown(b[1]), b[0])):
-        combo = shape_system(content, parity).solve(RatVec(blocks[content, mono], den))
+        block = blocks[content, mono]
+        if not mirrored:  # a block's kept rows stand for it only if it has the parity
+            lost = any(block.get(s[::-1]) != -parity * c for s, c in block.items())
+            block = None if lost else {s: c for s, c in block.items() if _kept(s)}
+        combo = None if block is None else shape_system(content, parity).solve(RatVec(block, den))
         if combo is None:
             raise InfeasibleError(
                 f"level {k}: block (slot total {len(content)}, monomial {shown(mono)}) "

@@ -206,7 +206,7 @@ def _has_weyl_parity(levels: list[Cochain]) -> bool:
 # -- the report -------------------------------------------------------------------
 
 def _digest(payload) -> str:
-    blob = json.dumps(payload, sort_keys=True, default=str).encode()
+    blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
 

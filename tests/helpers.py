@@ -413,13 +413,17 @@ def reference_shape_pairs(total: int, parity: int) -> list:
 
 
 @cache
-def reference_shape_system(total: int, parity: int) -> FractionReducer:
+def reference_shape_system(total: int, parity: int, kept_rows: bool = False) -> FractionReducer:
+    """With ``kept_rows``, only the rows whose first slot comes no later than
+    the last, by length and then by index, the rows star.shape_system keeps."""
     reducer = FractionReducer()
     for a, b in reference_shape_pairs(total, parity):
         vec: dict = {}
         for pair, sign in [((a, b), 1)] + ([((b, a), parity)] if a != b else []):
             for slots, q in reference_delta_terms(pair):
                 vec[slots] = vec.get(slots, 0) + q * sign
+        if kept_rows:
+            vec = {s: q for s, q in vec.items() if (len(s[0]), s[0]) <= (len(s[2]), s[2])}
         reducer.add_column((a, b), vec)
     return reducer
 

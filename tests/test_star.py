@@ -249,6 +249,20 @@ def test_infeasible_solve_names_the_first_block_in_decoded_order():
         solve_level(rhs, 3)
 
 
+def test_infeasible_even_solve_names_the_first_block_in_decoded_order():
+    # the kept half of a level-4 coboundary: its kept rows are in the span, but
+    # without its mirrored rows it lacks the parity R_4^rev = -R_4, so both
+    # blocks are outside the span, and the first in decoded order is named
+    jets = JetPolynomial.variable(phi_jet(2, 2)) + JetPolynomial.variable(phi_jet(1, 1, 1))
+    full = Cochain(2, JET_RING, {((1, 1), (2,)): jets, ((2,), (1, 1)): jets}).hochschild_delta()
+    assert solve_level(full, 4).hochschild_delta() == full
+    rhs = Cochain(3, JET_RING, {slots: c for slots, c in full.terms.items()
+                                if (len(slots[0]), slots[0]) <= (len(slots[2]), slots[2])})
+    assert rhs != full
+    with pytest.raises(InfeasibleError, match=re.escape("monomial (('phi', (1, 1, 1)),)")):
+        solve_level(rhs, 4)
+
+
 def test_levels_satisfy_recursion(sym_star3):
     levels = sym_star3.levels
     for k in range(2, 4):
@@ -440,8 +454,9 @@ def test_content_systems_split_the_slot_total_system(total, parity):
         rank += len(system.pivots)
         pivots.update(system.pivots)
     assert listed == len(reference)
-    # the same pivots, each with the same combination of the same columns
-    ref_pivots = reference_shape_system(total, parity).pivots
+    # the same pivots, each with the same combination of the same columns, as
+    # the reference restricted to the rows the content systems keep
+    ref_pivots = reference_shape_system(total, parity, kept_rows=True).pivots
     assert rank == len(ref_pivots) and pivots.keys() == ref_pivots.keys()
     for lead, (rest, combo) in pivots.items():
         vec, ref_combo = ref_pivots[lead]
@@ -469,7 +484,24 @@ def test_build_forms_no_empty_slot_in_a_coboundary(monkeypatch):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.sampled_from((JET_RING, X_RING)), st.sampled_from((3, 4)))
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 5))
+def test_shape_columns_have_the_parity_of_the_rhs(seed, k):
+    # the systems keep one row of each mirror pair, which is injective only
+    # because every column's full coboundary X obeys X^rev = -(-1)^k X
+    content = random_index(Random(seed), 7, min_len=2)
+    parity = parity_sign(k)
+    one = JetPolynomial.one()
+    for a, b in shape_pairs(content, parity):
+        column = Cochain(2, JET_RING, {(a, b): one})
+        if a != b:
+            column.terms[b, a] = one.scale(parity)
+        delta = column.hochschild_delta()
+        assert delta.reverse_args() == delta.scale(-parity)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from((JET_RING, X_RING)),
+       st.sampled_from((2, 3, 4, 5)))
 def test_content_solve_matches_one_slot_total_system(seed, ring, k):
     rng = Random(seed)
     raw = Cochain(2, ring)
