@@ -35,10 +35,11 @@ from fractions import Fraction
 from functools import cache
 from itertools import permutations
 from math import lcm
+from operator import sub
 from typing import Iterable, Iterator
 
-from .jets import JetPolynomial, epsilon
-from .multiindex import MultiIndex, merge, mi, splits
+from .jets import JetPolynomial, epsilon, exponent_relabelings, index_relabelings, relabelings
+from .multiindex import MultiIndex, merge, mi, multiplicities, splits
 from .polynomials import RatVec, XPoly
 
 Slots = tuple[MultiIndex, ...]
@@ -70,6 +71,27 @@ def _slot_order(slots: Slots) -> tuple:
 
 def slot_total(slots: Slots) -> int:
     return sum(len(s) for s in slots)
+
+
+def _content(slots: Slots) -> tuple[int, int, int]:
+    """The counts (n_1, n_2, n_3) of each index over all slots."""
+    return multiplicities(sum(slots, ()))
+
+
+def _representative(slots: Slots) -> bool:
+    """n_1 >= n_2 >= n_3 for the content; every S3 orbit of contents holds one."""
+    n1, n2, n3 = _content(slots)
+    return n1 >= n2 >= n3
+
+
+def relabel(ring: str, s: int, slots: Slots, terms: dict, mul: int) -> tuple[Slots, dict]:
+    """A term relabeled by the s-th sigma of ``jets.S3``: each index a of its
+    slots and of its coefficient's monomials (jets or x-exponents) becomes
+    sigma(a), and the numerators ``terms``, times ``mul``, move with their
+    monomials.  Relabeling commutes with the coboundary and the insertion."""
+    images = relabelings if ring == JET_RING else exponent_relabelings
+    return (tuple(index_relabelings(index)[s] for index in slots),
+            {images(mono)[s]: c * mul for mono, c in terms.items()})
 
 
 def _common_den(cochain: "Cochain") -> int:
@@ -273,28 +295,37 @@ def insertion_sum(arity: int, ring: str, insertions: Iterable[tuple],
 
 
 def coboundary_defect(m: Cochain, target: Cochain | None = None,
-                      insertions: Iterable[tuple] = ()) -> tuple | None:
+                      insertions: Iterable[tuple] = (),
+                      representatives: bool = False) -> tuple | None:
     """The first term of delta(m) - target - sum of weight * outer o inner over
     (weight, outer, inner) insertion triples, in ``sorted_terms`` order, as
     (slots, coefficient); None when that difference is zero.  No side is
-    built as a cochain: only the returned coefficient becomes a ring element."""
+    built as a cochain: only the returned coefficient becomes a ring element.
+    With ``representatives``, only the slot tuples of representative content
+    are summed and searched."""
     if target is not None and (target.arity, target.ring) != (m.arity + 1, m.ring):
         raise ValueError("target does not match the coboundary's arity and ring")
     sums, den = _running_sums(m.arity + 1, m.ring, m, [] if target is None else [(-1, target)],
-                              [(-weight, outer, inner) for weight, outer, inner in insertions])
+                              [(-weight, outer, inner) for weight, outer, inner in insertions],
+                              representatives=representatives)
     slots = min((s for s, acc in sums.items() if acc.terms), key=_slot_order, default=None)
     return None if slots is None else (
         slots, ring_class(m.ring).from_numerators(sums[slots].terms, den))
 
 
 def _running_sums(arity: int, ring: str, delta_of: Cochain | None = None, pairs=(),
-                  insertions=(), degrees: set[tuple[int, ...]] | None = None) -> tuple[dict, int]:
+                  insertions=(), degrees: set[tuple[int, ...]] | None = None,
+                  representatives: bool = False) -> tuple[dict, int]:
     """One running sum per output slot of delta(delta_of), of q * c over (q, c)
     pairs and of weight * outer o inner over (weight, outer, inner)
     insertions, with their one denominator, the lcm of the parts'.  With a
     set ``degrees`` of slot-length tuples an insertion visits only what lands
     on one of them: at each outer position, the inner slot lengths that
     complete the lengths of the outer slots around it to a tuple of the set.
+    With ``representatives``, only output slot tuples of representative
+    content are summed: the coboundary keeps a term's content, and an
+    insertion's output content is the outer term's, less the piece on the
+    inner coefficient, plus the inner term's, for every spread.
 
     A slot of the outer operator distributes over the composite argument:
     one piece differentiates the inner coefficient, the others (a spread)
@@ -312,13 +343,16 @@ def _running_sums(arity: int, ring: str, delta_of: Cochain | None = None, pairs=
                 for weight, outer, inner in insertions))
     sums = defaultdict(lambda: RatVec(None, den))  # per-slot running sums over den
     for slots, c in () if delta_of is None else delta_of.terms.items():
+        if representatives and not _representative(slots):
+            continue
         terms, mul = c.terms, den // c.den
         for new_slots, q in delta_terms(slots):
             sums[new_slots].add_scaled(terms, q * mul)
     for q, cochain in pairs:
         num, q_den = q.numerator, q.denominator
         for slots, c in cochain.terms.items():
-            sums[slots].add_scaled(c.terms, num * (den // (q_den * c.den)))
+            if not representatives or _representative(slots):
+                sums[slots].add_scaled(c.terms, num * (den // (q_den * c.den)))
     for weight, outer, inner in insertions:
         if outer.ring != ring or inner.ring != ring:
             raise ValueError("cochain ring mismatch")
@@ -328,6 +362,7 @@ def _running_sums(arity: int, ring: str, delta_of: Cochain | None = None, pairs=
         if not weight:
             continue
         inner_slots, inner_coeffs = list(inner.terms), list(inner.terms.values())
+        inner_contents = representatives and list(map(_content, inner_slots))
         merged: dict = {}  # spread -> [(inner position, merged slots, their lengths)]
         derivative = cache(lambda j, piece: inner_coeffs[j].derivative(piece))
         if degrees is not None:
@@ -339,8 +374,8 @@ def _running_sums(arity: int, ring: str, delta_of: Cochain | None = None, pairs=
             completions = {key: frozenset(inner) for key, inner in completions.items()}
         for slots_m, c_m in outer.terms.items():
             m_den = den // (c_m.den * weight.denominator)
-            products = defaultdict(lambda: [None] * len(inner_slots))  # piece -> by position
-            lengths_m = _lengths(slots_m)
+            products: dict = {}  # piece -> by inner position: (product, multiplier)
+            lengths_m, content_m = _lengths(slots_m), representatives and _content(slots_m)
             for i in range(p):
                 head, tail = slots_m[:i], slots_m[i + 1:]
                 inner_degrees = None
@@ -350,7 +385,14 @@ def _running_sums(arity: int, ring: str, delta_of: Cochain | None = None, pairs=
                         continue
                 scale = weight.numerator * (-1) ** (i * (q - 1))
                 for on_coeff, spread in _split_groups(slots_m[i], q + 1):
-                    row = products[on_coeff]
+                    row = products.get(on_coeff)
+                    if row is None:
+                        row = products[on_coeff] = [None] * len(inner_slots)
+                        if representatives:  # a pruned position holds an empty product
+                            n1, n2, n3 = map(sub, content_m, multiplicities(on_coeff))
+                            for j, (m1, m2, m3) in enumerate(inner_contents):
+                                if not n1 + m1 >= n2 + m2 >= n3 + m3:
+                                    row[j] = ((), 0)
                     for on_slots, count in spread:
                         targets = merged.get(on_slots)
                         if targets is None:

@@ -25,8 +25,8 @@ boundary a name's code and a name list's id are each worked out once and
 looked up after.
 The total x-derivative acts by prolongation, d/dx_a phi_I = phi_{I+a},
 extended as a derivation to products; ``lift`` prolongs a code, and
-``relabelings`` gives a code's images under the permutations of the
-coordinate indices 1..3 (``S3``).
+``relabelings`` gives a monomial's images under the permutations of the
+coordinate indices 1..3 (``S3``), and ``exponent_relabelings`` an x-monomial's.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from __future__ import annotations
 from functools import cache
 from typing import Iterable
 
-from .multiindex import MultiIndex, format_index, merge, mi, parse_index, splits
+from .multiindex import MultiIndex, format_index, merge, mi, multiplicities, parse_index, splits
 from .polynomials import RatVec, SparsePoly, XPoly
 
 PHI = "phi"
@@ -271,11 +271,19 @@ def index_relabelings(index: MultiIndex) -> tuple[MultiIndex, ...]:
 
 
 @cache
-def relabelings(c: int) -> tuple[int, ...]:
-    """The codes of a jet variable with its index relabeled by each sigma of
-    S3, in its order."""
-    tag, index = var(c)
-    return tuple(code((tag, image)) for image in index_relabelings(index))
+def relabelings(mono: Monomial) -> tuple[Monomial, ...]:
+    """The ids of a monomial with the index of every jet relabeled by each
+    sigma of S3, in its order."""
+    images = [[code((tag, image)) for image in index_relabelings(index)]
+              for tag, index in map(var, _codes[mono])]
+    return tuple(intern(tuple(sorted(image[s] for image in images))) for s in range(len(S3)))
+
+
+@cache
+def exponent_relabelings(e: tuple[int, int, int]) -> tuple[tuple[int, int, int], ...]:
+    """The exponents of x^e with every x_a replaced by x_sigma(a), one per sigma
+    of S3, in its order."""
+    return tuple(map(multiplicities, index_relabelings((1,) * e[0] + (2,) * e[1] + (3,) * e[2])))
 
 
 @cache

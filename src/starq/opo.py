@@ -34,9 +34,8 @@ from itertools import combinations, permutations, product
 import re
 from typing import Iterable, Sequence
 
-from .cochains import Cochain, JET_RING
-from .jets import (S3, JetPolynomial, factor_codes, index_relabelings, intern, relabelings,
-                   substitute_factor)
+from .cochains import Cochain, JET_RING, relabel
+from .jets import S3, JetPolynomial, substitute_factor
 from .polynomials import RatVec
 
 # A target is ("arg", argument position) or ("fac", factor position).
@@ -170,7 +169,7 @@ def concretize(terms: Iterable[AbstractTerm], mode: str) -> Cochain:
     eps^{ijk} picks one k, so every walked assignment is nonzero and the
     others vanish.  Relabeling every index of an assignment by a permutation
     sigma of 1..3 multiplies each factor's eps by sgn(sigma) and relabels
-    its jets (``jets.relabelings``) in both families, so the assignments fall
+    its jets (``cochains.relabel``) in both families, so the assignments fall
     into free orbits of six, each with one member in which the first walked
     factor has uppers (1, 2).  Only those are walked, depth first, along a
     witnessing order if there is one, multiplying a factor in once its
@@ -217,18 +216,11 @@ def concretize(terms: Iterable[AbstractTerm], mode: str) -> Cochain:
         walk(0, JetPolynomial.one())
     if arity is None:
         raise ValueError("no terms to concretize")
-    images_of: dict[int, tuple[int, ...]] = {}  # a monomial's images, one per sigma
     for odd, partial in enumerate(orbit_sums):
         for slots, acc in partial.items():
-            images: list[dict] = [{} for _ in S3]
-            for mono, c in acc.terms.items():
-                if mono not in images_of:  # every monomial here has a factor
-                    images_of[mono] = tuple(intern(tuple(sorted(codes))) for codes
-                                            in zip(*map(relabelings, factor_codes(mono))))
-                for image, out in zip(images_of[mono], images):
-                    out[image] = c
-            for relabeled, (_, sign), out in zip(zip(*map(index_relabelings, slots)), S3, images):
-                sums[relabeled].add(out, acc.den, sign if odd else 1)
+            for s, (_, sign) in enumerate(S3):
+                image, terms = relabel(JET_RING, s, slots, acc.terms, sign if odd else 1)
+                sums[image].add(terms, acc.den)
     return Cochain._from_sums(arity, JET_RING, sums)
 
 

@@ -9,13 +9,16 @@ constructor; the independence is in the formulas, the symmetric-bracket
 right-hand side (both orders of each unordered pair of levels) against the
 constructor's one-sided sum, and the associator scan, the one evaluation
 entry point.  Each residual delta(M_k) - R_k is one running difference, and
-neither side is built.  The scan skips the triples that cannot fail first:
-those with a constant argument when the product is unital, and the later of
-each mirror pair when every level has Weyl parity.  It reads both facts off
-the levels itself, and the report checks them directly, as ``units`` and
-``parity-k``.  A verification run produces a machine-readable
-report whose failing entries each name a witness triple of polynomials, so
-a corrupted product is not just flagged but exhibited.
+neither side is built; on levels with parity and covariance (``_is_covariant``)
+it is summed first on one representative content per S3 orbit, and in full
+only when that finds a defect, to name the witness.  The scan skips the
+triples that cannot fail first: those with a constant argument when the
+product is unital, and the later of each mirror pair when every level has
+Weyl parity.  It reads both facts off the levels itself, and the report
+checks them directly, as ``units`` and ``parity-k``.  A verification run
+produces a machine-readable report whose failing entries each name a witness
+triple of polynomials, so a corrupted product is not just flagged but
+exhibited.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ import json
 from fractions import Fraction
 from math import perm
 
-from .cochains import Cochain, X_RING, coboundary_defect
-from .jets import JetPolynomial, phi_jet, psi_jet
+from .cochains import Cochain, X_RING, coboundary_defect, relabel
+from .jets import S3, JetPolynomial, phi_jet, psi_jet
 from .multiindex import all_indices, multiplicities
 from .polynomials import RatVec, XPoly
 from .star import StarProduct
@@ -203,6 +206,21 @@ def _has_weyl_parity(levels: list[Cochain]) -> bool:
                for k, level in enumerate(levels))
 
 
+def _is_covariant(level: Cochain, k: int) -> bool:
+    """sigma . M_k = sgn(sigma)^k M_k (``cochains.relabel``) for a 3-cycle and a
+    transposition of the coordinates, which generate S3.  Relabeling is a
+    bijection on the terms, so each term's image must be a term of the right
+    side.  Then delta(M_k) - R_k is covariant too, and it vanishes when it
+    does on the representative contents, which meet every orbit."""
+    for s in (1, 3):
+        for slots, c in level.terms.items():
+            image, terms = relabel(level.ring, s, slots, c.terms, S3[s][1] ** k)
+            other = level.terms.get(image)
+            if other is None or (other.den, other.terms) != (c.den, terms):
+                return False
+    return True
+
+
 # -- the report -------------------------------------------------------------------
 
 def _digest(payload) -> str:
@@ -256,7 +274,7 @@ def verify_star(star: StarProduct) -> dict:
           residual="levels " + ",".join(map(str, degenerate)) if degenerate else "0",
           witness=None if unit_ok and not degenerate else ["1", "1", "1"])
 
-    def compare(name: str, difference):
+    def compare(name: str, difference) -> bool:
         """Pass when there is no difference; else the coefficient of its first
         sorted term is the residual, and that term's slots name the witness."""
         if difference is None:
@@ -264,13 +282,18 @@ def verify_star(star: StarProduct) -> dict:
         else:
             slots, coeff = difference
             check(name, False, residual=coeff, witness=_witness_from_slots(slots))
+        return difference is None
 
-    for k in range(1, len(levels)):
-        mirror = levels[k].reverse_args().scale((-1) ** k)
-        compare(f"parity-{k}", levels[k].first_difference(mirror))
+    parities = [compare(f"parity-{k}", levels[k].first_difference(
+        levels[k].reverse_args().scale((-1) ** k))) for k in range(1, len(levels))]
+    # levels 1..k covariant, each checked once, and only when every level has parity
+    covariant = len(levels) > 2 and all(parities) and _is_covariant(levels[1], 1)
     for k in range(2, len(levels)):
-        # delta(M_k) - R_k as one running sum; neither side is built
-        compare(f"residual-{k}", coboundary_defect(levels[k], insertions=_bracket_form(levels, k)))
+        # delta(M_k) - R_k as one running sum, neither side built; the orbit path first
+        covariant = covariant and _is_covariant(levels[k], k)
+        m, bracket = levels[k], _bracket_form(levels, k)
+        orbit = covariant and not coboundary_defect(m, insertions=bracket, representatives=True)
+        compare(f"residual-{k}", None if orbit else coboundary_defect(m, insertions=bracket))
 
     if star.ring == X_RING:
         failed = associator_scan(levels, star.order)

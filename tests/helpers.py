@@ -9,8 +9,9 @@ from random import Random
 from typing import Iterable, Iterator, Sequence
 
 from starq import cochains
-from starq.cochains import Cochain, JET_RING, X_RING, linear_combination, ring_class, slot_total
-from starq.jets import (JetPolynomial, code, decode, format_var, lift, monomial_key, phi_jet,
+from starq.cochains import (Cochain, JET_RING, X_RING, linear_combination, relabel, ring_class,
+                            slot_total)
+from starq.jets import (S3, JetPolynomial, code, decode, format_var, lift, monomial_key, phi_jet,
                         psi_jet, substitute_factor, var)
 from starq.multiindex import all_indices, merge, multiplicities, splits
 from starq.opo import (ARG, FAC, AbstractTerm, Pair, Target, canonical_term, concretize,
@@ -151,6 +152,48 @@ def reference_rhs(levels, k: int) -> Cochain:
     right-hand side the verifier checks as one running difference."""
     brackets = [(1, bracket(levels[l], levels[k - l])) for l in range(1, k)]
     return reference_combination(3, levels[1].ring, brackets).scale(Fraction(1, 2))
+
+
+# -- relabeling the coordinates --------------------------------------------------------
+
+def relabeled(c: Cochain, s: int) -> Cochain:
+    """c with every term relabeled by the s-th sigma of S3, by ``relabel``."""
+    make = ring_class(c.ring).from_numerators
+    images = (relabel(c.ring, s, slots, coeff.terms, 1) + (coeff.den,)
+              for slots, coeff in c.terms.items())
+    return Cochain(c.arity, c.ring, {slots: make(terms, den) for slots, terms, den in images})
+
+
+def symmetrized(c: Cochain, k: int) -> Cochain:
+    """The sum over sigma of S3 of sgn(sigma)^k sigma . c, which is covariant:
+    tau . X = sgn(tau)^k X for every tau."""
+    return linear_combination(c.arity, c.ring, ((sign ** k, relabeled(c, s))
+                                                for s, (_, sign) in enumerate(S3)))
+
+
+def reference_relabeled(c: Cochain, sigma: tuple[int, int, int]) -> Cochain:
+    """c with every index a of its slots, its jets and its x-exponents
+    replaced by sigma(a) (sigma given as (sigma(1), sigma(2), sigma(3))),
+    term by term through the public constructors."""
+    def index(i):
+        return tuple(sorted(sigma[a - 1] for a in i))
+
+    out = Cochain(c.arity, c.ring)
+    for slots, coeff in c.terms.items():
+        image = ring_class(c.ring).zero()
+        for mono, q in coeff.monomials():
+            if c.ring == JET_RING:
+                key = monomial_key((tag, index(i)) for tag, i in decode(mono))
+            else:
+                key = tuple(mono[sigma.index(a)] for a in (1, 2, 3))
+            image = image + type(coeff).from_monomial(key, q)
+        out.add_term(tuple(map(index, slots)), image)
+    return out
+
+
+def reference_is_covariant(c: Cochain, k: int) -> bool:
+    """sigma . c = sgn(sigma)^k c for all six sigma."""
+    return all(reference_relabeled(c, sigma) == c.scale(sign ** k) for sigma, sign in S3)
 
 
 def reference_antisymmetrize(c: Cochain) -> Cochain:

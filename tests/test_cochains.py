@@ -5,14 +5,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from starq import cochains
-from starq.cochains import (Cochain, JET_RING, X_RING, coboundary_defect, delta_terms,
-                            epsilon_cochain, insertion_sum, linear_combination, ring_class,
-                            slot_total)
+from starq.cochains import (Cochain, JET_RING, X_RING, _running_sums, coboundary_defect,
+                            delta_terms, epsilon_cochain, insertion_sum, linear_combination,
+                            ring_class, slot_total)
+from starq.jets import S3
 from starq.polynomials import XPoly, parse_poly
 
 from helpers import (bracket, eval_args, insert, random_cochain, reference_antisymmetrize,
                      reference_combination, reference_delta_terms, reference_hochschild_delta,
-                     reference_insert)
+                     reference_insert, reference_is_covariant, reference_relabeled, relabeled,
+                     symmetrized)
 
 
 def test_delta_terms_preserve_slot_totals():
@@ -389,3 +391,93 @@ def test_insert_rejects_degree_tuple_of_wrong_length():
     a = Cochain.multiplication(X_RING)
     with pytest.raises(ValueError):
         insert(a, a, (1, 1))
+
+
+# -- relabeling the coordinates, and sums on orbit representatives --------------------
+
+def _representative(slots) -> bool:
+    """The counts n_a of each index a over all slots obey n_1 >= n_2 >= n_3."""
+    n1, n2, n3 = (sum(index.count(a) for index in slots) for a in (1, 2, 3))
+    return n1 >= n2 >= n3
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32), RINGS)
+def test_relabel_is_the_coordinate_relabeling_and_an_action(seed, ring):
+    # each sigma of S3 relabels slots, jets and x-exponents as the reference
+    # does term by term, and relabeling by sigma then tau is relabeling by tau sigma
+    rng = Random(seed)
+    c = _operand(rng, rng.randint(1, 3), ring)
+    for s, (sigma, _) in enumerate(S3):
+        assert relabeled(c, s) == reference_relabeled(c, sigma)
+        for t, (tau, _) in enumerate(S3):
+            composite = tuple(tau[a - 1] for a in sigma)
+            u = next(u for u, (rho, _) in enumerate(S3) if rho == composite)
+            assert relabeled(relabeled(c, s), t) == relabeled(c, u)
+    k = rng.randint(0, 3)
+    assert reference_is_covariant(symmetrized(c, k), k)
+
+
+def _orbit_operand(rng: Random, arity: int, ring: str, k, covariant: bool) -> Cochain:
+    c = _operand(rng, arity, ring)
+    return symmetrized(c, k) if covariant else c
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), RINGS, st.booleans(), st.sampled_from((2, 3)),
+       st.sampled_from((2, 3)))
+def test_representative_sums_are_the_full_sums_on_representative_contents(seed, ring, covariant,
+                                                                         p, q):
+    """With representatives, the running sums of the coboundary, of a pair
+    and of insertions, with or without target degrees, are the full sums
+    restricted to the slot tuples of representative content, over the same
+    denominator, on covariant operands and on any others."""
+    rng = Random(seed)
+    k = rng.randint(1, 4)
+    operand = _orbit_operand
+    insertions = [(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                   operand(rng, p, ring, k, covariant), operand(rng, q, ring, k, covariant))
+                  for _ in range(rng.randint(1, 3))]
+    full_shapes = sorted({tuple(map(len, slots))
+                          for slots in insertion_sum(p + q - 1, ring, insertions).terms})
+    degrees = set(rng.sample(full_shapes, rng.randint(0, len(full_shapes))))
+    parts = [(p + 1, {"delta_of": operand(rng, p, ring, k, covariant)}),
+             (p, {"pairs": [(Fraction(rng.randint(1, 5), rng.randint(1, 3)),
+                             operand(rng, p, ring, k, covariant))]}),
+             (p + q - 1, {"insertions": insertions}),
+             (p + q - 1, {"insertions": insertions, "degrees": degrees})]
+    for arity, part in parts:
+        full, den = _running_sums(arity, ring, **part)
+        pruned, pruned_den = _running_sums(arity, ring, representatives=True, **part)
+        assert pruned_den == den
+        assert {slots: acc.terms for slots, acc in pruned.items() if acc.terms} == {
+            slots: acc.terms for slots, acc in full.items()
+            if acc.terms and _representative(slots)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), RINGS)
+def test_restricted_defect_vanishes_exactly_with_the_full_one_on_covariant_operands(seed, ring):
+    """delta(m) - target - insertions is covariant when m, the target and the
+    insertion operands are, so its representative contents decide whether it
+    vanishes; off covariance they need not."""
+    rng = Random(seed)
+    k, l = rng.randint(2, 5), rng.randint(1, 2)
+    a, b = symmetrized(_operand(rng, 2, ring), l), symmetrized(_operand(rng, 2, ring), k - l)
+    m = symmetrized(_operand(rng, 2, ring), k)
+    triples = [(1, a, b), (Fraction(rng.randint(-3, 3), 2), b, a)]
+    exact = linear_combination(3, ring, ((1, m.hochschild_delta()),
+                                         (-1, insertion_sum(3, ring, triples))))
+    off = symmetrized(_operand(rng, 3, ring), k)
+    for target in (exact, linear_combination(3, ring, ((1, exact), (1, off))), off,
+                   Cochain(3, ring)):
+        full = coboundary_defect(m, target, triples)
+        assert (coboundary_defect(m, target, triples, representatives=True) is None) == (
+            full is None)
+    # one term off its orbit breaks covariance, and may lie off the representatives
+    slots = ((2,), (2, 3), (3,))
+    assert not _representative(slots)
+    lone = Cochain(3, ring, {slots: ring_class(ring).one()})
+    broken = linear_combination(3, ring, ((1, exact), (1, lone)))
+    assert coboundary_defect(m, broken, triples) is not None
+    assert coboundary_defect(m, broken, triples, representatives=True) is None

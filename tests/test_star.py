@@ -23,7 +23,8 @@ from starq.star import (ClosureError, GradingError, InfeasibleError, Obstruction
                         build_star, check_grading, level_equation, level_step, obstruction,
                         opo_projections, parity_sign, proportional, shape_pairs, shape_system,
                         solve_level, solve_opo)
-from starq.verify import _bracket_form, associator_scan, poisson_vector, verify_star
+from starq.verify import (_bracket_form, _is_covariant, associator_scan, poisson_vector,
+                          verify_star)
 
 from helpers import (moyal_level, random_cochain, random_index, random_jet_coeff,
                      random_x_coeff, reference_delta_solve, reference_projections, reference_rhs,
@@ -170,21 +171,24 @@ def test_verifier_rhs_matches_copy_based_form(seed, ring):
 
 def test_verifier_residuals_are_the_bracket_forms_defects(sym_star3):
     """verify_star checks residual-k by coboundary_defect on the bracket form
-    and nothing else: no R_k, one-sided or not, is assembled."""
+    and nothing else: no R_k, one-sided or not, is assembled.  Every level of
+    sym_star3 has parity and covariance, so each residual takes the orbit
+    path, restricted to representative contents, with no second call."""
     calls = []
 
-    def recording(m, target=None, insertions=()):
+    def recording(m, target=None, insertions=(), representatives=False):
         insertions = list(insertions)
-        calls.append((m, target, insertions))
-        return coboundary_defect(m, target, insertions)
+        calls.append((m, target, insertions, representatives))
+        return coboundary_defect(m, target, insertions, representatives)
 
     levels = sym_star3.levels
     with mock.patch("starq.verify.coboundary_defect", recording), \
             mock.patch("starq.star.assemble_rhs", _forbidden), \
             mock.patch("starq.cochains.insertion_sum", _forbidden):
         assert verify_star(sym_star3)["pass"]
-    assert [(m, target) for m, target, _ in calls] == [(levels[2], None), (levels[3], None)]
-    for k, (_, _, insertions) in zip((2, 3), calls):
+    assert [(m, target, representatives) for m, target, _, representatives in calls] == [
+        (levels[2], None, True), (levels[3], None, True)]
+    for k, (_, _, insertions, _) in zip((2, 3), calls):
         assert [(w, id(a), id(b)) for w, a, b in insertions] == [
             (w, id(a), id(b)) for w, a, b in _bracket_form(levels, k)]
 
@@ -209,9 +213,10 @@ def test_verifier_rhs_on_symbolic_levels(sym_star3, sym_rhs):
 def test_hot_kernels_construct_no_fraction(sym_star3, cubic_star, monkeypatch):
     """The coboundary, the insertion kernel, the verifier's residuals (the
     running difference of delta(M_k) and the bracket form of R_k, passing
-    and failing), the constructor's coboundary checks, the grading check, the
-    level solver, the flattened rows of the span solver and the associator
-    scan run on integer numerators."""
+    and failing, in full and on representative contents) and its covariance
+    check, the constructor's coboundary checks, the grading check, the level
+    solver, the flattened rows of the span solver and the associator scan run
+    on integer numerators."""
     made = []
     original = Fraction.__new__
 
@@ -228,6 +233,14 @@ def test_hot_kernels_construct_no_fraction(sym_star3, cubic_star, monkeypatch):
     assert coboundary_defect(levels[3], insertions=_bracket_form(levels, 3)) is None
     slots, coeff = coboundary_defect(levels[3], insertions=_bracket_form(levels, 3)[:1])
     assert slots and not coeff.is_zero
+    for star in (sym_star3, cubic_star):
+        bracket = _bracket_form(star.levels, 3)
+        assert coboundary_defect(star.levels[3], insertions=bracket, representatives=True) is None
+        slots, coeff = coboundary_defect(star.levels[3], insertions=bracket[:1],
+                                         representatives=True)
+        assert slots and not coeff.is_zero
+        assert all(_is_covariant(level, k) for k, level in enumerate(star.levels))
+    assert not _is_covariant(levels[2], 3)  # level 2 with the sign of level 3
     assert coboundary_defect(rhs) is None and coboundary_defect(levels[3], rhs) is None
     check_grading(rhs, 3, NABLA_PHI)
     shape_system.cache_clear()  # the level solver builds its shape systems here too

@@ -1,19 +1,25 @@
 import json
 from fractions import Fraction
+from functools import cache
 from random import Random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import starq.verify
 from starq.cli import main
-from starq.cochains import Cochain, X_RING
+from starq.cochains import Cochain, JET_RING, X_RING, coboundary_defect, linear_combination
+from starq.jets import NABLA_PHI, PSI_NABLA_PHI, JetPolynomial, phi_jet
 from starq.polynomials import XPoly, parse_poly
-from starq.star import StarProduct
-from starq.verify import (_ONE, _Evaluator, _has_weyl_parity, _is_unital, _monomial_triples,
-                          associator_scan, jacobi_residual, poisson_vector, verify_star)
+from starq.star import StarProduct, build_star
+from starq.verify import (_ONE, _Evaluator, _bracket_form, _has_weyl_parity, _is_covariant,
+                          _is_unital, _monomial_triples, associator_scan, jacobi_residual,
+                          poisson_vector, verify_star)
 
 from helpers import (commutator, eval_args, moyal_level, random_cochain, random_index,
-                     random_x_coeff, reference_associator, reference_scan)
+                     random_x_coeff, reference_associator, reference_is_covariant,
+                     reference_scan, symmetrized)
 
 
 def test_jacobi_residual_reference_values():
@@ -362,3 +368,123 @@ def test_scan_matches_reference_on_unital_weyl_levels(seed):
             assert not _is_unital(levels)
     bound = rng.randint(1, 3)
     assert associator_scan(levels, bound) == reference_scan(levels, bound)
+
+
+# -- the residuals on orbit representatives ---------------------------------------------
+
+_BUILT = {
+    "sym_star2": lambda: build_star(NABLA_PHI, 2),
+    "opo_star3": lambda: build_star(NABLA_PHI, 3, opo_restrict=True),
+    "opo_star4": lambda: build_star(NABLA_PHI, 4, opo_restrict=True),
+    "sym_conformal_star2": lambda: build_star(PSI_NABLA_PHI, 2, "sym", "sym"),
+    "x3_star8": lambda: build_star(NABLA_PHI, 8, phi=parse_poly("x3")),
+}
+
+
+@cache
+def _built(name: str) -> StarProduct:
+    return _BUILT[name]()
+
+
+# per product, the levels k whose residual takes the orbit path: every level
+# has parity, and levels 1..k are covariant (the pivot level 4 of sym_star4
+# is not; no level of x3 or of psi = 1 + x1 is, from level 1 on)
+ORBIT_RESIDUALS = {
+    "sym_star2": {2}, "sym_star3": {2, 3}, "sym_star4": {2, 3}, "opo_star3": {2, 3},
+    "opo_star4": {2, 3, 4}, "sym_conformal_star2": {2}, "sym_conformal_star3": {2, 3},
+    "cubic_star": {2, 3}, "sphere_star": {2, 3}, "x3_star4": set(), "x3_star8": set(),
+    "conformal_star3": set(),
+}
+
+
+def _traced_verify(star: StarProduct, orbits: bool = True) -> tuple[dict, list]:
+    """verify_star's report and its residual calls, as (k, representatives,
+    whether a defect was found); without ``orbits`` no level is covariant,
+    which forces the full path."""
+    calls = []
+
+    def recording(m, target=None, insertions=(), representatives=False):
+        defect = coboundary_defect(m, target, insertions, representatives)
+        k = next(k for k, level in enumerate(star.levels) if level is m)
+        calls.append((k, representatives, defect is not None))
+        return defect
+
+    with mock.patch("starq.verify.coboundary_defect", recording), \
+            mock.patch("starq.verify._is_covariant", _is_covariant if orbits else _never):
+        return verify_star(star), calls
+
+
+def _never(level, k):
+    return False
+
+
+@pytest.mark.parametrize("name", ORBIT_RESIDUALS)
+def test_orbit_residuals_keep_every_report(name, request):
+    """Every report of the corpus, digests included, is the forced full path's,
+    and each residual takes the path that its levels' facts allow, by a
+    reference check of parity and of covariance under all six relabelings."""
+    star = _built(name) if name in _BUILT else request.getfixturevalue(name)
+    report, calls = _traced_verify(star)
+    full, full_calls = _traced_verify(star, orbits=False)
+    assert report == full and report["pass"]
+    residuals = range(2, len(star.levels))
+    assert full_calls == [(k, False, False) for k in residuals]
+    assert calls == [(k, k in ORBIT_RESIDUALS[name], False) for k in residuals]
+    levels = star.levels
+    parity = all(level.reverse_args().scale((-1) ** k) == level for k, level in enumerate(levels))
+    covariant = [reference_is_covariant(level, k) for k, level in enumerate(levels)]
+    assert ORBIT_RESIDUALS[name] == {k for k in residuals if parity and all(covariant[1:k + 1])}
+
+
+def _representative(slots) -> bool:
+    n1, n2, n3 = (sum(index.count(a) for index in slots) for a in (1, 2, 3))
+    return n1 >= n2 >= n3
+
+
+def _off_orbit_pair(level: Cochain, q: Fraction) -> Cochain:
+    """q times the first monomial of the first term of a level whose content
+    is not representative, and -q times it on the mirror: a bilinear operator
+    with odd parity."""
+    slots = next(slots for slots, _ in level.sorted_terms() if not _representative(slots))
+    bump = JetPolynomial.from_monomial(level.terms[slots].monomials()[0][0], q)
+    return Cochain(2, JET_RING, {slots: bump, slots[::-1]: -bump})
+
+
+def _perturbed(star: StarProduct, k: int, bump: Cochain) -> StarProduct:
+    bad = StarProduct.from_json(star.to_json())
+    bad.levels[k] = linear_combination(2, bad.ring, ((1, bad.levels[k]), (1, bump)))
+    assert bad.levels[k].reverse_args().scale((-1) ** k) == bad.levels[k]  # parity holds
+    return bad
+
+
+def test_parity_keeping_perturbation_off_the_orbit_fails_on_the_full_path(sym_star3):
+    # 3/7 on a level-3 term of non-representative content and -3/7 on its
+    # mirror: the representative sums cannot see it, but level 3 is no longer
+    # covariant, so residual-3 takes the full path and names today's witness
+    bad = _perturbed(sym_star3, 3, _off_orbit_pair(sym_star3.levels[3], Fraction(3, 7)))
+    assert not _is_covariant(bad.levels[3], 3) and not reference_is_covariant(bad.levels[3], 3)
+    bracket = _bracket_form(bad.levels, 3)
+    assert coboundary_defect(bad.levels[3], insertions=bracket, representatives=True) is None
+    report, calls = _traced_verify(bad)
+    assert report == _traced_verify(bad, orbits=False)[0]
+    assert [c["name"] for c in report["checks"] if not c["pass"]] == ["residual-3"]
+    assert calls == [(2, True, False), (3, False, True)]
+
+
+def test_covariant_perturbation_fails_on_the_orbit_path_and_reruns_for_the_witness(sym_star3):
+    # the orbit sum of 3/7 phi_12 phi_3 (d_1 x d_222 - d_222 x d_1) keeps
+    # parity and covariance: the orbit path finds the defect, and the full
+    # path reruns to name the first one in sorted order, which lies off the
+    # representatives
+    c = (JetPolynomial.variable(phi_jet(1, 2)) * JetPolynomial.variable(phi_jet(3))).scale(
+        Fraction(3, 7))
+    pair = Cochain(2, JET_RING, {((1,), (2, 2, 2)): c, ((2, 2, 2), (1,)): -c})
+    bad = _perturbed(sym_star3, 3, symmetrized(pair, 3))
+    assert _is_covariant(bad.levels[3], 3) and reference_is_covariant(bad.levels[3], 3)
+    bracket = _bracket_form(bad.levels, 3)
+    slots, _ = coboundary_defect(bad.levels[3], insertions=bracket)
+    assert not _representative(slots)
+    report, calls = _traced_verify(bad)
+    assert report == _traced_verify(bad, orbits=False)[0]
+    assert [c["name"] for c in report["checks"] if not c["pass"]] == ["residual-3"]
+    assert calls == [(2, True, False), (3, True, True), (3, False, True)]
