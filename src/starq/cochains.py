@@ -33,12 +33,11 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from functools import cache
-from itertools import permutations
 from math import lcm
 from operator import sub
 from typing import Iterable, Iterator
 
-from .jets import JetPolynomial, epsilon, exponent_relabelings, index_relabelings, relabelings
+from .jets import S3, JetPolynomial, exponent_relabelings, index_relabelings, relabelings
 from .multiindex import MultiIndex, merge, mi, multiplicities, splits
 from .polynomials import RatVec, XPoly
 
@@ -48,9 +47,6 @@ JET_RING = "jet"
 X_RING = "x"
 
 _RINGS = {JET_RING: JetPolynomial, X_RING: XPoly}
-
-# the orderings of three arguments, each with its sign
-_S3 = tuple((perm, epsilon(*(p + 1 for p in perm))) for perm in permutations((0, 1, 2)))
 
 
 def ring_class(ring: str):
@@ -228,9 +224,9 @@ class Cochain:
         if self.arity != 3:
             raise ValueError("alternation is defined for trilinear operators")
         return linear_combination(3, self.ring, (
-            (Fraction(sign, 6), Cochain(3, self.ring, {tuple(slots[p] for p in perm): c
+            (Fraction(sign, 6), Cochain(3, self.ring, {tuple(slots[p - 1] for p in sigma): c
                                                        for slots, c in self.terms.items()}))
-            for perm, sign in _S3))
+            for sigma, sign in S3))
 
     # -- evaluation -----------------------------------------------------------
 
@@ -429,7 +425,6 @@ def epsilon_cochain(ring: str) -> "Cochain":
     first derivatives; unit coefficient on the identity slot ordering."""
     one = ring_class(ring).one()
     out = Cochain(3, ring)
-    for perm, sign in _S3:
-        slots = ((perm[0] + 1,), (perm[1] + 1,), (perm[2] + 1,))
-        out.add_term(slots, one.scale(sign))
+    for sigma, sign in S3:
+        out.add_term(tuple((p,) for p in sigma), one.scale(sign))
     return out

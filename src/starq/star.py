@@ -389,10 +389,9 @@ def solve_level(rhs: Cochain, k: int) -> Cochain:
 # -- gauge re-selection inside the orderable-diagram span ------------------------------
 
 # Even levels above this stay in the pivot gauge, since raising it changes their
-# outputs.  The diagram layer allows more: in a fresh process opo_projections(4)
-# takes about 0.2 s of CPU in the gradient family and 0.6 s in the conformal
-# one, and a symbolic order-4 build about 0.87 s with limit 4, against 0.48 s
-# with limit 2 (2 shared vCPUs, Python 3.11).
+# outputs, and it makes every explicit build of order 4 or more build its
+# symbolic family to that order: the x3 product at order 4 takes about 1 s of
+# CPU with limit 4, against 0.012 s with limit 2 (one process, Python 3.11).
 OPO_GAUGE_LIMIT = 2
 
 
@@ -591,16 +590,16 @@ class StarProduct:
         return star
 
 
-def level_step(levels: Sequence[Cochain], k: int, mode: str, specialized: Cochain | None,
-               span: bool, restrict: bool) -> tuple[Cochain, str]:
+def level_step(levels: Sequence[Cochain], k: int, mode: str, span: bool,
+               specialized: Cochain | None = None) -> tuple[Cochain, str]:
     """M_k over the lower levels and its gauge, one step of ``build_star``.
 
-    Raises ObstructionError when the obstruction of R_k is nonzero.  M_k is
-    the ``specialized`` family level when one is given, else the solution in
-    the orderable-diagram span when ``span`` asks for it and the span reaches
-    R_k (with ``restrict``, InfeasibleError when it does not), else the
-    ``solve_level`` solution.  Each of the three is checked exactly against
-    R_k, so R_k is checked closed only when the step fails.
+    Raises ObstructionError when the obstruction of R_k is nonzero.  Off the
+    ``span``, M_k is the ``solve_level`` solution.  In it, M_k is the
+    ``specialized`` family level when one is given, else the solution in the
+    orderable-diagram span, and InfeasibleError when the span misses R_k.
+    Each is checked exactly against R_k, so R_k is checked closed only when
+    the step fails.
     """
     rhs, report = level_equation(levels, k, mode)
     with closure_first(rhs, k):
@@ -609,60 +608,52 @@ def level_step(levels: Sequence[Cochain], k: int, mode: str, specialized: Cochai
         if not report.shortcut_witness.is_zero:
             raise AssertionError(f"level {k}: the insertion shortcut is nonzero "
                                  "under a zero obstruction")
-        if specialized is not None:
-            if coboundary_defect(specialized, rhs) is not None:
-                raise AssertionError("specialized orderable solution fails the explicit recursion")
-            return specialized, "opo"
-        if span:
-            level_k = solve_opo(rhs, opo_projections(k, mode))
-            if level_k is not None:
-                return level_k, "opo"
-            if restrict:
+        if not span:
+            return solve_level(rhs, k), gauges_at(k)[-1]
+        if specialized is None:
+            specialized = solve_opo(rhs, opo_projections(k, mode))
+            if specialized is None:
                 raise InfeasibleError(f"level {k}: orderable-diagram span cannot cobound the "
                                       "recursion right-hand side")
-        return solve_level(rhs, k), gauges_at(k)[-1]
+        elif coboundary_defect(specialized, rhs) is not None:
+            raise AssertionError("specialized orderable solution fails the explicit recursion")
+        return specialized, "opo"
 
 
 def build_star(mode: str, order: int, phi: XPoly | str = "sym",
-               psi: XPoly | str | None = None,
-               opo_gauge_limit: int = OPO_GAUGE_LIMIT,
-               opo_restrict: bool = False) -> StarProduct:
+               psi: XPoly | str | None = None, opo_restrict: bool = False) -> StarProduct:
     """Construct levels 0..order with obstruction checks at every step.
 
     phi and psi are potentials as ``product_ring`` admits them.  Raises
     ObstructionError with the offending report when an obstruction is
-    nonzero, and InfeasibleError when a block cannot be cobounded.
+    nonzero, and InfeasibleError when a block cannot be cobounded or a span
+    level is outside the orderable-diagram span.
 
-    Even levels up to opo_gauge_limit are re-selected inside the
-    orderable-diagram span (per-level gauge tags record the outcome: "opo",
-    "pivot", "unique", or "base").  An explicit build first builds its
-    symbolic family up to the last level that may be re-selected and
-    specializes the family's re-selected levels, so explicit levels agree
-    with the specialized symbolic ones; an obstructed family raises the
-    family's report.  Without the re-selection the obstruction
+    The span levels, every level under opo_restrict and else the even levels
+    up to OPO_GAUGE_LIMIT, are re-selected inside the orderable-diagram span
+    (per-level gauge tags record the outcome: "opo", "pivot", "unique", or
+    "base").  An explicit build first builds its symbolic family up to the
+    last span level and specializes the family's span levels, so explicit
+    levels agree with the specialized symbolic ones; an obstructed family
+    raises the family's report.  Without the re-selection the obstruction
     representative two levels above an even level is gauge-noise and can be
     nonzero even when the construction continues for some other gauge.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
     ring = product_ring(mode, phi, psi)
-    symbolic = ring == JET_RING
-
     levels = base_levels(mode, ring, phi, psi)
-    # an explicit build specializes its family's re-selected levels, so it
-    # builds the family up to top, the last level that may be re-selected
-    top = order if opo_restrict else min(order, opo_gauge_limit) // 2 * 2
+    spans = [k for k in range(2, order + 1)
+             if opo_restrict or (k % 2 == 0 and k <= OPO_GAUGE_LIMIT)]
     family = None
-    if not symbolic and top >= 2:
-        family = build_star(mode, top, "sym", "sym" if mode == PSI_NABLA_PHI else None,
-                            opo_gauge_limit, opo_restrict)
+    if ring == X_RING and spans:
+        family = build_star(mode, spans[-1], "sym", "sym" if mode == PSI_NABLA_PHI else None,
+                            opo_restrict)
     gauges = {0: "base", 1: "base"}
     for k in range(2, order + 1):
         # specialization is a ring map commuting with total derivatives, so the
         # family's solution specializes to a solution of the explicit step
-        specialized = (family.levels[k].specialize(phi, psi)
-                       if family is not None and family.gauges.get(k) == "opo" else None)
-        span = symbolic and (opo_restrict or (k % 2 == 0 and k <= opo_gauge_limit))
-        level_k, gauges[k] = level_step(levels, k, mode, specialized, span, opo_restrict)
+        specialized = family.levels[k].specialize(phi, psi) if family and k in spans else None
+        level_k, gauges[k] = level_step(levels, k, mode, k in spans, specialized)
         levels.append(level_k)
     return StarProduct(mode, phi, psi, levels, gauges)

@@ -4,6 +4,8 @@ from starq.jets import NABLA_PHI, PSI_NABLA_PHI
 from starq.polynomials import parse_poly
 from starq.star import ObstructionError, build_star
 
+from helpers import pivot_gauge_star
+
 
 @pytest.fixture(scope="session")
 def sym_star3():
@@ -65,5 +67,5 @@ def pivot_gauge_obstruction():
     """The nonzero level-4 report of a symbolic build that re-selects no even
     level in the orderable span."""
     with pytest.raises(ObstructionError) as caught:
-        build_star(NABLA_PHI, 4, opo_gauge_limit=0)
+        pivot_gauge_star(4)
     return caught.value.report

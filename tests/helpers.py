@@ -11,12 +11,13 @@ from typing import Iterable, Iterator, Sequence
 from starq import cochains
 from starq.cochains import (Cochain, JET_RING, X_RING, linear_combination, relabel, ring_class,
                             slot_total)
-from starq.jets import (S3, JetPolynomial, code, decode, format_var, lift, monomial_key, phi_jet,
-                        psi_jet, substitute_factor, var)
+from starq.jets import (NABLA_PHI, S3, JetPolynomial, code, decode, format_var, lift,
+                        monomial_key, phi_jet, psi_jet, substitute_factor, var)
 from starq.multiindex import all_indices, merge, multiplicities, splits
 from starq.opo import (ARG, FAC, AbstractTerm, Pair, Target, canonical_term, concretize,
                        enumerate_terms, is_opo, parse_term)
 from starq.polynomials import RatVec, XPoly
+from starq.star import StarProduct, base_levels, level_step
 from starq.verify import POISSON_PAIRS
 
 _DIRS = (1, 2, 3)
@@ -489,6 +490,19 @@ def reference_delta_solve(rhs: Cochain, k: int) -> Cochain:
             if a != b:
                 out.add_term((b, a), term.scale(parity))
     return out
+
+
+def pivot_gauge_star(order: int) -> StarProduct:
+    """The symbolic gradient-family product through ``order`` with no level
+    in the orderable-diagram span: levels from 2 on are the ``solve_level``
+    solutions, "pivot" at even and "unique" at odd levels.  Its level-4
+    obstruction is nonzero, so order 4 raises ObstructionError."""
+    levels = base_levels(NABLA_PHI, JET_RING, "sym", None)
+    gauges = {0: "base", 1: "base"}
+    for k in range(2, order + 1):
+        level, gauges[k] = level_step(levels, k, NABLA_PHI, span=False)
+        levels.append(level)
+    return StarProduct(NABLA_PHI, "sym", None, levels, gauges)
 
 
 # -- reference diagram kernels ------------------------------------------------------

@@ -16,6 +16,7 @@ from starq.polynomials import parse_poly
 from starq.star import StarProduct, build_star, opo_projections
 from starq.verify import verify_star
 
+from helpers import pivot_gauge_star
 from records import opo_audit, psi_opo_experiment
 
 PRODUCTS = {
@@ -150,7 +151,7 @@ RECORDS = {
         lambda: opo_audit(build_star(NABLA_PHI, 3)),
         "a778570c5042fc77396b3014ec550e9a07d3a4d7407fd5220f8f5ca2cbaef41c"),
     "audit-pivot": (
-        lambda: opo_audit(build_star(NABLA_PHI, 3, opo_gauge_limit=0)),
+        lambda: opo_audit(pivot_gauge_star(3)),
         "ca4e0d1cc153779f81f329990c8be73a406cc72981a9c83f74eda509d26a39e2"),
     "experiment": (
         psi_opo_experiment,

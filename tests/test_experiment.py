@@ -8,7 +8,7 @@ from starq.opo import concretize, term_to_text
 from starq.star import InfeasibleError, build_star
 
 import records
-from helpers import non_orderable_example
+from helpers import non_orderable_example, pivot_gauge_star
 from records import NO_LIFT, NON_OPO_LIFT, OPO_LIFT, SKIPPED, _solvable, audit_level, opo_audit
 
 
@@ -23,7 +23,7 @@ def test_audit_of_orderable_gauge_star(sym_star3):
 
 
 def test_audit_detects_non_orderable_gauge():
-    pivot = build_star(NABLA_PHI, 2, opo_gauge_limit=0)
+    pivot = pivot_gauge_star(2)
     assert pivot.gauges[2] == "pivot"
     report = opo_audit(pivot)
     level2 = next(a for a in report["levels"] if a["level"] == 2)
@@ -34,7 +34,7 @@ def test_audit_detects_non_orderable_gauge():
 def test_audit_concretizes_each_diagram_once(monkeypatch):
     # the pivot gauge has no orderable lift at levels 2 and 3, so the audit
     # also searches the full span there
-    star = build_star(NABLA_PHI, 3, opo_gauge_limit=0)
+    star = pivot_gauge_star(3)
     seen = []
     concretize = records.concretize
 

@@ -21,14 +21,15 @@ from starq.polynomials import XPoly, parse_poly
 from starq.star import (ClosureError, GradingError, InfeasibleError, ObstructionError,
                         ObstructionReport, StarProduct, _flatten, assemble_rhs, base_levels,
                         build_star, check_grading, level_equation, level_step, obstruction,
-                        opo_projections, parity_sign, proportional, shape_pairs, shape_system,
-                        solve_level, solve_opo)
+                        opo_projections, parity_sign, parse_potential, proportional, shape_pairs,
+                        shape_system, solve_level, solve_opo)
 from starq.verify import (_bracket_form, _is_covariant, associator_scan, poisson_vector,
                           verify_star)
 
-from helpers import (moyal_level, random_cochain, random_index, random_jet_coeff,
-                     random_x_coeff, reference_delta_solve, reference_projections, reference_rhs,
-                     reference_shape_pairs, reference_shape_system)
+from helpers import (moyal_level, pivot_gauge_star, random_cochain, random_index,
+                     random_jet_coeff, random_x_coeff, reference_delta_solve,
+                     reference_projections, reference_rhs, reference_shape_pairs,
+                     reference_shape_system)
 
 
 def test_base_levels_are_multiplication_and_half_bracket():
@@ -293,10 +294,10 @@ def test_level_step_rejects_a_perturbed_lower_level(name, request):
     levels[2] = bumped
     # bumped on one side only, level 2 also lost its parity, which R_3 refuses
     with pytest.raises(AssertionError, match="level 2 lost its parity"):
-        level_step(levels, 3, star.mode, None, False, False)
+        level_step(levels, 3, star.mode, False)
     bumped.terms[slots[::-1]] = bumped.terms[slots]  # the mirror too: parity kept
     with pytest.raises(ClosureError):
-        level_step(levels, 3, star.mode, None, False, False)
+        level_step(levels, 3, star.mode, False)
 
 
 def test_closure_is_checked_only_where_no_solve_implies_it(monkeypatch, capsys):
@@ -315,7 +316,7 @@ def test_closure_is_checked_only_where_no_solve_implies_it(monkeypatch, capsys):
     assert closures == [(3, JET_RING)]
     closures.clear()
     with pytest.raises(ObstructionError) as caught:
-        build_star(NABLA_PHI, 4, opo_gauge_limit=0)  # a failing step checks closure first
+        pivot_gauge_star(4)  # a failing step checks closure first
     assert caught.value.report.level == 4
     assert closures == [(3, JET_RING)]
 
@@ -653,14 +654,23 @@ def test_projections_match_the_per_diagram_loop(k, mode):
 
 @pytest.mark.slow
 def test_explicit_build_raises_its_obstructed_familys_report():
-    # with level 2 in the orderable gauge the conformal family is obstructed
-    # at level 4, so there is no family level 4 to specialize
+    # with levels 2 and 3 in the orderable span the conformal family is
+    # obstructed at level 4, so there is no family level 4 to specialize
     with pytest.raises(ObstructionError) as caught:
         build_star(PSI_NABLA_PHI, 4, parse_poly("x1*x2*x3"), parse_poly("1+x1"),
-                   opo_gauge_limit=4)
+                   opo_restrict=True)
     report = caught.value.report
     assert report.level == 4 and not report.is_zero
     assert report.alternating.ring == JET_RING
+
+
+@pytest.mark.parametrize("phi", ["sym", "x1*x2*x3"])
+def test_a_missed_span_level_is_infeasible_without_opo_restrict(monkeypatch, phi):
+    # with no orderable diagrams level 2 has no span solution, and the build
+    # does not fall back to solve_level, which would solve it in the pivot gauge
+    monkeypatch.setattr(starq.star, "opo_projections", lambda k, mode: [])
+    with pytest.raises(InfeasibleError, match="^level 2: orderable-diagram span cannot cobound"):
+        build_star(NABLA_PHI, 3, parse_potential(phi))
 
 
 def test_pivot_gauge_is_obstructed_at_level_4(pivot_gauge_obstruction):
