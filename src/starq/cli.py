@@ -3,8 +3,9 @@
 Exit statuses are a total function of the computed report: 0 for a clean
 result, 2 for configuration or parse problems, 3 for a negative finding
 (nonzero residual or obstruction, failed verification, non-orderable term,
-infeasible restricted solve), 4 for an internal grading violation.  Output
-files are written atomically, and every JSON document goes through one
+infeasible restricted solve), 4 for an internal grading violation.  Every
+command's document goes through one step, ``_emit``, to an atomically
+written --out file or to stdout, and every JSON document through one
 streaming renderer, ``write_json``.
 """
 
@@ -89,19 +90,17 @@ def _atomic_write(path: str, render: Callable) -> None:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}")
 
 
-def _to_stdout(args: argparse.Namespace, render: Callable) -> bool:
-    """Write render's chunks to --out if one is given; True when there is none,
-    so they belong on stdout (for JSON, only under --emit json)."""
+def _emit(args: argparse.Namespace, render: Callable, show: bool) -> bool:
+    """Write render's chunks to --out if one is given, else, when show is true,
+    to stdout, ended by a newline as print ends a line.  Returns whether they
+    went to stdout."""
     if args.out:
         _atomic_write(args.out, render)
         return False
-    return True
-
-
-def _print(render: Callable) -> None:
-    """render's chunks on stdout, ended by a newline as print ends a line."""
-    render(sys.stdout.write)
-    sys.stdout.write("\n")
+    if show:
+        render(sys.stdout.write)
+        sys.stdout.write("\n")
+    return show
 
 
 def _json(payload: Callable[[], object]) -> Callable:
@@ -195,12 +194,10 @@ def cmd_construct(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc))
     else:
-        render = _json(star.to_json)
-        if _to_stdout(args, render) and args.emit == "json":
-            _print(render)
-        elif args.emit == "latex":
+        shown = _emit(args, _json(star.to_json), args.emit == "json")
+        if args.emit == "latex":
             print(star_latex(star))
-        else:
+        elif not shown:
             counts = ", ".join(f"{k}:{len(level.terms)}"
                                for k, level in enumerate(star.levels))
             print(f"constructed mode={star.mode} ring={star.ring} order={star.order}")
@@ -208,9 +205,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
             print(f"gauges: {star.gauges}")
             print("obstructions zero:", all(r.is_zero for r in star.obstruction_reports))
         return EXIT_OK
-    render = _json(lambda: payload)
-    if _to_stdout(args, render):
-        _print(render)
+    _emit(args, _json(lambda: payload), True)
     print(message, file=sys.stderr)
     return EXIT_FINDING
 
@@ -234,11 +229,8 @@ def _load_star(path: str) -> StarProduct:
 def cmd_verify(args: argparse.Namespace) -> int:
     star = _load_star(args.star)
     report = verify_star(star)
-    render = _json(lambda: report)
-    shown = _to_stdout(args, render) and args.emit == "json"
-    if shown:
-        _print(render)
-    else:
+    shown = _emit(args, _json(lambda: report), args.emit == "json")
+    if not shown:
         for check in report["checks"]:
             status = "ok" if check["pass"] else "FAIL"
             line = f"{status:4} {check['name']}"
@@ -289,14 +281,11 @@ def cmd_obstruction(args: argparse.Namespace) -> int:
         report = exc.report
     except (InfeasibleError, ValueError) as exc:
         raise ConfigError(str(exc))
-    render = _json(report.to_json)
-    shown = _to_stdout(args, render) and args.emit == "json"
+    shown = _emit(args, _json(report.to_json), args.emit == "json")
     print(f"level {report.level}: " +
           ("zero (parity)" if report.is_zero and report.parity_path
            else "zero" if report.is_zero else "NONZERO"),
           file=sys.stderr if shown else sys.stdout)
-    if shown:
-        _print(render)
     return EXIT_OK if report.is_zero else EXIT_FINDING
 
 
@@ -316,8 +305,7 @@ def cmd_opo_check(args: argparse.Namespace) -> int:
 
 def cmd_export_latex(args: argparse.Namespace) -> int:
     text = star_latex(_load_star(args.star))
-    if _to_stdout(args, lambda write: write(text)):
-        print(text)
+    _emit(args, lambda write: write(text), True)
     return EXIT_OK
 
 

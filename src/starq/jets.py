@@ -234,14 +234,10 @@ class JetPolynomial(SparsePoly):
             for tag, index in map(var, _codes[mono]):
                 if value.is_zero:
                     break
-                if tag == PHI:
-                    if phi is None:
-                        raise ValueError("phi jets present but no phi given")
-                    value = value * phi.derivative(index)
-                else:
-                    if psi is None:
-                        raise ValueError("psi jets present but no psi given")
-                    value = value * psi.derivative(index)
+                potential = phi if tag == PHI else psi
+                if potential is None:
+                    raise ValueError(f"{tag} jets present but no {tag} given")
+                value = value * potential.derivative(index)
             total.add(value.terms, value.den)
         return XPoly.from_numerators(total.terms, total.den * self.den)
 

@@ -17,12 +17,13 @@ when the factor-to-factor contraction graph is acyclic, and the witness
 arrangement is its smallest topological order.  Enumeration yields only
 orderable diagrams, generated in such a labeling instead of filtered out of
 every wiring: they span the levels the construction re-selects.
-Concretization expands a diagram over the coordinate index assignments that
-eps^{ijk} does not kill, walking one assignment per orbit of the relabelings
-of the indices 1..3 and adding the rest by relabeling; ``mirror_term``
-reverses a diagram's argument wiring.  The diagram-level coboundary and
-insertion, the full enumeration and the named example diagrams are test
-oracles, and live in ``tests/helpers.py``.
+Concretization expands one diagram over the coordinate index assignments
+that eps^{ijk} does not kill, walking one assignment per orbit of the
+relabelings of the indices 1..3 into one orbit sum and adding the rest by
+relabeling it; a sum of diagrams is a linear combination of their
+concretizations.  ``mirror_term`` reverses a diagram's argument wiring.
+The diagram-level coboundary and insertion, the full enumeration and the
+named example diagrams are test oracles, and live in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations, permutations, product
 import re
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .cochains import Cochain, JET_RING, relabel
 from .jets import S3, JetPolynomial, substitute_factor
@@ -68,9 +69,6 @@ class AbstractTerm:
 
     def arg_degree(self, a: int) -> int:
         return sum(1 for pair in self.pairs for t in pair if t == (ARG, a))
-
-    def scale(self, q: Fraction | int) -> "AbstractTerm":
-        return AbstractTerm(self.coeff * q, self.pairs, self.n_args)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, AbstractTerm) and self.coeff == other.coeff
@@ -162,8 +160,8 @@ def is_opo(term: AbstractTerm) -> tuple[bool, tuple[int, ...] | None]:
 
 # -- concretization ------------------------------------------------------------
 
-def concretize(terms: Iterable[AbstractTerm], mode: str) -> Cochain:
-    """Expand diagrams over coordinate indices 1..3 into a jet-ring cochain.
+def concretize(term: AbstractTerm, mode: str) -> Cochain:
+    """Expand a diagram over coordinate indices 1..3 into a jet-ring cochain.
 
     Each factor's upper pair runs over the six (i, j) with i != j, where
     eps^{ijk} picks one k, so every walked assignment is nonzero and the
@@ -173,55 +171,46 @@ def concretize(terms: Iterable[AbstractTerm], mode: str) -> Cochain:
     into free orbits of six, each with one member in which the first walked
     factor has uppers (1, 2).  Only those are walked, depth first, along a
     witnessing order if there is one, multiplying a factor in once its
-    uppers and every wire onto it are fixed; they add into one running sum
-    per slot tuple and per parity of the factor count n, which is then added
-    relabeled by each sigma, with sign sgn(sigma)^n.
+    uppers and every wire onto it are fixed; they add into one orbit sum
+    per slot tuple, which is then added relabeled by each sigma, with sign
+    sgn(sigma)^n for the factor count n.  A factorless diagram has no orbit.
     """
-    arity = None
+    num, den, n = term.coeff.numerator, term.coeff.denominator, term.n_factors
+    order = is_opo(term)[1] or tuple(range(n))
+    ready: list[list[int]] = [[] for _ in range(n)]  # factors complete after each step
+    for w in range(n):
+        ready[max(order.index(u) for u in range(n)
+                  if u == w or (FAC, w) in term.pairs[u])].append(w)
+    lowers, slots = [[] for _ in range(n)], [[] for _ in range(term.n_args)]
+    uppers: list[tuple[int, int]] = [(0, 0)] * n
+    orbit: dict[tuple, RatVec] = defaultdict(RatVec)
+
+    def walk(step: int, coeff: JetPolynomial) -> None:
+        if step == n:
+            orbit[tuple(tuple(sorted(s)) for s in slots)].add(coeff.terms, coeff.den * den, num)
+            return
+        u = order[step]
+        ends = [(lowers if kind == FAC else slots)[pos] for kind, pos in term.pairs[u]]
+        for i, j in _UPPER_PAIRS if step else _UPPER_PAIRS[:1]:
+            uppers[u] = (i, j)
+            ends[0].append(i)
+            ends[1].append(j)
+            prefix = coeff
+            for w in ready[step]:
+                prefix = prefix * substitute_factor(tuple(sorted(lowers[w])), *uppers[w], mode)
+            walk(step + 1, prefix)
+            ends[0].pop()
+            ends[1].pop()
+
+    walk(0, JetPolynomial.one())
+    if not n:
+        return Cochain._from_sums(term.n_args, JET_RING, orbit)
     sums: dict[tuple, RatVec] = defaultdict(RatVec)
-    orbit_sums: tuple[dict[tuple, RatVec], ...] = (defaultdict(RatVec), defaultdict(RatVec))
-    for term in terms:
-        if arity is None:
-            arity = term.n_args
-        elif term.n_args != arity:
-            raise ValueError("mixed arities in concretization")
-        num, den, n = term.coeff.numerator, term.coeff.denominator, term.n_factors
-        order = is_opo(term)[1] or tuple(range(n))
-        ready: list[list[int]] = [[] for _ in range(n)]  # factors complete after each step
-        for w in range(n):
-            ready[max(order.index(u) for u in range(n)
-                      if u == w or (FAC, w) in term.pairs[u])].append(w)
-        lowers, slots = [[] for _ in range(n)], [[] for _ in range(arity)]
-        uppers: list[tuple[int, int]] = [(0, 0)] * n
-        target = orbit_sums[n % 2] if n else sums  # a factorless term has no orbit
-
-        def walk(step: int, coeff: JetPolynomial) -> None:
-            if step == n:
-                target[tuple(tuple(sorted(s)) for s in slots)].add(
-                    coeff.terms, coeff.den * den, num)
-                return
-            u = order[step]
-            ends = [(lowers if kind == FAC else slots)[pos] for kind, pos in term.pairs[u]]
-            for i, j in _UPPER_PAIRS if step else _UPPER_PAIRS[:1]:
-                uppers[u] = (i, j)
-                ends[0].append(i)
-                ends[1].append(j)
-                prefix = coeff
-                for w in ready[step]:
-                    prefix = prefix * substitute_factor(tuple(sorted(lowers[w])), *uppers[w], mode)
-                walk(step + 1, prefix)
-                ends[0].pop()
-                ends[1].pop()
-
-        walk(0, JetPolynomial.one())
-    if arity is None:
-        raise ValueError("no terms to concretize")
-    for odd, partial in enumerate(orbit_sums):
-        for slots, acc in partial.items():
-            for s, (_, sign) in enumerate(S3):
-                image, terms = relabel(JET_RING, s, slots, acc.terms, sign if odd else 1)
-                sums[image].add(terms, acc.den)
-    return Cochain._from_sums(arity, JET_RING, sums)
+    for key, acc in orbit.items():
+        for s, (_, sign) in enumerate(S3):
+            image, terms = relabel(JET_RING, s, key, acc.terms, sign ** n)
+            sums[image].add(terms, acc.den)
+    return Cochain._from_sums(term.n_args, JET_RING, sums)
 
 
 def mirror_term(term: AbstractTerm) -> AbstractTerm:

@@ -87,7 +87,7 @@ def has_parity(cochain: Cochain, sign: int) -> bool:
 def base_levels(mode: str, ring: str, phi: XPoly | str, psi: XPoly | str | None) -> list[Cochain]:
     """[M_0, M_1] in the requested coefficient ring.  M_1 is half the Poisson
     bracket, the one one-factor diagram P^{ij} d_i f d_j g concretized."""
-    m1 = concretize(enumerate_terms(1), mode).scale(Fraction(1, 2))
+    m1 = concretize(enumerate_terms(1)[0], mode).scale(Fraction(1, 2))
     if ring == X_RING:
         m1 = m1.specialize(phi, psi)
     return [Cochain.multiplication(ring), m1]
@@ -416,7 +416,7 @@ def opo_projections(k: int, mode: str) -> list[tuple[int, Cochain, Cochain]]:
     for idx, term in enumerate(terms):
         if index[mirror_term(term).key()] < idx:
             continue
-        c = concretize([term], mode)
+        c = concretize(term, mode)
         proj = linear_combination(2, JET_RING, zip(weights, (c, c.reverse_args())))
         if not proj.is_zero:
             out.append((idx, proj, proj.hochschild_delta()))

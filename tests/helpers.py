@@ -524,6 +524,17 @@ def reference_enumerate(n_factors: int, require_opo: bool = False) -> list:
     return [seen[k] for k in sorted(seen)]
 
 
+def concretize_sum(terms, mode: str) -> Cochain:
+    """A sum of diagrams of one arity: their concretizations, one diagram at a
+    time, added by one linear_combination."""
+    return linear_combination(terms[0].n_args, JET_RING,
+                              ((1, concretize(t, mode)) for t in terms))
+
+
+def scaled_term(term: AbstractTerm, q: Fraction | int) -> AbstractTerm:
+    return AbstractTerm(term.coeff * q, term.pairs, term.n_args)
+
+
 def reference_concretize(terms, mode: str) -> Cochain:
     arity = terms[0].n_args
     out = Cochain(arity, JET_RING)
@@ -551,7 +562,7 @@ def reference_projections(k: int, mode: str) -> list:
     weights = (half, half * (-1) ** k)
     out = []
     for idx, term in enumerate(enumerate_terms(k)):
-        c = concretize([term], mode)
+        c = concretize(term, mode)
         proj = linear_combination(2, JET_RING, zip(weights, (c, c.reverse_args())))
         if not proj.is_zero:
             out.append((idx, proj, proj.hochschild_delta()))
@@ -601,7 +612,7 @@ def _endpoint_choices(pairs: Sequence[Pair], hits) -> Iterator[list[tuple[Target
 def abstract_delta(term: AbstractTerm) -> list[AbstractTerm]:
     """Hochschild coboundary of a diagram, one arity higher: -[D, m] for the
     multiplication diagram m, which has no factors and two arguments."""
-    return [t.scale(-1) for t in abstract_bracket(term, AbstractTerm(Fraction(1), (), 2))]
+    return [scaled_term(t, -1) for t in abstract_bracket(term, AbstractTerm(Fraction(1), (), 2))]
 
 
 def abstract_insert(outer: AbstractTerm, inner: AbstractTerm) -> list[AbstractTerm]:
@@ -642,7 +653,7 @@ def abstract_insert(outer: AbstractTerm, inner: AbstractTerm) -> list[AbstractTe
 def abstract_bracket(left: AbstractTerm, right: AbstractTerm) -> list[AbstractTerm]:
     m, n = left.n_args - 1, right.n_args - 1
     swap_sign = -Fraction((-1) ** (m * n))
-    swapped = [t.scale(swap_sign) for t in abstract_insert(right, left)]
+    swapped = [scaled_term(t, swap_sign) for t in abstract_insert(right, left)]
     return combine(list(abstract_insert(left, right)) + swapped)
 
 

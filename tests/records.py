@@ -59,13 +59,13 @@ def audit_level(level: Cochain, k: int, mode: str) -> dict:
     if k == 0:
         return _level_dict(0, OPO_LIFT, {}, {}, [])
     all_terms = reference_enumerate(k)
-    columns = {i: concretize([t], mode) for i, t in enumerate(all_terms) if is_opo(t)[0]}
+    columns = {i: concretize(t, mode) for i, t in enumerate(all_terms) if is_opo(t)[0]}
     combo = span_combination(level, columns.items())
     if combo is not None:
         texts = {i: term_to_text(all_terms[i]) for i in combo}
         return _level_dict(k, OPO_LIFT, combo, texts, [])
     non_orderable = [i for i in range(len(all_terms)) if i not in columns]
-    columns.update((i, concretize([all_terms[i]], mode)) for i in non_orderable)
+    columns.update((i, concretize(all_terms[i], mode)) for i in non_orderable)
     combo = span_combination(level, sorted(columns.items()))
     if combo is None:
         return _level_dict(k, NO_LIFT, None, {}, [])

@@ -20,9 +20,9 @@ from starq.polynomials import XPoly, parse_poly
 from starq.star import StarProduct, build_star, level_equation
 from starq.verify import associator_scan, jacobi_residual, poisson_vector
 
-from helpers import (abstract_bracket, abstract_delta, commutator, double_bracket_terms,
-                     jacobi_example_opo_term, jacobi_example_terms, max_jet_order,
-                     non_orderable_example, poisson_term, random_cochain)
+from helpers import (abstract_bracket, abstract_delta, commutator, concretize_sum,
+                     double_bracket_terms, jacobi_example_opo_term, jacobi_example_terms,
+                     max_jet_order, non_orderable_example, poisson_term, random_cochain)
 
 
 def _report(number: int, label: str, ok: bool, elapsed: float | None = None,
@@ -123,9 +123,9 @@ def test_criterion_7_orderability_reference_suite():
     checks = [is_opo(poisson_term())[0]]
     checks += [is_opo(t)[0] for t in double_bracket_terms()]
     checks.append(not is_opo(non_orderable_example())[0])
-    checks.append(concretize(jacobi_example_terms(), NABLA_PHI).is_zero)
-    checks.append(concretize(jacobi_example_terms(), PSI_NABLA_PHI).is_zero)
-    checks.append(not concretize([jacobi_example_opo_term()], NABLA_PHI).is_zero)
+    checks.append(concretize_sum(jacobi_example_terms(), NABLA_PHI).is_zero)
+    checks.append(concretize_sum(jacobi_example_terms(), PSI_NABLA_PHI).is_zero)
+    checks.append(not concretize(jacobi_example_opo_term(), NABLA_PHI).is_zero)
     _report(7, "orderability reference suite", all(checks))
 
 

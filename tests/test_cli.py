@@ -375,6 +375,63 @@ def test_emit_json_prints_one_document(tmp_path, capsys):
     assert err == "level 3: zero (parity)\n"
 
 
+def _run(argv, capsys, out: Path | None = None) -> tuple[int, str, str, str | None]:
+    """main's exit status, stdout and stderr, and the text of the --out file."""
+    status = main(argv + (["--out", str(out)] if out else []))
+    captured = capsys.readouterr()
+    return status, captured.out, captured.err, out.read_text() if out else None
+
+
+def _is_json(text: str) -> bool:
+    try:
+        json.loads(text)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("command, emit", [
+    ("construct", "text"), ("construct", "json"), ("construct", "latex"),
+    ("verify", "text"), ("verify", "json"),
+    ("obstruction", "text"), ("obstruction", "json"),
+    ("export-latex", None), ("obstructed", None)])
+def test_each_document_goes_to_out_or_to_stdout(command, emit, to_file, weyl_text,
+                                                pivot_gauge_obstruction, tmp_path,
+                                                monkeypatch, capsys):
+    star = tmp_path / "star.json"
+    star.write_text(weyl_text)
+    argv = {"construct": ["construct", "--phi", "x3", "--order", "2"],
+            "verify": ["verify", str(star)],
+            "obstruction": ["obstruction", "--phi", "x3", "--k", "3"],
+            "export-latex": ["export-latex", str(star)],
+            "obstructed": ["construct", "--phi", "sym", "--order", "4"]}[command]
+    if command == "obstructed":  # exits 3 with a status document
+        monkeypatch.setattr("starq.cli.build_star", _raising(pivot_gauge_obstruction))
+    shows = ["--emit", "json"] if emit else []
+    # the document as it reaches stdout where it is shown
+    expected_status, document, _, _ = _run(argv + shows, capsys)
+    assert document.endswith("\n")
+
+    status, out, err, written = _run(argv + (["--emit", emit] if emit else []), capsys,
+                                     tmp_path / "document" if to_file else None)
+    assert status == expected_status
+    shown = not to_file and (emit == "json" or emit is None)
+    assert _is_json(out) == (shown and command != "export-latex")
+    if shown:
+        assert out == document
+    else:
+        assert written is None or written == document[:-1]
+    if command in ("verify", "obstruction"):  # the status line goes beside the document
+        line = "verified\n" if command == "verify" else "level 3: zero (parity)\n"
+        assert err == (line if shown else "")
+        assert (line in out) != shown
+    elif command == "construct" and to_file:
+        # the text summary, or the LaTeX of --emit latex, as without --out
+        summary = _run(argv + ["--emit", "latex" if emit == "latex" else "text"], capsys)[1]
+        assert out == summary
+
+
 # strings with quotes, backslashes, control, non-ASCII and surrogate characters
 _JSON_STRINGS = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7fé€\U0001f600\ud800a ')
                         | st.characters(exclude_categories=()), max_size=8)

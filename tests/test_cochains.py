@@ -8,7 +8,7 @@ from starq import cochains
 from starq.cochains import (Cochain, JET_RING, X_RING, _running_sums, coboundary_defect,
                             delta_terms, epsilon_cochain, insertion_sum, linear_combination,
                             ring_class, slot_total)
-from starq.jets import S3
+from starq.jets import S3, JetPolynomial, phi_jet, psi_jet
 from starq.polynomials import XPoly, parse_poly
 
 from helpers import (bracket, eval_args, insert, random_cochain, reference_antisymmetrize,
@@ -137,6 +137,15 @@ def test_specialize_commutes_with_delta():
     left = c.hochschild_delta().specialize(phi, psi)
     right = c.specialize(phi, psi).hochschild_delta()
     assert left == right
+
+
+@pytest.mark.parametrize("jet, phi, psi, message", [
+    (phi_jet(1), None, parse_poly("x1"), "phi jets present but no phi given"),
+    (psi_jet(2), parse_poly("x1"), None, "psi jets present but no psi given")])
+def test_specialize_names_the_missing_potential(jet, phi, psi, message):
+    c = Cochain(2, JET_RING, {((1,), (2,)): JetPolynomial.variable(jet)})
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        c.specialize(phi, psi)
 
 
 def test_json_roundtrip_both_rings():

@@ -38,9 +38,9 @@ def test_audit_concretizes_each_diagram_once(monkeypatch):
     seen = []
     concretize = records.concretize
 
-    def counted(terms, mode):
-        seen.extend(term.key() for term in terms)
-        return concretize(terms, mode)
+    def counted(term, mode):
+        seen.append(term.key())
+        return concretize(term, mode)
 
     monkeypatch.setattr(records, "concretize", counted)
     report = opo_audit(star)
@@ -53,7 +53,7 @@ def test_audit_lifts_a_non_orderable_diagram_over_the_full_span(mode):
     # the orderable span misses the diagram, so the second pass finds it
     # itself: diagram 8 of the two-factor enumeration, with coefficient 1
     diagram = non_orderable_example()
-    audit = audit_level(concretize([diagram], mode), 2, mode)
+    audit = audit_level(concretize(diagram, mode), 2, mode)
     assert audit["status"] == NON_OPO_LIFT
     assert audit["nonOrderableUsed"] == [8]
     assert audit["combination"] == {"8": "1"}

@@ -5,13 +5,14 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (abstract_bracket, abstract_delta, double_bracket_terms,
+from helpers import (abstract_bracket, abstract_delta, concretize_sum, double_bracket_terms,
                      jacobi_example_opo_term, jacobi_example_terms, non_orderable_example,
-                     poisson_term, reference_concretize, reference_enumerate)
+                     poisson_term, reference_concretize, reference_enumerate, scaled_term)
+from starq.cochains import Cochain, JET_RING
 from starq.jets import NABLA_PHI, PSI_NABLA_PHI, substitute_factor
 from starq.multiindex import all_indices
-from starq.opo import (MAX_TERM_FACTORS, concretize, enumerate_terms, is_opo, parse_term,
-                       term_to_text)
+from starq.opo import (MAX_TERM_FACTORS, AbstractTerm, concretize, enumerate_terms, is_opo,
+                       parse_term, term_to_text)
 
 
 def test_reference_terms_orderability():
@@ -89,8 +90,8 @@ def test_orderable_subset_consistency():
 def test_jacobi_analogue_concretizes_to_zero_in_both_modes():
     terms = jacobi_example_terms()
     for mode in (NABLA_PHI, PSI_NABLA_PHI):
-        assert concretize(terms, mode).is_zero
-    lone = concretize([jacobi_example_opo_term()], NABLA_PHI)
+        assert concretize_sum(terms, mode).is_zero
+    lone = concretize(jacobi_example_opo_term(), NABLA_PHI)
     assert not lone.is_zero
 
 
@@ -98,14 +99,22 @@ def test_self_contraction_dies_in_gradient_mode():
     # P contracted against its own derivative along the same label chain
     # vanishes because the gradient bivector is divergence free
     term = parse_term("dP(i;i,j) @1(j) @2()")
-    assert concretize([term], NABLA_PHI).is_zero
+    assert concretize(term, NABLA_PHI).is_zero
 
 
 def test_poisson_term_concretizes_to_bracket():
-    c = concretize([poisson_term()], NABLA_PHI)
+    c = concretize(poisson_term(), NABLA_PHI)
     # six epsilon entries, each a first jet of the potential
     assert len(c.terms) == 6
     assert c.reverse_args() == c.scale(-1)
+
+
+@pytest.mark.parametrize("mode", [NABLA_PHI, PSI_NABLA_PHI])
+def test_factorless_diagram_concretizes_to_its_coefficient(mode):
+    # no factor, so no orbit to expand: q times the multiplication
+    term = AbstractTerm(Fraction(-2, 3), (), 2)
+    assert concretize(term, mode) == reference_concretize([term], mode)
+    assert concretize(term, mode) == Cochain.multiplication(JET_RING).scale(Fraction(-2, 3))
 
 
 def test_delta_closure_spot_checks():
@@ -141,20 +150,20 @@ COEFFS = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
 @st.composite
 def diagram_lists(draw):
     """Random lists of scaled diagrams, some of them cancelling exactly."""
-    terms = [draw(st.sampled_from(POOL)).scale(draw(COEFFS))
+    terms = [scaled_term(draw(st.sampled_from(POOL)), draw(COEFFS))
              for _ in range(draw(st.integers(1, 3)))]
     if draw(st.booleans()):
-        terms.append(terms[0].scale(-1))  # a diagram and its negative
+        terms.append(scaled_term(terms[0], -1))  # a diagram and its negative
     if draw(st.booleans()):
         q = draw(COEFFS)
-        terms += [t.scale(q) for t in jacobi_example_terms()]  # sums to zero
+        terms += [scaled_term(t, q) for t in jacobi_example_terms()]  # sums to zero
     return draw(st.permutations(terms))
 
 
 @settings(max_examples=20, deadline=None)
 @given(diagram_lists(), MODES)
 def test_concretize_matches_reference(terms, mode):
-    assert concretize(terms, mode) == reference_concretize(terms, mode)
+    assert concretize_sum(terms, mode) == reference_concretize(terms, mode)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -171,8 +180,8 @@ def test_generated_diagrams_are_orderable():
 @settings(max_examples=20, deadline=None)
 @given(diagram_lists(), MODES)
 def test_memoized_substitution_shares_nothing_mutable(terms, mode):
-    first = concretize(terms, mode)
-    assert concretize(terms, mode) == first
+    first = concretize_sum(terms, mode)
+    assert concretize_sum(terms, mode) == first
     for index in (ix for length in range(5) for ix in all_indices(length)):
         for i, j in product((1, 2, 3), repeat=2):
             assert substitute_factor(index, i, j, mode) == (
@@ -186,4 +195,4 @@ def test_four_factor_diagrams_match_references():
     assert [t.key() for t in orderable] == [t.key() for t in reference_enumerate(4, True)]
     for mode in (NABLA_PHI, PSI_NABLA_PHI):
         for term in orderable:
-            assert concretize([term], mode) == reference_concretize([term], mode)
+            assert concretize(term, mode) == reference_concretize([term], mode)

@@ -614,7 +614,7 @@ def test_mirror_partner_projects_to_eps_parity_times_the_diagram(k, mode):
     half = Fraction(1, 2)
 
     def project(term):
-        c = concretize([term], mode)
+        c = concretize(term, mode)
         return linear_combination(2, JET_RING,
                                   [(half, c), (half * parity_sign(k), c.reverse_args())])
 
@@ -623,7 +623,7 @@ def test_mirror_partner_projects_to_eps_parity_times_the_diagram(k, mode):
     for term in terms:
         mirror = mirror_term(term)
         assert mirror.key() in keys and mirror.coeff in (1, -1)
-        assert concretize([mirror], mode) == concretize([term], mode).reverse_args()
+        assert concretize(mirror, mode) == concretize(term, mode).reverse_args()
         partner = AbstractTerm(Fraction(1), mirror.pairs, mirror.n_args)
         assert project(partner) == project(term).scale(mirror.coeff * parity_sign(k))
         assert mirror_term(partner).key() == term.key()
